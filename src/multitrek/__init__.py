@@ -45,9 +45,11 @@ from .treks import (
     KTrek,
     SidedIntersectionWitness,
     TopObstruction,
+    Trek,
     TrekSearchResult,
     TrekSystem,
     check_ktrek_separation,
+    checked_sides,
     enumerate_ktreks,
     enumerate_paths,
     exists_disjoint_path_system,
@@ -56,6 +58,8 @@ from .treks import (
     find_sided_intersection,
     make_trek_system,
     reachable_from,
+    repeated_side,
+    signed_system_sum,
     trek_system_from_doc,
     trek_system_to_doc,
 )
@@ -84,15 +88,11 @@ from .oracle import (
 )
 from .moments import (
     ConjectureReport,
-    SplitFlowObstruction,
-    SplitSearchResult,
     SplitTrek,
-    SplitTrekSystem,
     check_moment_theorem_k3,
     det_by_split_trek_systems,
     enumerate_split_treks,
     exists_split_trek_system_no_sided_intersection,
-    make_split_trek_system,
     model_moment,
     moment_entry,
     moment_subtensor_determinant,

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import BudgetExceeded, MissingOrder, SchemaError
+from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
 from .polynomial import Poly
-from .ser import frac_from_str, frac_to_str
-from .tensors import RATIONAL, DiagonalSpec, Tensor, hyperdet_from_getter, perm_sign
-from .treks import DEFAULT_BUDGET, KTrek, enumerate_ktreks, sided_intersection_of_paths
+from .ser import canonical_json, frac_from_str, frac_to_str
+from .tensors import RATIONAL, DiagonalSpec, Tensor, hyperdet_from_getter
+from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
 
 
 def _coerce_scalar(x):
@@ -162,9 +162,14 @@ def noise_support(g: MixedGraph, inst: ModelInstance, order: int) -> dict[tuple[
 
 def model_cumulant(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:
     """Order-k cumulant tensor of the observed vector; exact and symmetric."""
+    return _tucker_tensor(g, inst, order, noise_support)
+
+
+def _tucker_tensor(g: MixedGraph, inst: ModelInstance, order: int, support_of) -> Tensor:
+    """The noise entries ``support_of(g, inst, order)`` pushed through the path matrix."""
     validate_instance(g, inst)
     m = path_matrix(g, inst.lam)
-    support = noise_support(g, inst, order)
+    support = support_of(g, inst, order)
     idx = {v: i for i, v in enumerate(g.vertices)}
     p = len(g.vertices)
     values: dict[tuple[int, ...], object] = {}
@@ -203,20 +208,48 @@ def cumulant_entry(
     _cache: dict | None = None,
 ) -> object:
     """Single cumulant entry by the Tucker route (vertex ids, not positions)."""
-    if _cache is None:
-        _cache = {}
-    if "m" not in _cache:
+    return _cached_entry(g, inst, indices, noise_support, _cache)
+
+
+def _cached_entry(
+    g: MixedGraph,
+    inst: ModelInstance,
+    indices: Sequence[int],
+    support_of,
+    cache: dict | None = None,
+) -> object:
+    """One entry of _tucker_tensor (vertex ids); ``cache`` carries work across calls."""
+    if cache is None:
+        cache = {}
+    if "m" not in cache:
         validate_instance(g, inst)
-        _cache["m"] = path_matrix(g, inst.lam)
-        _cache["idx"] = {v: i for i, v in enumerate(g.vertices)}
+        cache["m"] = path_matrix(g, inst.lam)
+        cache["idx"] = {v: i for i, v in enumerate(g.vertices)}
     order = len(indices)
-    if ("support", order) not in _cache:
-        _cache[("support", order)] = noise_support(g, inst, order)
-    key = tuple(sorted(_cache["idx"][v] for v in indices))
-    memo = _cache.setdefault(("entries", order), {})
+    if ("support", order) not in cache:
+        cache[("support", order)] = support_of(g, inst, order)
+    key = tuple(sorted(cache["idx"][v] for v in indices))
+    memo = cache.setdefault(("entries", order), {})
     if key not in memo:
-        memo[key] = _tucker_entry(_cache[("support", order)], _cache["m"], _cache["idx"], key)
+        memo[key] = _tucker_entry(cache[("support", order)], cache["m"], cache["idx"], key)
     return memo[key]
+
+
+def _determinant_by_entries(
+    g: MixedGraph,
+    inst: ModelInstance,
+    sides: Sequence[Sequence[int]],
+    entry,
+) -> object:
+    """det of the subtensor whose entries ``entry(g, inst, vertices, cache)`` gives."""
+    side_lists = [list(s) for s in sides]
+    cache: dict = {}
+
+    def at(pos: tuple[int, ...]) -> object:
+        vertices = tuple(side_lists[m][i] for m, i in enumerate(pos))
+        return entry(g, inst, vertices, cache)
+
+    return hyperdet_from_getter(len(side_lists[0]), len(side_lists), at, one=Fraction(1))
 
 
 # -- trek-rule routes -------------------------------------------------------
@@ -225,9 +258,12 @@ def cumulant_entry(
 def trek_monomial(inst: ModelInstance, trek: KTrek) -> object:
     """E at the trek's sources times the product of its path weights."""
     term = noise_entry(inst, len(trek.paths), trek.sources)
-    if not term:
-        return 0
-    for path in trek.paths:
+    return _times_path_weights(inst, term, trek.paths) if term else 0
+
+
+def _times_path_weights(inst: ModelInstance, term: object, paths) -> object:
+    """term times the edge weights along the paths."""
+    for path in paths:
         for a, b in zip(path.vertices, path.vertices[1:]):
             w = inst.lam.get((a, b), 0)
             if not w:
@@ -267,30 +303,10 @@ def det_by_trek_systems(
     inst: ModelInstance,
     sides: Sequence[Sequence[int]],
     budget: int = DEFAULT_BUDGET,
-    open_first_side: bool = False,
 ) -> object:
-    """Subtensor determinant as a signed sum over filtered trek systems.
+    """Cumulant subtensor determinant as a signed sum over k-trek systems.
 
-    Sides are ordered lists of distinct vertices.  Each admitted system
-    of n treks contributes its permutation sign times the product of
-    its treks' monomials.
-
-    With ``open_first_side=False`` the sum ranges over systems with no
-    sided intersection anywhere (the certificate objects used by the
-    vanishing oracle).  That sum equals the determinant of the ordered
-    cumulant subtensor at every even order: swapping two path tails at
-    a shared vertex of side i >= 2 negates exactly one of the k-1
-    permutation signs, so those systems cancel in pairs, and a tail
-    swap on side 1 re-sorts the row alignment, which multiplies the
-    sign by (-1)**(k-1) and cancels the side-1 meetings as well when k
-    is even.  At odd orders >= 3 that last factor is +1, systems whose
-    only meetings lie on side 1 can survive, and the fully filtered
-    sum may differ from the determinant (see the pinned witness in the
-    test suite).
-
-    With ``open_first_side=True`` the intersection filter is applied
-    to sides 2..k only.  This sum equals the subtensor determinant at
-    every order and is the exact expansion this package relies on.
+    Exact at every order; see signed_system_sum.
     """
     if g.multidirected_edges:
         # The sided-intersection-free restriction is a DAG identity; with
@@ -298,56 +314,12 @@ def det_by_trek_systems(
         raise ValueError(
             "det_by_trek_systems needs a DAG; reduce with canonical_dag first"
         )
-    side_lists = [list(s) for s in sides]
-    k = len(side_lists)
-    if k < 2:
-        raise ValueError("need at least two sides")
-    n = len(side_lists[0])
-    if any(len(s) != n for s in side_lists):
-        raise ValueError("sides must have equal size")
-    if any(len(set(s)) != len(s) for s in side_lists):
-        raise ValueError("sides must consist of distinct vertices")
-    if n == 0:
-        return Fraction(1)
-
-    trek_cache: dict[tuple[int, ...], list[KTrek]] = {}
-
-    def treks_into(sinks: tuple[int, ...]) -> list[KTrek]:
-        if sinks not in trek_cache:
-            trek_cache[sinks] = enumerate_ktreks(g, sinks, budget)
-        return trek_cache[sinks]
-
-    total = 0
-    count = 0
-    perms = list(itertools.permutations(range(n)))
-    for combo in itertools.product(perms, repeat=k - 1):
-        sign = 1
-        for p in combo:
-            sign *= perm_sign(p)
-        sink_tuples = [
-            (side_lists[0][j],) + tuple(side_lists[i + 1][combo[i][j]] for i in range(k - 1))
-            for j in range(n)
-        ]
-        pools = [treks_into(t) for t in sink_tuples]
-        if any(not pool for pool in pools):
-            continue
-        for system in itertools.product(*pools):
-            count += 1
-            if count > budget:
-                raise BudgetExceeded("trek-system candidates", budget)
-            paths_by_side = [[trek.paths[i] for trek in system] for i in range(k)]
-            filtered = paths_by_side[1:] if open_first_side else paths_by_side
-            if sided_intersection_of_paths(filtered) is not None:
-                continue
-            term = 1
-            for trek in system:
-                term = term * trek_monomial(inst, trek)
-                if not term:
-                    break
-            if not term:
-                continue
-            total = total + (term if sign > 0 else -term)
-    return total if not isinstance(total, int) else Fraction(total)
+    return signed_system_sum(
+        checked_sides(g.vertices, sides),
+        lambda sinks: enumerate_ktreks(g, sinks, budget),
+        lambda trek: trek_monomial(inst, trek),
+        budget,
+    )
 
 
 # -- generic instances ------------------------------------------------------
@@ -407,16 +379,7 @@ def subtensor_determinant(
     sides: Sequence[Sequence[int]],
 ) -> object:
     """det of the cumulant subtensor at the instance, entries computed on demand."""
-    side_lists = [list(s) for s in sides]
-    order = len(side_lists)
-    n = len(side_lists[0])
-    cache: dict = {}
-
-    def entry(pos: tuple[int, ...]) -> object:
-        vertices = tuple(side_lists[m][i] for m, i in enumerate(pos))
-        return cumulant_entry(g, inst, vertices, cache)
-
-    return hyperdet_from_getter(n, order, entry, one=Fraction(1))
+    return _determinant_by_entries(g, inst, sides, cumulant_entry)
 
 
 # -- JSON interface ---------------------------------------------------------
@@ -431,11 +394,11 @@ def instance_to_json(inst: ModelInstance) -> str:
         }
         if nc.hyper.entries:
             entry["hyper"] = {
-                json.dumps(list(key), separators=(",", ":")): frac_to_str(Fraction(x))
+                canonical_json(list(key)): frac_to_str(Fraction(x))
                 for key, x in nc.hyper.entries.items()
             }
         noise[str(order)] = entry
-    return json.dumps({"lambda": lam, "noise": noise}, sort_keys=True, separators=(",", ":"))
+    return canonical_json({"lambda": lam, "noise": noise})
 
 
 def instance_from_json(text: str) -> ModelInstance:

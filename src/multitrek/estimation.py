@@ -25,6 +25,7 @@ from .cumulants import ModelInstance, NoiseCumulants, path_matrix
 from .errors import InvalidBootstrapCount, OrderUnsupported
 from .graphs import MixedGraph, canonical_dag
 from .tensors import FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter
+from .treks import checked_sides
 
 _TAGS = {"uniform": 1, "exponential": 1, "laplace": 1, "gamma": 2}
 
@@ -257,14 +258,12 @@ def test_determinant_zero(
     size or power guarantee.  Deterministic per seed: each replicate
     resamples rows under its own stream spawned from the master seed.
     """
-    side_lists = [list(s) for s in sides]
+    side_lists = checked_sides(data.vertices, sides)
     if len(side_lists) != k:
         raise ValueError(f"got {len(side_lists)} sides but k={k}")
     if k not in (2, 3, 4):
         raise OrderUnsupported(f"sample cumulants implemented for orders 2..4, got {k}")
     n = len(side_lists[0])
-    if n == 0 or any(len(s) != n for s in side_lists):
-        raise ValueError("sides must be nonempty and of equal size")
     if n_boot < 1:
         raise InvalidBootstrapCount(f"n_boot must be >= 1, got {n_boot}")
 

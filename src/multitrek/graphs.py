@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleError, SchemaError
+from .ser import canonical_json
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def serialize_graph(g: MixedGraph) -> str:
     }
     if g.labels:
         doc["labels"] = {str(k): v for k, v in g.labels.items()}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(doc)
 
 
 def _list(x: object, path: str) -> list:

@@ -6,11 +6,15 @@ index multiset is the product of per-vertex moments and vanishes only
 when some vertex appears exactly once (first moments are zero).  The
 trek notion that matches this support is the *split-trek*: k paths
 into the given sinks whose every source is shared by at least two of
-them (a single common source is the special case).
+them (a single common source is the special case).  Everything else
+is shared with the cumulant side: the Tucker route differs only in the
+noise support (phi_support), and split-treks fill the same TrekSystem,
+verifier, search result and signed expansion as k-treks.
 
-At k = 3 the split-trek criterion decides moment-determinant vanishing
-exactly, mirroring the cumulant story.  At k >= 4 the analogous "only
-if" direction is open; scan_conjecture samples random DAGs and reports
+At k = 3 moments equal cumulants: a found split-trek system certifies a
+nonzero determinant, and the converse fails only on the rare side-1
+configurations that check_moment_theorem_k3 reports.  At k >= 4 the
+analogous "only if" direction is open; scan_conjecture samples random DAGs and reports
 any disagreement instead of asserting it away.
 
 DAGs only: graphs with multidirected edges should be lifted with
@@ -31,22 +35,30 @@ from .errors import BudgetExceeded, InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
 from .ser import canonical_json, frac_from_str
-from .tensors import RATIONAL, Tensor, hyperdet_from_getter, perm_sign
+from .tensors import Tensor
 from .treks import (
     DEFAULT_BUDGET,
     DirectedPath,
+    TopObstruction,
+    Trek,
+    TrekSearchResult,
+    _verify_system,
+    checked_sides,
     enumerate_paths,
     exists_disjoint_path_system,
+    make_trek_system,
     reachable_from,
-    sided_intersection_of_paths,
+    repeated_side,
+    signed_system_sum,
 )
 from .cumulants import (
     ModelInstance,
-    _tucker_entry,
-    path_matrix,
+    _cached_entry,
+    _determinant_by_entries,
+    _times_path_weights,
+    _tucker_tensor,
     sample_generic_instance,
     symbolic_instance,
-    validate_instance,
 )
 
 
@@ -183,19 +195,7 @@ def model_moment(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:
     _require_dag(g)
     if order < 2:
         raise ValueError("order must be >= 2")
-    validate_instance(g, inst)
-    m = path_matrix(g, inst.lam)
-    support = phi_support(g, inst, order)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    p = len(g.vertices)
-    values: dict[tuple[int, ...], object] = {}
-    for key in itertools.combinations_with_replacement(range(p), order):
-        values[key] = _tucker_entry(support, m, idx, key)
-    entries = [
-        values[tuple(sorted(pos))]
-        for pos in itertools.product(range(p), repeat=order)
-    ]
-    return Tensor.of([p] * order, entries, RATIONAL)
+    return _tucker_tensor(g, inst, order, phi_support)
 
 
 def moment_entry(
@@ -205,21 +205,8 @@ def moment_entry(
     _cache: dict | None = None,
 ) -> object:
     """Single moment entry by the Tucker route (vertex ids, not positions)."""
-    if _cache is None:
-        _cache = {}
-    if "m" not in _cache:
-        _require_dag(g)
-        validate_instance(g, inst)
-        _cache["m"] = path_matrix(g, inst.lam)
-        _cache["idx"] = {v: i for i, v in enumerate(g.vertices)}
-    order = len(indices)
-    if ("phi", order) not in _cache:
-        _cache[("phi", order)] = phi_support(g, inst, order)
-    key = tuple(sorted(_cache["idx"][v] for v in indices))
-    memo = _cache.setdefault(("entries", order), {})
-    if key not in memo:
-        memo[key] = _tucker_entry(_cache[("phi", order)], _cache["m"], _cache["idx"], key)
-    return memo[key]
+    _require_dag(g)
+    return _cached_entry(g, inst, indices, phi_support, _cache)
 
 
 def moment_subtensor_determinant(
@@ -228,23 +215,14 @@ def moment_subtensor_determinant(
     sides: Sequence[Sequence[int]],
 ) -> object:
     """det of the moment subtensor at the instance, entries computed on demand."""
-    side_lists = [list(s) for s in sides]
-    order = len(side_lists)
-    n = len(side_lists[0])
-    cache: dict = {}
-
-    def entry(pos: tuple[int, ...]) -> object:
-        vertices = tuple(side_lists[m][i] for m, i in enumerate(pos))
-        return moment_entry(g, inst, vertices, cache)
-
-    return hyperdet_from_getter(n, order, entry, one=Fraction(1))
+    return _determinant_by_entries(g, inst, sides, moment_entry)
 
 
 # -- split-treks -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SplitTrek:
+class SplitTrek(Trek):
     """k directed paths into given sinks, every source shared by >= 2 of them.
 
     top_partition groups path positions by their common source, sorted
@@ -252,7 +230,6 @@ class SplitTrek:
     special case.
     """
 
-    paths: tuple[DirectedPath, ...]
     top_partition: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
@@ -269,21 +246,6 @@ class SplitTrek:
         sources = [s for s, _ in self.top_partition]
         if sources != sorted(set(sources)):
             raise ValueError("groups must have distinct sources in increasing order")
-
-    @property
-    def order(self) -> int:
-        return len(self.paths)
-
-    @property
-    def sources(self) -> tuple[int, ...]:
-        return tuple(p.source for p in self.paths)
-
-    @property
-    def sinks(self) -> tuple[int, ...]:
-        return tuple(p.sink for p in self.paths)
-
-    def sort_key(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.vertices for p in self.paths)
 
 
 def split_trek_from_paths(paths: Sequence[DirectedPath]) -> SplitTrek:
@@ -335,76 +297,9 @@ def enumerate_split_treks(
     return out
 
 
-@dataclass(frozen=True)
-class SplitTrekSystem:
-    """n split-treks covering the ordered sides; same shape as TrekSystem."""
-
-    treks: tuple[SplitTrek, ...]
-    side_endpoints: tuple[tuple[int, ...], ...]
-    induced_permutations: tuple[tuple[int, ...], ...]
-    sign: int
-
-
-@dataclass(frozen=True)
-class SplitFlowObstruction:
-    """A candidate source column for one side with no disjoint path system onto it."""
-
-    side: int
-    columns: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SplitSearchResult:
-    """Found system, or per-side flow obstructions plus a count of source
-    assignments that admitted no singleton-free row pattern."""
-
-    system: SplitTrekSystem | None
-    flow_obstructions: tuple[SplitFlowObstruction, ...]
-    assignment_failures: int
-
-    @property
-    def found(self) -> bool:
-        return self.system is not None
-
-
-def make_split_trek_system(
-    treks: Sequence[SplitTrek], sides: Sequence[Sequence[int]]
-) -> SplitTrekSystem:
-    """Assemble a SplitTrekSystem; treks must follow side 1's order."""
-    k = len(sides)
-    n = len(treks)
-    side_lists = [list(side) for side in sides]
-    for j, trek in enumerate(treks):
-        if trek.order != k:
-            raise ValueError(f"trek {j} has order {trek.order}, expected {k}")
-        if trek.paths[0].sink != side_lists[0][j]:
-            raise ValueError("treks are not aligned with side 1's order")
-    perms: list[tuple[int, ...]] = []
-    for i in range(1, k):
-        positions = []
-        for trek in treks:
-            sink = trek.paths[i].sink
-            try:
-                positions.append(side_lists[i].index(sink))
-            except ValueError:
-                raise ValueError(f"sink {sink} is not in side {i + 1}") from None
-        if sorted(positions) != list(range(n)):
-            raise ValueError(f"side {i + 1} endpoints do not cover the side exactly")
-        perms.append(tuple(positions))
-    sign = 1
-    for p in perms:
-        sign *= perm_sign(p)
-    return SplitTrekSystem(
-        treks=tuple(treks),
-        side_endpoints=tuple(tuple(side) for side in side_lists),
-        induced_permutations=tuple(perms),
-        sign=sign,
-    )
-
-
 def exists_split_trek_system_no_sided_intersection(
     g: MixedGraph, sides: Sequence[Sequence[int]], budget: int = DEFAULT_BUDGET
-) -> SplitSearchResult:
+) -> TrekSearchResult:
     """Search for an intersection-free system of split-treks between the sides.
 
     In an intersection-free system the n side-i sources are distinct
@@ -415,20 +310,15 @@ def exists_split_trek_system_no_sided_intersection(
     source multiset is singleton-free; rows are matched by brute force
     over per-side bijections with side 1 fixed.  Any existing system
     induces such columns and bijections, so the search is exhaustive.
+    The obstruction log lists each column with no disjoint path system
+    onto its side.
     """
     _require_dag(g)
-    side_lists = [list(side) for side in sides]
-    if len(side_lists) < 2:
-        raise ValueError("need at least two sides")
+    side_lists = checked_sides(g.vertices, sides)
+    repeat = repeated_side(side_lists, open_first_side=False)
+    if repeat is not None:
+        raise ValueError(f"side {repeat} repeats a vertex")
     n = len(side_lists[0])
-    if n == 0 or any(len(side) != n for side in side_lists):
-        raise ValueError("sides must be nonempty and of equal size")
-    vset = set(g.vertices)
-    for side in side_lists:
-        if len(set(side)) != len(side):
-            raise ValueError(f"side {side} repeats a vertex")
-        if any(v not in vset for v in side):
-            raise ValueError(f"side {side} leaves the vertex set")
     k = len(side_lists)
 
     reach = {v: reachable_from(g, v) for v in g.vertices}
@@ -436,7 +326,7 @@ def exists_split_trek_system_no_sided_intersection(
         [v for v in g.vertices if reach[v] & set(side)] for side in side_lists
     ]
     flows: dict[tuple[int, tuple[int, ...]], list[DirectedPath] | None] = {}
-    obstructions: list[SplitFlowObstruction] = []
+    obstructions: list[TopObstruction] = []
 
     def flow(i: int, columns: tuple[int, ...]) -> list[DirectedPath] | None:
         key = (i, columns)
@@ -444,11 +334,10 @@ def exists_split_trek_system_no_sided_intersection(
             got = exists_disjoint_path_system(g, columns, side_lists[i])
             flows[key] = got
             if got is None:
-                obstructions.append(SplitFlowObstruction(side=i + 1, columns=columns))
+                obstructions.append(TopObstruction(top=columns, blocked_side=i + 1))
         return flows[key]
 
     count = 0
-    failures = 0
     column_choices = [list(itertools.combinations(u, n)) for u in useful]
     perms = list(itertools.permutations(range(n)))
     for cols in itertools.product(*column_choices):
@@ -478,7 +367,6 @@ def exists_split_trek_system_no_sided_intersection(
                 chosen = betas
                 break
         if chosen is None:
-            failures += 1
             continue
         treks = []
         for x in range(n):
@@ -487,29 +375,10 @@ def exists_split_trek_system_no_sided_intersection(
             ]
             treks.append(split_trek_from_paths(paths))
         treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
-        system = make_split_trek_system(treks, side_lists)
-        _verify_split_system(g, system)
-        return SplitSearchResult(
-            system=system,
-            flow_obstructions=tuple(obstructions),
-            assignment_failures=failures,
-        )
-    return SplitSearchResult(
-        system=None, flow_obstructions=tuple(obstructions), assignment_failures=failures
-    )
-
-
-def _verify_split_system(g: MixedGraph, system: SplitTrekSystem) -> None:
-    for trek in system.treks:
-        for path in trek.paths:
-            if not path.is_path_of(g):
-                raise InternalInconsistency(f"witness path {path.vertices} is not a path of the graph")
-    witness = sided_intersection_of_paths([
-        [trek.paths[i] for trek in system.treks]
-        for i in range(len(system.side_endpoints))
-    ])
-    if witness is not None:
-        raise InternalInconsistency(f"returned split system has a sided intersection: {witness}")
+        system = make_trek_system(treks, side_lists)
+        _verify_system(g, system, open_first_side=False)
+        return TrekSearchResult(system=system, obstructions=tuple(obstructions))
+    return TrekSearchResult(system=None, obstructions=tuple(obstructions))
 
 
 # -- split-trek expansion of the moment determinant --------------------------
@@ -524,13 +393,7 @@ def split_trek_monomial(inst: ModelInstance, trek: SplitTrek, _memo: dict | None
         term = term * _vertex_moment(inst, source, len(positions), _memo)
         if not term:
             return 0
-    for path in trek.paths:
-        for a, b in zip(path.vertices, path.vertices[1:]):
-            w = inst.lam.get((a, b), 0)
-            if not w:
-                return 0
-            term = term * w
-    return term
+    return _times_path_weights(inst, term, trek.paths)
 
 
 def det_by_split_trek_systems(
@@ -538,71 +401,19 @@ def det_by_split_trek_systems(
     inst: ModelInstance,
     sides: Sequence[Sequence[int]],
     budget: int = DEFAULT_BUDGET,
-    open_first_side: bool = False,
 ) -> object:
-    """Moment subtensor determinant as a signed sum over filtered split-trek systems.
+    """Moment subtensor determinant as a signed sum over split-trek systems.
 
-    Mirrors the cumulant-side expansion: with ``open_first_side=False``
-    only systems with no sided intersection anywhere are summed, which
-    matches the Tucker-route determinant at even orders; at odd orders
-    >= 3 systems meeting only on side 1 need not cancel (the side-1
-    tail swap multiplies the sign by (-1)**(k-1)) and the filtered sum
-    can differ from the determinant.  With ``open_first_side=True`` the
-    filter is applied to sides 2..k only and the sum is exact at every
-    order.
+    Exact at every order; see signed_system_sum.
     """
     _require_dag(g)
-    side_lists = [list(s) for s in sides]
-    k = len(side_lists)
-    if k < 2:
-        raise ValueError("need at least two sides")
-    n = len(side_lists[0])
-    if any(len(s) != n for s in side_lists):
-        raise ValueError("sides must have equal size")
-    if any(len(set(s)) != len(s) for s in side_lists):
-        raise ValueError("sides must consist of distinct vertices")
-    if n == 0:
-        return Fraction(1)
-
-    pool_cache: dict[tuple[int, ...], list[SplitTrek]] = {}
-
-    def treks_into(sinks: tuple[int, ...]) -> list[SplitTrek]:
-        if sinks not in pool_cache:
-            pool_cache[sinks] = enumerate_split_treks(g, sinks, budget)
-        return pool_cache[sinks]
-
     mu_memo: dict = {}
-    total = 0
-    count = 0
-    perms = list(itertools.permutations(range(n)))
-    for combo in itertools.product(perms, repeat=k - 1):
-        sign = 1
-        for p in combo:
-            sign *= perm_sign(p)
-        sink_tuples = [
-            (side_lists[0][j],) + tuple(side_lists[i + 1][combo[i][j]] for i in range(k - 1))
-            for j in range(n)
-        ]
-        pools = [treks_into(t) for t in sink_tuples]
-        if any(not pool for pool in pools):
-            continue
-        for system in itertools.product(*pools):
-            count += 1
-            if count > budget:
-                raise BudgetExceeded("split-trek-system candidates", budget)
-            paths_by_side = [[trek.paths[i] for trek in system] for i in range(k)]
-            filtered = paths_by_side[1:] if open_first_side else paths_by_side
-            if sided_intersection_of_paths(filtered) is not None:
-                continue
-            term = 1
-            for trek in system:
-                term = term * split_trek_monomial(inst, trek, mu_memo)
-                if not term:
-                    break
-            if not term:
-                continue
-            total = total + (term if sign > 0 else -term)
-    return total if not isinstance(total, int) else Fraction(total)
+    return signed_system_sum(
+        checked_sides(g.vertices, sides),
+        lambda sinks: enumerate_split_treks(g, sinks, budget),
+        lambda trek: split_trek_monomial(inst, trek, mu_memo),
+        budget,
+    )
 
 
 # -- the k=3 theorem and the k>=4 scan ---------------------------------------

@@ -46,9 +46,11 @@ from .ser import canonical_json, frac_to_str
 from .treks import (
     DEFAULT_BUDGET,
     TrekSearchResult,
+    checked_sides,
     exists_trek_system_no_sided_intersection,
-    find_sided_intersection,
     obstructions_to_doc,
+    repeated_side,
+    system_defect,
     trek_system_from_doc,
     trek_system_to_doc,
 )
@@ -118,17 +120,8 @@ def decide_vanishing(
     budget: int = DEFAULT_BUDGET,
 ) -> Decision:
     """Decide identical vanishing of det C^(k) over the sides (k = number of sides)."""
-    side_lists = [tuple(side) for side in sides]
+    side_lists = checked_sides(g.vertices, sides)
     k = len(side_lists)
-    if k < 2:
-        raise ValueError("need at least two sides")
-    n = len(side_lists[0])
-    if n == 0 or any(len(s) != n for s in side_lists):
-        raise ValueError("sides must be nonempty and of equal size")
-    vset = set(g.vertices)
-    for s in side_lists:
-        if any(v not in vset for v in s):
-            raise ValueError(f"side {s} leaves the vertex set")
     if mode not in ("randomized", "certain"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "randomized" and seed is None:
@@ -136,10 +129,10 @@ def decide_vanishing(
 
     digest = graph_hash(g)
 
-    if any(len(set(s)) != len(s) for s in side_lists):
-        # Policy short-circuit: a side repeating a vertex is reported as
-        # vanishing without algebraic evidence (at k = 2 the repeat truly
-        # forces a zero determinant; the record stays empty by design).
+    if repeated_side(side_lists, open_first_side=k % 2 == 1) is not None:
+        # Policy short-circuit: equal slices along a signed mode force a
+        # zero determinant, so the record stays empty by design.  A repeat
+        # on side 1 alone at odd k forces nothing and is decided below.
         return Decision(
             verdict=VANISHES,
             combinatorial_certificate={"policy": "repeated vertex within a side"},
@@ -249,9 +242,12 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
 
     Checks the graph digest, replays the recorded algebraic evaluations
     seed by seed, and re-validates the combinatorial certificate (the
-    witness system's paths, cover, and intersection-freeness under the
-    oracle's rule, which lets side-1 paths meet at odd orders — or, for
-    a vanishing verdict, that the search still comes up empty).
+    witness system's paths, cover, distinct hyperedge tops and
+    intersection-freeness under the oracle's rule, which lets side-1
+    paths meet at odd orders — or, for a vanishing verdict, that the
+    search still comes up empty).  A non-vanishing record must carry a
+    nonzero determinant, and a policy certificate must cite a repeat
+    that forces zero (see repeated_side).
     Earlier versions wrote NotVanishes decisions with a "gap" marker
     (paper criterion empty, determinant nonzero); such documents are
     still accepted once both halves of the gap are re-confirmed.
@@ -259,9 +255,10 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     digest = graph_hash(g)
     if doc.get("graph_hash") != digest:
         return False, "graph hash does not match"
-    sides = [tuple(s) for s in doc.get("sides", [])]
-    if not sides:
-        return False, "decision cites no sides"
+    try:
+        sides = checked_sides(g.vertices, doc.get("sides", []))
+    except (TypeError, ValueError) as exc:
+        return False, f"decision sides are malformed: {exc}"
     verdict = doc.get("verdict")
     if verdict not in (VANISHES, NOT_VANISHES):
         return False, f"unknown verdict {verdict!r}"
@@ -269,8 +266,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
 
     certificate = doc.get("combinatorial_certificate", {})
     if "policy" in certificate:
-        repeats = any(len(set(s)) != len(s) for s in sides)
-        if verdict == VANISHES and repeats:
+        if verdict == VANISHES and repeated_side(sides, open_first_side=k % 2 == 1) is not None:
             return True, "policy short-circuit verified"
         return False, "policy certificate does not apply to these sides"
 
@@ -279,12 +275,15 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
 
     canon = canonical_dag(g)
     replayed_nonzero = False
+    claimed_nonzero = False
     for entry in doc.get("algebraic_record", []):
         child = entry.get("seed")
         recorded = entry.get("determinant")
         if child is None:
-            if verdict == VANISHES and str(recorded).startswith("nonzero-polynomial"):
-                return False, "vanishing verdict carries a nonzero determinant"
+            if str(recorded).startswith("nonzero-polynomial"):
+                if verdict == VANISHES:
+                    return False, "vanishing verdict carries a nonzero determinant"
+                claimed_nonzero = True
             continue  # symbolic entries are re-derived below where needed
         inst = sample_generic_instance(canon.dag, k, child)
         det = Fraction(subtensor_determinant(canon.dag, inst, sides))
@@ -311,6 +310,8 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         return True, "gap verified: no witness system, determinant nonzero"
 
     if verdict == NOT_VANISHES:
+        if not (replayed_nonzero or claimed_nonzero):
+            return False, "non-vanishing verdict carries no nonzero determinant"
         if "trek_system" not in certificate:
             return False, "missing trek system certificate"
         try:
@@ -319,14 +320,9 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
             return False, f"malformed trek system: {exc}"
         if tuple(system.side_endpoints) != tuple(sides):
             return False, "trek system endpoints do not match the decision sides"
-        for trek in system.treks:
-            for path in trek.paths:
-                if not path.is_path_of(g):
-                    return False, f"certificate path {list(path.vertices)} is not a path of the graph"
-            if trek.top_hyperedge is not None and trek.top_hyperedge not in g.multidirected_edges:
-                return False, f"certificate hyperedge {list(trek.top_hyperedge)} is not in the graph"
-        if find_sided_intersection(system, open_first_side=k % 2 == 1) is not None:
-            return False, "certificate system has a sided intersection"
+        defect = system_defect(g, system, open_first_side=k % 2 == 1)
+        if defect is not None:
+            return False, f"certificate {defect}"
         if system.sign != certificate["trek_system"].get("sign"):
             return False, "stored sign does not match the recomputed sign"
         return True, "certificate verified"

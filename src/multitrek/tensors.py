@@ -7,7 +7,9 @@ Carries the cumulant/moment/noise tensors and the combinatorial
     det(T) = sum_{s_2..s_k} sign(s_2)...sign(s_k) prod_i T[i, s_2(i), ..., s_k(i)].
 
 Mode 1 carries no permutation and hence no sign: two equal slices force
-a zero determinant only along modes >= 2 (or anywhere at k = 2).
+a zero determinant along modes >= 2 at every k, and along mode 1 exactly
+at even k (swapping the two rows permutes each of the k - 1 signed modes,
+which multiplies every term by (-1)**(k-1)).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, IndexOutOfRange, NotCubical, SchemaError
-from .ser import frac_from_str, frac_to_str
+from .ser import canonical_json, frac_from_str, frac_to_str
 
 Scalar = Fraction | float
 
@@ -322,7 +324,7 @@ def tensor_to_json(t: Tensor) -> str:
     else:
         entries = list(t.entries)
     doc = {"order": t.order, "dims": list(t.dims), "scalar": t.scalar, "entries": entries}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(doc)
 
 
 def tensor_from_json(text: str) -> Tensor:

@@ -9,7 +9,9 @@ question — does a system without sided intersection exist? — reduces
 to finding n distinct candidate tops from which every side admits a
 vertex-disjoint path system, which is a unit-capacity max-flow check
 per side.  The exact rule at odd orders relaxes side 1 to a matching in
-the reachability relation (``open_first_side``).
+the reachability relation (``open_first_side``).  The same trek-system
+machinery serves the moment side: split-treks fill the same TrekSystem,
+pass the same verifier and feed the same signed expansion.
 
 All enumerations are capped (default 10^6 items); exceeding a cap is
 an explicit BudgetExceeded, never silent truncation.  Orderings are
@@ -18,10 +20,12 @@ lexicographic throughout so certificates reproduce across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .graphs import MixedGraph, canonical_dag
@@ -58,23 +62,11 @@ class DirectedPath:
 
 
 @dataclass(frozen=True)
-class KTrek:
-    """k directed paths topped by one vertex or supported by one hyperedge."""
+class Trek:
+    """k directed paths into ordered sinks; KTrek and SplitTrek say how they are topped."""
 
     paths: tuple[DirectedPath, ...]
-    top_vertex: int | None = None
-    top_hyperedge: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.top_vertex is None) == (self.top_hyperedge is None):
-            raise ValueError("exactly one of top_vertex / top_hyperedge must be set")
-        srcs = self.sources
-        if self.top_vertex is not None:
-            if any(s != self.top_vertex for s in srcs):
-                raise ValueError(f"sources {srcs} do not coincide at top {self.top_vertex}")
-        else:
-            if not set(srcs) <= set(self.top_hyperedge):
-                raise ValueError(f"sources {srcs} not supported by hyperedge {self.top_hyperedge}")
+    top_hyperedge = None  # the supporting hyperedge, on KTreks that have one
 
     @property
     def order(self) -> int:
@@ -93,16 +85,35 @@ class KTrek:
 
 
 @dataclass(frozen=True)
+class KTrek(Trek):
+    """k directed paths topped by one vertex or supported by one hyperedge."""
+
+    top_vertex: int | None = None
+    top_hyperedge: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.top_vertex is None) == (self.top_hyperedge is None):
+            raise ValueError("exactly one of top_vertex / top_hyperedge must be set")
+        srcs = self.sources
+        if self.top_vertex is not None:
+            if any(s != self.top_vertex for s in srcs):
+                raise ValueError(f"sources {srcs} do not coincide at top {self.top_vertex}")
+        else:
+            if not set(srcs) <= set(self.top_hyperedge):
+                raise ValueError(f"sources {srcs} not supported by hyperedge {self.top_hyperedge}")
+
+
+@dataclass(frozen=True)
 class TrekSystem:
     """n treks covering the ordered sides, with induced permutations and sign.
 
-    Treks are ordered so that trek j ends at side_endpoints[0][j] on
-    side 1; induced_permutations[i-2][j] is the position in side i of
-    trek j's side-i sink, and sign is the product of those
-    permutations' signs.
+    The treks are KTreks, or SplitTreks on the moment side.  Treks are
+    ordered so that trek j ends at side_endpoints[0][j] on side 1;
+    induced_permutations[i-2][j] is the position in side i of trek j's
+    side-i sink, and sign is the product of those permutations' signs.
     """
 
-    treks: tuple[KTrek, ...]
+    treks: tuple[Trek, ...]
     side_endpoints: tuple[tuple[int, ...], ...]
     induced_permutations: tuple[tuple[int, ...], ...]
     sign: int
@@ -120,7 +131,11 @@ class SidedIntersectionWitness:
 
 @dataclass(frozen=True)
 class TopObstruction:
-    """A candidate top multiset R and the first side with no disjoint path system."""
+    """A candidate top set R and a side with no disjoint path system from R.
+
+    The k-trek search logs the first blocked side of each top set; the
+    split-trek search logs each blocked per-side source set.
+    """
 
     top: tuple[int, ...]
     blocked_side: int
@@ -345,10 +360,48 @@ def exists_disjoint_path_system(
     return paths
 
 
+# -- sides -----------------------------------------------------------------
+
+
+def checked_sides(
+    vertices: Iterable[int], sides: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The sides as tuples: at least two, of equal nonzero size, over known vertices.
+
+    Repeated vertices pass; where a repeat matters, repeated_side says so.
+    """
+    side_lists = tuple(tuple(side) for side in sides)
+    if len(side_lists) < 2:
+        raise ValueError("need at least two sides")
+    n = len(side_lists[0])
+    if n == 0 or any(len(side) != n for side in side_lists):
+        raise ValueError("sides must be nonempty and of equal size")
+    vset = set(vertices)
+    for side in side_lists:
+        if any(v not in vset for v in side):
+            raise ValueError(f"side {side} leaves the vertex set")
+    return side_lists
+
+
+def repeated_side(
+    sides: Sequence[Sequence[int]], open_first_side: bool
+) -> tuple[int, ...] | None:
+    """The first side that repeats a vertex, side 1 exempt when open; else None.
+
+    Such a repeat blocks every disjoint path system onto its side.  With
+    ``open_first_side = k odd`` (the oracle's rule) it also forces a zero
+    determinant: equal slices along a signed mode (2..k, or 1 at even k).
+    """
+    for i, side in enumerate(sides):
+        if len(set(side)) != len(side) and not (open_first_side and i == 0):
+            return tuple(side)
+    return None
+
+
 # -- trek systems ----------------------------------------------------------
 
 
-def make_trek_system(treks: Sequence[KTrek], sides: Sequence[Sequence[int]]) -> TrekSystem:
+def make_trek_system(treks: Sequence[Trek], sides: Sequence[Sequence[int]]) -> TrekSystem:
     """Assemble a TrekSystem, computing induced permutations and sign.
 
     Treks must already be ordered so trek j's side-1 sink is sides[0][j];
@@ -431,10 +484,11 @@ def exists_trek_system_no_sided_intersection(
     equal signs and need not cancel.
 
     With ``open_first_side=True`` side 1 only needs a matching of the
-    tops onto its vertices in the reachability relation (each witness
-    path on side 1 is some path from its top); sides 2..k still need
-    disjoint path systems.  This is the exact rule at odd orders: with a
-    diagonal noise core the determinant is
+    tops onto its positions in the reachability relation (each witness
+    path on side 1 is some path from its top), so side 1 may repeat a
+    vertex; sides 2..k still need disjoint path systems (a repeat on a
+    side that needs one is a ValueError).  This is the exact rule at odd
+    orders: with a diagonal noise core the determinant is
     sum_S omega_S * perm(B_1[S]) * prod_{m>=2} det(B_m[S]) over n-sets S
     of tops, distinct S carry distinct omega_S and cannot cancel, the
     permanent is nonzero iff a matching exists, and each determinant is
@@ -445,7 +499,10 @@ def exists_trek_system_no_sided_intersection(
     a latent become hyperedge-supported treks).  Obstruction-log tops
     cite canonical-DAG vertex ids, so latent ids can appear there.
     """
-    side_lists = _checked_sides(g, sides)
+    side_lists = checked_sides(g.vertices, sides)
+    repeat = repeated_side(side_lists, open_first_side)
+    if repeat is not None:
+        raise ValueError(f"side {repeat} repeats a vertex")
     if g.is_dag:
         return _search_dag(g, side_lists, budget, open_first_side)
     canon = canonical_dag(g)
@@ -469,24 +526,8 @@ def exists_trek_system_no_sided_intersection(
     return TrekSearchResult(system=system, obstructions=result.obstructions)
 
 
-def _checked_sides(g: MixedGraph, sides: Sequence[Sequence[int]]) -> list[list[int]]:
-    side_lists = [list(side) for side in sides]
-    if len(side_lists) < 2:
-        raise ValueError("need at least two sides")
-    n = len(side_lists[0])
-    if n == 0 or any(len(side) != n for side in side_lists):
-        raise ValueError("sides must be nonempty and of equal size")
-    vset = set(g.vertices)
-    for side in side_lists:
-        if len(set(side)) != len(side):
-            raise ValueError(f"side {side} repeats a vertex")
-        if any(v not in vset for v in side):
-            raise ValueError(f"side {side} leaves the vertex set")
-    return side_lists
-
-
 def _search_dag(
-    dag: MixedGraph, sides: list[list[int]], budget: int, open_first_side: bool
+    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], budget: int, open_first_side: bool
 ) -> TrekSearchResult:
     n = len(sides[0])
     k = len(sides)
@@ -519,8 +560,12 @@ def _search_dag(
             )
             for j in range(n)
         ]
-        raw.sort(key=lambda trek: sides[0].index(trek.paths[0].sink))
-        system = make_trek_system(raw, sides)
+        # Place the treks in side 1's order; a repeated vertex takes its
+        # treks in top order, one per position.
+        by_sink: dict[int, list[KTrek]] = {}
+        for trek in raw:
+            by_sink.setdefault(trek.paths[0].sink, []).append(trek)
+        system = make_trek_system([by_sink[v].pop(0) for v in sides[0]], sides)
         _verify_system(dag, system, open_first_side)
         return TrekSearchResult(system=system, obstructions=tuple(obstructions))
     return TrekSearchResult(system=None, obstructions=tuple(obstructions))
@@ -532,28 +577,29 @@ def _matched_paths(
     tops: Sequence[int],
     side: Sequence[int],
 ) -> list[DirectedPath] | None:
-    """Paths from each top onto distinct side vertices, else None.
+    """Paths from each top onto distinct positions of the side, else None.
 
-    A bipartite matching of tops to side vertices they reach
-    (augmenting paths, side order first); each path is a shortest one
+    A bipartite matching of tops to side positions whose vertex they
+    reach (augmenting paths, side order first), so a vertex the side
+    repeats takes one top per position; each path is a shortest one
     found by breadth-first search over sorted child lists.  Aligned
     with ``tops``.
     """
-    owner: dict[int, int] = {}  # side vertex -> index of its top
+    owner: dict[int, int] = {}  # side position -> index of its top
 
     def augment(j: int, seen: set[int]) -> bool:
-        for v in side:
-            if v in reach[tops[j]] and v not in seen:
-                seen.add(v)
-                if v not in owner or augment(owner[v], seen):
-                    owner[v] = j
+        for pos, v in enumerate(side):
+            if v in reach[tops[j]] and pos not in seen:
+                seen.add(pos)
+                if pos not in owner or augment(owner[pos], seen):
+                    owner[pos] = j
                     return True
         return False
 
     for j in range(len(tops)):
         if not augment(j, set()):
             return None
-    target = {j: v for v, j in owner.items()}
+    target = {j: side[pos] for pos, j in owner.items()}
     return [_shortest_path(dag, tops[j], target[j]) for j in range(len(tops))]
 
 
@@ -570,17 +616,92 @@ def _shortest_path(dag: MixedGraph, u: int, v: int) -> DirectedPath:
     return DirectedPath(paths[v])
 
 
-def _verify_system(g: MixedGraph, system: TrekSystem, open_first_side: bool) -> None:
-    """Independent pairwise check of every returned witness."""
+def system_defect(
+    g: MixedGraph, system: TrekSystem, open_first_side: bool = False
+) -> str | None:
+    """Why the system is no intersection-free witness in g, else None.
+
+    Every path must be a path of g, hyperedge tops must be distinct
+    hyperedges of g (one hyperedge is one latent top of the canonical
+    DAG), and no two treks may share a vertex on one side (sides 2..k
+    only, when side 1 is open).
+    """
     for trek in system.treks:
         for path in trek.paths:
             if not path.is_path_of(g):
-                raise InternalInconsistency(f"witness path {path.vertices} is not a path of the graph")
-        if trek.top_hyperedge is not None and trek.top_hyperedge not in g.multidirected_edges:
-            raise InternalInconsistency(f"witness hyperedge {trek.top_hyperedge} is not in the graph")
-    witness = find_sided_intersection(system, open_first_side)
-    if witness is not None:
-        raise InternalInconsistency(f"returned system has a sided intersection: {witness}")
+                return f"path {list(path.vertices)} is not a path of the graph"
+    hyperedges = [t.top_hyperedge for t in system.treks if t.top_hyperedge is not None]
+    for h in hyperedges:
+        if h not in g.multidirected_edges:
+            return f"hyperedge {list(h)} is not in the graph"
+    if len(set(hyperedges)) != len(hyperedges):
+        return "treks share a hyperedge top"
+    if find_sided_intersection(system, open_first_side) is not None:
+        return "system has a sided intersection"
+    return None
+
+
+def _verify_system(g: MixedGraph, system: TrekSystem, open_first_side: bool) -> None:
+    """Independent check of every returned witness."""
+    defect = system_defect(g, system, open_first_side)
+    if defect is not None:
+        raise InternalInconsistency(f"returned witness {defect}")
+
+
+# -- the signed trek-system expansion --------------------------------------
+
+
+def signed_system_sum(
+    sides: Sequence[Sequence[int]],
+    treks_into: Callable[[tuple[int, ...]], Sequence],
+    monomial: Callable[[object], object],
+    budget: int = DEFAULT_BUDGET,
+) -> object:
+    """Subtensor determinant as a signed sum over trek systems (sides from checked_sides).
+
+    ``treks_into`` lists the treks into a sink tuple (k-treks, or
+    split-treks on the moment side); ``monomial`` gives a trek's term.
+    Each system of n treks, trek j into row j of side 1 and row
+    sigma_i(j) of side i, whose paths on sides 2..k are pairwise
+    disjoint adds sign(sigma_2)...sign(sigma_k) times its monomials.
+    A tail swap at a shared vertex of side i >= 2 negates one sign, so
+    the skipped systems cancel in pairs and the sum is exact at every
+    order; side 1 is not filtered, because a swap there multiplies the
+    sign by (-1)**(k-1), which cancels nothing at odd k.
+    """
+    k = len(sides)
+    n = len(sides[0])
+    pool = functools.cache(treks_into)
+    total = 0
+    count = 0
+    perms = list(itertools.permutations(range(n)))
+    for combo in itertools.product(perms, repeat=k - 1):
+        sign = 1
+        for p in combo:
+            sign *= perm_sign(p)
+        pools = [
+            pool((sides[0][j],) + tuple(sides[i + 1][combo[i][j]] for i in range(k - 1)))
+            for j in range(n)
+        ]
+        if any(not trek_pool for trek_pool in pools):
+            continue
+        for system in itertools.product(*pools):
+            count += 1
+            if count > budget:
+                raise BudgetExceeded("trek-system candidates", budget)
+            if sided_intersection_of_paths(
+                [[trek.paths[i] for trek in system] for i in range(1, k)]
+            ) is not None:
+                continue
+            term = 1
+            for trek in system:
+                term = term * monomial(trek)
+                if not term:
+                    break
+            if not term:
+                continue
+            total = total + (term if sign > 0 else -term)
+    return total if not isinstance(total, int) else Fraction(total)
 
 
 # -- k-trek separation -----------------------------------------------------

@@ -16,6 +16,7 @@ from multitrek import (
     cumulant_entry_by_trek_rule,
     det_by_trek_systems,
     det_matrix,
+    exists_trek_system_no_sided_intersection,
     hyperdeterminant,
     instance_from_json,
     instance_to_json,
@@ -142,10 +143,8 @@ def test_worked_example_symbolic_facts(two_root_dag):
 
 
 def test_det_routes_agree_on_dags():
-    # The open-first-side expansion is exact at every order; the fully
-    # filtered expansion is exact at even orders (at order 3 it may miss
-    # contributions, see test_expansion_blind_spot_witness), so it is
-    # asserted against the dense route only when k is even.
+    # The expansion is exact at every order.  At even orders the paper's
+    # criterion is exact too: an empty search means a zero determinant.
     rng = random.Random(55)
     for _ in range(30):
         g = random_dag(rng, max_vertices=6)
@@ -154,25 +153,25 @@ def test_det_routes_agree_on_dags():
         sides = random_sides(rng, g, k, n)
         inst = sample_generic_instance(g, k, rng_seed=rng.getrandbits(32))
         direct = subtensor_determinant(g, inst, sides)
-        opened = det_by_trek_systems(g, inst, sides, open_first_side=True)
+        expanded = det_by_trek_systems(g, inst, sides)
         dense = hyperdeterminant(
             subtensor(
                 model_cumulant(g, inst, k),
                 [[g.index_of(x) for x in side] for side in sides],
             )
         )
-        assert direct == opened == dense
-        if k % 2 == 0:
-            assert det_by_trek_systems(g, inst, sides) == dense
+        assert direct == expanded == dense
+        if k % 2 == 0 and not exists_trek_system_no_sided_intersection(g, sides).found:
+            assert dense == 0
 
 
 def test_expansion_blind_spot_witness():
-    # Five-vertex witness where the intersection-free expansion misses:
+    # Five-vertex witness of the paper criterion's odd-order blind spot:
     # every trek system between these sides has a sided meeting, and for
     # the two surviving-monomial systems the meeting lies only on side 1,
     # where the tail swap keeps the sign at odd order.  The determinant
-    # is the single nonzero monomial 2*e3_2*e3_3*l2_3*l3_4^2, the fully
-    # filtered sum is 0, and opening side 1 recovers the determinant.
+    # is the single nonzero monomial 2*e3_2*e3_3*l2_3*l3_4^2, which the
+    # expansion (unfiltered on side 1) recovers.
     g = MixedGraph((1, 2, 3, 4, 5), ((2, 3), (2, 5), (3, 4), (3, 5)))
     sides = ((3, 4), (2, 3), (2, 4))
     sym = symbolic_instance(g, 3)
@@ -182,8 +181,8 @@ def test_expansion_blind_spot_witness():
         * v("l2_3") * v("l3_4") * v("l3_4")
     )
     assert subtensor_determinant(g, sym, sides) == expected
-    assert not det_by_trek_systems(g, sym, sides)
-    assert det_by_trek_systems(g, sym, sides, open_first_side=True) == expected
+    assert exists_trek_system_no_sided_intersection(g, sides).found is False
+    assert det_by_trek_systems(g, sym, sides) == expected
 
 
 def test_blind_spot_occurs_with_disjoint_sides():
@@ -197,8 +196,8 @@ def test_blind_spot_occurs_with_disjoint_sides():
     sym = symbolic_instance(g, 3)
     dense = subtensor_determinant(g, sym, sides)
     assert dense  # nonzero polynomial
-    assert not det_by_trek_systems(g, sym, sides)
-    assert det_by_trek_systems(g, sym, sides, open_first_side=True) == dense
+    assert exists_trek_system_no_sided_intersection(g, sides).found is False
+    assert det_by_trek_systems(g, sym, sides) == dense
 
 
 def test_det_by_trek_systems_rejects_mixed(latent_triple):

@@ -256,9 +256,8 @@ class TestSplitTrekSearch:
 
 class TestDeterminantRoutes:
     def test_split_trek_expansion_matches_dense_determinant(self):
-        # open_first_side is exact at every order; the fully filtered sum
-        # is asserted only at even orders (at order 3 it can miss side-1
-        # meetings, see test_blind_spot_witness below).
+        # The expansion is exact at every order.  At even orders an empty
+        # split search also means a zero determinant on these draws.
         rng = random.Random(314)
         for _ in range(12):
             g = random_dag(rng, max_vertices=5)
@@ -266,26 +265,25 @@ class TestDeterminantRoutes:
             sides = random_sides(rng, g, k, rng.randint(1, 2))
             inst = sample_generic_instance(g, k, rng.randrange(10**6))
             direct = moment_subtensor_determinant(g, inst, sides)
-            opened = det_by_split_trek_systems(
-                g, inst, sides, budget=500_000, open_first_side=True
-            )
-            assert direct == opened
-            if k % 2 == 0:
-                expanded = det_by_split_trek_systems(g, inst, sides, budget=500_000)
-                assert direct == expanded
+            assert direct == det_by_split_trek_systems(g, inst, sides, budget=500_000)
+            if k % 2 == 0 and not exists_split_trek_system_no_sided_intersection(
+                g, sides, budget=500_000
+            ).found:
+                assert direct == 0
 
     def test_blind_spot_witness(self):
         # Same five-vertex witness as on the cumulant side (the order-3
         # moment tensor of a model with diagonal third-order noise equals
-        # the cumulant tensor): the fully filtered split-trek sum returns
-        # 0 while the determinant is nonzero; opening side 1 is exact.
+        # the cumulant tensor): no intersection-free split-trek system
+        # exists while the determinant is nonzero; the expansion, which
+        # leaves side 1 unfiltered, recovers it.
         g = MixedGraph((1, 2, 3, 4, 5), ((2, 3), (2, 5), (3, 4), (3, 5)))
         sides = ((3, 4), (2, 3), (2, 4))
         inst = sample_generic_instance(g, 3, 0)
         dense = moment_subtensor_determinant(g, inst, sides)
         assert dense != 0
-        assert det_by_split_trek_systems(g, inst, sides) == 0
-        assert det_by_split_trek_systems(g, inst, sides, open_first_side=True) == dense
+        assert exists_split_trek_system_no_sided_intersection(g, sides).found is False
+        assert det_by_split_trek_systems(g, inst, sides) == dense
 
     def test_fork_determinant_factors_and_vanishes(self, factorization_dag):
         inst = sample_generic_instance(factorization_dag, 4, 11)

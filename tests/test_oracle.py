@@ -157,6 +157,12 @@ def test_certify_rejects_tampering(star, collider):
     ok, reason = certify_decision(star, bad)
     assert not ok and "unknown verdict" in reason
 
+    for sides in ([[1], [9]], [[1]], [1, 2]):
+        bad = copy.deepcopy(doc)
+        bad["sides"] = sides
+        ok, reason = certify_decision(star, bad)
+        assert not ok and "sides are malformed" in reason
+
 
 def test_modes_agree_on_random_graphs():
     rng = random.Random(61)
@@ -304,3 +310,79 @@ def test_randomized_fluke_resolved_symbolically(monkeypatch, star):
     assert d.algebraic_record[-1]["seed"] is None
     assert d.algebraic_record[-1]["determinant"].startswith("nonzero-polynomial(")
     assert all(e["determinant"] == "0/1" for e in d.algebraic_record[:-1])
+
+
+def test_side_one_repeat_at_odd_order_is_decided():
+    # Equal mode-1 slices force a zero determinant only at even orders; at
+    # odd orders a repeat on side 1 alone is decided like any other input.
+    fork = MixedGraph((0, 1, 2), ((0, 1), (0, 2)))
+    sides = ((1, 1), (1, 2), (1, 2))
+    for mode, seed in (("randomized", 7), ("certain", None)):
+        d = decide_vanishing(fork, sides, mode=mode, seed=seed)
+        assert d.verdict == "NotVanishes"
+        assert "trek_system" in d.combinatorial_certificate
+        assert certify_decision(fork, d.to_doc()) == (True, "certificate verified")
+
+    # The repeat sits at positions 1 and 3 of side 1.
+    star = MixedGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)))
+    d = decide_vanishing(star, ((1, 2, 1), (1, 2, 3), (1, 2, 3)), mode="certain")
+    assert d.verdict == "NotVanishes"
+    assert certify_decision(star, d.to_doc()) == (True, "certificate verified")
+
+    # A repeat on a signed side, or on side 1 at even order, forces zero.
+    for forced in (((1, 2), (1, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 1), (1, 2), (1, 2), (1, 2))):
+        d = decide_vanishing(fork, forced, seed=7)
+        assert d.combinatorial_certificate == {"policy": "repeated vertex within a side"}
+        assert certify_decision(fork, d.to_doc()) == (True, "policy short-circuit verified")
+
+    # A policy document for the odd-order side-1 repeat states a false verdict.
+    forged = decide_vanishing(fork, ((1, 1), (1, 2)), seed=7).to_doc()
+    forged.update(sides=[list(s) for s in sides], order=3)
+    assert certify_decision(fork, forged) == (
+        False, "policy certificate does not apply to these sides"
+    )
+
+
+# One hyperedge over four vertices and nothing else: a single latent top,
+# so no system of two treks between (1, 2) and (3, 4) exists.
+SHARED_TOP = MixedGraph((1, 2, 3, 4), multidirected_edges=((1, 2, 3, 4),))
+
+
+def _shared_top_system(sides):
+    return {
+        "treks": [
+            {"paths": [[1], [3]], "top": {"hyperedge": [1, 2, 3, 4], "sources": [1, 3]}},
+            {"paths": [[2], [4]], "top": {"hyperedge": [1, 2, 3, 4], "sources": [2, 4]}},
+        ],
+        "side_endpoints": [list(s) for s in sides],
+        "permutations": [[0, 1]],
+        "sign": 1,
+    }
+
+
+def test_certify_rejects_forged_not_vanishes_documents():
+    sides = ((1, 2), (3, 4))
+    d = decide_vanishing(SHARED_TOP, sides, seed=3)
+    assert d.verdict == "Vanishes"
+    forged = d.to_doc()
+    forged["verdict"] = "NotVanishes"
+    forged["combinatorial_certificate"] = {"trek_system": _shared_top_system(sides)}
+    ok, _ = certify_decision(SHARED_TOP, forged)
+    assert not ok
+
+    # Either defect alone is enough.  Two treks may not share a hyperedge
+    # top, even beside a genuinely nonzero record ...
+    g = MixedGraph((1, 2, 3, 4), ((1, 3), (2, 4)), ((1, 2, 3, 4),))
+    real = decide_vanishing(g, sides, seed=3).to_doc()
+    assert real["verdict"] == "NotVanishes"
+    shared = copy.deepcopy(real)
+    shared["combinatorial_certificate"] = {"trek_system": _shared_top_system(sides)}
+    assert certify_decision(g, shared) == (False, "certificate treks share a hyperedge top")
+
+    # ... and a valid witness needs a nonzero record beside it.
+    bare = copy.deepcopy(real)
+    bare["algebraic_record"] = []
+    assert certify_decision(g, bare) == (
+        False, "non-vanishing verdict carries no nonzero determinant"
+    )
+    assert certify_decision(g, real) == (True, "certificate verified")

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from multitrek import (
@@ -8,21 +9,28 @@ from multitrek import (
     DirectedPath,
     KTrek,
     MixedGraph,
+    SampleMatrix,
     canonical_dag,
     certify_decision,
     check_ktrek_separation,
+    checked_sides,
     decide_vanishing,
+    det_by_split_trek_systems,
+    det_by_trek_systems,
     enumerate_ktreks,
     enumerate_paths,
     exists_disjoint_path_system,
+    exists_split_trek_system_no_sided_intersection,
     exists_trek_system_no_sided_intersection,
     find_ktrek_separating_sets,
     find_sided_intersection,
     make_trek_system,
     reachable_from,
+    sample_generic_instance,
     trek_system_from_doc,
     trek_system_to_doc,
 )
+from multitrek.estimation import test_determinant_zero as determinant_flag
 from conftest import all_paths, random_dag, random_mixed, random_sides
 
 
@@ -380,3 +388,56 @@ def test_certify_allows_side_one_meetings_at_odd_order_only():
         ((4, 5), (1, 2), (1, 2)), [((1, 3, 4), (1,), (1,)), ((2, 3, 5), (2,), (2,))]
     )
     assert certify_decision(FORK, odd_side1) == (True, "certificate verified")
+
+
+# Every entry point that takes sides validates them through checked_sides.
+_SIDE_GRAPH = MixedGraph((1, 2, 3), ((1, 2), (1, 3)))
+
+
+_SIDE_INSTANCE = sample_generic_instance(_SIDE_GRAPH, 2, 0)
+_SIDE_DATA = SampleMatrix(
+    data=np.random.default_rng(0).normal(size=(20, 3)), vertices=(1, 2, 3)
+)
+SIDES_ENTRY_POINTS = {
+    "checked_sides": lambda s: checked_sides(_SIDE_GRAPH.vertices, s),
+    "trek_search": lambda s: exists_trek_system_no_sided_intersection(_SIDE_GRAPH, s),
+    "split_search": lambda s: exists_split_trek_system_no_sided_intersection(_SIDE_GRAPH, s),
+    "trek_expansion": lambda s: det_by_trek_systems(_SIDE_GRAPH, _SIDE_INSTANCE, s),
+    "split_expansion": lambda s: det_by_split_trek_systems(_SIDE_GRAPH, _SIDE_INSTANCE, s),
+    "decide": lambda s: decide_vanishing(_SIDE_GRAPH, s, seed=0),
+    "bootstrap": lambda s: determinant_flag(_SIDE_DATA, s, len(s), n_boot=2, seed=0),
+}
+
+
+MALFORMED_SIDES = (
+    (((1,),), "need at least two sides"),
+    (((1,), (1, 2)), "sides must be nonempty and of equal size"),
+    (((), ()), "sides must be nonempty and of equal size"),
+    (((1,), (9,)), "side (9,) leaves the vertex set"),
+)
+
+
+@pytest.mark.parametrize("entry", sorted(SIDES_ENTRY_POINTS))
+@pytest.mark.parametrize("case", range(len(MALFORMED_SIDES)))
+def test_entry_points_reject_malformed_sides_alike(entry, case):
+    sides, message = MALFORMED_SIDES[case]
+    with pytest.raises(ValueError) as info:
+        SIDES_ENTRY_POINTS[entry](sides)
+    assert str(info.value) == message
+
+
+def test_open_search_matches_repeated_side_one_vertex_by_position():
+    # Side 1 repeats vertex 1 at positions 1 and 3; tops 0 and 1 both reach
+    # it, so each takes one of those positions.  Sides that need a disjoint
+    # path system may not repeat a vertex.
+    g = MixedGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)))
+    sides = ((1, 2, 1), (1, 2, 3), (1, 2, 3))
+    res = exists_trek_system_no_sided_intersection(g, sides, open_first_side=True)
+    assert res.found
+    assert [t.paths[0].sink for t in res.system.treks] == [1, 2, 1]
+    assert find_sided_intersection(res.system, open_first_side=True) is None
+    assert trek_system_from_doc(trek_system_to_doc(res.system)) == res.system
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        exists_trek_system_no_sided_intersection(g, sides)
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        exists_trek_system_no_sided_intersection(g, (sides[1], sides[0], sides[2]), open_first_side=True)
