@@ -19,7 +19,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
@@ -325,6 +325,28 @@ def det_by_trek_systems(
 # -- generic instances ------------------------------------------------------
 
 
+def _instance_of(g: MixedGraph, k_max: int, value: Callable) -> ModelInstance:
+    """The instance shape shared by the generic and symbolic instances.
+
+    value(prefix, indices) makes each parameter, in a fixed order: edge
+    weights ("l", (u, v)), then per order 2..k_max the diagonal noise of
+    every vertex ("e{order}_", (v,)) and the hyperedge noise of every
+    admissible multiset of each hyperedge ("e{order}_", multiset).
+    """
+    lam = {(u, v): value("l", (u, v)) for u, v in g.directed_edges}
+    noise = {}
+    for order in range(2, k_max + 1):
+        prefix = f"e{order}_"
+        diag = {v: value(prefix, (v,)) for v in g.vertices}
+        hyper: dict[tuple[int, ...], object] = {}
+        for h in g.multidirected_edges:
+            for key in itertools.combinations_with_replacement(sorted(set(h)), order):
+                if len(set(key)) >= 2 and key not in hyper:
+                    hyper[key] = value(prefix, key)
+        noise[order] = NoiseCumulants(diag=DiagonalSpec(diag), hyper=HyperedgeSpec(hyper))
+    return ModelInstance(lam=lam, noise=noise)
+
+
 def sample_generic_instance(g: MixedGraph, k_max: int, rng_seed: int) -> ModelInstance:
     """Random instance for polynomial identity testing; deterministic per seed.
 
@@ -336,21 +358,11 @@ def sample_generic_instance(g: MixedGraph, k_max: int, rng_seed: int) -> ModelIn
         raise ValueError("k_max must be >= 2")
     rng = random.Random(rng_seed)
 
-    def draw() -> Fraction:
+    def draw(_prefix: str, _indices: tuple[int, ...]) -> Fraction:
         magnitude = rng.randint(1, 997)
         return Fraction(magnitude if rng.random() < 0.5 else -magnitude)
 
-    lam = {e: draw() for e in g.directed_edges}
-    noise = {}
-    for order in range(2, k_max + 1):
-        diag = {v: draw() for v in g.vertices}
-        hyper: dict[tuple[int, ...], Fraction] = {}
-        for h in g.multidirected_edges:
-            for key in itertools.combinations_with_replacement(sorted(set(h)), order):
-                if len(set(key)) >= 2 and key not in hyper:
-                    hyper[key] = draw()
-        noise[order] = NoiseCumulants(diag=DiagonalSpec(diag), hyper=HyperedgeSpec(hyper))
-    return ModelInstance(lam=lam, noise=noise)
+    return _instance_of(g, k_max, draw)
 
 
 def symbolic_instance(g: MixedGraph, k_max: int) -> ModelInstance:
@@ -359,18 +371,7 @@ def symbolic_instance(g: MixedGraph, k_max: int) -> ModelInstance:
     Used by the certain decision mode: a determinant vanishes on the
     whole model iff it is the zero polynomial in these variables.
     """
-    lam = {(u, v): Poly.var(f"l{u}_{v}") for u, v in g.directed_edges}
-    noise = {}
-    for order in range(2, k_max + 1):
-        diag = {v: Poly.var(f"e{order}_{v}") for v in g.vertices}
-        hyper: dict[tuple[int, ...], Poly] = {}
-        for h in g.multidirected_edges:
-            for key in itertools.combinations_with_replacement(sorted(set(h)), order):
-                if len(set(key)) >= 2 and key not in hyper:
-                    name = "e" + str(order) + "_" + "_".join(str(i) for i in key)
-                    hyper[key] = Poly.var(name)
-        noise[order] = NoiseCumulants(diag=DiagonalSpec(diag), hyper=HyperedgeSpec(hyper))
-    return ModelInstance(lam=lam, noise=noise)
+    return _instance_of(g, k_max, lambda prefix, idx: Poly.var(prefix + "_".join(map(str, idx))))
 
 
 def subtensor_determinant(

@@ -8,6 +8,20 @@ bootstrap a determinant statistic.
 The determinant flag is a labeled heuristic: |statistic| <= 2 sd under
 a nonparametric bootstrap, with no coverage guarantee of any kind.  It
 exists to demonstrate the estimation loop, not as a calibrated test.
+
+The bootstrap resamples by count weights.  Each replicate draws row
+indices from its own seed stream; np.bincount turns them into a row of
+W holding how often each row was drawn.  A resampled moment is the
+count-weighted mean of the same products over the original rows, so
+this equals gathering the drawn rows, without the gather.  One product
+W @ Z with the monomial table Z (products of the needed columns,
+centered at the full-sample mean, one column per index multiset the
+determinant's entries expand into) gives the raw moments of every
+replicate in a block; each replicate's central moments follow by
+binomial expansion at its own means.  W is taken in blocks of
+replicates and Z in blocks of rows, each of at most
+BOOTSTRAP_CHUNK_FLOATS floats (32 MB) but never less than one
+replicate or one row.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,7 +113,7 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """n x p float data; column i belongs to vertices[i]."""
+    """n x p float data with n >= 1; column i belongs to vertices[i]."""
 
     data: np.ndarray
     vertices: tuple[int, ...]
@@ -108,6 +122,8 @@ class SampleMatrix:
         arr = np.array(self.data, dtype=np.float64, order="C")  # owned copy
         if arr.ndim != 2:
             raise ValueError("sample data must be a 2-D matrix")
+        if arr.shape[0] == 0:
+            raise ValueError("sample data needs at least one row")
         if arr.shape[1] != len(self.vertices):
             raise ValueError("one column per vertex required")
         if not np.all(np.isfinite(arr)):
@@ -179,27 +195,34 @@ def population_instance(
 # -- sample cumulants --------------------------------------------------------
 
 
-def _central_moment(xc: np.ndarray, idx: tuple[int, ...], memo: dict) -> float:
-    key = tuple(sorted(idx))
-    if key not in memo:
-        prod = xc[:, key[0]].copy()
-        for i in key[1:]:
-            prod *= xc[:, i]
-        memo[key] = float(prod.mean())
-    return memo[key]
+def _moments_of(xc: np.ndarray) -> Callable[[tuple[int, ...]], float]:
+    """Memoized central product moments of the centered columns xc."""
+    memo: dict[tuple[int, ...], float] = {}
+
+    def moment(idx: tuple[int, ...]) -> float:
+        key = tuple(sorted(idx))
+        if key not in memo:
+            prod = xc[:, key[0]].copy()
+            for i in key[1:]:
+                prod *= xc[:, i]
+            memo[key] = float(prod.mean())
+        return memo[key]
+
+    return moment
 
 
-def _cumulant_value(xc: np.ndarray, idx: tuple[int, ...], memo: dict) -> float:
-    """Denominator-n sample cumulant of the centered columns idx (k <= 4)."""
+def _cumulant_value(moment: Callable, idx: tuple[int, ...]):
+    """Denominator-n sample cumulant of the columns idx (k <= 4) from their
+    central moments; works on floats and on arrays of replicates alike."""
     k = len(idx)
     if k in (2, 3):
-        return _central_moment(xc, idx, memo)
+        return moment(idx)
     i, j, l, r = idx
     return (
-        _central_moment(xc, idx, memo)
-        - _central_moment(xc, (i, j), memo) * _central_moment(xc, (l, r), memo)
-        - _central_moment(xc, (i, l), memo) * _central_moment(xc, (j, r), memo)
-        - _central_moment(xc, (i, r), memo) * _central_moment(xc, (j, l), memo)
+        moment(idx)
+        - moment((i, j)) * moment((l, r))
+        - moment((i, l)) * moment((j, r))
+        - moment((i, r)) * moment((j, l))
     )
 
 
@@ -212,12 +235,11 @@ def sample_cumulant(data: SampleMatrix, k: int) -> Tensor:
     if k not in (2, 3, 4):
         raise OrderUnsupported(f"sample cumulants implemented for orders 2..4, got {k}")
     x = data.data
-    xc = x - x.mean(axis=0)
+    moment = _moments_of(x - x.mean(axis=0))
     p = x.shape[1]
-    memo: dict = {}
     values: dict[tuple[int, ...], float] = {}
     for key in itertools.combinations_with_replacement(range(p), k):
-        values[key] = _cumulant_value(xc, key, memo)
+        values[key] = _cumulant_value(moment, key)
     entries = [
         values[tuple(sorted(idx))] for idx in itertools.product(range(p), repeat=k)
     ]
@@ -225,6 +247,12 @@ def sample_cumulant(data: SampleMatrix, k: int) -> Tensor:
 
 
 # -- bootstrap determinant test ----------------------------------------------
+
+# Most floats one block of the count-weight matrix W, or of the monomial
+# table Z, holds (32 MB): a W block takes BOOTSTRAP_CHUNK_FLOATS // rows
+# replicates and a Z block BOOTSTRAP_CHUNK_FLOATS // columns rows, each
+# at least one.
+BOOTSTRAP_CHUNK_FLOATS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -243,6 +271,47 @@ class DeterminantTest:
         }
 
 
+def _monomial_table(xc: np.ndarray, col: dict[tuple[int, ...], int]) -> np.ndarray:
+    """Z with column col[key] the product of the centered columns a sorted
+    index key names, built from the column of its prefix (keys come in
+    column order, sorted by degree and closed under prefixes)."""
+    z = np.empty((xc.shape[0], len(col)), order="F")
+    for key, c in col.items():
+        if len(key) == 1:
+            z[:, c] = xc[:, key[0]]
+        else:
+            np.multiply(z[:, col[key[:-1]]], xc[:, key[-1]], out=z[:, c])
+    return z
+
+
+def _recentred(raw: np.ndarray, col: dict[tuple[int, ...], int]) -> Callable:
+    """Memoized central moments of every replicate (one row of raw each).
+
+    raw holds each replicate's moments about the full-sample mean; the
+    replicate's own means are raw[:, col[(i,)]].  A central moment is
+    the binomial expansion of prod_t (x_t - mean_t) over the key's
+    positions: each subset S of positions keeps the raw moment of S and
+    multiplies by -mean for every position outside S.
+    """
+    memo: dict[tuple[int, ...], np.ndarray] = {}
+
+    def moment(idx: tuple[int, ...]) -> np.ndarray:
+        key = tuple(sorted(idx))
+        if key not in memo:
+            total = np.zeros(raw.shape[0])
+            for inside in itertools.product((False, True), repeat=len(key)):
+                kept = tuple(i for i, keep in zip(key, inside) if keep)
+                term = raw[:, col[kept]] if kept else 1.0
+                for i, keep in zip(key, inside):
+                    if not keep:
+                        term = term * -raw[:, col[(i,)]]
+                total += term
+            memo[key] = total
+        return memo[key]
+
+    return moment
+
+
 def test_determinant_zero(
     data: SampleMatrix,
     sides: Sequence[Sequence[int]],
@@ -256,7 +325,8 @@ def test_determinant_zero(
     subtensor indexed by the sides; the flag fires when it lies within
     two bootstrap standard deviations of zero.  Heuristic only — no
     size or power guarantee.  Deterministic per seed: each replicate
-    resamples rows under its own stream spawned from the master seed.
+    resamples rows under its own stream spawned from the master seed,
+    evaluated by count weights in blocks (see the module docstring).
     """
     side_lists = checked_sides(data.vertices, sides)
     if len(side_lists) != k:
@@ -274,23 +344,40 @@ def test_determinant_zero(
     pos = {v: i for i, v in enumerate(needed)}
     sub = data.data[:, cols]
     rows = sub.shape[0]
+    xc = sub - sub.mean(axis=0)
+    positions = list(itertools.product(range(n), repeat=k))
+    indices = [tuple(pos[side_lists[m][i]] for m, i in enumerate(p)) for p in positions]
 
-    def statistic(x: np.ndarray) -> float:
-        xc = x - x.mean(axis=0)
-        memo: dict = {}
+    point = _moments_of(xc)
+    entries = dict(zip(positions, (_cumulant_value(point, idx) for idx in indices)))
+    stat = float(hyperdet_from_getter(n, k, entries.__getitem__, one=1.0))
 
-        def entry(p: tuple[int, ...]) -> float:
-            idx = tuple(pos[side_lists[m][i]] for m, i in enumerate(p))
-            return _cumulant_value(xc, idx, memo)
-
-        return float(hyperdet_from_getter(n, k, entry, one=1.0))
-
-    stat = statistic(sub)
+    # Every sub-multiset of an entry's index: the raw moments that the
+    # entry's central moments (and, at k = 4, its pair moments) expand into.
+    parts = {
+        part for idx in indices for d in range(1, k + 1)
+        for part in itertools.combinations(sorted(idx), d)
+    }
+    col = {key: c for c, key in enumerate(sorted(parts, key=lambda key: (len(key), key)))}
+    block = max(1, BOOTSTRAP_CHUNK_FLOATS // rows)
+    span = max(1, BOOTSTRAP_CHUNK_FLOATS // len(col))
     children = np.random.SeedSequence(seed).spawn(n_boot)
     stats = np.empty(n_boot)
-    for b, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        stats[b] = statistic(sub[rng.integers(0, rows, rows)])
+    for start in range(0, n_boot, block):
+        batch = children[start : start + block]
+        w = np.empty((len(batch), rows))
+        for b, child in enumerate(batch):
+            draws = np.random.default_rng(child).integers(0, rows, rows)
+            w[b] = np.bincount(draws, minlength=rows)
+        raw = sum(
+            w[:, r : r + span] @ _monomial_table(xc[r : r + span], col)
+            for r in range(0, rows, span)
+        )
+        moment = _recentred(raw / rows, col)
+        values = np.column_stack([_cumulant_value(moment, idx) for idx in indices])
+        for b, row in enumerate(values.tolist()):
+            entries = dict(zip(positions, row))
+            stats[start + b] = hyperdet_from_getter(n, k, entries.__getitem__, one=1.0)
     sd = float(np.std(stats, ddof=1)) if n_boot > 1 else 0.0
     return DeterminantTest(
         statistic=stat, bootstrap_sd=sd, flag=bool(abs(stat) <= 2.0 * sd)

@@ -106,6 +106,19 @@ def graph_hash(g: MixedGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode("utf-8")).hexdigest()
 
 
+def _symbolic_nonzero(dag: MixedGraph, k: int, sides: Sequence[Sequence[int]]) -> Poly | None:
+    """The determinant over a symbolic instance of the DAG, or None when it
+    is the zero polynomial (vanishes on the whole model)."""
+    det = subtensor_determinant(dag, symbolic_instance(dag, k), sides)
+    return det if isinstance(det, Poly) and det else None
+
+
+def _symbolic_entry(det: Poly | None) -> dict:
+    """The algebraic-record entry of a symbolic evaluation (None: zero polynomial)."""
+    value = "0" if det is None else f"nonzero-polynomial({det.n_terms} terms)"
+    return {"seed": None, "determinant": value}
+
+
 def instance_seed(seed: int, trial: int) -> int:
     """Deterministic per-trial seed derivation for the randomized mode."""
     return seed * 1_000_003 + trial + 1
@@ -163,13 +176,9 @@ def decide_vanishing(
             if det:
                 algebraic_nonzero = True
     else:
-        inst = symbolic_instance(canon.dag, k)
-        det = subtensor_determinant(canon.dag, inst, side_lists)
-        if isinstance(det, Poly) and det:
-            record.append({"seed": None, "determinant": f"nonzero-polynomial({det.n_terms} terms)"})
-            algebraic_nonzero = True
-        else:
-            record.append({"seed": None, "determinant": "0"})
+        det = _symbolic_nonzero(canon.dag, k, side_lists)
+        algebraic_nonzero = det is not None
+        record.append(_symbolic_entry(det))
 
     if search.found and not algebraic_nonzero:
         # A verified witness system certifies a generically nonzero
@@ -177,12 +186,9 @@ def decide_vanishing(
         # roots of a nonzero polynomial, so settle symbolically before
         # declaring the implementation inconsistent.
         if mode == "randomized":
-            inst = symbolic_instance(canon.dag, k)
-            det = subtensor_determinant(canon.dag, inst, side_lists)
-            if isinstance(det, Poly) and det:
-                record.append(
-                    {"seed": None, "determinant": f"nonzero-polynomial({det.n_terms} terms)"}
-                )
+            det = _symbolic_nonzero(canon.dag, k, side_lists)
+            if det is not None:
+                record.append(_symbolic_entry(det))
                 algebraic_nonzero = True
         if not algebraic_nonzero:
             raise InternalInconsistency(
@@ -303,10 +309,8 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         gap_search = exists_trek_system_no_sided_intersection(g, sides, budget)
         if gap_search.found:
             return False, "a trek system without sided intersection exists after all"
-        if not replayed_nonzero:
-            det = subtensor_determinant(canon.dag, symbolic_instance(canon.dag, k), sides)
-            if not (isinstance(det, Poly) and det):
-                return False, "gap certificate carries no nonzero evidence"
+        if not replayed_nonzero and _symbolic_nonzero(canon.dag, k, sides) is None:
+            return False, "gap certificate carries no nonzero evidence"
         return True, "gap verified: no witness system, determinant nonzero"
 
     if verdict == NOT_VANISHES:
@@ -337,7 +341,6 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         # theorem.  From order 3 on it rests on the package's own
         # expansion identity, so confirm it independently: the recorded
         # randomized zeros could all be roots of a nonzero polynomial.
-        det = subtensor_determinant(canon.dag, symbolic_instance(canon.dag, k), sides)
-        if isinstance(det, Poly) and det:
+        if _symbolic_nonzero(canon.dag, k, sides) is not None:
             return False, "vanishing verdict but the determinant is a nonzero polynomial"
     return True, "vanishing re-verified"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -248,6 +249,14 @@ class TestEstimate:
         bad.write_bytes(b"JUNKJUNKJUNK")
         code, out = run_cli(capsys, "estimate", "--data", str(bad), "--order", "2")
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize("mode", [(), ("--sets", "1;2", "--boot", "5", "--seed", "0")])
+    def test_zero_row_data_file_is_an_error(self, capsys, tmp_path, mode):
+        empty = tmp_path / "empty.mtrk"
+        empty.write_bytes(b"MTRK" + struct.pack("<II", 0, 3) + bytes(4))  # 0 rows, 3 columns
+        code, out = run_cli(capsys, "estimate", "--data", str(empty), "--order", "2", *mode)
+        assert code == EXIT_ERROR
+        assert "at least one row" in json.loads(out)["error"]
 
 
 class TestScanConjecture:

@@ -233,6 +233,35 @@ def test_sample_generic_instance_deterministic(two_root_dag):
         sample_generic_instance(g, 1, rng_seed=0)
 
 
+PINNED_GRAPH = MixedGraph(
+    vertices=(1, 2, 3, 4),
+    directed_edges=((1, 2), (2, 4)),
+    multidirected_edges=((1, 3, 4), (2, 3)),
+)
+PINNED_INSTANCE = (
+    '{"lambda":{"1->2":"482/1","2->4":"593/1"},"noise":{"2":{"diag":{"1":"-909/1",'
+    '"2":"-776/1","3":"-272/1","4":"-652/1"},"hyper":{"[1,3]":"511/1","[1,4]":"-540/1",'
+    '"[2,3]":"-557/1","[3,4]":"987/1"}},"3":{"diag":{"1":"532/1","2":"-793/1",'
+    '"3":"-212/1","4":"746/1"},"hyper":{"[1,1,3]":"-727/1","[1,1,4]":"669/1",'
+    '"[1,3,3]":"-218/1","[1,3,4]":"-60/1","[1,4,4]":"644/1","[2,2,3]":"400/1",'
+    '"[2,3,3]":"813/1","[3,3,4]":"-128/1","[3,4,4]":"-143/1"}}}}'
+)
+
+
+def test_seeded_instance_is_pinned():
+    """Seeded instances feed stored decision documents, so their draw order is fixed."""
+    assert instance_to_json(sample_generic_instance(PINNED_GRAPH, 3, 2024)) == PINNED_INSTANCE
+    sym = symbolic_instance(PINNED_GRAPH, 3)
+    assert [str(x) for x in sym.lam.values()] == ["l1_2", "l2_4"]
+    assert str(sym.noise_at(2).diag.values[3]) == "e2_3"
+    assert str(sym.noise_at(3).hyper.entries[(1, 3, 4)]) == "e3_1_3_4"
+    # Same shape: the same keys carry a draw and a variable.
+    drawn = sample_generic_instance(PINNED_GRAPH, 3, 2024)
+    for order in (2, 3):
+        drawn_keys = drawn.noise_at(order).hyper.entries.keys()
+        assert drawn_keys == sym.noise_at(order).hyper.entries.keys()
+
+
 def test_symbolic_instance_coverage(latent_triple):
     sym = symbolic_instance(latent_triple, 3)
     validate_instance(latent_triple, sym)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import multitrek.estimation as estimation
 from multitrek import (
     InvalidBootstrapCount,
     MixedGraph,
@@ -23,6 +24,7 @@ from multitrek import (
     write_sample_csv,
 )
 from multitrek import test_determinant_zero as determinant_flag
+from multitrek.tensors import hyperdet_from_getter
 
 F = Fraction
 
@@ -138,6 +140,8 @@ class TestSampleMatrix:
             SampleMatrix(data=np.zeros((2, 3)), vertices=(1, 2))
         with pytest.raises(ValueError, match="finite"):
             SampleMatrix(data=np.array([[np.nan, 0.0]]), vertices=(1, 2))
+        with pytest.raises(ValueError, match="at least one row"):
+            SampleMatrix(data=np.zeros((0, 2)), vertices=(1, 2))
 
     def test_data_is_an_immutable_copy(self):
         raw = np.zeros((2, 2))
@@ -243,6 +247,102 @@ class TestDeterminantFlag:
         sm = SampleMatrix(data=np.random.default_rng(2).normal(size=(50, 2)), vertices=(1, 2))
         res = determinant_flag(sm, ((1,), (2,)), 2, n_boot=1, seed=0)
         assert res.bootstrap_sd == 0.0
+
+
+def gathered_bootstrap(data, sides, k, n_boot, seed):
+    """Reference bootstrap: gather each replicate's drawn rows, recentre
+    them and recompute every moment (what the count weights replace)."""
+    needed = sorted({v for side in sides for v in side})
+    pos = {v: i for i, v in enumerate(needed)}
+    sub = data.data[:, [data.column(v) for v in needed]]
+    n = len(sides[0])
+
+    def statistic(x):
+        xc = x - x.mean(axis=0)
+
+        def moment(idx):
+            key = sorted(idx)
+            prod = xc[:, key[0]].copy()
+            for i in key[1:]:
+                prod *= xc[:, i]
+            return float(prod.mean())
+
+        def entry(p):
+            idx = tuple(pos[sides[m][i]] for m, i in enumerate(p))
+            if k < 4:
+                return moment(idx)
+            i, j, l, r = idx
+            return (moment(idx) - moment((i, j)) * moment((l, r))
+                    - moment((i, l)) * moment((j, r)) - moment((i, r)) * moment((j, l)))
+
+        return float(hyperdet_from_getter(n, k, entry, one=1.0))
+
+    stat = statistic(sub)
+    rows = sub.shape[0]
+    stats = [
+        statistic(sub[np.random.default_rng(child).integers(0, rows, rows)])
+        for child in np.random.SeedSequence(seed).spawn(n_boot)
+    ]
+    sd = float(np.std(stats, ddof=1)) if n_boot > 1 else 0.0
+    return stat, sd, bool(abs(stat) <= 2.0 * sd)
+
+
+BATCHED_CASES = [
+    (((1,), (3,)), 10),
+    (((1, 2), (3, 4)), 10),
+    (((2, 2), (1, 3)), 10),
+    (((1,), (2,), (4,)), 10),
+    (((1, 2), (2, 3), (3, 4)), 10),
+    (((1, 1), (2, 3), (3, 4)), 10),
+    (((1,), (2,), (3,), (4,)), 10),
+    (((1, 2), (3, 4), (1, 3), (2, 4)), 10),
+    (((4, 4), (1, 2), (2, 3), (3, 1)), 10),
+    (((1,), (2,), (3,)), 1),
+    (((1, 2), (3, 4), (2, 4), (1, 3)), 1),
+]
+
+
+class TestBatchedBootstrap:
+    """The count-weight bootstrap against a per-replicate gather."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        g = MixedGraph(vertices=(0, 1, 2, 3, 4),
+                       directed_edges=((0, 1), (0, 2), (0, 3), (1, 4), (2, 4)))
+        lam = {(0, 1): 0.9, (0, 2): 0.7, (0, 3): 1.1, (1, 4): 0.5, (2, 4): 0.6}
+        noise = NoiseSpec({v: ("gamma", 2, 1) for v in g.vertices})
+        return simulate_lsem(g, lam, noise, 3000, seed=11)
+
+    @pytest.mark.parametrize("sides,n_boot", BATCHED_CASES)
+    def test_matches_gathered_replicates(self, skewed, sides, n_boot):
+        k = len(sides)
+        res = determinant_flag(skewed, sides, k, n_boot=n_boot, seed=4)
+        stat, sd, flag = gathered_bootstrap(skewed, sides, k, n_boot, seed=4)
+        assert res.statistic == stat
+        assert res.flag == flag
+        if k % 2 == 0 and len(set(sides[0])) < len(sides[0]):
+            # Equal slices along a signed mode: every replicate determinant
+            # is zero, so both spreads are rounding noise.
+            assert max(res.bootstrap_sd, sd) < 1e-12
+        else:
+            assert res.bootstrap_sd == pytest.approx(sd, rel=1e-9, abs=0.0)
+        if n_boot == 1:
+            assert res.bootstrap_sd == 0.0
+
+    def test_blocks_of_replicates_give_the_same_result(self, skewed, monkeypatch):
+        sides = ((1, 2), (2, 3), (3, 4), (1, 4))
+        whole = determinant_flag(skewed, sides, 4, n_boot=7, seed=2)
+        rows = skewed.n_samples
+        stat, sd, flag = gathered_bootstrap(skewed, sides, 4, 7, seed=2)
+        # W blocks of 3, 3 and 1 replicates, then of one replicate each;
+        # Z (45 columns here) splits into row blocks in both settings.
+        for bound in (3 * rows + 1, rows - 1):
+            monkeypatch.setattr(estimation, "BOOTSTRAP_CHUNK_FLOATS", bound)
+            blocked = determinant_flag(skewed, sides, 4, n_boot=7, seed=2)
+            assert blocked.statistic == whole.statistic == stat
+            assert blocked.flag == whole.flag == flag
+            assert blocked.bootstrap_sd == pytest.approx(whole.bootstrap_sd, rel=1e-12, abs=0.0)
+            assert blocked.bootstrap_sd == pytest.approx(sd, rel=1e-9, abs=0.0)
 
 
 class TestDataIO:
