@@ -273,6 +273,10 @@ _COMMANDS = {
 }
 
 
+# Built once: parse_args keeps no state between calls, and _Parser.error raises.
+_PARSER = _build_parser()
+
+
 def _configure_logging() -> None:
     level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
         os.environ.get("MULTITREK_LOG", "").lower(), logging.WARNING
@@ -283,9 +287,8 @@ def _configure_logging() -> None:
 def run(argv: list[str]) -> int:
     """Parse argv, run one command, return the exit code; stdout is one JSON line."""
     _configure_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _Usage as exc:
         sys.stdout.write(canonical_json({"error": str(exc)}) + "\n")

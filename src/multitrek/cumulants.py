@@ -7,7 +7,13 @@ order-k cumulant tensor of the observed vector is the noise tensor
 pushed through the k-fold Tucker product with (I - Lambda)^{-1}, whose
 (j, i) entry is the sum of path monomials from j to i.
 
-Everything here is ring-generic: values may be Fractions or the sparse
+Rational values are stored in normal form (ser.as_rational): an
+integral value is an int, any other rational a Fraction.  Generic
+instances draw nonzero integers, so path sums, entries and determinants
+over them stay in int arithmetic; Fraction appears only where a value
+is not an integer (e.g. "3/2" in an instance file).
+
+Everything here is ring-generic: values may be rationals or the sparse
 polynomials from .polynomial, which is how the symbolic ("certain")
 vanishing checks reuse the same code paths.
 """
@@ -24,17 +30,18 @@ from typing import Callable, Mapping, Sequence
 from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
 from .polynomial import Poly
-from .ser import canonical_json, frac_from_str, frac_to_str
+from .ser import as_rational, canonical_json, frac_from_str, frac_to_str
 from .tensors import RATIONAL, DiagonalSpec, Tensor, hyperdet_from_getter
 from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
 
 
 def _coerce_scalar(x):
-    """Fractions stay exact; ints/strings are parsed; ring elements pass through."""
+    """Rationals (ints, Fractions, "a/b" strings) in normal form: an int when
+    integral, else a Fraction.  Other ring elements (polynomials) pass through."""
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return as_rational(x)
     if isinstance(x, str):
-        return frac_from_str(x)
+        return as_rational(frac_from_str(x))
     return x
 
 
@@ -249,7 +256,7 @@ def _determinant_by_entries(
         vertices = tuple(side_lists[m][i] for m, i in enumerate(pos))
         return entry(g, inst, vertices, cache)
 
-    return hyperdet_from_getter(len(side_lists[0]), len(side_lists), at, one=Fraction(1))
+    return hyperdet_from_getter(len(side_lists[0]), len(side_lists), at, one=1)
 
 
 # -- trek-rule routes -------------------------------------------------------
@@ -277,8 +284,8 @@ def noise_entry(inst: ModelInstance, order: int, indices: Sequence[int]) -> obje
     nc = inst.noise_at(order)
     key = tuple(sorted(indices))
     if len(set(key)) == 1:
-        return nc.diag.values.get(key[0], Fraction(0))
-    return nc.hyper.entries.get(key, Fraction(0))
+        return nc.diag.values.get(key[0], 0)
+    return nc.hyper.entries.get(key, 0)
 
 
 def cumulant_entry_by_trek_rule(
@@ -350,7 +357,7 @@ def _instance_of(g: MixedGraph, k_max: int, value: Callable) -> ModelInstance:
 def sample_generic_instance(g: MixedGraph, k_max: int, rng_seed: int) -> ModelInstance:
     """Random instance for polynomial identity testing; deterministic per seed.
 
-    Edge weights and noise values are nonzero rationals +-1..+-997.
+    Edge weights and noise values are nonzero ints +-1..+-997.
     Diagonal noise covers every vertex at orders 2..k_max; hyperedge
     noise covers every admissible multiset of each hyperedge.
     """
@@ -358,9 +365,9 @@ def sample_generic_instance(g: MixedGraph, k_max: int, rng_seed: int) -> ModelIn
         raise ValueError("k_max must be >= 2")
     rng = random.Random(rng_seed)
 
-    def draw(_prefix: str, _indices: tuple[int, ...]) -> Fraction:
+    def draw(_prefix: str, _indices: tuple[int, ...]) -> int:
         magnitude = rng.randint(1, 997)
-        return Fraction(magnitude if rng.random() < 0.5 else -magnitude)
+        return magnitude if rng.random() < 0.5 else -magnitude
 
     return _instance_of(g, k_max, draw)
 

@@ -413,7 +413,8 @@ def read_sample_csv(path: str | Path) -> SampleMatrix:
             for line in fh
             if line.strip()
         ]
-    return SampleMatrix(data=np.array(rows, dtype=np.float64), vertices=vertices)
+    data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
+    return SampleMatrix(data=data, vertices=vertices)
 
 
 def write_sample_binary(sm: SampleMatrix, path: str | Path) -> None:

@@ -148,7 +148,7 @@ def _vertex_moment(inst: ModelInstance, v: int, mult: int, memo: dict) -> object
         for partition in _partitions_min2(tuple(range(mult))):
             term = 1
             for block in partition:
-                c = inst.noise_at(len(block)).diag.values.get(v, Fraction(0))
+                c = inst.noise_at(len(block)).diag.values.get(v, 0)
                 if not c:
                     term = 0
                     break

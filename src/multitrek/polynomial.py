@@ -1,5 +1,9 @@
 """Sparse multivariate polynomials over the rationals.
 
+Coefficients are kept in normal form (ser.as_rational): an int when
+integral, else a Fraction, so integer-coefficient polynomials never
+pay for Fraction arithmetic.
+
 Just enough ring structure for symbolic vanishing checks: named
 variables, +, *, negation, and an exact zero test.  Variables are
 plain strings; a monomial is a sorted tuple of (variable, exponent)
@@ -11,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from .ser import as_rational
+
 Monomial = tuple[tuple[str, int], ...]
 
 
@@ -19,11 +25,11 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None) -> None:
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None) -> None:
         clean = {}
         if terms:
             for mono, coef in terms.items():
-                c = Fraction(coef)
+                c = as_rational(coef)
                 if c:
                     clean[mono] = c
         object.__setattr__(self, "terms", clean)
@@ -33,11 +39,11 @@ class Poly:
 
     @classmethod
     def const(cls, c: Fraction | int) -> "Poly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @staticmethod
     def _coerce(other: object) -> "Poly | None":
@@ -53,7 +59,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coef in o.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coef
+            terms[mono] = terms.get(mono, 0) + coef
         return Poly(terms)
 
     __radd__ = __add__
@@ -77,11 +83,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 mono = _merge(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly(terms)
 
     __rmul__ = __mul__

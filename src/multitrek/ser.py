@@ -29,6 +29,18 @@ def frac_from_str(s: str, path: str = "") -> Fraction:
         raise SchemaError(path or "/", f"not a rational: {s!r}") from exc
 
 
+def as_rational(x: int | Fraction) -> int | Fraction:
+    """A rational in normal form: an int when integral, else a Fraction.
+
+    Integral values stay in int arithmetic, which needs no gcd per
+    operation; Fraction is kept for the values that need it.
+    """
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def canonical_json(obj: object) -> str:
     """Serialize to a single deterministic line (sorted keys, no spaces)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

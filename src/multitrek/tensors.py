@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, IndexOutOfRange, NotCubical, SchemaError
-from .ser import canonical_json, frac_from_str, frac_to_str
+from .ser import as_rational, canonical_json, frac_from_str, frac_to_str
 
 Scalar = Fraction | float
 
@@ -89,7 +89,8 @@ class Tensor:
 class DiagonalSpec:
     """Diagonal order-k tensor given by its on-diagonal values per vertex.
 
-    Values are usually Fractions; other ring elements (polynomials)
+    Rational values are kept in normal form (ser.as_rational): an int
+    when integral, else a Fraction.  Other ring elements (polynomials)
     pass through untouched so symbolic instances can reuse the type.
     """
 
@@ -100,7 +101,7 @@ class DiagonalSpec:
             self,
             "values",
             {
-                int(v): Fraction(x) if isinstance(x, (int, Fraction)) else x
+                int(v): as_rational(x) if isinstance(x, (int, Fraction)) else x
                 for v, x in sorted(self.values.items())
             },
         )
@@ -246,29 +247,34 @@ def perm_sign(p: Sequence[int]) -> int:
 
 
 def det_matrix(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant by Gaussian elimination; exact for Fraction entries."""
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Exact for int and Fraction entries: every division is exact, and
+    two ints divide with //, so int matrices never leave the integers.
+    """
     n = len(rows)
     if n == 0:
-        return Fraction(1)
+        return 1
     if any(len(r) != n for r in rows):
         raise DimMismatch("matrix is not square")
     a = [list(r) for r in rows]
-    det = a[0][0] - a[0][0] + 1  # one in the entries' arithmetic
-    for col in range(n):
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
-            return det * 0
+            return a[col][col]  # the whole column is zero
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - factor * a[col][c]
-    return det
+            sign = -sign
+        top = a[col]
+        for row in a[col + 1:]:
+            for c in range(col + 1, n):
+                num = top[col] * row[c] - row[col] * top[c]
+                ints = isinstance(num, int) and isinstance(prev, int)
+                row[c] = num // prev if ints else num / prev
+        prev = top[col]
+    return a[-1][-1] if sign > 0 else -a[-1][-1]
 
 
 def subtensor(t: Tensor, sides: Sequence[Sequence[int]]) -> Tensor:

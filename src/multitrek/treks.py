@@ -24,7 +24,6 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
@@ -701,7 +700,7 @@ def signed_system_sum(
             if not term:
                 continue
             total = total + (term if sign > 0 else -term)
-    return total if not isinstance(total, int) else Fraction(total)
+    return total
 
 
 # -- k-trek separation -----------------------------------------------------

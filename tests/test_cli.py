@@ -258,6 +258,13 @@ class TestEstimate:
         assert code == EXIT_ERROR
         assert "at least one row" in json.loads(out)["error"]
 
+    def test_header_only_csv_is_a_zero_row_error(self, capsys, tmp_path):
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("1,2\n")
+        code, out = run_cli(capsys, "estimate", "--data", str(header_only), "--order", "2")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": "sample data needs at least one row"}
+
 
 class TestScanConjecture:
     def test_small_scan(self, capsys, tmp_path):
@@ -373,6 +380,118 @@ class TestOutFlag:
         )
         assert code == EXIT_OK
         assert copy.read_text() == out
+
+
+class TestPinnedStdout:
+    """Seeded commands whose stdout bytes and exit codes are pinned.
+
+    The expected lines were printed by the version that evaluated every
+    path sum and determinant in Fraction arithmetic; int arithmetic on
+    integral parameters must reproduce them byte for byte.  The instance
+    file mixes integral and non-integral rationals.
+    """
+
+    GRAPH = MixedGraph((1, 2, 3, 4), ((1, 2), (1, 3), (2, 4), (3, 4)), ((2, 3),))
+    PARAM_GRAPH = MixedGraph((1, 2, 3), ((1, 2), (1, 3), (2, 3)))
+    INSTANCE = {
+        "lambda": {"1->2": "2/1", "1->3": "-3/2", "2->3": "5/1"},
+        "noise": {str(o): {"diag": {"1": f"{o}/1", "2": "-1/1", "3": "1/3"}} for o in (2, 3, 4)},
+    }
+    ENSEMBLE = {"max_vertices": 5, "cases": 10, "k": 4, "edge_prob": "1/2"}
+    COMMANDS = {
+        "check": ("check", "--graph", "g.json", "--sets", "2,3;3,4;2,4", "--seed", "7"),
+        "certain": ("check", "--graph", "g.json", "--sets", "2,3;3,4;2,4", "--mode", "certain"),
+        "certify": ("certify", "--graph", "g.json", "--decision", "decision.json"),
+        "common-cause": ("common-cause", "--graph", "g.json", "--vars", "2,3,4", "--seed", "7"),
+        "parametrize-cumulant": (
+            "parametrize", "--graph", "h.json", "--instance", "inst.json", "--order", "3",
+        ),
+        "parametrize-moment": (
+            "parametrize", "--graph", "h.json", "--instance", "inst.json", "--order", "4",
+            "--kind", "moment",
+        ),
+        "scan-conjecture": ("scan-conjecture", "--ensemble", "ens.json", "--seed", "3", "--trials", "2"),
+    }
+    EXPECTED = {
+        "check": (
+            0,
+            '{"algebraic_record":[{"determinant":"-14091777154425023739172935/1",'
+            '"seed":7000022},{"determinant":"508880242842461206481685632/1","seed":7000023},'
+            '{"determinant":"70608406573341770752481436/1","seed":7000024},'
+            '{"determinant":"-7107615804824605965220800/1","seed":7000025},'
+            '{"determinant":"-527450892636733130714031072/1","seed":7000026}],'
+            '"combinatorial_certificate":{"trek_system":{"permutations":[[1,0],[0,1]],'
+            '"side_endpoints":[[2,3],[3,4],[2,4]],"sign":-1,"treks":[{"paths":[[2],[2,4],'
+            '[2]],"top":{"vertex":2}},{"paths":[[1,3],[1,3],[1,3,4]],"top":{"vertex":1}}]}},'
+            '"graph_hash":"ab5bee013439bda77d5f462c4d85936689ed14bbcfb2d6e6c861b094f99ba428",'
+            '"mode":"randomized","order":3,"seed":7,"sides":[[2,3],[3,4],[2,4]],"trials":5,'
+            '"value_range":997,"verdict":"NotVanishes"}'
+        ),
+        "certain": (
+            0,
+            '{"algebraic_record":[{"determinant":"nonzero-polynomial(9 terms)","seed":null}],'
+            '"combinatorial_certificate":{"trek_system":{"permutations":[[1,0],[0,1]],'
+            '"side_endpoints":[[2,3],[3,4],[2,4]],"sign":-1,"treks":[{"paths":[[2],[2,4],'
+            '[2]],"top":{"vertex":2}},{"paths":[[1,3],[1,3],[1,3,4]],"top":{"vertex":1}}]}},'
+            '"graph_hash":"ab5bee013439bda77d5f462c4d85936689ed14bbcfb2d6e6c861b094f99ba428",'
+            '"mode":"certain","order":3,"seed":null,"sides":[[2,3],[3,4],[2,4]],'
+            '"trials":null,"value_range":null,"verdict":"NotVanishes"}'
+        ),
+        "certify": (
+            0,
+            '{"reason":"certificate verified","valid":true}'
+        ),
+        "common-cause": (
+            0,
+            '{"algebraic_record":[{"determinant":"-8269900972002/1","seed":7000022},'
+            '{"determinant":"69803532263038/1","seed":7000023},'
+            '{"determinant":"69029152674552/1","seed":7000024},'
+            '{"determinant":"677083810760/1","seed":7000025},'
+            '{"determinant":"-5298329628240/1","seed":7000026}],'
+            '"combinatorial_certificate":{"trek_system":{"permutations":[[0],[0]],'
+            '"side_endpoints":[[2],[3],[4]],"sign":1,"treks":[{"paths":[[1,2],[1,3],[1,2,4]],'
+            '"top":{"vertex":1}}]}},'
+            '"graph_hash":"ab5bee013439bda77d5f462c4d85936689ed14bbcfb2d6e6c861b094f99ba428",'
+            '"mode":"randomized","order":3,"seed":7,"sides":[[2],[3],[4]],"trials":5,'
+            '"value_range":997,"verdict":"NotVanishes"}'
+        ),
+        "parametrize-cumulant": (
+            0,
+            '{"dims":[3,3,3],"entries":["3/1","6/1","51/2","6/1","12/1","51/1","51/2","51/1",'
+            '"867/4","6/1","12/1","51/1","12/1","23/1","97/1","51/1","97/1","817/2","51/2",'
+            '"51/1","867/4","51/1","97/1","817/2","867/4","817/2","41225/24"],"order":3,'
+            '"scalar":"rational"}'
+        ),
+        "parametrize-moment": (
+            0,
+            '{"dims":[3,3,3,3],"entries":["16/1","32/1","136/1","32/1","62/1","262/1",'
+            '"136/1","262/1","3320/3","32/1","62/1","262/1","62/1","116/1","487/1","262/1",'
+            '"487/1","6130/3","136/1","262/1","3320/3","262/1","487/1","6130/3","3320/3",'
+            '"6130/3","8568/1","32/1","62/1","262/1","62/1","116/1","487/1","262/1","487/1",'
+            '"6130/3","62/1","116/1","487/1","116/1","210/1","876/1","487/1","876/1",'
+            '"21911/6","262/1","487/1","6130/3","487/1","876/1","21911/6","6130/3","21911/6",'
+            '"30427/2","136/1","262/1","3320/3","262/1","487/1","6130/3","3320/3","6130/3",'
+            '"8568/1","262/1","487/1","6130/3","487/1","876/1","21911/6","6130/3","21911/6",'
+            '"30427/2","3320/3","6130/3","8568/1","6130/3","21911/6","30427/2","8568/1",'
+            '"30427/2","190007/3"],"order":4,"scalar":"rational"}'
+        ),
+        "scan-conjecture": (
+            0,
+            '{"agreements":10,"cases_scanned":10,"disagreements":[],"lower_order_checked":15,'
+            '"lower_order_violations":[]}'
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_stdout_matches_the_pinned_bytes(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        write_graph(tmp_path, self.GRAPH, "g.json")
+        write_graph(tmp_path, self.PARAM_GRAPH, "h.json")
+        (tmp_path / "inst.json").write_text(json.dumps(self.INSTANCE))
+        (tmp_path / "ens.json").write_text(json.dumps(self.ENSEMBLE))
+        (tmp_path / "decision.json").write_text(self.EXPECTED["check"][1])
+        code, out = run_cli(capsys, *self.COMMANDS[name])
+        assert (code, out) == (self.EXPECTED[name][0], self.EXPECTED[name][1] + "\n")
 
 
 class TestLogging:

@@ -262,6 +262,59 @@ def test_seeded_instance_is_pinned():
         assert drawn_keys == sym.noise_at(order).hyper.entries.keys()
 
 
+def _all_fraction_twin(inst: ModelInstance) -> ModelInstance:
+    """The same instance with every value a Fraction, as earlier versions stored it.
+
+    The constructors normalise integral values to ints, so the twin is
+    built past them.
+    """
+    twin = ModelInstance(lam={}, noise={})
+    object.__setattr__(twin, "lam", {e: Fraction(x) for e, x in inst.lam.items()})
+    noise = {}
+    for order, nc in inst.noise.items():
+        diag, hyper = DiagonalSpec({}), HyperedgeSpec({})
+        object.__setattr__(diag, "values", {v: Fraction(x) for v, x in nc.diag.values.items()})
+        object.__setattr__(hyper, "entries", {k: Fraction(x) for k, x in nc.hyper.entries.items()})
+        noise[order] = NoiseCumulants(diag=diag, hyper=hyper)
+    object.__setattr__(twin, "noise", noise)
+    return twin
+
+
+def test_generic_instances_compute_in_ints():
+    inst = sample_generic_instance(PINNED_GRAPH, 3, 2024)
+    values = list(inst.lam.values())
+    for nc in inst.noise.values():
+        values += list(nc.diag.values.values()) + list(nc.hyper.entries.values())
+    assert values and all(type(x) is int for x in values)
+    dag = canonical_dag(PINNED_GRAPH).dag
+    generic = sample_generic_instance(dag, 3, 2024)
+    det = subtensor_determinant(dag, generic, ((1, 2), (3, 4), (2, 4)))
+    assert type(det) is int and det != 0
+    assert det == subtensor_determinant(dag, _all_fraction_twin(generic), ((1, 2), (3, 4), (2, 4)))
+
+
+def test_non_integral_parameters_stay_fractions():
+    text = (
+        '{"lambda":{"1->2":"3/2","2->3":"4/2"},'
+        '"noise":{"2":{"diag":{"1":"1/3","2":"-5/1","3":"7/1"}},'
+        '"3":{"diag":{"1":"2/1","2":"1/2","3":"-1/1"}}}}'
+    )
+    inst = instance_from_json(text)
+    assert inst.lam[(1, 2)] == Fraction(3, 2) and type(inst.lam[(1, 2)]) is Fraction
+    assert inst.lam[(2, 3)] == 2 and type(inst.lam[(2, 3)]) is int
+    assert type(inst.noise_at(2).diag.values[1]) is Fraction
+    assert type(inst.noise_at(2).diag.values[2]) is int
+    assert instance_to_json(inst) == instance_to_json(_all_fraction_twin(inst))
+    g = MixedGraph(vertices=(1, 2, 3), directed_edges=((1, 2), (2, 3)))
+    twin = _all_fraction_twin(inst)
+    for sides in (((1, 2), (2, 3)), ((1, 3), (2, 3), (1, 2)), ((1,), (3,), (2,))):
+        mixed = subtensor_determinant(g, inst, sides)
+        assert mixed == subtensor_determinant(g, twin, sides)
+        assert mixed == hyperdeterminant(
+            subtensor(model_cumulant(g, inst, len(sides)), [[v - 1 for v in s] for s in sides])
+        )
+
+
 def test_symbolic_instance_coverage(latent_triple):
     sym = symbolic_instance(latent_triple, 3)
     validate_instance(latent_triple, sym)

@@ -54,6 +54,16 @@ def test_variable_powers_merge():
     assert repr(p) == "x^3"
 
 
+def test_integral_coefficients_are_ints():
+    x = Poly.var("x")
+    p = x * Fraction(1, 2) * 2 + Poly.const(Fraction(6, 3))
+    assert all(type(c) is int for c in p.terms.values())
+    assert p == x + 2
+    half = x * Fraction(1, 2)
+    assert half.terms == {(("x", 1),): Fraction(1, 2)}
+    assert type(half.terms[(("x", 1),)]) is Fraction
+
+
 def test_equality_and_hash():
     x, y = Poly.var("x"), Poly.var("y")
     assert x * y == y * x

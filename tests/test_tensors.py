@@ -61,6 +61,22 @@ def test_det_matrix_matches_permutation_expansion():
     assert det_matrix([]) == Fraction(1)
 
 
+def test_det_matrix_is_exact_on_ints():
+    # Two ints divide with //, so no float ever appears.
+    assert det_matrix([[2, 1], [1, 1]]) == 1
+    assert type(det_matrix([[2, 1], [1, 1]])) is int
+    big = det_matrix([[10**17 + 1, 3], [7, 10**17]])
+    assert big == 10000000000000000099999999999999979 and type(big) is int
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert det_matrix(m) == det_by_permutation_expansion(m)
+    assert det_matrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    assert det_matrix([[0, 1], [1, 0]]) == -1
+    assert det_matrix([[Fraction(1, 2), 1], [3, Fraction(2, 3)]]) == Fraction(-8, 3)
+
+
 def test_hyperdet_order2_is_matrix_det():
     rng = random.Random(6)
     for _ in range(30):
