@@ -176,12 +176,12 @@ def _tucker_tensor(g: MixedGraph, inst: ModelInstance, order: int, support_of) -
     """The noise entries ``support_of(g, inst, order)`` pushed through the path matrix."""
     validate_instance(g, inst)
     m = path_matrix(g, inst.lam)
-    support = support_of(g, inst, order)
     idx = {v: i for i, v in enumerate(g.vertices)}
+    support = _support_by_first_row(support_of(g, inst, order), idx)
     p = len(g.vertices)
     values: dict[tuple[int, ...], object] = {}
     for key in itertools.combinations_with_replacement(range(p), order):
-        values[key] = _tucker_entry(support, m, idx, key)
+        values[key] = _tucker_entry(support, m, key)
     entries = [
         values[tuple(sorted(pos))]
         for pos in itertools.product(range(p), repeat=order)
@@ -189,22 +189,37 @@ def _tucker_tensor(g: MixedGraph, inst: ModelInstance, order: int, support_of) -
     return Tensor.of([p] * order, entries, RATIONAL)
 
 
-def _tucker_entry(
-    support: Mapping[tuple[int, ...], object],
-    m: list[list],
-    idx: Mapping[int, int],
-    positions: tuple[int, ...],
-) -> object:
-    total = 0
+def _support_by_first_row(
+    support: Mapping[tuple[int, ...], object], idx: Mapping[int, int]
+) -> dict[int, list]:
+    """Support tuples as path-matrix rows, grouped by the row of their first index."""
+    groups: dict[int, list] = {}
     for jtuple, val in support.items():
-        term = val
-        for j, i in zip(jtuple, positions):
-            factor = m[idx[j]][i]
-            if not factor:
-                term = 0
-                break
-            term = term * factor
-        total = total + term
+        rows = [idx[j] for j in jtuple]
+        groups.setdefault(rows[0], []).append((rows[1:], val))
+    return groups
+
+
+def _tucker_entry(groups: Mapping[int, list], m: list[list], positions: tuple[int, ...]) -> object:
+    """Sum of val * m[j_1][i_1] * ... * m[j_k][i_k] over the support tuples (j, val).
+
+    A group whose first factor m[j_1][i_1] is zero is skipped whole.
+    """
+    first, rest = positions[0], positions[1:]
+    total = 0
+    for j0, terms in groups.items():
+        lead = m[j0][first]
+        if not lead:
+            continue
+        for rows, val in terms:
+            term = val * lead
+            for j, i in zip(rows, rest):
+                factor = m[j][i]
+                if not factor:
+                    term = 0
+                    break
+                term = term * factor
+            total = total + term
     return total
 
 
@@ -234,11 +249,11 @@ def _cached_entry(
         cache["idx"] = {v: i for i, v in enumerate(g.vertices)}
     order = len(indices)
     if ("support", order) not in cache:
-        cache[("support", order)] = support_of(g, inst, order)
+        cache[("support", order)] = _support_by_first_row(support_of(g, inst, order), cache["idx"])
     key = tuple(sorted(cache["idx"][v] for v in indices))
     memo = cache.setdefault(("entries", order), {})
     if key not in memo:
-        memo[key] = _tucker_entry(cache[("support", order)], cache["m"], cache["idx"], key)
+        memo[key] = _tucker_entry(cache[("support", order)], cache["m"], key)
     return memo[key]
 
 

@@ -35,7 +35,7 @@ from .errors import BudgetExceeded, InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
 from .ser import canonical_json, frac_from_str
-from .tensors import Tensor
+from .tensors import Tensor, signed_permutations
 from .treks import (
     DEFAULT_BUDGET,
     DirectedPath,
@@ -339,7 +339,7 @@ def exists_split_trek_system_no_sided_intersection(
 
     count = 0
     column_choices = [list(itertools.combinations(u, n)) for u in useful]
-    perms = list(itertools.permutations(range(n)))
+    perms, _ = signed_permutations(n)
     for cols in itertools.product(*column_choices):
         count += 1
         if count > budget:

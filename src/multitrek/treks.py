@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .graphs import MixedGraph, canonical_dag
-from .tensors import perm_sign
+from .tensors import perm_sign, signed_permutations
 
 DEFAULT_BUDGET = 10**6
 
@@ -673,13 +673,13 @@ def signed_system_sum(
     pool = functools.cache(treks_into)
     total = 0
     count = 0
-    perms = list(itertools.permutations(range(n)))
-    for combo in itertools.product(perms, repeat=k - 1):
+    perms, signs = signed_permutations(n)
+    for combo in itertools.product(range(len(perms)), repeat=k - 1):
         sign = 1
-        for p in combo:
-            sign *= perm_sign(p)
+        for c in combo:
+            sign *= signs[c]
         pools = [
-            pool((sides[0][j],) + tuple(sides[i + 1][combo[i][j]] for i in range(k - 1)))
+            pool((sides[0][j],) + tuple(sides[i + 1][perms[c][j]] for i, c in enumerate(combo)))
             for j in range(n)
         ]
         if any(not trek_pool for trek_pool in pools):

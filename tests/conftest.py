@@ -161,6 +161,24 @@ def det_by_permutation_expansion(rows: list[list[Fraction]]) -> Fraction:
     return total
 
 
+def hyperdet_by_leibniz(n: int, k: int, entry, one):
+    """Order-k Leibniz sum over (k-1)-tuples of permutations, every term kept.
+
+    Terms in itertools order, each multiplied row by row from ``one``;
+    the oracle for multitrek.tensors' determinant routes.
+    """
+    total = 0
+    for perms in itertools.product(itertools.permutations(range(n)), repeat=k - 1):
+        sign = 1
+        for perm in perms:
+            sign *= perm_sign_by_inversions(perm)
+        term = one
+        for i in range(n):
+            term = term * entry((i,) + tuple(perm[i] for perm in perms))
+        total = total + (term if sign > 0 else -term)
+    return total
+
+
 def minor_det_by_path_systems(
     g: MixedGraph,
     lam: dict[tuple[int, int], Fraction],

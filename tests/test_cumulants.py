@@ -28,6 +28,7 @@ from multitrek import (
     symbolic_instance,
     validate_instance,
 )
+from multitrek import cumulants
 from multitrek.polynomial import Poly
 from conftest import (
     all_paths,
@@ -313,6 +314,23 @@ def test_non_integral_parameters_stay_fractions():
         assert mixed == hyperdeterminant(
             subtensor(model_cumulant(g, inst, len(sides)), [[v - 1 for v in s] for s in sides])
         )
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 3)])
+def test_subtensor_determinant_reads_each_entry_once(monkeypatch, k, n):
+    # One call per subtensor position, not one per factor of every term.
+    g = random_dag(random.Random(7), max_vertices=6, min_vertices=6)
+    inst = sample_generic_instance(g, k, rng_seed=11)
+    sides = tuple(tuple(range(1, n + 1)) for _ in range(k))
+    calls = []
+
+    def counting_entry(*args):
+        calls.append(args[2])
+        return cumulant_entry(*args)
+
+    monkeypatch.setattr(cumulants, "cumulant_entry", counting_entry)
+    subtensor_determinant(g, inst, sides)
+    assert len(calls) == n**k
 
 
 def test_symbolic_instance_coverage(latent_triple):

@@ -20,7 +20,8 @@ from multitrek import (
     tucker_apply,
 )
 from multitrek.tensors import contract_mode, hyperdet_from_getter
-from conftest import det_by_permutation_expansion
+from multitrek.polynomial import Poly
+from conftest import det_by_permutation_expansion, hyperdet_by_leibniz
 
 
 def rand_tensor(rng, dims):
@@ -136,6 +137,42 @@ def test_hyperdet_from_getter_matches_dense():
         t = rand_tensor(rng, (n,) * k)
         assert hyperdet_from_getter(n, k, t.at, one=Fraction(1)) == hyperdeterminant(t)
     assert hyperdet_from_getter(0, 3, lambda i: Fraction(0), one=Fraction(1)) == 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_hyperdet_from_getter_matches_leibniz(n, k):
+    rng = random.Random(100 * k + n)
+    size = n**k
+    ints = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(size)]
+    fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(size)]
+    x = Poly.var("x")
+    polys = [x * rng.randint(-3, 3) + rng.randint(-3, 3) for _ in range(size)]
+    for table, one in ((ints, 1), (fracs, Fraction(1)), (polys, Poly.const(1))):
+        entry = table_getter(table, n, k)
+        assert hyperdet_from_getter(n, k, entry, one=one) == hyperdet_by_leibniz(n, k, entry, one)
+    # Floats stay on the Leibniz route, in its term order: bit-identical.
+    floats = [rng.uniform(-2.0, 2.0) for _ in range(size)]
+    entry = table_getter(floats, n, k)
+    got = hyperdet_from_getter(n, k, entry, one=1.0)
+    assert type(got) is float and got == hyperdet_by_leibniz(n, k, entry, 1.0)
+
+
+def table_getter(table, n, k):
+    def entry(idx):
+        assert len(idx) == k
+        off = 0
+        for i in idx:
+            off = off * n + i
+        return table[off]
+
+    return entry
+
+
+def test_order_two_int_determinant_stays_int():
+    m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
+    det = hyperdet_from_getter(3, 2, lambda idx: m[idx[0]][idx[1]], one=1)
+    assert det == det_by_permutation_expansion(m) and type(det) is int
 
 
 def test_tucker_identity_and_composition():
