@@ -97,7 +97,6 @@ from .moments import (
     moment_entry,
     moment_subtensor_determinant,
     moments_from_cumulants,
-    phi_support,
     scan_conjecture,
     split_trek_from_paths,
 )

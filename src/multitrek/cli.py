@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -183,11 +184,19 @@ def _cmd_parametrize(args) -> int:
     return EXIT_OK
 
 
+def _number(x, where: str):
+    """A finite JSON number as it is; anything else must be an "a/b" string."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"{where}: {x} is not a finite number")
+    return x if isinstance(x, (int, float)) else frac_from_str(x, where)
+
+
 def _noise_spec(doc: dict) -> NoiseSpec:
+    if not isinstance(doc, dict) or not all(isinstance(spec, list) and spec for spec in doc.values()):
+        raise ValueError('model "noise" must map each vertex to a list [distribution, params...]')
     entries = {}
-    for key, spec in doc.items():
-        tag, *params = spec
-        entries[int(key)] = (tag, *(frac_from_str(x) if isinstance(x, str) else Fraction(x) for x in params))
+    for key, (tag, *params) in doc.items():
+        entries[int(key)] = (tag, *(Fraction(_number(x, f"/noise/{key}")) for x in params))
     return NoiseSpec(entries)
 
 
@@ -196,10 +205,12 @@ def _cmd_simulate(args) -> int:
     model = json.loads(Path(args.model).read_text(encoding="utf-8"))
     if not isinstance(model, dict) or "lambda" not in model or "noise" not in model:
         raise ValueError('model file needs keys "lambda" and "noise"')
+    if not isinstance(model["lambda"], dict):
+        raise ValueError('model "lambda" must be an object of "u->v" -> weight')
     lam = {}
     for key, val in model["lambda"].items():
         u, v = key.split("->")
-        lam[(int(u), int(v))] = float(frac_from_str(val)) if isinstance(val, str) else float(val)
+        lam[(int(u), int(v))] = float(_number(val, f"/lambda/{key}"))
     noise = _noise_spec(model["noise"])
     sm = simulate_lsem(g, lam, noise, args.n, args.seed)
     fmt = "csv" if args.out.lower().endswith(".csv") else "binary"

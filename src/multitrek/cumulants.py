@@ -31,7 +31,7 @@ from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
 from .polynomial import Poly
 from .ser import as_rational, canonical_json, frac_from_str, frac_to_str
-from .tensors import RATIONAL, DiagonalSpec, Tensor, hyperdet_from_getter
+from .tensors import DiagonalSpec, Tensor, hyperdet_from_getter, symmetric_tensor
 from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
 
 
@@ -169,24 +169,22 @@ def noise_support(g: MixedGraph, inst: ModelInstance, order: int) -> dict[tuple[
 
 def model_cumulant(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:
     """Order-k cumulant tensor of the observed vector; exact and symmetric."""
-    return _tucker_tensor(g, inst, order, noise_support)
+    values = _tucker_values(g, inst, (order,))[order]
+    return symmetric_tensor(len(g.vertices), order, values.__getitem__)
 
 
-def _tucker_tensor(g: MixedGraph, inst: ModelInstance, order: int, support_of) -> Tensor:
-    """The noise entries ``support_of(g, inst, order)`` pushed through the path matrix."""
+def _tucker_values(g: MixedGraph, inst: ModelInstance, orders: Sequence[int]) -> dict[int, dict]:
+    """The Tucker route: the cumulant values of each order at every sorted
+    position key, the noise cumulants (noise_support) pushed through one path matrix."""
     validate_instance(g, inst)
     m = path_matrix(g, inst.lam)
     idx = {v: i for i, v in enumerate(g.vertices)}
-    support = _support_by_first_row(support_of(g, inst, order), idx)
-    p = len(g.vertices)
-    values: dict[tuple[int, ...], object] = {}
-    for key in itertools.combinations_with_replacement(range(p), order):
-        values[key] = _tucker_entry(support, m, key)
-    entries = [
-        values[tuple(sorted(pos))]
-        for pos in itertools.product(range(p), repeat=order)
-    ]
-    return Tensor.of([p] * order, entries, RATIONAL)
+    out = {}
+    for order in orders:
+        support = _support_by_first_row(noise_support(g, inst, order), idx)
+        keys = itertools.combinations_with_replacement(range(len(idx)), order)
+        out[order] = {key: _tucker_entry(support, m, key) for key in keys}
+    return out
 
 
 def _support_by_first_row(
@@ -230,17 +228,13 @@ def cumulant_entry(
     _cache: dict | None = None,
 ) -> object:
     """Single cumulant entry by the Tucker route (vertex ids, not positions)."""
-    return _cached_entry(g, inst, indices, noise_support, _cache)
+    return _cached_entry(g, inst, indices, _cache)
 
 
 def _cached_entry(
-    g: MixedGraph,
-    inst: ModelInstance,
-    indices: Sequence[int],
-    support_of,
-    cache: dict | None = None,
+    g: MixedGraph, inst: ModelInstance, indices: Sequence[int], cache: dict | None = None
 ) -> object:
-    """One entry of _tucker_tensor (vertex ids); ``cache`` carries work across calls."""
+    """One entry of model_cumulant (vertex ids); ``cache`` carries work across calls."""
     if cache is None:
         cache = {}
     if "m" not in cache:
@@ -249,11 +243,12 @@ def _cached_entry(
         cache["idx"] = {v: i for i, v in enumerate(g.vertices)}
     order = len(indices)
     if ("support", order) not in cache:
-        cache[("support", order)] = _support_by_first_row(support_of(g, inst, order), cache["idx"])
-    key = tuple(sorted(cache["idx"][v] for v in indices))
+        cache[("support", order)] = _support_by_first_row(noise_support(g, inst, order), cache["idx"])
+    key = tuple(sorted(indices))
     memo = cache.setdefault(("entries", order), {})
     if key not in memo:
-        memo[key] = _tucker_entry(cache[("support", order)], cache["m"], key)
+        rows = tuple(cache["idx"][v] for v in key)
+        memo[key] = _tucker_entry(cache[("support", order)], cache["m"], rows)
     return memo[key]
 
 
@@ -271,7 +266,7 @@ def _determinant_by_entries(
         vertices = tuple(side_lists[m][i] for m, i in enumerate(pos))
         return entry(g, inst, vertices, cache)
 
-    return hyperdet_from_getter(len(side_lists[0]), len(side_lists), at, one=1)
+    return hyperdet_from_getter(len(side_lists[0]), len(side_lists), at)
 
 
 # -- trek-rule routes -------------------------------------------------------
@@ -431,6 +426,9 @@ def instance_from_json(text: str) -> ModelInstance:
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "lambda" not in doc or "noise" not in doc:
         raise SchemaError("/", 'expected keys "lambda" and "noise"')
+    for key in ("lambda", "noise"):
+        if not isinstance(doc[key], dict):
+            raise SchemaError(f"/{key}", "expected an object")
     lam = {}
     for key, val in doc["lambda"].items():
         try:
@@ -444,8 +442,10 @@ def instance_from_json(text: str) -> ModelInstance:
             order = int(order_key)
         except ValueError as exc:
             raise SchemaError(f"/noise/{order_key}", "order must be an integer") from exc
-        if not isinstance(nc_doc, dict) or "diag" not in nc_doc:
-            raise SchemaError(f"/noise/{order_key}", 'expected key "diag"')
+        if not isinstance(nc_doc, dict) or not isinstance(nc_doc.get("diag"), dict):
+            raise SchemaError(f"/noise/{order_key}", 'expected an object with key "diag"')
+        if not isinstance(nc_doc.get("hyper", {}), dict):
+            raise SchemaError(f"/noise/{order_key}/hyper", "expected an object")
         diag = {
             int(v): frac_from_str(x, f"/noise/{order_key}/diag/{v}")
             for v, x in nc_doc["diag"].items()
@@ -456,6 +456,8 @@ def instance_from_json(text: str) -> ModelInstance:
                 key_list = json.loads(hkey)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"/noise/{order_key}/hyper/{hkey}", "bad multiset key") from exc
+            if not isinstance(key_list, list) or not all(type(i) is int for i in key_list):
+                raise SchemaError(f"/noise/{order_key}/hyper/{hkey}", "expected a list of vertex ids")
             hyper[tuple(key_list)] = frac_from_str(x, f"/noise/{order_key}/hyper/{hkey}")
         noise[order] = NoiseCumulants(diag=DiagonalSpec(diag), hyper=HyperedgeSpec(hyper))
     return ModelInstance(lam=lam, noise=noise)

@@ -38,7 +38,7 @@ import numpy as np
 from .cumulants import ModelInstance, NoiseCumulants, path_matrix
 from .errors import InvalidBootstrapCount, OrderUnsupported
 from .graphs import MixedGraph, canonical_dag
-from .tensors import FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter
+from .tensors import FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, symmetric_tensor
 from .treks import checked_sides
 
 _TAGS = {"uniform": 1, "exponential": 1, "laplace": 1, "gamma": 2}
@@ -236,14 +236,7 @@ def sample_cumulant(data: SampleMatrix, k: int) -> Tensor:
         raise OrderUnsupported(f"sample cumulants implemented for orders 2..4, got {k}")
     x = data.data
     moment = _moments_of(x - x.mean(axis=0))
-    p = x.shape[1]
-    values: dict[tuple[int, ...], float] = {}
-    for key in itertools.combinations_with_replacement(range(p), k):
-        values[key] = _cumulant_value(moment, key)
-    entries = [
-        values[tuple(sorted(idx))] for idx in itertools.product(range(p), repeat=k)
-    ]
-    return Tensor.of([p] * k, entries, FLOAT)
+    return symmetric_tensor(x.shape[1], k, lambda key: _cumulant_value(moment, key), FLOAT)
 
 
 # -- bootstrap determinant test ----------------------------------------------
@@ -350,7 +343,7 @@ def test_determinant_zero(
 
     point = _moments_of(xc)
     entries = dict(zip(positions, (_cumulant_value(point, idx) for idx in indices)))
-    stat = float(hyperdet_from_getter(n, k, entries.__getitem__, one=1.0))
+    stat = float(hyperdet_from_getter(n, k, entries.__getitem__))
 
     # Every sub-multiset of an entry's index: the raw moments that the
     # entry's central moments (and, at k = 4, its pair moments) expand into.
@@ -377,7 +370,7 @@ def test_determinant_zero(
         values = np.column_stack([_cumulant_value(moment, idx) for idx in indices])
         for b, row in enumerate(values.tolist()):
             entries = dict(zip(positions, row))
-            stats[start + b] = hyperdet_from_getter(n, k, entries.__getitem__, one=1.0)
+            stats[start + b] = hyperdet_from_getter(n, k, entries.__getitem__)
     sd = float(np.std(stats, ddof=1)) if n_boot > 1 else 0.0
     return DeterminantTest(
         statistic=stat, bootstrap_sd=sd, flag=bool(abs(stat) <= 2.0 * sd)

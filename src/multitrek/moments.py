@@ -1,15 +1,14 @@
 """Moment tensors and split-treks.
 
-Moments differ from cumulants in one structural way: the noise moment
-tensor Phi of independent components is not diagonal.  Its entry at an
-index multiset is the product of per-vertex moments and vanishes only
-when some vertex appears exactly once (first moments are zero).  The
-trek notion that matches this support is the *split-trek*: k paths
-into the given sinks whose every source is shared by at least two of
-them (a single common source is the special case).  Everything else
-is shared with the cumulant side: the Tucker route differs only in the
-noise support (phi_support), and split-treks fill the same TrekSystem,
-verifier, search result and signed expansion as k-treks.
+Moments come from cumulants by one partition sum (_partition_sum), the
+moment-cumulant formula for a centered vector, over cumulant values the
+Tucker route already gives.  The noise moments of independent
+components are products of per-vertex moments, nonzero only when no
+vertex appears exactly once.  The trek notion that matches this support
+is the *split-trek*: k paths into the given sinks whose every source is
+shared by at least two of them (a single common source is the special
+case).  Split-treks fill the same TrekSystem, verifier, search result
+and signed expansion as k-treks.
 
 At k = 3 moments equal cumulants: a found split-trek system certifies a
 nonzero determinant, and the converse fails only on the rare side-1
@@ -24,6 +23,7 @@ moments of the lifted model with latent columns ignored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -35,7 +35,7 @@ from .errors import BudgetExceeded, InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
 from .ser import canonical_json, frac_from_str
-from .tensors import Tensor, signed_permutations
+from .tensors import Tensor, signed_permutations, symmetric_tensor
 from .treks import (
     DEFAULT_BUDGET,
     DirectedPath,
@@ -47,7 +47,7 @@ from .treks import (
     enumerate_paths,
     exists_disjoint_path_system,
     make_trek_system,
-    reachable_from,
+    reach_sets,
     repeated_side,
     signed_system_sum,
 )
@@ -56,42 +56,57 @@ from .cumulants import (
     _cached_entry,
     _determinant_by_entries,
     _times_path_weights,
-    _tucker_tensor,
+    _tucker_values,
+    noise_entry,
     sample_generic_instance,
     symbolic_instance,
 )
 
 
-def _partitions_min2(positions: tuple[int, ...]):
-    """Set partitions of the positions with every block of size >= 2.
+@functools.cache
+def _partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Set partitions of range(k) with every block of size >= 2: the block holding
+    position 0 ranges over combinations in lexicographic order, then the rest recursively."""
 
-    Deterministic: the block containing the first position ranges over
-    combinations in lexicographic order, then the rest recursively.
+    def split(positions: tuple[int, ...]):
+        if not positions:
+            yield ()
+            return
+        first, rest = positions[0], positions[1:]
+        for size in range(1, len(rest) + 1):
+            for combo in itertools.combinations(rest, size):
+                remaining = tuple(x for x in rest if x not in combo)
+                for tail in split(remaining):
+                    yield ((first,) + combo,) + tail
+
+    return tuple(split(tuple(range(k))))
+
+
+def _partition_sum(key: tuple[int, ...], value_of_block) -> object:
+    """Sum over the partitions of key's positions (_partitions) of the product of
+    value_of_block over the blocks, each given as the sub-key at its positions.
+
+    The moment-cumulant formula of a centered vector (McCullagh 1987).
+    Each product stops at its first zero factor; the first block of every
+    partition is always evaluated, so each block order is asked for.
     """
-    if not positions:
-        yield ()
-        return
-    first, rest = positions[0], positions[1:]
-    for size in range(1, len(rest) + 1):
-        for combo in itertools.combinations(rest, size):
-            block = (first,) + combo
-            remaining = tuple(x for x in rest if x not in combo)
-            for tail in _partitions_min2(remaining):
-                yield (block,) + tail
+    total = 0
+    for partition in _partitions(len(key)):
+        term = 1
+        for block in partition:
+            term = term * value_of_block(tuple(key[x] for x in block))
+            if not term:
+                break
+        else:
+            total = total + term
+    return total
 
 
 # -- moment/cumulant duality -------------------------------------------------
 
 
 def moments_from_cumulants(cumulants: Mapping[int, Tensor]) -> dict[int, Tensor]:
-    """Moment tensors from cumulant tensors of a centered vector, per order.
-
-    The order-k moment at (i_1..i_k) sums, over partitions of the k
-    positions into blocks of size >= 2 (singleton blocks drop out by
-    centering), the products of cumulant entries over the blocks.  So
-    orders 2 and 3 pass through unchanged and order 4 gains the three
-    pair-pair products.
-    """
+    """Moment tensors from cumulant tensors of a centered vector, per order."""
     orders = sorted(int(o) for o in cumulants)
     if not orders:
         raise ValueError("no cumulant tensors given")
@@ -107,54 +122,25 @@ def moments_from_cumulants(cumulants: Mapping[int, Tensor]) -> dict[int, Tensor]
             raise ValueError(f"tensor at order {o} must have dims {[p] * o}")
         if t.scalar != kind:
             raise ValueError("mixed scalar kinds in the cumulant family")
-        for idx in itertools.product(range(p), repeat=o):
-            if t.at(idx) != t.at(tuple(sorted(idx))):
-                raise ValueError(f"cumulant tensor at order {o} is not symmetric")
+        if t != symmetric_tensor(p, o, t.at, kind):
+            raise ValueError(f"cumulant tensor at order {o} is not symmetric")
 
-    def block_tensor(size: int) -> Tensor:
+    def block_value(sub: tuple[int, ...]) -> object:
+        size = len(sub)
         if size not in tensors:
             raise MissingOrder(f"partition block of size {size} needs the order-{size} cumulant tensor")
-        return tensors[size]
+        return tensors[size].at(sub)
 
-    out: dict[int, Tensor] = {}
-    for o in orders:
-        values: dict[tuple[int, ...], object] = {}
-        for key in itertools.combinations_with_replacement(range(p), o):
-            total = 0
-            for partition in _partitions_min2(tuple(range(o))):
-                term = 1
-                for block in partition:
-                    term = term * block_tensor(len(block)).at(tuple(key[x] for x in block))
-                    if not term:
-                        break
-                total = total + term
-            values[key] = total
-        entries = [
-            values[tuple(sorted(idx))] for idx in itertools.product(range(p), repeat=o)
-        ]
-        out[o] = Tensor.of([p] * o, entries, kind)
-    return out
+    return {
+        o: symmetric_tensor(p, o, lambda key: _partition_sum(key, block_value), kind) for o in orders
+    }
 
 
 def _vertex_moment(inst: ModelInstance, v: int, mult: int, memo: dict) -> object:
     """Central moment of one noise component from its cumulants (exact duality)."""
-    if mult == 0:
-        return 1
-    if mult == 1:
-        return 0
     key = (v, mult)
     if key not in memo:
-        total = 0
-        for partition in _partitions_min2(tuple(range(mult))):
-            term = 1
-            for block in partition:
-                c = inst.noise_at(len(block)).diag.values.get(v, 0)
-                if not c:
-                    term = 0
-                    break
-                term = term * c
-            total = total + term
-        memo[key] = total
+        memo[key] = _partition_sum((v,) * mult, lambda sub: noise_entry(inst, len(sub), sub))
     return memo[key]
 
 
@@ -165,37 +151,20 @@ def _require_dag(g: MixedGraph) -> None:
         )
 
 
-def phi_support(g: MixedGraph, inst: ModelInstance, order: int) -> dict[tuple[int, ...], object]:
-    """Nonzero noise-moment entries at full index tuples.
-
-    An index multiset contributes iff no vertex appears exactly once;
-    its value is the product of per-vertex moments at the respective
-    multiplicities.
-    """
-    memo: dict = {}
-    full: dict[tuple[int, ...], object] = {}
-    for key in itertools.combinations_with_replacement(g.vertices, order):
-        counts = Counter(key)
-        if any(c == 1 for c in counts.values()):
-            continue
-        val = 1
-        for v, c in sorted(counts.items()):
-            val = val * _vertex_moment(inst, v, c, memo)
-            if not val:
-                break
-        if not val:
-            continue
-        for perm in set(itertools.permutations(key)):
-            full[perm] = val
-    return full
-
-
 def model_moment(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:
-    """Order-k moment tensor of the observed vector; exact and symmetric."""
+    """Order-k moment tensor of the observed vector; exact and symmetric.
+
+    The partition sum over cumulant values at just the block orders that
+    occur: k, and 2..k-2 (the rest of the positions must split into blocks
+    of size >= 2), so order 4 needs orders 2 and 4.
+    """
     _require_dag(g)
     if order < 2:
         raise ValueError("order must be >= 2")
-    return _tucker_tensor(g, inst, order, phi_support)
+    tables = _tucker_values(g, inst, [*range(2, order - 1), order])
+    return symmetric_tensor(
+        len(g.vertices), order, lambda key: _partition_sum(key, lambda sub: tables[len(sub)][sub])
+    )
 
 
 def moment_entry(
@@ -204,9 +173,16 @@ def moment_entry(
     indices: Sequence[int],
     _cache: dict | None = None,
 ) -> object:
-    """Single moment entry by the Tucker route (vertex ids, not positions)."""
+    """Single moment entry (vertex ids): the partition sum of the cumulant
+    entries memoized in ``_cache``."""
     _require_dag(g)
-    return _cached_entry(g, inst, indices, phi_support, _cache)
+    if _cache is None:
+        _cache = {}
+    key = tuple(sorted(indices))
+    memo = _cache.setdefault(("moments", len(key)), {})
+    if key not in memo:
+        memo[key] = _partition_sum(key, lambda sub: _cached_entry(g, inst, sub, _cache))
+    return memo[key]
 
 
 def moment_subtensor_determinant(
@@ -275,7 +251,7 @@ def enumerate_split_treks(
     vset = set(g.vertices)
     if any(s not in vset for s in sinks):
         raise ValueError(f"sinks {tuple(sinks)} must belong to the graph")
-    reach = {v: reachable_from(g, v) for v in g.vertices}
+    reach = reach_sets(g)
     pools: list[list[DirectedPath]] = []
     for s in sinks:
         pool: list[DirectedPath] = []
@@ -321,7 +297,7 @@ def exists_split_trek_system_no_sided_intersection(
     n = len(side_lists[0])
     k = len(side_lists)
 
-    reach = {v: reachable_from(g, v) for v in g.vertices}
+    reach = reach_sets(g)
     useful = [
         [v for v in g.vertices if reach[v] & set(side)] for side in side_lists
     ]
@@ -385,7 +361,7 @@ def exists_split_trek_system_no_sided_intersection(
 
 
 def split_trek_monomial(inst: ModelInstance, trek: SplitTrek, _memo: dict | None = None) -> object:
-    """Phi at the trek's sources-with-multiplicity times its path weights."""
+    """The noise moment at the trek's sources-with-multiplicity times its path weights."""
     if _memo is None:
         _memo = {}
     term = 1

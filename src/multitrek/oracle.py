@@ -258,6 +258,8 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     (paper criterion empty, determinant nonzero); such documents are
     still accepted once both halves of the gap are re-confirmed.
     """
+    if not isinstance(doc, dict):
+        return False, "a decision document must be a JSON object"
     digest = graph_hash(g)
     if doc.get("graph_hash") != digest:
         return False, "graph hash does not match"

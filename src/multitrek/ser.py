@@ -20,6 +20,8 @@ def frac_to_str(x: Fraction) -> str:
 
 def frac_from_str(s: str, path: str = "") -> Fraction:
     """Parse "a/b" (or a plain integer string) back into a Fraction."""
+    if not isinstance(s, str):
+        raise SchemaError(path or "/", f"a rational must be an 'a/b' string, got {s!r}")
     try:
         if "/" in s:
             num, den = s.split("/", 1)

@@ -126,6 +126,14 @@ class DiagonalSpec:
         return Tensor.build([p] * order, fn, RATIONAL)
 
 
+def symmetric_tensor(p: int, order: int, value_of: Callable, scalar: str = RATIONAL) -> Tensor:
+    """Symmetric order-k tensor over p indices: value_of(key) once per sorted key,
+    in combinations_with_replacement order, broadcast to every permutation."""
+    values = {key: value_of(key) for key in itertools.combinations_with_replacement(range(p), order)}
+    entries = [values[tuple(sorted(idx))] for idx in itertools.product(range(p), repeat=order)]
+    return Tensor.of([p] * order, entries, scalar)
+
+
 def tucker_apply(t: Tensor, m: Sequence[Sequence[Scalar]]) -> Tensor:
     """Tucker product of t with the matrix m applied along every mode.
 
@@ -206,43 +214,37 @@ def hyperdeterminant(t: Tensor) -> Scalar:
     n = t.dims[0]
     if any(d != n for d in t.dims):
         raise NotCubical(f"dims {t.dims} are not all equal")
-    if t.scalar == RATIONAL:
-        return Fraction(hyperdet_from_table(n, t.order, t.entries, one=Fraction(1)))
-    return float(hyperdet_from_table(n, t.order, t.entries, one=1.0))
+    det = hyperdet_from_table(n, t.order, t.entries)
+    return Fraction(det) if t.scalar == RATIONAL else float(det)
 
 
-def hyperdet_from_getter(
-    n: int,
-    order: int,
-    entry: Callable[[tuple[int, ...]], object],
-    one: object = 1,
-):
+def hyperdet_from_getter(n: int, order: int, entry: Callable[[tuple[int, ...]], object]):
     """Determinant of the cubical tensor whose entries ``entry`` supplies.
 
     ``entry`` maps a 0-based multi-index to a scalar; any value type
     supporting +, * and truthiness-as-nonzero works (rationals, floats,
     polynomials).  It is called exactly once per position, n**order
     times in row-major order, and the table is handed to
-    hyperdet_from_table, which picks the route by shape.  Returns
-    ``one`` for n = 0 (empty Leibniz product).
+    hyperdet_from_table, which picks the route by shape.  Returns the
+    int 1 for n = 0 (empty Leibniz product).
     """
     table = [entry(idx) for idx in itertools.product(range(n), repeat=order)]
-    return hyperdet_from_table(n, order, table, one)
+    return hyperdet_from_table(n, order, table)
 
 
-def hyperdet_from_table(n: int, order: int, table: Sequence, one: object = 1):
+def hyperdet_from_table(n: int, order: int, table: Sequence):
     """Determinant of the cubical tensor with row-major entries ``table``.
 
-    At order 2 with int or Fraction entries (and ``one``) this is
-    det_matrix, exact Bareiss elimination.  Otherwise it is the Leibniz
-    sum over (order-1)-tuples of permutations, in itertools order, each
-    term multiplied row by row from ``one`` and skipped at its first
-    zero factor; that fixed order makes float results repeat to the
-    last bit.
+    At order 2 with int or Fraction entries this is det_matrix, exact
+    Bareiss elimination.  Otherwise it is the Leibniz sum over
+    (order-1)-tuples of permutations, in itertools order, each term
+    multiplied row by row from the int 1 (exact for floats too) and
+    skipped at its first zero factor; that fixed order makes float
+    results repeat to the last bit.
     """
     if n == 0:
-        return one
-    if order == 2 and all(isinstance(x, (int, Fraction)) for x in (one, *table)):
+        return 1
+    if order == 2 and all(isinstance(x, (int, Fraction)) for x in table):
         return det_matrix([table[i * n : (i + 1) * n] for i in range(n)])
     perms, signs = signed_permutations(n)
     total = 0
@@ -250,7 +252,7 @@ def hyperdet_from_table(n: int, order: int, table: Sequence, one: object = 1):
         sign = 1
         for c in combo:
             sign *= signs[c]
-        term = one
+        term = 1
         for i in range(n):
             off = i
             for c in combo:

@@ -24,7 +24,7 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .graphs import MixedGraph, canonical_dag
@@ -157,7 +157,16 @@ class TrekSearchResult:
 
 def reachable_from(g: MixedGraph, u: int) -> frozenset[int]:
     """Vertices reachable from u by directed edges, u included."""
+    return _reach(g.adjacency(), u)
+
+
+def reach_sets(g: MixedGraph) -> dict[int, frozenset[int]]:
+    """reachable_from of every vertex, all from one adjacency."""
     children = g.adjacency()
+    return {v: _reach(children, v) for v in g.vertices}
+
+
+def _reach(children: Mapping[int, Sequence[int]], u: int) -> frozenset[int]:
     seen = {u}
     stack = [u]
     while stack:
@@ -234,7 +243,7 @@ def enumerate_ktreks(
     vset = set(g.vertices)
     if any(s not in vset for s in sinks):
         raise ValueError(f"sinks {tuple(sinks)} must belong to the graph")
-    reach = {t: reachable_from(g, t) for t in g.vertices}
+    reach = reach_sets(g)
 
     source_tuples: set[tuple[int, ...]] = set()
     for t in g.vertices:
@@ -530,7 +539,7 @@ def _search_dag(
 ) -> TrekSearchResult:
     n = len(sides[0])
     k = len(sides)
-    reach = {v: reachable_from(dag, v) for v in dag.vertices}
+    reach = reach_sets(dag)
     useful = [
         v for v in dag.vertices if all(reach[v] & set(side) for side in sides)
     ]
@@ -732,7 +741,7 @@ def check_ktrek_separation(
     avoid_reach: list[dict[int, frozenset[int]]] = []
     for a in block_sets:
         sub = _induced(g, vset - a)
-        avoid_reach.append({v: reachable_from(sub, v) for v in sub.vertices})
+        avoid_reach.append(reach_sets(sub))
 
     def side_open(i: int, source: int) -> bool:
         if source in block_sets[i]:

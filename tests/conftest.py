@@ -179,6 +179,58 @@ def hyperdet_by_leibniz(n: int, k: int, entry, one):
     return total
 
 
+def moment_by_noise_moments(g: MixedGraph, inst, k: int):
+    """Order-k moments of the observed vector, straight from the noise moments.
+
+    Returns entry(indices) for vertex-id tuples: the sum over j in V^k of
+    E[eps_j1 ... eps_jk] * m[j_1][i_1] * ... * m[j_k][i_k], with
+    m = (I - Lambda)^{-1} = sum of the powers of Lambda (nilpotent on a
+    DAG).  E[eps_j] multiplies, over the distinct vertices of j, the
+    closed-form moment of that multiplicity: mu_1 = 0, mu_2 = k2,
+    mu_3 = k3, mu_4 = k4 + 3 k2^2, mu_5 = k5 + 10 k3 k2.
+    """
+    vs = g.vertices
+    p = len(vs)
+    pos = {v: i for i, v in enumerate(vs)}
+    lam = [[inst.lam.get((u, v), 0) for v in vs] for u in vs]
+    power = [[int(i == j) for j in range(p)] for i in range(p)]
+    m = [row[:] for row in power]
+    for _ in range(p):
+        power = [[sum(power[i][t] * lam[t][j] for t in range(p)) for j in range(p)] for i in range(p)]
+        m = [[m[i][j] + power[i][j] for j in range(p)] for i in range(p)]
+
+    def kappa(order, v):
+        return inst.noise[order].diag.values.get(v, 0) if order in inst.noise else 0
+
+    def mu(mult, v):
+        if mult == 1:
+            return 0
+        if mult == 4:
+            return kappa(4, v) + 3 * kappa(2, v) * kappa(2, v)
+        if mult == 5:
+            return kappa(5, v) + 10 * kappa(3, v) * kappa(2, v)
+        return kappa(mult, v)
+
+    noise = {}
+    for j in itertools.product(vs, repeat=k):
+        value = 1
+        for v in set(j):
+            value = value * mu(j.count(v), v)
+        if value:
+            noise[j] = value
+
+    def entry(indices):
+        total = 0
+        for j, value in noise.items():
+            term = value
+            for jt, it in zip(j, indices):
+                term = term * m[pos[jt]][pos[it]]
+            total = total + term
+        return total
+
+    return entry
+
+
 def minor_det_by_path_systems(
     g: MixedGraph,
     lam: dict[tuple[int, int], Fraction],

@@ -158,6 +158,24 @@ class TestParametrize:
         assert code == EXIT_ERROR
         assert "order" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize(
+        "instance, where",
+        [
+            ({"lambda": {"1->2": 3}, "noise": {"2": {"diag": {"1": "1/1"}}}}, "/lambda/1->2"),
+            ({"lambda": [], "noise": {"2": {"diag": {"1": "1/1"}}}}, "/lambda"),
+        ],
+        ids=["numeric-rational", "lambda-array"],
+    )
+    def test_malformed_instance_is_a_json_error(self, capsys, tmp_path, chain2, instance, where):
+        gpath = write_graph(tmp_path, chain2)
+        ipath = tmp_path / "inst.json"
+        ipath.write_text(json.dumps(instance))
+        code, out = run_cli(
+            capsys, "parametrize", "--graph", gpath, "--instance", str(ipath), "--order", "2"
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"].startswith(where + ":")
+
 
 def write_model(tmp_path, lam, noise):
     path = tmp_path / "model.json"
@@ -207,6 +225,24 @@ class TestSimulate:
         )
         assert code == EXIT_ERROR
         assert "noise" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            ({"1": 5, "2": ["uniform", 1]}, "[distribution, params...]"),
+            ({"1": ["uniform", float("inf")], "2": ["uniform", 1]}, "not a finite number"),
+        ],
+        ids=["not-a-list", "infinite-parameter"],
+    )
+    def test_malformed_noise_spec_is_a_json_error(self, capsys, tmp_path, chain2, noise, message):
+        gpath = write_graph(tmp_path, chain2)
+        mpath = write_model(tmp_path, {"1->2": "1/2"}, noise)
+        code, out = run_cli(
+            capsys, "simulate", "--graph", gpath, "--model", mpath,
+            "--n", "5", "--seed", "0", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == EXIT_ERROR
+        assert message in json.loads(out)["error"]
 
 
 @pytest.fixture()
@@ -309,6 +345,14 @@ class TestCertify:
         assert code == EXIT_ERROR
         assert json.loads(out)["valid"] is False
 
+    def test_decision_array_is_invalid(self, capsys, tmp_path, star):
+        gpath = write_graph(tmp_path, star)
+        dpath = tmp_path / "array.json"
+        dpath.write_text("[]")
+        code, out = run_cli(capsys, "certify", "--decision", str(dpath), "--graph", gpath)
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"reason": "a decision document must be a JSON object", "valid": False}
+
 
 class TestBlindSpotDecision:
     # Configuration where the paper's criterion finds no intersection-free
@@ -387,15 +431,18 @@ class TestPinnedStdout:
 
     The expected lines were printed by the version that evaluated every
     path sum and determinant in Fraction arithmetic; int arithmetic on
-    integral parameters must reproduce them byte for byte.  The instance
-    file mixes integral and non-integral rationals.
+    integral parameters must reproduce them byte for byte.  The order-5
+    moment line was printed by the version that pushed a separate
+    noise-moment tensor through the path matrix; the partition sum over
+    model cumulants must reproduce it.  The instance file mixes integral
+    and non-integral rationals.
     """
 
     GRAPH = MixedGraph((1, 2, 3, 4), ((1, 2), (1, 3), (2, 4), (3, 4)), ((2, 3),))
     PARAM_GRAPH = MixedGraph((1, 2, 3), ((1, 2), (1, 3), (2, 3)))
     INSTANCE = {
         "lambda": {"1->2": "2/1", "1->3": "-3/2", "2->3": "5/1"},
-        "noise": {str(o): {"diag": {"1": f"{o}/1", "2": "-1/1", "3": "1/3"}} for o in (2, 3, 4)},
+        "noise": {str(o): {"diag": {"1": f"{o}/1", "2": "-1/1", "3": "1/3"}} for o in (2, 3, 4, 5)},
     }
     ENSEMBLE = {"max_vertices": 5, "cases": 10, "k": 4, "edge_prob": "1/2"}
     COMMANDS = {
@@ -408,6 +455,10 @@ class TestPinnedStdout:
         ),
         "parametrize-moment": (
             "parametrize", "--graph", "h.json", "--instance", "inst.json", "--order", "4",
+            "--kind", "moment",
+        ),
+        "parametrize-moment-5": (
+            "parametrize", "--graph", "h.json", "--instance", "inst.json", "--order", "5",
             "--kind", "moment",
         ),
         "scan-conjecture": ("scan-conjecture", "--ensemble", "ens.json", "--seed", "3", "--trials", "2"),
@@ -474,6 +525,43 @@ class TestPinnedStdout:
             '"8568/1","262/1","487/1","6130/3","487/1","876/1","21911/6","6130/3","21911/6",'
             '"30427/2","3320/3","6130/3","8568/1","6130/3","21911/6","30427/2","8568/1",'
             '"30427/2","190007/3"],"order":4,"scalar":"rational"}'
+        ),
+        "parametrize-moment-5": (
+            0,
+            '{"dims":[3,3,3,3,3],"entries":["65/1","130/1","1105/2","130/1","257/1",'
+            '"1090/1","1105/2","1090/1","18489/4","130/1","257/1","1090/1","257/1","500/1",'
+            '"4229/2","1090/1","4229/2","17879/2","1105/2","1090/1","18489/4","1090/1",'
+            '"4229/2","17879/2","18489/4","17879/2","906763/24","130/1","257/1","1090/1",'
+            '"257/1","500/1","4229/2","1090/1","4229/2","17879/2","257/1","500/1","4229/2",'
+            '"500/1","952/1","4010/1","4229/2","4010/1","67529/4","1090/1","4229/2",'
+            '"17879/2","4229/2","4010/1","67529/4","17879/2","67529/4","213112/3","1105/2",'
+            '"1090/1","18489/4","1090/1","4229/2","17879/2","18489/4","17879/2",'
+            '"906763/24","1090/1","4229/2","17879/2","4229/2","4010/1","67529/4","17879/2",'
+            '"67529/4","213112/3","18489/4","17879/2","906763/24","17879/2","67529/4",'
+            '"213112/3","906763/24","213112/3","14339891/48","130/1","257/1","1090/1",'
+            '"257/1","500/1","4229/2","1090/1","4229/2","17879/2","257/1","500/1","4229/2",'
+            '"500/1","952/1","4010/1","4229/2","4010/1","67529/4","1090/1","4229/2",'
+            '"17879/2","4229/2","4010/1","67529/4","17879/2","67529/4","213112/3","257/1",'
+            '"500/1","4229/2","500/1","952/1","4010/1","4229/2","4010/1","67529/4","500/1",'
+            '"952/1","4010/1","952/1","1769/1","7417/1","4010/1","7417/1","93233/3",'
+            '"4229/2","4010/1","67529/4","4010/1","7417/1","93233/3","67529/4","93233/3",'
+            '"3123167/24","1090/1","4229/2","17879/2","4229/2","4010/1","67529/4",'
+            '"17879/2","67529/4","213112/3","4229/2","4010/1","67529/4","4010/1","7417/1",'
+            '"93233/3","67529/4","93233/3","3123167/24","17879/2","67529/4","213112/3",'
+            '"67529/4","93233/3","3123167/24","213112/3","3123167/24","13068991/24",'
+            '"1105/2","1090/1","18489/4","1090/1","4229/2","17879/2","18489/4","17879/2",'
+            '"906763/24","1090/1","4229/2","17879/2","4229/2","4010/1","67529/4","17879/2",'
+            '"67529/4","213112/3","18489/4","17879/2","906763/24","17879/2","67529/4",'
+            '"213112/3","906763/24","213112/3","14339891/48","1090/1","4229/2","17879/2",'
+            '"4229/2","4010/1","67529/4","17879/2","67529/4","213112/3","4229/2","4010/1",'
+            '"67529/4","4010/1","7417/1","93233/3","67529/4","93233/3","3123167/24",'
+            '"17879/2","67529/4","213112/3","67529/4","93233/3","3123167/24","213112/3",'
+            '"3123167/24","13068991/24","18489/4","17879/2","906763/24","17879/2",'
+            '"67529/4","213112/3","906763/24","213112/3","14339891/48","17879/2","67529/4",'
+            '"213112/3","67529/4","93233/3","3123167/24","213112/3","3123167/24",'
+            '"13068991/24","906763/24","213112/3","14339891/48","213112/3","3123167/24",'
+            '"13068991/24","14339891/48","13068991/24","655809161/288"],"order":5,'
+            '"scalar":"rational"}'
         ),
         "scan-conjecture": (
             0,

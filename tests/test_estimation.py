@@ -275,7 +275,7 @@ def gathered_bootstrap(data, sides, k, n_boot, seed):
             return (moment(idx) - moment((i, j)) * moment((l, r))
                     - moment((i, l)) * moment((j, r)) - moment((i, r)) * moment((j, l)))
 
-        return float(hyperdet_from_getter(n, k, entry, one=1.0))
+        return float(hyperdet_from_getter(n, k, entry))
 
     stat = statistic(sub)
     rows = sub.shape[0]
@@ -359,7 +359,8 @@ class TestDataIO:
         sm = SampleMatrix(data=np.ones((2, 2)), vertices=(7, 8))
         path = tmp_path / "named.csv"
         write_sample_csv(sm, path, labels={7: "left", 8: "right"})
-        assert open(path).readline().strip() == "left,right"
+        with open(path) as fh:
+            assert fh.readline().strip() == "left,right"
         back = read_sample_csv(path)
         assert back.vertices == (1, 2)
 

@@ -1,11 +1,12 @@
 """Tests for moment tensors, split-treks, and the conjecture scanner."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_dag, random_sides
+from conftest import hyperdet_by_leibniz, moment_by_noise_moments, random_dag, random_sides
 from multitrek import (
     BudgetExceeded,
     MissingOrder,
@@ -22,10 +23,10 @@ from multitrek import (
     moment_entry,
     moment_subtensor_determinant,
     moments_from_cumulants,
-    phi_support,
     sample_generic_instance,
     scan_conjecture,
     split_trek_from_paths,
+    symbolic_instance,
 )
 from multitrek.cumulants import noise_entry
 from multitrek.moments import ConjectureReport
@@ -137,6 +138,18 @@ class TestModelMoment:
         with pytest.raises(MissingOrder):
             model_moment(chain2, trimmed, 3)
 
+    def test_missing_middle_order_raises_even_where_pairs_vanish(self):
+        # Five independent vertices: every pair factor is zero, yet the
+        # partition ((0, 1, 2), (3, 4)) still asks for the order-3 cumulant.
+        g = MixedGraph(vertices=(1, 2, 3, 4, 5))
+        inst = sample_generic_instance(g, 5, 3)
+        trimmed = inst.__class__(lam=inst.lam, noise={o: v for o, v in inst.noise.items() if o != 3})
+        with pytest.raises(MissingOrder):
+            moment_entry(g, trimmed, (1, 2, 3, 4, 5))
+        with pytest.raises(MissingOrder):
+            model_moment(g, trimmed, 5)
+        assert moment_entry(g, inst, (1, 2, 3, 4, 5)) == 0
+
     def test_zero_weights_leave_raw_noise_moments(self, chain2):
         inst = sample_generic_instance(chain2, 3, 9)
         zeroed = inst.__class__(lam={(1, 2): F(0)}, noise=inst.noise)
@@ -160,18 +173,43 @@ class TestModelMoment:
             moment_subtensor_determinant(latent_triple, inst, ((1,), (2,), (3,)))
 
 
-class TestPhiSupport:
-    def test_chain_third_order_support(self, chain2):
-        inst = sample_generic_instance(chain2, 3, 2)
-        assert set(phi_support(chain2, inst, 3)) == {(1, 1, 1), (2, 2, 2)}
+class TestMomentRouteAgainstNoiseMoments:
+    """The partition route against moment_by_noise_moments, which sums noise
+    moments over V^k without any cumulant-to-moment conversion."""
 
-    def test_fourth_order_excludes_singletons(self, chain2):
-        inst = sample_generic_instance(chain2, 4, 2)
-        support = set(phi_support(chain2, inst, 4))
-        assert (1, 1, 2, 2) in support
-        assert (2, 1, 2, 1) in support
-        assert (1, 2, 2, 2) not in support
-        assert (1, 1, 1, 2) not in support
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_tensor_entries_and_determinants(self, k):
+        rng = random.Random(7100 + k)
+        for _ in range(6):
+            g = random_dag(rng, max_vertices=4 if k == 5 else 5)
+            inst = sample_generic_instance(g, k, rng.randrange(10**6))
+            ref = moment_by_noise_moments(g, inst, k)
+            tensor = model_moment(g, inst, k)
+            for idx in itertools.product(range(len(g.vertices)), repeat=k):
+                assert tensor.at(idx) == ref(tuple(g.vertices[i] for i in idx))
+            cache: dict = {}
+            for _ in range(10):
+                indices = tuple(rng.choice(g.vertices) for _ in range(k))
+                assert moment_entry(g, inst, indices, cache) == ref(indices)
+            n = min(rng.choice((1, 2)), len(g.vertices))
+            sides = random_sides(rng, g, k, n)
+
+            def entry(pos):
+                return ref(tuple(sides[m][i] for m, i in enumerate(pos)))
+
+            expected = hyperdet_by_leibniz(n, k, entry, 1)
+            assert moment_subtensor_determinant(g, inst, sides) == expected
+
+    def test_symbolic_determinant(self):
+        g = MixedGraph(vertices=(1, 2, 3), directed_edges=((1, 2), (1, 3), (2, 3)))
+        inst = symbolic_instance(g, 4)
+        ref = moment_by_noise_moments(g, inst, 4)
+        sides = ((1, 2), (2, 3), (1, 3), (2, 3))
+
+        def entry(pos):
+            return ref(tuple(sides[m][i] for m, i in enumerate(pos)))
+
+        assert moment_subtensor_determinant(g, inst, sides) == hyperdet_by_leibniz(2, 4, entry, 1)
 
 
 class TestEnumerateSplitTreks:

@@ -135,8 +135,8 @@ def test_hyperdet_from_getter_matches_dense():
         n = rng.randint(1, 3)
         k = rng.randint(2, 4)
         t = rand_tensor(rng, (n,) * k)
-        assert hyperdet_from_getter(n, k, t.at, one=Fraction(1)) == hyperdeterminant(t)
-    assert hyperdet_from_getter(0, 3, lambda i: Fraction(0), one=Fraction(1)) == 1
+        assert hyperdet_from_getter(n, k, t.at) == hyperdeterminant(t)
+    assert hyperdet_from_getter(0, 3, lambda i: Fraction(0)) == 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -150,12 +150,13 @@ def test_hyperdet_from_getter_matches_leibniz(n, k):
     polys = [x * rng.randint(-3, 3) + rng.randint(-3, 3) for _ in range(size)]
     for table, one in ((ints, 1), (fracs, Fraction(1)), (polys, Poly.const(1))):
         entry = table_getter(table, n, k)
-        assert hyperdet_from_getter(n, k, entry, one=one) == hyperdet_by_leibniz(n, k, entry, one)
+        assert hyperdet_from_getter(n, k, entry) == hyperdet_by_leibniz(n, k, entry, one)
     # Floats stay on the Leibniz route, in its term order: bit-identical.
     floats = [rng.uniform(-2.0, 2.0) for _ in range(size)]
     entry = table_getter(floats, n, k)
-    got = hyperdet_from_getter(n, k, entry, one=1.0)
-    assert type(got) is float and got == hyperdet_by_leibniz(n, k, entry, 1.0)
+    got = hyperdet_from_getter(n, k, entry)
+    # n = 0 is the empty product, the int 1.
+    assert type(got) is (float if n else int) and got == hyperdet_by_leibniz(n, k, entry, 1.0)
 
 
 def table_getter(table, n, k):
@@ -171,7 +172,7 @@ def table_getter(table, n, k):
 
 def test_order_two_int_determinant_stays_int():
     m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    det = hyperdet_from_getter(3, 2, lambda idx: m[idx[0]][idx[1]], one=1)
+    det = hyperdet_from_getter(3, 2, lambda idx: m[idx[0]][idx[1]])
     assert det == det_by_permutation_expansion(m) and type(det) is int
 
 

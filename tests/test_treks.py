@@ -31,6 +31,7 @@ from multitrek import (
     trek_system_to_doc,
 )
 from multitrek.estimation import test_determinant_zero as determinant_flag
+from multitrek.treks import reach_sets
 from conftest import all_paths, random_dag, random_mixed, random_sides
 
 
@@ -38,6 +39,11 @@ def test_reachable_from(two_root_dag):
     assert reachable_from(two_root_dag, 1) == frozenset({1, 4, 5, 6, 7})
     assert reachable_from(two_root_dag, 2) == frozenset({2, 6, 8})
     assert reachable_from(two_root_dag, 5) == frozenset({5})
+
+
+def test_reach_sets_match_reachable_from(two_root_dag, menger_gap):
+    for g in (two_root_dag, menger_gap[0]):
+        assert reach_sets(g) == {v: reachable_from(g, v) for v in g.vertices}
 
 
 def test_enumerate_paths_fixture(two_root_dag):
