@@ -257,10 +257,16 @@ def _determinant_by_entries(
     inst: ModelInstance,
     sides: Sequence[Sequence[int]],
     entry,
+    cache: dict | None = None,
 ) -> object:
-    """det of the subtensor whose entries ``entry(g, inst, vertices, cache)`` gives."""
+    """det of the subtensor whose entries ``entry(g, inst, vertices, cache)`` gives.
+
+    Pass one ``cache`` to every determinant taken at the same (g, inst)
+    to share the path matrix and the entries between them.
+    """
     side_lists = [list(s) for s in sides]
-    cache: dict = {}
+    if cache is None:
+        cache = {}
 
     def at(pos: tuple[int, ...]) -> object:
         vertices = tuple(side_lists[m][i] for m, i in enumerate(pos))

@@ -189,9 +189,11 @@ def moment_subtensor_determinant(
     g: MixedGraph,
     inst: ModelInstance,
     sides: Sequence[Sequence[int]],
+    cache: dict | None = None,
 ) -> object:
-    """det of the moment subtensor at the instance, entries computed on demand."""
-    return _determinant_by_entries(g, inst, sides, moment_entry)
+    """det of the moment subtensor at the instance, entries computed on demand
+    (and kept in ``cache`` across determinants at the same instance)."""
+    return _determinant_by_entries(g, inst, sides, moment_entry, cache)
 
 
 # -- split-treks -------------------------------------------------------------
@@ -519,7 +521,11 @@ def scan_conjecture(
         absent = not exists_split_trek_system_no_sided_intersection(g, sides, budget).found
         seeds = [base + t for t in range(trials)]
         insts = [sample_generic_instance(g, k, s) for s in seeds]
-        dets = [moment_subtensor_determinant(g, inst, sides) for inst in insts]
+        caches = [{} for _ in insts]  # one per instance, shared by its lower-order checks
+        dets = [
+            moment_subtensor_determinant(g, inst, sides, cache)
+            for inst, cache in zip(insts, caches)
+        ]
         all_zero = all(not d for d in dets)
 
         record = {
@@ -555,12 +561,12 @@ def scan_conjecture(
                     rest = tuple(i for i in range(k) if i not in group)
                     lower_checked += 1
                     h_zero = all(
-                        not moment_subtensor_determinant(g, inst, [sides[i] for i in group])
-                        for inst in insts
+                        not moment_subtensor_determinant(g, inst, [sides[i] for i in group], cache)
+                        for inst, cache in zip(insts, caches)
                     )
                     rest_zero = all(
-                        not moment_subtensor_determinant(g, inst, [sides[i] for i in rest])
-                        for inst in insts
+                        not moment_subtensor_determinant(g, inst, [sides[i] for i in rest], cache)
+                        for inst, cache in zip(insts, caches)
                     )
                     if not h_zero and not rest_zero:
                         lower_violations.append(

@@ -5,13 +5,21 @@ S_1..S_k vanish on *every* model consistent with the graph?  It always
 runs two independent routes and cross-checks them:
 
   * combinatorial — search for a trek system without sided
-    intersection (a found system certifies generic non-vanishing);
+    intersection (a found system certifies generic non-vanishing; at
+    order 2 an empty search yields a t-separator that certifies
+    vanishing);
   * algebraic — evaluate the determinant exactly at random rational
     instances (randomized mode; five zeros at a 997-value range makes a
     false "vanishes" call vanishingly unlikely), or expand it as a
     polynomial in the model parameters (certain mode).
 
-The search rule depends on the order k.  At even k every side needs a
+The search rule depends on the order k.  At k = 2 it is classical trek
+separation (Sullivant, Talaska and Draisma 2010): one max flow on a
+doubled graph finds n treks without sided intersection, or a separator
+(C_A, C_B) with |C_A| + |C_B| < n that every trek between the sides
+meets, which proves vanishing on its own; the Vanishes certificate is
+{"separator": [C_A, C_B]} in canonical-DAG vertex ids (latents get ids
+above the original ones).  At even k every side needs a
 vertex-disjoint path system (the paper's criterion).  At odd k side 1
 only needs a matching of tops onto its vertices, because meetings on
 side 1 carry the sign factor (-1)**(k-1) = +1 and do not cancel (see
@@ -46,6 +54,7 @@ from .ser import canonical_json, frac_to_str
 from .treks import (
     DEFAULT_BUDGET,
     TrekSearchResult,
+    check_ktrek_separation,
     checked_sides,
     exists_trek_system_no_sided_intersection,
     obstructions_to_doc,
@@ -205,6 +214,9 @@ def decide_vanishing(
     if search.found:
         certificate = {"trek_system": trek_system_to_doc(search.system)}
         verdict = NOT_VANISHES
+    elif search.separator is not None:
+        certificate = {"separator": [list(part) for part in search.separator]}
+        verdict = VANISHES
     else:
         certificate = {"obstructions": obstructions_to_doc(search.obstructions)}
         verdict = VANISHES
@@ -243,6 +255,30 @@ def detect_common_cause(
     )
 
 
+def _separator_defect(
+    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], separator: object
+) -> str | None:
+    """Why ``separator`` is no order-2 vanishing certificate on the DAG, else None."""
+    if len(sides) != 2:
+        return f"a separator certifies order 2 only, not order {len(sides)}"
+    if not (
+        isinstance(separator, list)
+        and len(separator) == 2
+        and all(isinstance(part, list) for part in separator)
+    ):
+        return "separator must be two lists of vertex ids"
+    vset = set(dag.vertices)
+    for part in separator:
+        for v in part:
+            if type(v) is not int or v not in vset:
+                return f"separator names {v!r}, which is no vertex of the canonical DAG"
+    if len(separator[0]) + len(separator[1]) >= len(sides[0]):
+        return "separator is not smaller than the sides"
+    if not check_ktrek_separation(dag, sides, separator):
+        return "separator does not t-separate the sides"
+    return None
+
+
 def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
     """Re-verify a stored Decision document against the graph.
 
@@ -250,13 +286,18 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     seed by seed, and re-validates the combinatorial certificate (the
     witness system's paths, cover, distinct hyperedge tops and
     intersection-freeness under the oracle's rule, which lets side-1
-    paths meet at odd orders — or, for a vanishing verdict, that the
-    search still comes up empty).  A non-vanishing record must carry a
-    nonzero determinant, and a policy certificate must cite a repeat
-    that forces zero (see repeated_side).
-    Earlier versions wrote NotVanishes decisions with a "gap" marker
-    (paper criterion empty, determinant nonzero); such documents are
-    still accepted once both halves of the gap are re-confirmed.
+    paths meet at odd orders; for an order-2 vanishing verdict, that
+    the separator is smaller than the sides and t-separates them on the
+    canonical DAG; for any other vanishing verdict, that the search
+    still comes up empty).  A non-vanishing record must carry a nonzero
+    determinant, and a policy certificate must cite a repeat that
+    forces zero (see repeated_side).
+    Earlier versions wrote order-2 vanishing decisions with an
+    obstruction log instead of a separator, and NotVanishes decisions
+    with a "gap" marker (paper criterion empty, determinant nonzero);
+    such documents are still accepted, the former once the search comes
+    up empty, the latter once both halves of the gap are re-confirmed.
+    A malformed document is rejected with a reason, never an exception.
     """
     if not isinstance(doc, dict):
         return False, "a decision document must be a JSON object"
@@ -273,6 +314,12 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     k = len(sides)
 
     certificate = doc.get("combinatorial_certificate", {})
+    if not isinstance(certificate, dict):
+        return False, "the combinatorial certificate must be a JSON object"
+    record = doc.get("algebraic_record", [])
+    if not isinstance(record, list) or not all(isinstance(entry, dict) for entry in record):
+        return False, "the algebraic record must be a list of JSON objects"
+
     if "policy" in certificate:
         if verdict == VANISHES and repeated_side(sides, open_first_side=k % 2 == 1) is not None:
             return True, "policy short-circuit verified"
@@ -280,11 +327,16 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
 
     if verdict == VANISHES and "gap" in certificate:
         return False, "vanishing verdict cannot carry a gap marker"
+    gap = verdict == NOT_VANISHES and "gap" in certificate
+    # Every search below needs sides without repeats (side 1 may repeat at
+    # odd orders, except on the gap route, which searches with it closed).
+    if repeated_side(sides, open_first_side=k % 2 == 1 and not gap) is not None:
+        return False, "the sides repeat a vertex, which only a policy certificate covers"
 
     canon = canonical_dag(g)
     replayed_nonzero = False
     claimed_nonzero = False
-    for entry in doc.get("algebraic_record", []):
+    for entry in record:
         child = entry.get("seed")
         recorded = entry.get("determinant")
         if child is None:
@@ -293,6 +345,8 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
                     return False, "vanishing verdict carries a nonzero determinant"
                 claimed_nonzero = True
             continue  # symbolic entries are re-derived below where needed
+        if type(child) is not int:
+            return False, f"recorded seed {child!r} is not an integer"
         inst = sample_generic_instance(canon.dag, k, child)
         det = Fraction(subtensor_determinant(canon.dag, inst, sides))
         if frac_to_str(det) != recorded:
@@ -302,7 +356,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         if verdict == VANISHES and det:
             return False, "vanishing verdict carries a nonzero determinant"
 
-    if verdict == NOT_VANISHES and "gap" in certificate:
+    if gap:
         # Accept-only path for documents written before the odd-order rule.
         if "obstructions" not in certificate:
             return False, "gap certificate is missing the obstruction log"
@@ -322,7 +376,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
             return False, "missing trek system certificate"
         try:
             system = trek_system_from_doc(certificate["trek_system"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             return False, f"malformed trek system: {exc}"
         if tuple(system.side_endpoints) != tuple(sides):
             return False, "trek system endpoints do not match the decision sides"
@@ -332,6 +386,12 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         if system.sign != certificate["trek_system"].get("sign"):
             return False, "stored sign does not match the recomputed sign"
         return True, "certificate verified"
+
+    if "separator" in certificate:
+        defect = _separator_defect(canon.dag, sides, certificate["separator"])
+        if defect is not None:
+            return False, defect
+        return True, "separator verified"
 
     search: TrekSearchResult = exists_trek_system_no_sided_intersection(
         g, sides, budget, open_first_side=k % 2 == 1

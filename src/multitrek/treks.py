@@ -5,17 +5,26 @@ sources either coincide at a single top vertex or all lie inside one
 multidirected hyperedge.  A trek system is n k-treks whose side-i
 endpoints cover the ordered set S_i; two of its treks have a *sided
 intersection* when their side-i paths share a vertex.  The central
-question — does a system without sided intersection exist? — reduces
-to finding n distinct candidate tops from which every side admits a
-vertex-disjoint path system, which is a unit-capacity max-flow check
-per side.  The exact rule at odd orders relaxes side 1 to a matching in
-the reachability relation (``open_first_side``).  The same trek-system
-machinery serves the moment side: split-treks fill the same TrekSystem,
-pass the same verifier and feed the same signed expansion.
+question — does a system without sided intersection exist? — is at
+order 2 classical trek separation (Sullivant, Talaska and Draisma
+2010): one max flow on a graph doubled into a reversed copy for side A
+and a forward copy for side B either carries n treks or leaves a
+minimum cut, a t-separator (C_A, C_B) with |C_A| + |C_B| < n.  From
+order 3 on it reduces to finding n distinct candidate tops from which
+every side admits a vertex-disjoint path system, which is a
+unit-capacity max-flow check per side.  The exact rule at odd orders
+relaxes side 1 to a matching in the reachability relation
+(``open_first_side``).  Graphs with hyperedges are searched on their
+canonical DAG, so separators and obstruction tops cite canonical-DAG
+vertex ids, latents included.  The same trek-system machinery serves
+the moment side: split-treks fill the same TrekSystem, pass the same
+verifier and feed the same signed expansion.
 
 All enumerations are capped (default 10^6 items); exceeding a cap is
-an explicit BudgetExceeded, never silent truncation.  Orderings are
-lexicographic throughout so certificates reproduce across runs.
+an explicit BudgetExceeded, never silent truncation.  The order-2 flow
+enumerates nothing and takes no cap.  Orderings are lexicographic or
+fixed by insertion order throughout, so certificates reproduce across
+runs.
 """
 
 from __future__ import annotations
@@ -132,8 +141,8 @@ class SidedIntersectionWitness:
 class TopObstruction:
     """A candidate top set R and a side with no disjoint path system from R.
 
-    The k-trek search logs the first blocked side of each top set; the
-    split-trek search logs each blocked per-side source set.
+    The k-trek search (orders >= 3) logs the first blocked side of each
+    top set; the split-trek search logs each blocked per-side source set.
     """
 
     top: tuple[int, ...]
@@ -142,10 +151,16 @@ class TopObstruction:
 
 @dataclass(frozen=True)
 class TrekSearchResult:
-    """Either a verified intersection-free system, or per-top obstructions."""
+    """Either a verified intersection-free system, or why none exists.
+
+    At order 2 an empty result carries a minimum t-separator
+    (C_A, C_B) in canonical-DAG ids; from order 3 on it carries the
+    per-top obstructions of the enumeration.
+    """
 
     system: TrekSystem | None
     obstructions: tuple[TopObstruction, ...]
+    separator: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @property
     def found(self) -> bool:
@@ -284,6 +299,71 @@ def enumerate_ktreks(
 # -- vertex-disjoint path systems via max flow ----------------------------
 
 
+class _FlowNetwork:
+    """Integral max flow by shortest augmenting paths.
+
+    Breadth-first search scans each node's arcs in insertion order and
+    no step iterates over a set, so the flow found (and every witness
+    read from it) depends only on the order the arcs were added.  Each
+    augmentation pushes one unit; with unit vertex capacities no path
+    could carry more.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.adj: list[list[int]] = [[] for _ in range(size)]
+        self.cap: dict[tuple[int, int], int] = {}
+        self.flow: dict[tuple[int, int], int] = {}
+
+    def add_arc(self, a: int, b: int, capacity: int = 1) -> None:
+        if (a, b) not in self.cap:
+            self.adj[a].append(b)
+            self.adj[b].append(a)
+            self.cap[(a, b)] = self.cap[(b, a)] = 0
+            self.flow[(a, b)] = self.flow[(b, a)] = 0
+        self.cap[(a, b)] += capacity
+
+    def push(self, src: int, snk: int, want: int) -> tuple[int, dict[int, int]]:
+        """Send up to ``want`` units; the value sent and the last search's tree.
+
+        When fewer than ``want`` units go through, the tree's nodes are
+        the source side of a minimum cut.
+        """
+        cap, flow = self.cap, self.flow
+        sent = 0
+        prev: dict[int, int] = {src: src}
+        while sent < want:
+            prev = {src: src}
+            queue = deque([src])
+            while queue and snk not in prev:
+                u = queue.popleft()
+                for w in self.adj[u]:
+                    if w not in prev and cap[(u, w)] - flow[(u, w)] > 0:
+                        prev[w] = u
+                        queue.append(w)
+            if snk not in prev:
+                break
+            node = snk
+            while node != src:
+                pu = prev[node]
+                flow[(pu, node)] += 1
+                flow[(node, pu)] -= 1
+                node = pu
+            sent += 1
+        return sent, prev
+
+    def walk(self, node: int, stop: int) -> list[int]:
+        """The nodes of one unit of flow from node to stop.
+
+        Each arc taken is cleared, so the next walk follows another unit.
+        """
+        seq = [node]
+        while seq[-1] != stop:
+            nxt = next(w for w in self.adj[seq[-1]] if self.flow[(seq[-1], w)] > 0)
+            self.flow[(seq[-1], nxt)] = 0
+            seq.append(nxt)
+        return seq
+
+
 def exists_disjoint_path_system(
     g: MixedGraph, r: Sequence[int], s: Sequence[int]
 ) -> list[DirectedPath] | None:
@@ -307,65 +387,24 @@ def exists_disjoint_path_system(
 
     idx = {v: i for i, v in enumerate(g.vertices)}
     p = len(g.vertices)
-    vin = lambda v: 2 * idx[v]
-    vout = lambda v: 2 * idx[v] + 1
     src, snk = 2 * p, 2 * p + 1
-
-    adj: dict[int, list[int]] = {node: [] for node in range(2 * p + 2)}
-    cap: dict[tuple[int, int], int] = {}
-
-    def add_edge(a: int, b: int) -> None:
-        if (a, b) not in cap:
-            adj[a].append(b)
-            adj[b].append(a)
-            cap[(a, b)] = 0
-            cap[(b, a)] = 0
-        cap[(a, b)] += 1
-
-    for v in g.vertices:
-        add_edge(vin(v), vout(v))
+    net = _FlowNetwork(2 * p + 2)  # vertex i: in-node 2i, out-node 2i + 1
+    for i in range(p):
+        net.add_arc(2 * i, 2 * i + 1)
     for a, b in g.directed_edges:
-        add_edge(vout(a), vin(b))
-    for v in sorted(set(rr)):
-        add_edge(src, vin(v))
-    for v in sorted(set(ss)):
-        add_edge(vout(v), snk)
-
-    flow: dict[tuple[int, int], int] = {e: 0 for e in cap}
-    sent = 0
-    while sent < n:
-        # BFS for a shortest augmenting path in the residual graph
-        prev: dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue and snk not in prev:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in prev and cap[(u, w)] - flow[(u, w)] > 0:
-                    prev[w] = u
-                    queue.append(w)
-        if snk not in prev:
-            return None
-        node = snk
-        while node != src:
-            pu = prev[node]
-            flow[(pu, node)] += 1
-            flow[(node, pu)] -= 1
-            node = pu
-        sent += 1
-
-    paths: list[DirectedPath] = []
-    for v in rr:
-        seq = [v]
-        node = vout(v)
-        while True:
-            nxt = next(w for w in adj[node] if flow[(node, w)] > 0)
-            flow[(node, nxt)] = 0  # consume so shared bookkeeping cannot reuse it
-            if nxt == snk:
-                break
-            seq.append(g.vertices[nxt // 2])
-            node = nxt + 1  # w is an in-node; step to its out-node
-        paths.append(DirectedPath(tuple(seq)))
-    return paths
+        net.add_arc(2 * idx[a] + 1, 2 * idx[b])
+    for v in sorted(rr):
+        net.add_arc(src, 2 * idx[v])
+    for v in sorted(ss):
+        net.add_arc(2 * idx[v] + 1, snk)
+    if net.push(src, snk, n)[0] < n:
+        return None
+    # A walk alternates out-nodes and in-nodes and ends at the sink, an odd
+    # position: its even positions are the out-nodes of the path.
+    return [
+        DirectedPath(tuple(g.vertices[x // 2] for x in net.walk(2 * idx[v] + 1, snk)[::2]))
+        for v in rr
+    ]
 
 
 # -- sides -----------------------------------------------------------------
@@ -491,6 +530,11 @@ def exists_trek_system_no_sided_intersection(
     rare configurations: systems whose treks meet only on side 1 carry
     equal signs and need not cancel.
 
+    At order 2 one max flow on the doubled graph decides the search (see
+    _trek_flow); ``budget`` is unused there, and an empty result carries
+    a minimum t-separator instead of obstructions.  Side 1 cannot be
+    open at order 2.
+
     With ``open_first_side=True`` side 1 only needs a matching of the
     tops onto its positions in the reachability relation (each witness
     path on side 1 is some path from its top), so side 1 may repeat a
@@ -504,10 +548,13 @@ def exists_trek_system_no_sided_intersection(
 
     Hyperedges are handled through the canonical DAG and the found
     system is re-expressed over the original vertices (treks topped at
-    a latent become hyperedge-supported treks).  Obstruction-log tops
-    cite canonical-DAG vertex ids, so latent ids can appear there.
+    a latent become hyperedge-supported treks).  Separators and
+    obstruction-log tops cite canonical-DAG vertex ids, so latent ids
+    can appear there.
     """
     side_lists = checked_sides(g.vertices, sides)
+    if open_first_side and len(side_lists) == 2:
+        raise ValueError("the order-2 search has no open side")
     repeat = repeated_side(side_lists, open_first_side)
     if repeat is not None:
         raise ValueError(f"side {repeat} repeats a vertex")
@@ -539,6 +586,8 @@ def _search_dag(
 ) -> TrekSearchResult:
     n = len(sides[0])
     k = len(sides)
+    if k == 2:
+        return _trek_flow(dag, sides)
     reach = reach_sets(dag)
     useful = [
         v for v in dag.vertices if all(reach[v] & set(side) for side in sides)
@@ -577,6 +626,59 @@ def _search_dag(
         _verify_system(dag, system, open_first_side)
         return TrekSearchResult(system=system, obstructions=tuple(obstructions))
     return TrekSearchResult(system=None, obstructions=tuple(obstructions))
+
+
+def _trek_flow(dag: MixedGraph, sides: tuple[tuple[int, ...], ...]) -> TrekSearchResult:
+    """The order-2 search as one max flow on the doubled graph.
+
+    Copy 1 is the DAG reversed and side A feeds it from the source; copy
+    2 is the DAG itself and side B drains it into the sink; an arc from
+    v in copy 1 to v in copy 2 turns a trek at its top.  Every vertex
+    has capacity 1 in each copy and every other arc capacity n, so a
+    unit of flow is a trek, a flow of value n is a system without sided
+    intersection (tops are distinct because each is used once in copy
+    1), and a smaller flow leaves a minimum cut made of vertex arcs
+    only: its copy-1 and copy-2 vertices t-separate the sides with
+    total size below n (Sullivant, Talaska and Draisma 2010).
+    """
+    side_a, side_b = sides
+    n = len(side_a)
+    idx = {v: i for i, v in enumerate(dag.vertices)}
+    p = len(dag.vertices)
+    src, snk = 4 * p, 4 * p + 1
+    # vertex i: copy-1 in/out nodes 4i, 4i + 1; copy-2 in/out nodes 4i + 2, 4i + 3
+    net = _FlowNetwork(4 * p + 2)
+    for i in range(p):
+        net.add_arc(4 * i, 4 * i + 1)
+        net.add_arc(4 * i + 1, 4 * i + 2, n)
+        net.add_arc(4 * i + 2, 4 * i + 3)
+    for u, w in dag.directed_edges:
+        net.add_arc(4 * idx[w] + 1, 4 * idx[u], n)
+        net.add_arc(4 * idx[u] + 3, 4 * idx[w] + 2, n)
+    for v in side_a:
+        net.add_arc(src, 4 * idx[v], n)
+    for v in side_b:
+        net.add_arc(4 * idx[v] + 3, snk, n)
+    sent, reached = net.push(src, snk, n)
+    if sent < n:
+        # the cut arcs are vertex arcs, in copy 1 (c = 0) or copy 2 (c = 2)
+        separator = tuple(
+            tuple(
+                v for i, v in enumerate(dag.vertices)
+                if 4 * i + c in reached and 4 * i + c + 1 not in reached
+            )
+            for c in (0, 2)
+        )
+        return TrekSearchResult(system=None, obstructions=(), separator=separator)
+    treks = []
+    for a in side_a:
+        nodes = net.walk(4 * idx[a], snk)[:-1]
+        up = [dag.vertices[x // 4] for x in reversed(nodes) if x % 4 == 1]
+        down = [dag.vertices[x // 4] for x in nodes if x % 4 == 3]
+        treks.append(KTrek(paths=(DirectedPath(up), DirectedPath(down)), top_vertex=up[0]))
+    system = make_trek_system(treks, sides)
+    _verify_system(dag, system, open_first_side=False)
+    return TrekSearchResult(system=system, obstructions=())
 
 
 def _matched_paths(

@@ -435,11 +435,19 @@ class TestPinnedStdout:
     moment line was printed by the version that pushed a separate
     noise-moment tensor through the path matrix; the partition sum over
     model cumulants must reproduce it.  The instance file mixes integral
-    and non-integral rationals.
+    and non-integral rationals.  The order-2 decisions come from the
+    doubled-graph flow: a witness system, and a separator that names the
+    latent of VANISHING_GRAPH's hyperedge (canonical-DAG id 5).
     """
 
     GRAPH = MixedGraph((1, 2, 3, 4), ((1, 2), (1, 3), (2, 4), (3, 4)), ((2, 3),))
     PARAM_GRAPH = MixedGraph((1, 2, 3), ((1, 2), (1, 3), (2, 3)))
+    VANISHING_GRAPH = MixedGraph((1, 2, 3, 4), ((3, 4),), ((1, 2, 3),))
+    DECISIONS = {
+        "decision.json": "check",
+        "decision-2.json": "check-order-2",
+        "decision-2v.json": "check-order-2-vanishes",
+    }
     INSTANCE = {
         "lambda": {"1->2": "2/1", "1->3": "-3/2", "2->3": "5/1"},
         "noise": {str(o): {"diag": {"1": f"{o}/1", "2": "-1/1", "3": "1/3"}} for o in (2, 3, 4, 5)},
@@ -449,6 +457,14 @@ class TestPinnedStdout:
         "check": ("check", "--graph", "g.json", "--sets", "2,3;3,4;2,4", "--seed", "7"),
         "certain": ("check", "--graph", "g.json", "--sets", "2,3;3,4;2,4", "--mode", "certain"),
         "certify": ("certify", "--graph", "g.json", "--decision", "decision.json"),
+        "check-order-2": ("check", "--graph", "g.json", "--sets", "2,4;1,3", "--seed", "7"),
+        "certify-order-2": ("certify", "--graph", "g.json", "--decision", "decision-2.json"),
+        "check-order-2-vanishes": (
+            "check", "--graph", "v.json", "--sets", "1,2;3,4", "--seed", "7",
+        ),
+        "certify-order-2-vanishes": (
+            "certify", "--graph", "v.json", "--decision", "decision-2v.json",
+        ),
         "common-cause": ("common-cause", "--graph", "g.json", "--vars", "2,3,4", "--seed", "7"),
         "parametrize-cumulant": (
             "parametrize", "--graph", "h.json", "--instance", "inst.json", "--order", "3",
@@ -491,6 +507,38 @@ class TestPinnedStdout:
         "certify": (
             0,
             '{"reason":"certificate verified","valid":true}'
+        ),
+        "check-order-2": (
+            0,
+            '{"algebraic_record":[{"determinant":"-15871173040519380/1","seed":7000022},'
+            '{"determinant":"5708724618240000/1","seed":7000023},'
+            '{"determinant":"716995421144184/1","seed":7000024},'
+            '{"determinant":"-4865033417128610/1","seed":7000025},'
+            '{"determinant":"7437555774789/1","seed":7000026}],'
+            '"combinatorial_certificate":{"trek_system":{"permutations":[[0,1]],'
+            '"side_endpoints":[[2,4],[1,3]],"sign":1,"treks":[{"paths":[[1,2],[1]],'
+            '"top":{"vertex":1}},{"paths":[[3,4],[3]],"top":{"vertex":3}}]}},'
+            '"graph_hash":"ab5bee013439bda77d5f462c4d85936689ed14bbcfb2d6e6c861b094f99ba428",'
+            '"mode":"randomized","order":2,"seed":7,"sides":[[2,4],[1,3]],"trials":5,'
+            '"value_range":997,"verdict":"NotVanishes"}'
+        ),
+        "certify-order-2": (
+            0,
+            '{"reason":"certificate verified","valid":true}'
+        ),
+        "check-order-2-vanishes": (
+            10,
+            '{"algebraic_record":[{"determinant":"0/1","seed":7000022},'
+            '{"determinant":"0/1","seed":7000023},{"determinant":"0/1","seed":7000024},'
+            '{"determinant":"0/1","seed":7000025},{"determinant":"0/1","seed":7000026}],'
+            '"combinatorial_certificate":{"separator":[[5],[]]},'
+            '"graph_hash":"6f5ac73a5f47874c13083d4089ba003793375885bf39e03aea5b1f419fb1c7f4",'
+            '"mode":"randomized","order":2,"seed":7,"sides":[[1,2],[3,4]],"trials":5,'
+            '"value_range":997,"verdict":"Vanishes"}'
+        ),
+        "certify-order-2-vanishes": (
+            0,
+            '{"reason":"separator verified","valid":true}'
         ),
         "common-cause": (
             0,
@@ -575,9 +623,11 @@ class TestPinnedStdout:
         monkeypatch.chdir(tmp_path)
         write_graph(tmp_path, self.GRAPH, "g.json")
         write_graph(tmp_path, self.PARAM_GRAPH, "h.json")
+        write_graph(tmp_path, self.VANISHING_GRAPH, "v.json")
         (tmp_path / "inst.json").write_text(json.dumps(self.INSTANCE))
         (tmp_path / "ens.json").write_text(json.dumps(self.ENSEMBLE))
-        (tmp_path / "decision.json").write_text(self.EXPECTED["check"][1])
+        for path, command in self.DECISIONS.items():
+            (tmp_path / path).write_text(self.EXPECTED[command][1])
         code, out = run_cli(capsys, *self.COMMANDS[name])
         assert (code, out) == (self.EXPECTED[name][0], self.EXPECTED[name][1] + "\n")
 

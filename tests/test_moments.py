@@ -323,6 +323,19 @@ class TestDeterminantRoutes:
         assert exists_split_trek_system_no_sided_intersection(g, sides).found is False
         assert det_by_split_trek_systems(g, inst, sides) == dense
 
+    def test_shared_cache_gives_the_fresh_determinants(self):
+        # One cache serves determinants of every order and side set taken at
+        # the same instance, as the scan's lower-order checks use it.
+        rng = random.Random(315)
+        for _ in range(8):
+            g = random_dag(rng, max_vertices=6)
+            inst = sample_generic_instance(g, 4, rng.randrange(10**6))
+            cache: dict = {}
+            for k in (4, 2, 3, 2, 4):
+                sides = random_sides(rng, g, k, rng.randint(1, 2))
+                shared = moment_subtensor_determinant(g, inst, sides, cache)
+                assert shared == moment_subtensor_determinant(g, inst, sides)
+
     def test_fork_determinant_factors_and_vanishes(self, factorization_dag):
         inst = sample_generic_instance(factorization_dag, 4, 11)
         sides = ((1,), (2,), (3,), (4,))

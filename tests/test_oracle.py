@@ -386,3 +386,108 @@ def test_certify_rejects_forged_not_vanishes_documents():
         False, "non-vanishing verdict carries no nonzero determinant"
     )
     assert certify_decision(g, real) == (True, "certificate verified")
+
+
+# Vanishing at order 2 through vertex 3 on side 2; the hyperedge's latent
+# has canonical-DAG id 6.
+ORDER_TWO_GRAPH = MixedGraph((1, 2, 3, 4, 5), ((1, 3), (3, 4), (3, 5)), ((1, 2, 3),))
+ORDER_TWO_SIDES = ((1, 2), (4, 5))
+
+# Order-2 decisions on ORDER_TWO_GRAPH as versions before the order-2 flow
+# wrote them, with an obstruction log in place of a separator: randomized
+# mode at seed 3, and certain mode.
+LEGACY_ORDER_TWO_SEED3 = (
+    '{"algebraic_record":[{"determinant":"0/1","seed":3000010},'
+    '{"determinant":"0/1","seed":3000011},{"determinant":"0/1","seed":3000012},'
+    '{"determinant":"0/1","seed":3000013},{"determinant":"0/1","seed":3000014}],'
+    '"combinatorial_certificate":{"obstructions":[{"blocked_side":2,"top":[1,6]}]},'
+    '"graph_hash":"c5909bb84f76dfbb9ec2ad4d4b440a8cdc5ef87219348cab5f7191c49498f25e",'
+    '"mode":"randomized","order":2,"seed":3,"sides":[[1,2],[4,5]],"trials":5,'
+    '"value_range":997,"verdict":"Vanishes"}'
+)
+LEGACY_ORDER_TWO_CERTAIN = (
+    '{"algebraic_record":[{"determinant":"0","seed":null}],'
+    '"combinatorial_certificate":{"obstructions":[{"blocked_side":2,"top":[1,6]}]},'
+    '"graph_hash":"c5909bb84f76dfbb9ec2ad4d4b440a8cdc5ef87219348cab5f7191c49498f25e",'
+    '"mode":"certain","order":2,"seed":null,"sides":[[1,2],[4,5]],"trials":null,'
+    '"value_range":null,"verdict":"Vanishes"}'
+)
+
+
+def test_order_two_decisions_certify_and_take_no_budget():
+    rng = random.Random(62)
+    verdicts = []
+    for _ in range(40):
+        g = random_mixed(rng, max_vertices=7, edge_prob=0.3, max_hyperedges=2)
+        n = rng.randint(1, min(3, len(g.vertices)))
+        sides = random_sides(rng, g, 2, n)
+        for mode, seed in (("randomized", rng.getrandbits(16)), ("certain", None)):
+            d = decide_vanishing(g, sides, mode=mode, seed=seed, budget=0)
+            verdicts.append(d.verdict)
+            if d.verdict == "Vanishes":
+                assert list(d.combinatorial_certificate) == ["separator"]
+                expected = (True, "separator verified")
+            else:
+                expected = (True, "certificate verified")
+            assert certify_decision(g, json.loads(d.to_json()), budget=0) == expected
+    assert verdicts.count("Vanishes") >= 10 and verdicts.count("NotVanishes") >= 10
+
+
+def test_legacy_order_two_obstruction_logs_still_certify():
+    for text in (LEGACY_ORDER_TWO_SEED3, LEGACY_ORDER_TWO_CERTAIN):
+        assert certify_decision(ORDER_TWO_GRAPH, json.loads(text), budget=0) == (
+            True, "vanishing re-verified"
+        )
+    fresh = decide_vanishing(ORDER_TWO_GRAPH, ORDER_TWO_SIDES, seed=3).to_doc()
+    legacy = json.loads(LEGACY_ORDER_TWO_SEED3)
+    assert fresh["combinatorial_certificate"] == {"separator": [[], [3]]}
+    del fresh["combinatorial_certificate"], legacy["combinatorial_certificate"]
+    assert fresh == legacy
+
+
+def test_certify_rejects_malformed_documents_with_a_reason(star, collider):
+    doc = decide_vanishing(star, ((1,), (2,)), seed=6).to_doc()
+    for field, value, reason in (
+        ("algebraic_record", [5], "the algebraic record must be a list of JSON objects"),
+        ("algebraic_record", 5, "the algebraic record must be a list of JSON objects"),
+        ("algebraic_record", [{"seed": "7", "determinant": "1/1"}],
+         "recorded seed '7' is not an integer"),
+        ("combinatorial_certificate", ["trek_system"],
+         "the combinatorial certificate must be a JSON object"),
+    ):
+        bad = copy.deepcopy(doc)
+        bad[field] = value
+        assert certify_decision(star, bad) == (False, reason)
+    bad = copy.deepcopy(doc)
+    bad["combinatorial_certificate"] = {"trek_system": 5}
+    ok, reason = certify_decision(star, bad)
+    assert not ok and reason.startswith("malformed trek system")
+    # Repeats force zero, but only a policy certificate may say so.
+    bad = json.loads(LEGACY_ORDER_TWO_SEED3)
+    bad["sides"] = [[1, 1], [4, 5]]
+    assert certify_decision(ORDER_TWO_GRAPH, bad) == (
+        False, "the sides repeat a vertex, which only a policy certificate covers"
+    )
+
+    vanishing = decide_vanishing(ORDER_TWO_GRAPH, ORDER_TWO_SIDES, seed=3).to_doc()
+    unknown = "which is no vertex of the canonical DAG"
+    for separator, reason in (
+        ([[3]], "separator must be two lists of vertex ids"),
+        ([3, []], "separator must be two lists of vertex ids"),
+        ({"A": [], "B": [3]}, "separator must be two lists of vertex ids"),
+        ([["3"], []], f"separator names '3', {unknown}"),
+        ([[], [True]], f"separator names True, {unknown}"),
+        ([[9], []], f"separator names 9, {unknown}"),
+        ([[6], [3]], "separator is not smaller than the sides"),
+        ([[6], []], "separator does not t-separate the sides"),
+    ):
+        bad = copy.deepcopy(vanishing)
+        bad["combinatorial_certificate"] = {"separator": separator}
+        assert certify_decision(ORDER_TWO_GRAPH, bad) == (False, reason)
+
+    order_three = decide_vanishing(collider, ((1,), (2,), (3,)), seed=6).to_doc()
+    assert order_three["verdict"] == "Vanishes"
+    order_three["combinatorial_certificate"] = {"separator": [[], []]}
+    assert certify_decision(collider, order_three) == (
+        False, "a separator certifies order 2 only, not order 3"
+    )

@@ -222,13 +222,12 @@ def test_search_on_mixed_graphs(latent_triple, pairwise_triple):
 
 
 def brute_force_si_free_system(g, sides):
-    n = len(sides[0])
-    pool = []
-    for sinks in itertools.product(*sides):
-        pool.extend(enumerate_ktreks(g, sinks))
-    for rows in itertools.product(pool, repeat=n):
-        if [r.paths[0].sink for r in rows] != list(sides[0]):
-            continue
+    # row j holds a trek into side 1's j-th vertex
+    pools = [
+        [t for sinks in itertools.product((a,), *sides[1:]) for t in enumerate_ktreks(g, sinks)]
+        for a in sides[0]
+    ]
+    for rows in itertools.product(*pools):
         if any(
             sorted(r.paths[i].sink for r in rows) != sorted(sides[i])
             for i in range(1, len(sides))
@@ -266,11 +265,46 @@ def test_search_matches_brute_force():
                     assert path.is_path_of(g)
 
 
+def test_order_two_flow_matches_brute_force_with_minimum_separators():
+    rng = random.Random(45)
+    vanishing = 0
+    for _ in range(300):
+        g = random_mixed(rng, max_vertices=6, edge_prob=0.35, max_hyperedges=1)
+        n = rng.randint(1, min(4, len(g.vertices)))
+        sides = random_sides(rng, g, 2, n)
+        dag = canonical_dag(g).dag
+        res = exists_trek_system_no_sided_intersection(g, sides, budget=0)
+        assert res.found == brute_force_si_free_system(dag, sides)
+        assert res.obstructions == ()
+        if res.found:
+            assert res.separator is None
+            continue
+        vanishing += 1
+        size = len(res.separator[0]) + len(res.separator[1])
+        assert size < n
+        assert check_ktrek_separation(dag, sides, res.separator)
+        if size:
+            assert find_ktrek_separating_sets(dag, sides, budget=size - 1) is None
+    assert vanishing >= 30
+
+
+def test_order_two_search_has_no_open_side(two_root_dag):
+    with pytest.raises(ValueError, match="no open side"):
+        exists_trek_system_no_sided_intersection(
+            two_root_dag, ((4, 6), (7, 8)), open_first_side=True
+        )
+
+
 def test_search_budget(two_root_dag):
+    # The cap bounds the top-set enumeration, which runs from order 3 on;
+    # the order-2 flow enumerates nothing.
     with pytest.raises(BudgetExceeded):
         exists_trek_system_no_sided_intersection(
-            two_root_dag, ((4, 6), (7, 8)), budget=0
+            two_root_dag, ((4, 6), (5, 8), (7, 8)), budget=0
         )
+    assert exists_trek_system_no_sided_intersection(
+        two_root_dag, ((4, 6), (7, 8)), budget=0
+    ).found
 
 
 def test_separation_basics(two_root_dag):
