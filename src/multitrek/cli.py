@@ -35,7 +35,7 @@ from .estimation import (
 )
 from .graphs import parse_graph
 from .moments import model_moment, scan_conjecture
-from .oracle import certify_decision, decide_vanishing, detect_common_cause
+from .oracle import EXIT_VANISHES, certify_decision, decide_vanishing, detect_common_cause
 from .ser import canonical_json, frac_from_str
 from .tensors import tensor_to_json
 from .treks import DEFAULT_BUDGET
@@ -43,7 +43,6 @@ from .treks import DEFAULT_BUDGET
 log = logging.getLogger("multitrek")
 
 EXIT_OK = 0
-EXIT_VANISHES = 10
 EXIT_ERROR = 2
 
 
@@ -159,7 +158,7 @@ def _cmd_check(args) -> int:
     )
     log.info("verdict: %s", decision.verdict)
     _emit(decision.to_json(), args.out)
-    return EXIT_VANISHES if decision.verdict == "Vanishes" else EXIT_OK
+    return decision.exit_code
 
 
 def _cmd_common_cause(args) -> int:
@@ -170,7 +169,7 @@ def _cmd_common_cause(args) -> int:
     )
     log.info("verdict: %s", decision.verdict)
     _emit(decision.to_json(), args.out)
-    return EXIT_VANISHES if decision.verdict == "Vanishes" else EXIT_OK
+    return decision.exit_code
 
 
 def _cmd_parametrize(args) -> int:
@@ -253,7 +252,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_scan(args) -> int:
     ensemble = json.loads(Path(args.ensemble).read_text(encoding="utf-8"))
-    order = args.order if args.order is not None else int(ensemble.get("k", 0))
+    if not isinstance(ensemble, dict):
+        raise ValueError("the ensemble file must hold a JSON object")
+    order = args.order if args.order is not None else int(_number(ensemble.get("k", 0), "/k"))
     if order < 4:
         raise ValueError("scan-conjecture needs --order >= 4 (or a k >= 4 in the ensemble file)")
     report = scan_conjecture(order, ensemble, args.seed, trials=args.trials, budget=args.budget)

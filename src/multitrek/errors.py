@@ -63,10 +63,10 @@ class InternalInconsistency(MultitrekError):
 
     Raised when a verified witness system coexists with an exactly
     zero determinant, or when the search finds no system (under the
-    oracle's rule: side 1 relaxed to a matching at odd orders) while
-    the determinant is nonzero.  The rule is exact at every order, so
-    either way it is an implementation fault and should be reported
-    with the offending inputs.
+    oracle's rule: side 1 open at odd orders, each vertex carrying up
+    to n paths there) while the determinant is nonzero.  The rule is
+    exact at every order, so either way it is an implementation fault
+    and should be reported with the offending inputs.
     """
 
 

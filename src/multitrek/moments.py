@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -458,16 +459,26 @@ class ConjectureReport:
 
 
 def _ensemble_params(ensemble: Mapping, k: int) -> tuple[int, Fraction, int, int]:
+    if not isinstance(ensemble, Mapping):
+        raise ValueError("the ensemble must be a JSON object")
     known = {"max_vertices", "edge_prob", "cases", "k", "set_size"}
     unknown = set(ensemble) - known
     if unknown:
         raise ValueError(f"unknown ensemble keys {sorted(unknown)}")
-    max_vertices = int(ensemble.get("max_vertices", 6))
-    cases = int(ensemble.get("cases", 100))
-    set_size = int(ensemble.get("set_size", 1))
-    prob_raw = ensemble.get("edge_prob", Fraction(1, 2))
-    prob = frac_from_str(prob_raw) if isinstance(prob_raw, str) else Fraction(prob_raw)
-    if "k" in ensemble and int(ensemble["k"]) != k:
+
+    def number(key: str, default: int | Fraction) -> Fraction:
+        value = ensemble.get(key, default)
+        if isinstance(value, str):
+            return frac_from_str(value, f"/{key}")
+        if not isinstance(value, (int, float, Fraction)) or not math.isfinite(value):
+            raise ValueError(f"ensemble {key} must be a number, got {value!r}")
+        return Fraction(value)
+
+    max_vertices = int(number("max_vertices", 6))
+    cases = int(number("cases", 100))
+    set_size = int(number("set_size", 1))
+    prob = number("edge_prob", Fraction(1, 2))
+    if int(number("k", k)) != k:
         raise ValueError(f"ensemble says k={ensemble['k']} but the scan was asked for k={k}")
     if max_vertices < 2 or cases < 1 or set_size < 1 or set_size > max_vertices:
         raise ValueError("ensemble parameters out of range")

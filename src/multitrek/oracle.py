@@ -21,8 +21,9 @@ meets, which proves vanishing on its own; the Vanishes certificate is
 {"separator": [C_A, C_B]} in canonical-DAG vertex ids (latents get ids
 above the original ones).  At even k every side needs a
 vertex-disjoint path system (the paper's criterion).  At odd k side 1
-only needs a matching of tops onto its vertices, because meetings on
-side 1 carry the sign factor (-1)**(k-1) = +1 and do not cancel (see
+is open: each vertex carries up to n side-1 paths and each side-1
+position takes one, because meetings on side 1 carry the sign factor
+(-1)**(k-1) = +1 and do not cancel (see
 exists_trek_system_no_sided_intersection).  With that rule the empty
 search is equivalent to vanishing at every order, so any disagreement
 between the routes is a hard InternalInconsistency: a verified witness
@@ -71,7 +72,6 @@ VALUE_RANGE = 997
 
 EXIT_NOT_VANISHES = 0
 EXIT_VANISHES = 10
-EXIT_ERROR = 2
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ Scalar = Fraction | float
 
 RATIONAL = "rational"
 FLOAT = "float"
+_KINDS = {RATIONAL: Fraction, FLOAT: float}
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,13 @@ class Tensor:
             raise DimMismatch(
                 f"{len(self.entries)} entries for dims {self.dims}"
             )
-        if self.scalar not in (RATIONAL, FLOAT):
+        kind = _KINDS.get(self.scalar)
+        if kind is None:
             raise ValueError(f"unknown scalar kind {self.scalar!r}")
-        coerce = Fraction if self.scalar == RATIONAL else float
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "entries", tuple(coerce(e) for e in self.entries))
+        object.__setattr__(
+            self, "entries", tuple(e if type(e) is kind else kind(e) for e in self.entries)
+        )
 
     @classmethod
     def of(cls, dims: Sequence[int], entries: Iterable[Scalar], scalar: str | None = None) -> "Tensor":
@@ -129,7 +132,9 @@ class DiagonalSpec:
 def symmetric_tensor(p: int, order: int, value_of: Callable, scalar: str = RATIONAL) -> Tensor:
     """Symmetric order-k tensor over p indices: value_of(key) once per sorted key,
     in combinations_with_replacement order, broadcast to every permutation."""
-    values = {key: value_of(key) for key in itertools.combinations_with_replacement(range(p), order)}
+    kind = _KINDS[scalar]
+    keys = itertools.combinations_with_replacement(range(p), order)
+    values = {key: kind(value_of(key)) for key in keys}
     entries = [values[tuple(sorted(idx))] for idx in itertools.product(range(p), repeat=order)]
     return Tensor.of([p] * order, entries, scalar)
 

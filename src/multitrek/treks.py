@@ -11,10 +11,11 @@ order 2 classical trek separation (Sullivant, Talaska and Draisma
 and a forward copy for side B either carries n treks or leaves a
 minimum cut, a t-separator (C_A, C_B) with |C_A| + |C_B| < n.  From
 order 3 on it reduces to finding n distinct candidate tops from which
-every side admits a vertex-disjoint path system, which is a
-unit-capacity max-flow check per side.  The exact rule at odd orders
-relaxes side 1 to a matching in the reachability relation
-(``open_first_side``).  Graphs with hyperedges are searched on their
+every side admits a vertex-disjoint path system, which is one max flow
+per side with capacity 1 on every vertex.  The exact rule at odd orders
+opens side 1 (``open_first_side``): the same flow lets each vertex
+carry up to n side-1 paths, and each side-1 position takes one.
+Graphs with hyperedges are searched on their
 canonical DAG, so separators and obstruction tops cite canonical-DAG
 vertex ids, latents included.  The same trek-system machinery serves
 the moment side: split-treks fill the same TrekSystem, pass the same
@@ -204,7 +205,10 @@ def enumerate_paths(
     if u not in vset or v not in vset:
         raise ValueError(f"vertices {u},{v} must belong to the graph")
     children = g.adjacency()
-    into_v = _ancestor_closure(g, v)
+    parents: dict[int, list[int]] = {w: [] for w in g.vertices}
+    for a, b in g.directed_edges:
+        parents[b].append(a)
+    into_v = _reach(parents, v)
     out: list[DirectedPath] = []
 
     def dfs(path: list[int]) -> None:
@@ -223,20 +227,6 @@ def enumerate_paths(
     if u in into_v:
         dfs([u])
     return out
-
-
-def _ancestor_closure(g: MixedGraph, v: int) -> frozenset[int]:
-    parents: dict[int, list[int]] = {w: [] for w in g.vertices}
-    for a, b in g.directed_edges:
-        parents[b].append(a)
-    seen = {v}
-    stack = [v]
-    while stack:
-        for p in parents[stack.pop()]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
 
 
 # -- trek enumeration -----------------------------------------------------
@@ -305,8 +295,7 @@ class _FlowNetwork:
     Breadth-first search scans each node's arcs in insertion order and
     no step iterates over a set, so the flow found (and every witness
     read from it) depends only on the order the arcs were added.  Each
-    augmentation pushes one unit; with unit vertex capacities no path
-    could carry more.
+    augmentation pushes one unit.
     """
 
     def __init__(self, size: int) -> None:
@@ -354,12 +343,12 @@ class _FlowNetwork:
     def walk(self, node: int, stop: int) -> list[int]:
         """The nodes of one unit of flow from node to stop.
 
-        Each arc taken is cleared, so the next walk follows another unit.
+        Each arc taken loses that unit, so the next walk follows another.
         """
         seq = [node]
         while seq[-1] != stop:
             nxt = next(w for w in self.adj[seq[-1]] if self.flow[(seq[-1], w)] > 0)
-            self.flow[(seq[-1], nxt)] = 0
+            self.flow[(seq[-1], nxt)] -= 1
             seq.append(nxt)
         return seq
 
@@ -381,29 +370,40 @@ def exists_disjoint_path_system(
     vset = set(g.vertices)
     if any(v not in vset for v in rr + ss):
         raise ValueError("R and S must belong to the graph")
-    n = len(rr)
-    if n == 0:
-        return []
+    return _side_paths(g, rr, ss, 1)
 
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    p = len(g.vertices)
+
+def _side_paths(
+    dag: MixedGraph, tops: Sequence[int], side: Sequence[int], through: int
+) -> list[DirectedPath] | None:
+    """One path from each top onto its own position of the side, else None.
+
+    Every vertex and edge carries up to ``through`` paths (vertex
+    splitting), each top starts one and each side position takes one,
+    so a side that repeats a vertex takes that many.  With ``through =
+    1`` the paths are vertex-disjoint; with ``through = n`` they only
+    need distinct positions (the open side 1).  Aligned with ``tops``.
+    """
+    n = len(tops)
+    idx = {v: i for i, v in enumerate(dag.vertices)}
+    p = len(dag.vertices)
     src, snk = 2 * p, 2 * p + 1
     net = _FlowNetwork(2 * p + 2)  # vertex i: in-node 2i, out-node 2i + 1
     for i in range(p):
-        net.add_arc(2 * i, 2 * i + 1)
-    for a, b in g.directed_edges:
-        net.add_arc(2 * idx[a] + 1, 2 * idx[b])
-    for v in sorted(rr):
+        net.add_arc(2 * i, 2 * i + 1, through)
+    for a, b in dag.directed_edges:
+        net.add_arc(2 * idx[a] + 1, 2 * idx[b], through)
+    for v in sorted(tops):
         net.add_arc(src, 2 * idx[v])
-    for v in sorted(ss):
+    for v in sorted(side):
         net.add_arc(2 * idx[v] + 1, snk)
     if net.push(src, snk, n)[0] < n:
         return None
     # A walk alternates out-nodes and in-nodes and ends at the sink, an odd
     # position: its even positions are the out-nodes of the path.
     return [
-        DirectedPath(tuple(g.vertices[x // 2] for x in net.walk(2 * idx[v] + 1, snk)[::2]))
-        for v in rr
+        DirectedPath(tuple(dag.vertices[x // 2] for x in net.walk(2 * idx[v] + 1, snk)[::2]))
+        for v in tops
     ]
 
 
@@ -535,16 +535,18 @@ def exists_trek_system_no_sided_intersection(
     a minimum t-separator instead of obstructions.  Side 1 cannot be
     open at order 2.
 
-    With ``open_first_side=True`` side 1 only needs a matching of the
-    tops onto its positions in the reachability relation (each witness
-    path on side 1 is some path from its top), so side 1 may repeat a
-    vertex; sides 2..k still need disjoint path systems (a repeat on a
-    side that needs one is a ValueError).  This is the exact rule at odd
-    orders: with a diagonal noise core the determinant is
+    With ``open_first_side=True`` side 1 is open: on it each vertex
+    carries up to n paths and each side-1 position takes one, so the
+    side-1 paths may meet and side 1 may repeat a vertex; sides 2..k
+    still need disjoint path systems (a repeat on a side that needs one
+    is a ValueError).  This is the exact rule at odd orders: with a
+    diagonal noise core the determinant is
     sum_S omega_S * perm(B_1[S]) * prod_{m>=2} det(B_m[S]) over n-sets S
     of tops, distinct S carry distinct omega_S and cannot cancel, the
-    permanent is nonzero iff a matching exists, and each determinant is
-    nonzero iff a disjoint path system exists (Lindstrom-Gessel-Viennot).
+    permanent is nonzero iff the tops can be matched onto side-1
+    positions they reach (iff the open flow carries n), and each
+    determinant is nonzero iff a disjoint path system exists
+    (Lindstrom-Gessel-Viennot).
 
     Hyperedges are handled through the canonical DAG and the found
     system is re-expressed over the original vertices (treks topped at
@@ -601,7 +603,7 @@ def _search_dag(
         per_side: list[list[DirectedPath]] = []
         for i, side in enumerate(sides):
             if open_first_side and i == 0:
-                found = _matched_paths(dag, reach, tops, side)
+                found = _side_paths(dag, tops, side, n)
             else:
                 found = exists_disjoint_path_system(dag, tops, side)
             if found is None:
@@ -679,51 +681,6 @@ def _trek_flow(dag: MixedGraph, sides: tuple[tuple[int, ...], ...]) -> TrekSearc
     system = make_trek_system(treks, sides)
     _verify_system(dag, system, open_first_side=False)
     return TrekSearchResult(system=system, obstructions=())
-
-
-def _matched_paths(
-    dag: MixedGraph,
-    reach: dict[int, frozenset[int]],
-    tops: Sequence[int],
-    side: Sequence[int],
-) -> list[DirectedPath] | None:
-    """Paths from each top onto distinct positions of the side, else None.
-
-    A bipartite matching of tops to side positions whose vertex they
-    reach (augmenting paths, side order first), so a vertex the side
-    repeats takes one top per position; each path is a shortest one
-    found by breadth-first search over sorted child lists.  Aligned
-    with ``tops``.
-    """
-    owner: dict[int, int] = {}  # side position -> index of its top
-
-    def augment(j: int, seen: set[int]) -> bool:
-        for pos, v in enumerate(side):
-            if v in reach[tops[j]] and pos not in seen:
-                seen.add(pos)
-                if pos not in owner or augment(owner[pos], seen):
-                    owner[pos] = j
-                    return True
-        return False
-
-    for j in range(len(tops)):
-        if not augment(j, set()):
-            return None
-    target = {j: side[pos] for pos, j in owner.items()}
-    return [_shortest_path(dag, tops[j], target[j]) for j in range(len(tops))]
-
-
-def _shortest_path(dag: MixedGraph, u: int, v: int) -> DirectedPath:
-    children = dag.adjacency()
-    paths = {u: (u,)}
-    queue = deque([u])
-    while v not in paths:
-        cur = queue.popleft()
-        for c in children[cur]:
-            if c not in paths:
-                paths[c] = paths[cur] + (c,)
-                queue.append(c)
-    return DirectedPath(paths[v])
 
 
 def system_defect(

@@ -323,6 +323,22 @@ class TestScanConjecture:
         assert code == EXIT_ERROR
         assert ">= 4" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize(
+        "ensemble, message",
+        [
+            ({"cases": [1], "k": 4}, "ensemble cases must be a number, got [1]"),
+            ([4], "the ensemble file must hold a JSON object"),
+            ({"k": 4, "edge_prob": None}, "ensemble edge_prob must be a number, got None"),
+        ],
+        ids=["list-cases", "top-level-list", "null-edge-prob"],
+    )
+    def test_malformed_ensemble_is_one_json_error(self, capsys, tmp_path, ensemble, message):
+        epath = tmp_path / "ens.json"
+        epath.write_text(json.dumps(ensemble))
+        code, out = run_cli(capsys, "scan-conjecture", "--ensemble", str(epath), "--seed", "0")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": message}
+
 
 class TestCertify:
     def test_valid_decision_verifies(self, capsys, tmp_path, star):

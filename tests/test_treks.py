@@ -31,7 +31,7 @@ from multitrek import (
     trek_system_to_doc,
 )
 from multitrek.estimation import test_determinant_zero as determinant_flag
-from multitrek.treks import reach_sets
+from multitrek.treks import reach_sets, system_defect
 from conftest import all_paths, random_dag, random_mixed, random_sides
 
 
@@ -221,29 +221,30 @@ def test_search_on_mixed_graphs(latent_triple, pairwise_triple):
     ).found
 
 
-def brute_force_si_free_system(g, sides):
-    # row j holds a trek into side 1's j-th vertex
+def brute_force_si_free_system(g, sides, open_first_side=False):
+    # Row j holds a trek into side 1's j-th vertex; rows are tried in every
+    # combination, abandoning one as soon as two of its treks share a vertex
+    # on a checked side (every side, or sides 2..k when side 1 is open).
+    checked = range(1 if open_first_side else 0, len(sides))
     pools = [
         [t for sinks in itertools.product((a,), *sides[1:]) for t in enumerate_ktreks(g, sinks)]
         for a in sides[0]
     ]
-    for rows in itertools.product(*pools):
-        if any(
-            sorted(r.paths[i].sink for r in rows) != sorted(sides[i])
-            for i in range(1, len(sides))
-        ):
-            continue
-        shared = False
-        for i in range(len(sides)):
-            seen = set()
-            for r in rows:
-                for x in r.paths[i].vertices:
-                    if x in seen:
-                        shared = True
-                    seen.add(x)
-        if not shared:
-            return True
-    return False
+
+    def extend(rows, used):
+        if len(rows) == len(pools):
+            return all(
+                sorted(r.paths[i].sink for r in rows) == sorted(sides[i])
+                for i in range(1, len(sides))
+            )
+        for trek in pools[len(rows)]:
+            verts = [set(trek.paths[i].vertices) for i in checked]
+            if not any(v & u for v, u in zip(verts, used)):
+                if extend(rows + [trek], [u | v for u, v in zip(used, verts)]):
+                    return True
+        return False
+
+    return extend([], [set() for _ in checked])
 
 
 def test_search_matches_brute_force():
@@ -263,6 +264,43 @@ def test_search_matches_brute_force():
             for trek in res.system.treks:
                 for path in trek.paths:
                     assert path.is_path_of(g)
+
+
+def test_open_search_matches_brute_force():
+    rng = random.Random(46)
+    found = repeats = 0
+    for case in range(200):
+        g = random_mixed(rng, max_vertices=6, edge_prob=0.4, max_hyperedges=1)
+        k = rng.choice((3, 5))
+        # n = 3 at k = 5 would leave the brute force thousands of treks per row
+        n = rng.randint(1, min(3 if k == 3 else 2, len(g.vertices)))
+        sides = random_sides(rng, g, k, n)
+        if n > 1 and case % 3 == 0:
+            first = rng.sample(g.vertices, n - 1)
+            sides = (tuple(sorted(first + [rng.choice(first)])),) + sides[1:]
+            repeats += 1
+        res = exists_trek_system_no_sided_intersection(g, sides, open_first_side=True)
+        assert res.found == brute_force_si_free_system(canonical_dag(g).dag, sides, True)
+        if res.found:
+            found += 1
+            assert system_defect(g, res.system, open_first_side=True) is None
+    assert 40 <= found <= 160 and repeats >= 30  # 122 found, 37 repeats
+
+
+def test_open_side_paths_share_an_inner_vertex():
+    # Tops 1 and 2 reach side 1 only through vertex 3, so both side-1 paths
+    # pass it and its vertex arc carries 2 units of the open flow; onto the
+    # repeated vertex 4 the edge arc 3 -> 4 carries 2 units as well.
+    g = MixedGraph((1, 2, 3, 4, 5), ((1, 3), (2, 3), (3, 4), (3, 5)))
+    assert not exists_trek_system_no_sided_intersection(g, ((4, 5), (1, 2), (1, 2))).found
+    for side_one in ((4, 5), (4, 4)):
+        sides = (side_one, (1, 2), (1, 2))
+        res = exists_trek_system_no_sided_intersection(g, sides, open_first_side=True)
+        assert res.found
+        assert [t.paths[0].vertices for t in res.system.treks] == [
+            (top, 3, sink) for top, sink in zip((1, 2), side_one)
+        ]
+        assert system_defect(g, res.system, open_first_side=True) is None
 
 
 def test_order_two_flow_matches_brute_force_with_minimum_separators():
