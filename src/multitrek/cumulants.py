@@ -16,6 +16,18 @@ is not an integer (e.g. "3/2" in an instance file).
 Everything here is ring-generic: values may be rationals or the sparse
 polynomials from .polynomial, which is how the symbolic ("certain")
 vanishing checks reuse the same code paths.
+
+Every parameter of an instance has one place in a layout
+(_parameter_layout): edge weights first, then the noise of each order.
+Generic instances draw their values in that order and symbolic
+instances name theirs after it, so the draw order of a seed is fixed in
+one place.  A subtensor determinant is taken through a plan
+(_DeterminantPlan) built once per graph and sides: the topological
+sweep for the path sums into the side vertices, the layout slot of each
+parameter it reads, and the distinct sorted entry keys with their
+support terms.  Graph-only work is done once per plan; evaluating it at
+an instance, or at a seed without building the instance, does only the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -25,13 +37,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
 from .polynomial import Poly
 from .ser import as_rational, canonical_json, frac_from_str, frac_to_str
-from .tensors import DiagonalSpec, Tensor, hyperdet_from_getter, symmetric_tensor
+from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, symmetric_tensor
 from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
 
 
@@ -252,29 +264,6 @@ def _cached_entry(
     return memo[key]
 
 
-def _determinant_by_entries(
-    g: MixedGraph,
-    inst: ModelInstance,
-    sides: Sequence[Sequence[int]],
-    entry,
-    cache: dict | None = None,
-) -> object:
-    """det of the subtensor whose entries ``entry(g, inst, vertices, cache)`` gives.
-
-    Pass one ``cache`` to every determinant taken at the same (g, inst)
-    to share the path matrix and the entries between them.
-    """
-    side_lists = [list(s) for s in sides]
-    if cache is None:
-        cache = {}
-
-    def at(pos: tuple[int, ...]) -> object:
-        vertices = tuple(side_lists[m][i] for m, i in enumerate(pos))
-        return entry(g, inst, vertices, cache)
-
-    return hyperdet_from_getter(len(side_lists[0]), len(side_lists), at)
-
-
 # -- trek-rule routes -------------------------------------------------------
 
 
@@ -347,54 +336,233 @@ def det_by_trek_systems(
 
 # -- generic instances ------------------------------------------------------
 
+# The "order" that marks an edge weight in a parameter layout; noise orders start at 2.
+_WEIGHT = 1
 
-def _instance_of(g: MixedGraph, k_max: int, value: Callable) -> ModelInstance:
-    """The instance shape shared by the generic and symbolic instances.
 
-    value(prefix, indices) makes each parameter, in a fixed order: edge
-    weights ("l", (u, v)), then per order 2..k_max the diagonal noise of
-    every vertex ("e{order}_", (v,)) and the hyperedge noise of every
-    admissible multiset of each hyperedge ("e{order}_", multiset).
+def _parameter_layout(g: MixedGraph, k_max: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every parameter of an instance up to order k_max as (order, key), in the
+    one fixed order in which generic instances draw them.
+
+    First the edge weights (order _WEIGHT, key (u, v)), then per order
+    2..k_max the diagonal noise of every vertex (key (v,)) and the
+    hyperedge noise of every admissible multiset of each hyperedge.
     """
-    lam = {(u, v): value("l", (u, v)) for u, v in g.directed_edges}
-    noise = {}
+    layout = [(_WEIGHT, e) for e in g.directed_edges]
     for order in range(2, k_max + 1):
-        prefix = f"e{order}_"
-        diag = {v: value(prefix, (v,)) for v in g.vertices}
-        hyper: dict[tuple[int, ...], object] = {}
+        layout += [(order, (v,)) for v in g.vertices]
+        hyper: dict[tuple[int, ...], None] = {}
         for h in g.multidirected_edges:
             for key in itertools.combinations_with_replacement(sorted(set(h)), order):
-                if len(set(key)) >= 2 and key not in hyper:
-                    hyper[key] = value(prefix, key)
-        noise[order] = NoiseCumulants(diag=DiagonalSpec(diag), hyper=HyperedgeSpec(hyper))
+                if len(set(key)) >= 2:
+                    hyper[key] = None
+        layout += [(order, key) for key in hyper]
+    return tuple(layout)
+
+
+def _draws(seed: int, count: int) -> list[int]:
+    """The first ``count`` values of the seeded generic instance, in layout order:
+    nonzero ints +-1..+-997, each drawn as a magnitude and then a sign."""
+    rng = random.Random(seed)
+    randrange, uniform = rng.randrange, rng.random
+    values = []
+    for _ in range(count):
+        magnitude = randrange(1, 998)  # randint(1, 997) is an alias of this call
+        values.append(magnitude if uniform() < 0.5 else -magnitude)
+    return values
+
+
+def _instance_of(
+    k_max: int, layout: Sequence[tuple[int, tuple[int, ...]]], values: Sequence
+) -> ModelInstance:
+    """The instance holding values[i] at parameter layout[i], with noise at orders 2..k_max."""
+    lam = {}
+    diag: dict[int, dict] = {order: {} for order in range(2, k_max + 1)}
+    hyper: dict[int, dict] = {order: {} for order in range(2, k_max + 1)}
+    for (order, key), value in zip(layout, values):
+        if order == _WEIGHT:
+            lam[key] = value
+        elif len(key) == 1:
+            diag[order][key[0]] = value
+        else:
+            hyper[order][key] = value
+    noise = {
+        order: NoiseCumulants(diag=DiagonalSpec(diag[order]), hyper=HyperedgeSpec(hyper[order]))
+        for order in diag
+    }
     return ModelInstance(lam=lam, noise=noise)
 
 
 def sample_generic_instance(g: MixedGraph, k_max: int, rng_seed: int) -> ModelInstance:
     """Random instance for polynomial identity testing; deterministic per seed.
 
-    Edge weights and noise values are nonzero ints +-1..+-997.
-    Diagonal noise covers every vertex at orders 2..k_max; hyperedge
-    noise covers every admissible multiset of each hyperedge.
+    Edge weights and noise values are nonzero ints +-1..+-997, drawn in
+    the order of _parameter_layout.  Diagonal noise covers every vertex
+    at orders 2..k_max; hyperedge noise covers every admissible multiset
+    of each hyperedge.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    rng = random.Random(rng_seed)
-
-    def draw(_prefix: str, _indices: tuple[int, ...]) -> int:
-        magnitude = rng.randint(1, 997)
-        return magnitude if rng.random() < 0.5 else -magnitude
-
-    return _instance_of(g, k_max, draw)
+    layout = _parameter_layout(g, k_max)
+    return _instance_of(k_max, layout, _draws(rng_seed, len(layout)))
 
 
 def symbolic_instance(g: MixedGraph, k_max: int) -> ModelInstance:
     """Instance whose values are independent polynomial variables.
 
     Used by the certain decision mode: a determinant vanishes on the
-    whole model iff it is the zero polynomial in these variables.
+    whole model iff it is the zero polynomial in these variables.  The
+    variable of edge (u, v) is "lu_v"; that of the order-k noise at a
+    multiset i_1..i_m is "ek_i_1_..._i_m".
     """
-    return _instance_of(g, k_max, lambda prefix, idx: Poly.var(prefix + "_".join(map(str, idx))))
+    layout = _parameter_layout(g, k_max)
+    names = [
+        ("l" if order == _WEIGHT else f"e{order}_") + "_".join(map(str, key))
+        for order, key in layout
+    ]
+    return _instance_of(k_max, layout, [Poly.var(name) for name in names])
+
+
+# -- subtensor determinants ---------------------------------------------------
+
+
+class _DeterminantPlan:
+    """det C^(k)[S_1..S_k] on one graph and one list of sides, with the work
+    that no parameter value changes done once.
+
+    The plan holds the topological sweep that fills the path-sum columns
+    of the side vertices (rows only for vertices with a path into a
+    side), the slot of each edge weight and order-k noise parameter in
+    the instance layout (_parameter_layout), and the distinct sorted
+    entry keys, each with the support terms that can be nonzero on it,
+    plus the table from each subtensor position to its key.  at(inst)
+    evaluates at any instance; at_seed(seed) gives the value at
+    sample_generic_instance(g, k, seed) from the drawn values alone,
+    without building that instance.
+    """
+
+    def __init__(self, g: MixedGraph, sides: Sequence[Sequence[int]]) -> None:
+        side_lists = checked_sides(g.vertices, sides)
+        topo = validate_acyclic(g)
+        k = len(side_lists)
+        self.graph, self.order, self.n = g, k, len(side_lists[0])
+
+        layout = _parameter_layout(g, k)
+        self._n_drawn = len(layout)
+        self._slots = tuple(i for i, (order, _) in enumerate(layout) if order in (_WEIGHT, k))
+        self._params = tuple(layout[i] for i in self._slots)
+        param_of = {param: i for i, param in enumerate(self._params)}
+
+        columns = sorted({v for side in side_lists for v in side})
+        col = {v: c for c, v in enumerate(columns)}
+        q = len(columns)
+        children = g.adjacency()
+        reach: dict[int, int] = {}  # bitmask of the columns v has a directed path into
+        for v in reversed(topo):
+            mask = 1 << col[v] if v in col else 0
+            for c in children[v]:
+                mask |= reach[c]
+            reach[v] = mask
+        rows = [v for v in g.vertices if reach[v]]
+        base = {v: r * q for r, v in enumerate(rows)}
+        unit = [0] * (len(rows) * q)
+        for v, c in col.items():
+            unit[base[v] + c] = 1
+        self._unit = tuple(unit)
+
+        def bits(mask: int) -> tuple[int, ...]:
+            return tuple(c for c in range(q) if mask >> c & 1)
+
+        sweep = []
+        for v in reversed(topo):
+            links = tuple(
+                (base[c], param_of[(_WEIGHT, (v, c))], bits(reach[c]))
+                for c in children[v]
+                if reach[c]
+            )
+            if links:
+                sweep.append((base[v], links))
+        self._sweep = tuple(sweep)
+
+        # Support terms: the diagonal noise of every row vertex, and every
+        # distinct arrangement of each hyperedge multiset within the rows.
+        ancestors = [sum(1 << r for r, v in enumerate(rows) if reach[v] >> c & 1) for c in range(q)]
+        diag_slot = [param_of[(k, (v,))] for v in rows]
+        hyper_terms = [
+            (param_of[(order, key)], perm)
+            for order, key in self._params
+            if order == k and len(key) > 1 and all(reach[v] for v in key)
+            for perm in sorted(set(itertools.permutations(key)))
+        ]
+
+        keys: dict[tuple[int, ...], int] = {}
+        self._table = tuple(
+            keys.setdefault(tuple(sorted(cols)), len(keys))
+            for cols in itertools.product(*([col[v] for v in side] for side in side_lists))
+        )
+        entries = []
+        for key in keys:
+            common = -1
+            for i in key:
+                common &= ancestors[i]
+            terms = [
+                (diag_slot[r], tuple(r * q + i for i in key))
+                for r in range(len(rows))
+                if common >> r & 1
+            ]
+            terms += [
+                (slot, tuple(base[j] + i for j, i in zip(perm, key)))
+                for slot, perm in hyper_terms
+                if all(reach[j] >> i & 1 for j, i in zip(perm, key))
+            ]
+            entries.append(tuple(terms))
+        self._entries = tuple(entries)
+
+    def at(self, inst: ModelInstance) -> object:
+        """The determinant at ``inst``; int, Fraction or Poly values alike."""
+        validate_instance(self.graph, inst)
+        return self._evaluate([
+            inst.lam.get(key, 0) if order == _WEIGHT else noise_entry(inst, order, key)
+            for order, key in self._params
+        ])
+
+    def at_seed(self, seed: int) -> object:
+        """The determinant at sample_generic_instance(graph, order, seed)."""
+        drawn = _draws(seed, self._n_drawn)
+        return self._evaluate([drawn[i] for i in self._slots])
+
+    def _evaluate(self, params: Sequence) -> object:
+        """The determinant at the values of the plan's parameters, in layout order."""
+        paths = list(self._unit)
+        for row, links in self._sweep:
+            for child, slot, cols in links:
+                w = params[slot]
+                if not w:
+                    continue
+                for c in cols:
+                    x = paths[child + c]
+                    if x:
+                        paths[row + c] = paths[row + c] + w * x
+        values = [_entry_value(terms, params, paths) for terms in self._entries]
+        return hyperdet_from_table(self.n, self.order, [values[s] for s in self._table])
+
+
+def _entry_value(terms: Sequence, params: Sequence, paths: Sequence) -> object:
+    """One cumulant entry: the sum over its terms (slot, cells) of params[slot]
+    times the path sums at the cells, a term dropped at its first zero factor."""
+    total = 0
+    for slot, cells in terms:
+        term = params[slot]
+        if not term:
+            continue
+        for cell in cells:
+            factor = paths[cell]
+            if not factor:
+                break
+            term = term * factor
+        else:
+            total = total + term
+    return total
 
 
 def subtensor_determinant(
@@ -402,8 +570,8 @@ def subtensor_determinant(
     inst: ModelInstance,
     sides: Sequence[Sequence[int]],
 ) -> object:
-    """det of the cumulant subtensor at the instance, entries computed on demand."""
-    return _determinant_by_entries(g, inst, sides, cumulant_entry)
+    """det of the cumulant subtensor at the instance, by one determinant plan."""
+    return _DeterminantPlan(g, sides).at(inst)
 
 
 # -- JSON interface ---------------------------------------------------------

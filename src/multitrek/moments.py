@@ -36,7 +36,7 @@ from .errors import BudgetExceeded, InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
 from .ser import canonical_json, frac_from_str
-from .tensors import Tensor, signed_permutations, symmetric_tensor
+from .tensors import Tensor, hyperdet_from_getter, signed_permutations, symmetric_tensor
 from .treks import (
     DEFAULT_BUDGET,
     DirectedPath,
@@ -55,7 +55,6 @@ from .treks import (
 from .cumulants import (
     ModelInstance,
     _cached_entry,
-    _determinant_by_entries,
     _times_path_weights,
     _tucker_values,
     noise_entry,
@@ -194,7 +193,14 @@ def moment_subtensor_determinant(
 ) -> object:
     """det of the moment subtensor at the instance, entries computed on demand
     (and kept in ``cache`` across determinants at the same instance)."""
-    return _determinant_by_entries(g, inst, sides, moment_entry, cache)
+    side_lists = [list(s) for s in sides]
+    if cache is None:
+        cache = {}
+
+    def at(pos: tuple[int, ...]) -> object:
+        return moment_entry(g, inst, tuple(side_lists[m][i] for m, i in enumerate(pos)), cache)
+
+    return hyperdet_from_getter(len(side_lists[0]), len(side_lists), at)
 
 
 # -- split-treks -------------------------------------------------------------
@@ -511,6 +517,8 @@ def scan_conjecture(
     """
     if k < 4:
         raise ValueError("the scan targets k >= 4; k = 3 is settled exactly")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     max_vertices, prob, cases, set_size = _ensemble_params(ensemble, k)
     rng = random.Random(seed)
     agreements = 0

@@ -34,6 +34,13 @@ determinant.
 Graphs with multidirected edges are decided through their canonical
 DAG, whose latent parametrization is exactly the hidden-variable
 model; certificates are re-expressed over the original vertices.
+
+decide_vanishing and certify_decision build one determinant plan per
+call on the canonical DAG and the sides, and take every randomized
+trial, every replayed seed and every symbolic evaluation from it: the
+graph-only work is done once, and a trial draws its seed's values in
+the one layout order that sample_generic_instance uses, without
+building the instance.
 """
 
 from __future__ import annotations
@@ -43,11 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cumulants import (
-    sample_generic_instance,
-    subtensor_determinant,
-    symbolic_instance,
-)
+from .cumulants import _DeterminantPlan, symbolic_instance
 from .errors import InternalInconsistency
 from .graphs import MixedGraph, canonical_dag, serialize_graph
 from .polynomial import Poly
@@ -115,10 +118,10 @@ def graph_hash(g: MixedGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode("utf-8")).hexdigest()
 
 
-def _symbolic_nonzero(dag: MixedGraph, k: int, sides: Sequence[Sequence[int]]) -> Poly | None:
-    """The determinant over a symbolic instance of the DAG, or None when it
-    is the zero polynomial (vanishes on the whole model)."""
-    det = subtensor_determinant(dag, symbolic_instance(dag, k), sides)
+def _symbolic_nonzero(plan: _DeterminantPlan) -> Poly | None:
+    """The determinant over a symbolic instance of the plan's DAG, or None
+    when it is the zero polynomial (vanishes on the whole model)."""
+    det = plan.at(symbolic_instance(plan.graph, plan.order))
     return det if isinstance(det, Poly) and det else None
 
 
@@ -148,6 +151,8 @@ def decide_vanishing(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "randomized" and seed is None:
         raise ValueError("randomized mode needs a seed")
+    if mode == "randomized" and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
     digest = graph_hash(g)
 
@@ -172,20 +177,18 @@ def decide_vanishing(
         g, side_lists, budget, open_first_side=k % 2 == 1
     )
 
-    canon = canonical_dag(g)
+    plan = _DeterminantPlan(canonical_dag(g).dag, side_lists)
     record: list[dict] = []
     algebraic_nonzero = False
     if mode == "randomized":
         for t in range(trials):
             child = instance_seed(seed, t)
-            inst = sample_generic_instance(canon.dag, k, child)
-            det = subtensor_determinant(canon.dag, inst, side_lists)
-            det = Fraction(det)
+            det = Fraction(plan.at_seed(child))
             record.append({"seed": child, "determinant": frac_to_str(det)})
             if det:
                 algebraic_nonzero = True
     else:
-        det = _symbolic_nonzero(canon.dag, k, side_lists)
+        det = _symbolic_nonzero(plan)
         algebraic_nonzero = det is not None
         record.append(_symbolic_entry(det))
 
@@ -195,7 +198,7 @@ def decide_vanishing(
         # roots of a nonzero polynomial, so settle symbolically before
         # declaring the implementation inconsistent.
         if mode == "randomized":
-            det = _symbolic_nonzero(canon.dag, k, side_lists)
+            det = _symbolic_nonzero(plan)
             if det is not None:
                 record.append(_symbolic_entry(det))
                 algebraic_nonzero = True
@@ -334,6 +337,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         return False, "the sides repeat a vertex, which only a policy certificate covers"
 
     canon = canonical_dag(g)
+    plan = _DeterminantPlan(canon.dag, sides)
     replayed_nonzero = False
     claimed_nonzero = False
     for entry in record:
@@ -347,8 +351,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
             continue  # symbolic entries are re-derived below where needed
         if type(child) is not int:
             return False, f"recorded seed {child!r} is not an integer"
-        inst = sample_generic_instance(canon.dag, k, child)
-        det = Fraction(subtensor_determinant(canon.dag, inst, sides))
+        det = Fraction(plan.at_seed(child))
         if frac_to_str(det) != recorded:
             return False, f"recorded determinant at seed {child} does not replay"
         if det:
@@ -365,7 +368,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         gap_search = exists_trek_system_no_sided_intersection(g, sides, budget)
         if gap_search.found:
             return False, "a trek system without sided intersection exists after all"
-        if not replayed_nonzero and _symbolic_nonzero(canon.dag, k, sides) is None:
+        if not replayed_nonzero and _symbolic_nonzero(plan) is None:
             return False, "gap certificate carries no nonzero evidence"
         return True, "gap verified: no witness system, determinant nonzero"
 
@@ -403,6 +406,6 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         # theorem.  From order 3 on it rests on the package's own
         # expansion identity, so confirm it independently: the recorded
         # randomized zeros could all be roots of a nonzero polynomial.
-        if _symbolic_nonzero(canon.dag, k, sides) is not None:
+        if _symbolic_nonzero(plan) is not None:
             return False, "vanishing verdict but the determinant is a nonzero polynomial"
     return True, "vanishing re-verified"

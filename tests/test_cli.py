@@ -85,6 +85,17 @@ class TestCheck:
         assert code == EXIT_ERROR
         assert "seed" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize(
+        "command, target", [("check", ("--sets", "1;2")), ("common-cause", ("--vars", "1,2"))]
+    )
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_rejected(self, capsys, star_path, command, target, trials):
+        code, out = run_cli(
+            capsys, command, "--graph", star_path, *target, "--seed", "0", "--trials", trials
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": f"trials must be >= 1, got {trials}"}
+
     def test_order_flag_must_match_sets(self, capsys, star_path):
         code, out = run_cli(
             capsys, "check", "--graph", star_path, "--sets", "1;2", "--order", "3", "--seed", "0"
@@ -313,6 +324,17 @@ class TestScanConjecture:
         assert doc["cases_scanned"] == 3
         code2, out2 = run_cli(capsys, *args)
         assert out2 == out
+
+    def test_zero_trials_rejected(self, capsys, tmp_path):
+        # With no trials every case would read as all-zero and count as a
+        # lower-order check without evaluating anything.
+        epath = tmp_path / "ens.json"
+        epath.write_text(json.dumps({"cases": 3, "max_vertices": 4, "k": 4}))
+        code, out = run_cli(
+            capsys, "scan-conjecture", "--ensemble", str(epath), "--seed", "5", "--trials", "0"
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": "trials must be >= 1, got 0"}
 
     def test_order_below_four_rejected(self, capsys, tmp_path):
         epath = tmp_path / "ens.json"

@@ -32,6 +32,7 @@ from multitrek import cumulants
 from multitrek.polynomial import Poly
 from conftest import (
     all_paths,
+    hyperdet_by_leibniz,
     minor_det_by_path_systems,
     random_dag,
     random_mixed,
@@ -318,19 +319,95 @@ def test_non_integral_parameters_stay_fractions():
 
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 3)])
 def test_subtensor_determinant_reads_each_entry_once(monkeypatch, k, n):
-    # One call per subtensor position, not one per factor of every term.
+    # One evaluation per distinct sorted entry key, not one per subtensor
+    # position: with equal sides the n**k positions share C(n+k-1, k) keys.
     g = random_dag(random.Random(7), max_vertices=6, min_vertices=6)
     inst = sample_generic_instance(g, k, rng_seed=11)
     sides = tuple(tuple(range(1, n + 1)) for _ in range(k))
+    real = cumulants._entry_value
     calls = []
 
     def counting_entry(*args):
-        calls.append(args[2])
-        return cumulant_entry(*args)
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(cumulants, "cumulant_entry", counting_entry)
-    subtensor_determinant(g, inst, sides)
-    assert len(calls) == n**k
+    monkeypatch.setattr(cumulants, "_entry_value", counting_entry)
+    det = subtensor_determinant(g, inst, sides)
+    keys = {tuple(sorted(vertices)) for vertices in itertools.product(*sides)}
+    assert len(calls) == len(keys) < n**k
+    assert det == hyperdeterminant(
+        subtensor(model_cumulant(g, inst, k), [[g.index_of(x) for x in side] for side in sides])
+    )
+
+
+def _trek_rule_determinant(g, inst, sides, one):
+    """The Leibniz sum over entries from the trek rule, each sorted key read once."""
+    memo = {}
+
+    def entry(pos):
+        key = tuple(sorted(side[i] for side, i in zip(sides, pos)))
+        if key not in memo:
+            memo[key] = cumulant_entry_by_trek_rule(g, inst, key)
+        return memo[key]
+
+    return hyperdet_by_leibniz(len(sides[0]), len(sides), entry, one)
+
+
+def _non_integral_twin(inst: ModelInstance, rng: random.Random) -> ModelInstance:
+    """The instance with every value a small Fraction: mostly non-integral, some zero."""
+
+    def value(_):
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+
+    return ModelInstance(
+        lam={e: value(x) for e, x in inst.lam.items()},
+        noise={
+            order: NoiseCumulants(
+                diag=DiagonalSpec({v: value(x) for v, x in nc.diag.values.items()}),
+                hyper=HyperedgeSpec({key: value(x) for key, x in nc.hyper.entries.items()}),
+            )
+            for order, nc in inst.noise.items()
+        },
+    )
+
+
+def test_plan_matches_leibniz_over_trek_rule_on_mixed_graphs():
+    rng = random.Random(57)
+    hyper_cases = 0
+    for _ in range(300):
+        g = random_mixed(rng, max_vertices=6, max_hyperedges=2)
+        k = rng.randint(2, 4)
+        n = rng.randint(1, min(2, len(g.vertices)))
+        sides = random_sides(rng, g, k, n)
+        inst = _non_integral_twin(sample_generic_instance(g, k, rng.getrandbits(32)), rng)
+        hyper_cases += bool(inst.noise_at(k).hyper.entries)
+        assert subtensor_determinant(g, inst, sides) == _trek_rule_determinant(
+            g, inst, sides, Fraction(1)
+        )
+    assert hyper_cases >= 100
+
+
+def test_plan_at_seed_matches_sampled_instance():
+    rng = random.Random(58)
+    for _ in range(60):
+        dag = canonical_dag(random_mixed(rng, max_vertices=7, max_hyperedges=2)).dag
+        k = rng.randint(2, 4)
+        n = rng.randint(1, min(3, len(dag.vertices)))
+        sides = random_sides(rng, dag, k, n)
+        plan = cumulants._DeterminantPlan(dag, sides)
+        for seed in (rng.getrandbits(32), rng.getrandbits(32)):
+            assert plan.at_seed(seed) == plan.at(sample_generic_instance(dag, k, seed))
+
+
+def test_plan_symbolic_matches_leibniz():
+    rng = random.Random(59)
+    for _ in range(25):
+        g = random_mixed(rng, max_vertices=4, max_hyperedges=1, max_hyper_order=3)
+        k = rng.randint(2, 3)
+        sides = random_sides(rng, g, k, rng.randint(1, 2) if len(g.vertices) > 1 else 1)
+        sym = symbolic_instance(g, k)
+        det = cumulants._DeterminantPlan(g, sides).at(sym)
+        assert det == _trek_rule_determinant(g, sym, sides, Poly.const(1))
 
 
 def test_symbolic_instance_coverage(latent_triple):

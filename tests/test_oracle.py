@@ -1,7 +1,6 @@
 import copy
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -18,7 +17,6 @@ from multitrek import (
     trek_system_from_doc,
 )
 from multitrek.oracle import EXIT_NOT_VANISHES, EXIT_VANISHES, instance_seed
-from multitrek.polynomial import Poly
 from conftest import random_mixed, random_sides
 
 
@@ -272,9 +270,7 @@ def test_order2_disagreement_raises(monkeypatch):
     import multitrek.oracle as oracle_module
 
     g = MixedGraph((1, 2), ())  # no treks between 1 and 2 at all
-    monkeypatch.setattr(
-        oracle_module, "subtensor_determinant", lambda g_, inst, sides: Fraction(1)
-    )
+    monkeypatch.setattr(oracle_module._DeterminantPlan, "at_seed", lambda plan, seed: 1)
     with pytest.raises(InternalInconsistency, match="order-2"):
         decide_vanishing(g, ((1,), (2,)), mode="randomized", seed=1)
 
@@ -282,9 +278,8 @@ def test_order2_disagreement_raises(monkeypatch):
 def test_witness_with_zero_determinant_raises(monkeypatch, star):
     import multitrek.oracle as oracle_module
 
-    monkeypatch.setattr(
-        oracle_module, "subtensor_determinant", lambda g_, inst, sides: Fraction(0)
-    )
+    monkeypatch.setattr(oracle_module._DeterminantPlan, "at_seed", lambda plan, seed: 0)
+    monkeypatch.setattr(oracle_module._DeterminantPlan, "at", lambda plan, inst: 0)
     for mode, seed in (("randomized", 2), ("certain", None)):
         with pytest.raises(InternalInconsistency, match="witness trek system"):
             decide_vanishing(star, ((1,), (2,), (3,)), mode=mode, seed=seed)
@@ -295,15 +290,7 @@ def test_randomized_fluke_resolved_symbolically(monkeypatch, star):
     # truth: the decision stands and records the recheck entry
     import multitrek.oracle as oracle_module
 
-    real = oracle_module.subtensor_determinant
-
-    def zero_for_rational_instances(g_, inst, sides):
-        det = real(g_, inst, sides)
-        return det if isinstance(det, Poly) else Fraction(0)
-
-    monkeypatch.setattr(
-        oracle_module, "subtensor_determinant", zero_for_rational_instances
-    )
+    monkeypatch.setattr(oracle_module._DeterminantPlan, "at_seed", lambda plan, seed: 0)
     d = decide_vanishing(star, ((1,), (2,), (3,)), mode="randomized", seed=9)
     assert d.verdict == "NotVanishes"
     assert "trek_system" in d.combinatorial_certificate
