@@ -21,17 +21,21 @@ Every parameter of an instance has one place in a layout
 (_parameter_layout): edge weights first, then the noise of each order.
 Generic instances draw their values in that order and symbolic
 instances name theirs after it, so the draw order of a seed is fixed in
-one place.  A subtensor determinant is taken through a plan
+one place.  Single entries and subtensor determinants, of cumulants
+and of moments (moments.py) alike, go through one plan
 (_DeterminantPlan) built once per graph and sides: the topological
 sweep for the path sums into the side vertices, the layout slot of each
-parameter it reads, and the distinct sorted entry keys with their
-support terms.  Graph-only work is done once per plan; evaluating it at
-an instance, or at a seed without building the instance, does only the
-arithmetic.
+parameter it reads, and the distinct sorted entry keys, each a sum over
+partitions of distinct cumulant keys with their support terms.  A
+single entry is the plan over singleton sides.  Graph-only work is done
+once per plan; evaluating it at an instance, or at a seed without
+building the instance, does only the arithmetic.  Full tensors
+(model_cumulant) take the Tucker route, one path matrix for every key.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -233,37 +237,6 @@ def _tucker_entry(groups: Mapping[int, list], m: list[list], positions: tuple[in
     return total
 
 
-def cumulant_entry(
-    g: MixedGraph,
-    inst: ModelInstance,
-    indices: Sequence[int],
-    _cache: dict | None = None,
-) -> object:
-    """Single cumulant entry by the Tucker route (vertex ids, not positions)."""
-    return _cached_entry(g, inst, indices, _cache)
-
-
-def _cached_entry(
-    g: MixedGraph, inst: ModelInstance, indices: Sequence[int], cache: dict | None = None
-) -> object:
-    """One entry of model_cumulant (vertex ids); ``cache`` carries work across calls."""
-    if cache is None:
-        cache = {}
-    if "m" not in cache:
-        validate_instance(g, inst)
-        cache["m"] = path_matrix(g, inst.lam)
-        cache["idx"] = {v: i for i, v in enumerate(g.vertices)}
-    order = len(indices)
-    if ("support", order) not in cache:
-        cache[("support", order)] = _support_by_first_row(noise_support(g, inst, order), cache["idx"])
-    key = tuple(sorted(indices))
-    memo = cache.setdefault(("entries", order), {})
-    if key not in memo:
-        rows = tuple(cache["idx"][v] for v in key)
-        memo[key] = _tucker_entry(cache[("support", order)], cache["m"], rows)
-    return memo[key]
-
-
 # -- trek-rule routes -------------------------------------------------------
 
 
@@ -426,30 +399,61 @@ def symbolic_instance(g: MixedGraph, k_max: int) -> ModelInstance:
 # -- subtensor determinants ---------------------------------------------------
 
 
-class _DeterminantPlan:
-    """det C^(k)[S_1..S_k] on one graph and one list of sides, with the work
-    that no parameter value changes done once.
+@functools.cache
+def _partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Set partitions of range(k) with every block of size >= 2: the block holding
+    position 0 ranges over combinations in lexicographic order, then the rest recursively."""
 
-    The plan holds the topological sweep that fills the path-sum columns
-    of the side vertices (rows only for vertices with a path into a
-    side), the slot of each edge weight and order-k noise parameter in
-    the instance layout (_parameter_layout), and the distinct sorted
-    entry keys, each with the support terms that can be nonzero on it,
-    plus the table from each subtensor position to its key.  at(inst)
-    evaluates at any instance; at_seed(seed) gives the value at
-    sample_generic_instance(g, k, seed) from the drawn values alone,
-    without building that instance.
+    def split(positions: tuple[int, ...]):
+        if not positions:
+            yield ()
+            return
+        first, rest = positions[0], positions[1:]
+        for size in range(1, len(rest) + 1):
+            for combo in itertools.combinations(rest, size):
+                remaining = tuple(x for x in rest if x not in combo)
+                for tail in split(remaining):
+                    yield ((first,) + combo,) + tail
+
+    return tuple(split(tuple(range(k))))
+
+
+class _DeterminantPlan:
+    """det C^(k)[S_1..S_k], or with ``moments`` det N^(k)[S_1..S_k], on one
+    graph and one list of sides, with the work that no parameter value
+    changes done once.
+
+    Each entry is a sum over partitions of a product of cumulant values
+    over the blocks: a cumulant entry is the one-block partition, a moment
+    entry has the blocks of _partitions(k) (the moment-cumulant formula of
+    a centered vector), so it reads noise orders 2..k-2 and k.  The plan
+    holds the topological sweep that fills the path-sum columns of the
+    side vertices (rows only for vertices with a path into a side), the
+    slot of each edge weight and read noise parameter in the instance
+    layout (_parameter_layout), the distinct sorted entry keys with their
+    partitions over distinct cumulant keys, each cumulant key with the
+    support terms that can be nonzero on it, and the table from each
+    subtensor position to its entry.  at(inst) evaluates at any instance;
+    at_seed(seed) gives the value at sample_generic_instance(g, k, seed)
+    from the drawn values alone, without building that instance.  Singleton
+    sides give a single entry: the determinant of a 1 x ... x 1 tensor.
     """
 
-    def __init__(self, g: MixedGraph, sides: Sequence[Sequence[int]]) -> None:
+    def __init__(
+        self, g: MixedGraph, sides: Sequence[Sequence[int]], moments: bool = False
+    ) -> None:
         side_lists = checked_sides(g.vertices, sides)
         topo = validate_acyclic(g)
         k = len(side_lists)
         self.graph, self.order, self.n = g, k, len(side_lists[0])
+        partitions = _partitions(k) if moments else ((tuple(range(k)),),)
+        orders = {len(block) for partition in partitions for block in partition}
 
         layout = _parameter_layout(g, k)
         self._n_drawn = len(layout)
-        self._slots = tuple(i for i, (order, _) in enumerate(layout) if order in (_WEIGHT, k))
+        self._slots = tuple(
+            i for i, (order, _) in enumerate(layout) if order == _WEIGHT or order in orders
+        )
         self._params = tuple(layout[i] for i in self._slots)
         param_of = {param: i for i, param in enumerate(self._params)}
 
@@ -487,36 +491,51 @@ class _DeterminantPlan:
         # Support terms: the diagonal noise of every row vertex, and every
         # distinct arrangement of each hyperedge multiset within the rows.
         ancestors = [sum(1 << r for r, v in enumerate(rows) if reach[v] >> c & 1) for c in range(q)]
-        diag_slot = [param_of[(k, (v,))] for v in rows]
-        hyper_terms = [
-            (param_of[(order, key)], perm)
-            for order, key in self._params
-            if order == k and len(key) > 1 and all(reach[v] for v in key)
-            for perm in sorted(set(itertools.permutations(key)))
-        ]
+        diag_slots = {order: [param_of[(order, (v,))] for v in rows] for order in orders}
+        hyper_terms: dict[int, list] = {order: [] for order in orders}
+        for order, key in self._params:
+            if order != _WEIGHT and len(key) > 1 and all(reach[v] for v in key):
+                slot = param_of[(order, key)]
+                perms = sorted(set(itertools.permutations(key)))
+                hyper_terms[order] += [(slot, perm) for perm in perms]
 
         keys: dict[tuple[int, ...], int] = {}
         self._table = tuple(
             keys.setdefault(tuple(sorted(cols)), len(keys))
             for cols in itertools.product(*([col[v] for v in side] for side in side_lists))
         )
-        entries = []
-        for key in keys:
+        # Each entry's partitions, as tuples of distinct cumulant keys; with
+        # a single one-block partition every entry is its own cumulant key.
+        cumulant_keys, self._entries = keys, None
+        if len(partitions) > 1:
+            cumulant_keys = {}
+            self._entries = tuple(
+                tuple(
+                    tuple(
+                        cumulant_keys.setdefault(tuple(key[x] for x in block), len(cumulant_keys))
+                        for block in partition
+                    )
+                    for partition in partitions
+                )
+                for key in keys
+            )
+        cumulants = []
+        for key in cumulant_keys:
             common = -1
             for i in key:
                 common &= ancestors[i]
             terms = [
-                (diag_slot[r], tuple(r * q + i for i in key))
-                for r in range(len(rows))
+                (slot, tuple(r * q + i for i in key))
+                for r, slot in enumerate(diag_slots[len(key)])
                 if common >> r & 1
             ]
             terms += [
                 (slot, tuple(base[j] + i for j, i in zip(perm, key)))
-                for slot, perm in hyper_terms
+                for slot, perm in hyper_terms[len(key)]
                 if all(reach[j] >> i & 1 for j, i in zip(perm, key))
             ]
-            entries.append(tuple(terms))
-        self._entries = tuple(entries)
+            cumulants.append(tuple(terms))
+        self._cumulants = tuple(cumulants)
 
     def at(self, inst: ModelInstance) -> object:
         """The determinant at ``inst``; int, Fraction or Poly values alike."""
@@ -527,7 +546,9 @@ class _DeterminantPlan:
         ])
 
     def at_seed(self, seed: int) -> object:
-        """The determinant at sample_generic_instance(graph, order, seed)."""
+        """The determinant at sample_generic_instance(graph, k, seed) for any
+        k >= order: the layout up to the plan's order is a prefix of the
+        layout up to k, and the draws are sequential."""
         drawn = _draws(seed, self._n_drawn)
         return self._evaluate([drawn[i] for i in self._slots])
 
@@ -543,7 +564,9 @@ class _DeterminantPlan:
                     x = paths[child + c]
                     if x:
                         paths[row + c] = paths[row + c] + w * x
-        values = [_entry_value(terms, params, paths) for terms in self._entries]
+        values = [_entry_value(terms, params, paths) for terms in self._cumulants]
+        if self._entries is not None:
+            values = [_partition_value(partitions, values) for partitions in self._entries]
         return hyperdet_from_table(self.n, self.order, [values[s] for s in self._table])
 
 
@@ -563,6 +586,26 @@ def _entry_value(terms: Sequence, params: Sequence, paths: Sequence) -> object:
         else:
             total = total + term
     return total
+
+
+def _partition_value(partitions: Sequence, cumulants: Sequence) -> object:
+    """One moment entry: the sum over its partitions of the product of the
+    cumulant values at their blocks, a product dropped at its first zero factor."""
+    total = 0
+    for blocks in partitions:
+        term = cumulants[blocks[0]]
+        for block in blocks[1:]:
+            if not term:
+                break
+            term = term * cumulants[block]
+        if term:
+            total = total + term
+    return total
+
+
+def cumulant_entry(g: MixedGraph, inst: ModelInstance, indices: Sequence[int]) -> object:
+    """Single cumulant entry (vertex ids): a determinant plan over singleton sides."""
+    return _DeterminantPlan(g, [(v,) for v in indices]).at(inst)
 
 
 def subtensor_determinant(

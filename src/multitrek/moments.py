@@ -1,14 +1,19 @@
 """Moment tensors and split-treks.
 
-Moments come from cumulants by one partition sum (_partition_sum), the
-moment-cumulant formula for a centered vector, over cumulant values the
-Tucker route already gives.  The noise moments of independent
-components are products of per-vertex moments, nonzero only when no
-vertex appears exactly once.  The trek notion that matches this support
-is the *split-trek*: k paths into the given sinks whose every source is
-shared by at least two of them (a single common source is the special
-case).  Split-treks fill the same TrekSystem, verifier, search result
-and signed expansion as k-treks.
+Moments come from cumulants by the moment-cumulant formula for a
+centered vector, a sum over the set partitions of the positions
+(_partitions).  Full moment tensors take it (_partition_sum) over the
+cumulant values of the Tucker route; single entries and subtensor
+determinants take it inside the cumulant module's determinant plan
+(_DeterminantPlan), which the scan builds once per case and per
+lower-order side group and evaluates at each seed without building an
+instance.  The noise moments of independent components are products of
+per-vertex moments, nonzero only when no vertex appears exactly once.
+The trek notion that matches this support is the *split-trek*: k paths
+into the given sinks whose every source is shared by at least two of
+them (a single common source is the special case).  Split-treks fill
+the same TrekSystem, verifier, search result and signed expansion as
+k-treks.
 
 At k = 3 moments equal cumulants: a found split-trek system certifies a
 nonzero determinant, and the converse fails only on the rare side-1
@@ -23,7 +28,6 @@ moments of the lifted model with latent columns ignored.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -36,7 +40,7 @@ from .errors import BudgetExceeded, InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
 from .ser import canonical_json, frac_from_str
-from .tensors import Tensor, hyperdet_from_getter, signed_permutations, symmetric_tensor
+from .tensors import Tensor, signed_permutations, symmetric_tensor
 from .treks import (
     DEFAULT_BUDGET,
     DirectedPath,
@@ -54,32 +58,13 @@ from .treks import (
 )
 from .cumulants import (
     ModelInstance,
-    _cached_entry,
+    _DeterminantPlan,
+    _partitions,
     _times_path_weights,
     _tucker_values,
     noise_entry,
-    sample_generic_instance,
     symbolic_instance,
 )
-
-
-@functools.cache
-def _partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Set partitions of range(k) with every block of size >= 2: the block holding
-    position 0 ranges over combinations in lexicographic order, then the rest recursively."""
-
-    def split(positions: tuple[int, ...]):
-        if not positions:
-            yield ()
-            return
-        first, rest = positions[0], positions[1:]
-        for size in range(1, len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                remaining = tuple(x for x in rest if x not in combo)
-                for tail in split(remaining):
-                    yield ((first,) + combo,) + tail
-
-    return tuple(split(tuple(range(k))))
 
 
 def _partition_sum(key: tuple[int, ...], value_of_block) -> object:
@@ -167,40 +152,18 @@ def model_moment(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:
     )
 
 
-def moment_entry(
-    g: MixedGraph,
-    inst: ModelInstance,
-    indices: Sequence[int],
-    _cache: dict | None = None,
-) -> object:
-    """Single moment entry (vertex ids): the partition sum of the cumulant
-    entries memoized in ``_cache``."""
+def moment_entry(g: MixedGraph, inst: ModelInstance, indices: Sequence[int]) -> object:
+    """Single moment entry (vertex ids): a moment plan over singleton sides."""
     _require_dag(g)
-    if _cache is None:
-        _cache = {}
-    key = tuple(sorted(indices))
-    memo = _cache.setdefault(("moments", len(key)), {})
-    if key not in memo:
-        memo[key] = _partition_sum(key, lambda sub: _cached_entry(g, inst, sub, _cache))
-    return memo[key]
+    return _DeterminantPlan(g, [(v,) for v in indices], moments=True).at(inst)
 
 
 def moment_subtensor_determinant(
-    g: MixedGraph,
-    inst: ModelInstance,
-    sides: Sequence[Sequence[int]],
-    cache: dict | None = None,
+    g: MixedGraph, inst: ModelInstance, sides: Sequence[Sequence[int]]
 ) -> object:
-    """det of the moment subtensor at the instance, entries computed on demand
-    (and kept in ``cache`` across determinants at the same instance)."""
-    side_lists = [list(s) for s in sides]
-    if cache is None:
-        cache = {}
-
-    def at(pos: tuple[int, ...]) -> object:
-        return moment_entry(g, inst, tuple(side_lists[m][i] for m, i in enumerate(pos)), cache)
-
-    return hyperdet_from_getter(len(side_lists[0]), len(side_lists), at)
+    """det of the moment subtensor at the instance, by one moment plan."""
+    _require_dag(g)
+    return _DeterminantPlan(g, sides, moments=True).at(inst)
 
 
 # -- split-treks -------------------------------------------------------------
@@ -539,12 +502,8 @@ def scan_conjecture(
 
         absent = not exists_split_trek_system_no_sided_intersection(g, sides, budget).found
         seeds = [base + t for t in range(trials)]
-        insts = [sample_generic_instance(g, k, s) for s in seeds]
-        caches = [{} for _ in insts]  # one per instance, shared by its lower-order checks
-        dets = [
-            moment_subtensor_determinant(g, inst, sides, cache)
-            for inst, cache in zip(insts, caches)
-        ]
+        plan = _DeterminantPlan(g, sides, moments=True)
+        dets = [plan.at_seed(s) for s in seeds]
         all_zero = all(not d for d in dets)
 
         record = {
@@ -561,7 +520,7 @@ def scan_conjecture(
             record["direction"] = "if"
             disagreements.append(record)
         else:
-            sym = moment_subtensor_determinant(g, symbolic_instance(g, k), sides)
+            sym = plan.at(symbolic_instance(g, k))
             really_zero = not (isinstance(sym, Poly) and sym)
             if really_zero:
                 record["direction"] = "only-if"
@@ -579,14 +538,11 @@ def scan_conjecture(
                         continue
                     rest = tuple(i for i in range(k) if i not in group)
                     lower_checked += 1
-                    h_zero = all(
-                        not moment_subtensor_determinant(g, inst, [sides[i] for i in group], cache)
-                        for inst, cache in zip(insts, caches)
-                    )
-                    rest_zero = all(
-                        not moment_subtensor_determinant(g, inst, [sides[i] for i in rest], cache)
-                        for inst, cache in zip(insts, caches)
-                    )
+                    # An order-h plan's draws are a prefix of the order-k instance's.
+                    h_plan = _DeterminantPlan(g, [sides[i] for i in group], moments=True)
+                    rest_plan = _DeterminantPlan(g, [sides[i] for i in rest], moments=True)
+                    h_zero = all(not h_plan.at_seed(s) for s in seeds)
+                    rest_zero = all(not rest_plan.at_seed(s) for s in seeds)
                     if not h_zero and not rest_zero:
                         lower_violations.append(
                             {

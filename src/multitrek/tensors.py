@@ -243,9 +243,9 @@ def hyperdet_from_table(n: int, order: int, table: Sequence):
     At order 2 with int or Fraction entries this is det_matrix, exact
     Bareiss elimination.  Otherwise it is the Leibniz sum over
     (order-1)-tuples of permutations, in itertools order, each term
-    multiplied row by row from the int 1 (exact for floats too) and
-    skipped at its first zero factor; that fixed order makes float
-    results repeat to the last bit.
+    multiplied row by row starting at its first entry and skipped at its
+    first zero factor; that fixed order makes float results repeat to the
+    last bit.
     """
     if n == 0:
         return 1
@@ -257,7 +257,6 @@ def hyperdet_from_table(n: int, order: int, table: Sequence):
         sign = 1
         for c in combo:
             sign *= signs[c]
-        term = 1
         for i in range(n):
             off = i
             for c in combo:
@@ -265,7 +264,7 @@ def hyperdet_from_table(n: int, order: int, table: Sequence):
             val = table[off]
             if not val:
                 break
-            term = term * val
+            term = term * val if i else val
         else:
             total = total + (term if sign > 0 else -term)
     return total

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from multitrek import MixedGraph
+from multitrek import DiagonalSpec, HyperedgeSpec, MixedGraph, ModelInstance, NoiseCumulants
 
 # -- frozen graphs ---------------------------------------------------------
 
@@ -118,6 +118,24 @@ def random_sides(
     rng: random.Random, g: MixedGraph, k: int, n: int
 ) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(rng.sample(g.vertices, n))) for _ in range(k))
+
+
+def non_integral_twin(inst: ModelInstance, rng: random.Random) -> ModelInstance:
+    """The instance with every value a small Fraction: mostly non-integral, some zero."""
+
+    def value(_):
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+
+    return ModelInstance(
+        lam={e: value(x) for e, x in inst.lam.items()},
+        noise={
+            order: NoiseCumulants(
+                diag=DiagonalSpec({v: value(x) for v, x in nc.diag.values.items()}),
+                hyper=HyperedgeSpec({key: value(x) for key, x in nc.hyper.entries.items()}),
+            )
+            for order, nc in inst.noise.items()
+        },
+    )
 
 
 # -- independent oracles ---------------------------------------------------

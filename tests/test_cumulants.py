@@ -34,6 +34,7 @@ from conftest import (
     all_paths,
     hyperdet_by_leibniz,
     minor_det_by_path_systems,
+    non_integral_twin,
     random_dag,
     random_mixed,
     random_sides,
@@ -353,24 +354,6 @@ def _trek_rule_determinant(g, inst, sides, one):
     return hyperdet_by_leibniz(len(sides[0]), len(sides), entry, one)
 
 
-def _non_integral_twin(inst: ModelInstance, rng: random.Random) -> ModelInstance:
-    """The instance with every value a small Fraction: mostly non-integral, some zero."""
-
-    def value(_):
-        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
-
-    return ModelInstance(
-        lam={e: value(x) for e, x in inst.lam.items()},
-        noise={
-            order: NoiseCumulants(
-                diag=DiagonalSpec({v: value(x) for v, x in nc.diag.values.items()}),
-                hyper=HyperedgeSpec({key: value(x) for key, x in nc.hyper.entries.items()}),
-            )
-            for order, nc in inst.noise.items()
-        },
-    )
-
-
 def test_plan_matches_leibniz_over_trek_rule_on_mixed_graphs():
     rng = random.Random(57)
     hyper_cases = 0
@@ -379,7 +362,7 @@ def test_plan_matches_leibniz_over_trek_rule_on_mixed_graphs():
         k = rng.randint(2, 4)
         n = rng.randint(1, min(2, len(g.vertices)))
         sides = random_sides(rng, g, k, n)
-        inst = _non_integral_twin(sample_generic_instance(g, k, rng.getrandbits(32)), rng)
+        inst = non_integral_twin(sample_generic_instance(g, k, rng.getrandbits(32)), rng)
         hyper_cases += bool(inst.noise_at(k).hyper.entries)
         assert subtensor_determinant(g, inst, sides) == _trek_rule_determinant(
             g, inst, sides, Fraction(1)

@@ -6,13 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import hyperdet_by_leibniz, moment_by_noise_moments, random_dag, random_sides
+from conftest import (
+    hyperdet_by_leibniz,
+    moment_by_noise_moments,
+    non_integral_twin,
+    random_dag,
+    random_mixed,
+    random_sides,
+)
 from multitrek import (
     BudgetExceeded,
     MissingOrder,
     MixedGraph,
     Tensor,
+    canonical_dag,
     check_moment_theorem_k3,
+    cumulant_entry,
+    cumulant_entry_by_trek_rule,
     det_by_split_trek_systems,
     enumerate_ktreks,
     enumerate_split_treks,
@@ -28,7 +38,7 @@ from multitrek import (
     split_trek_from_paths,
     symbolic_instance,
 )
-from multitrek.cumulants import noise_entry
+from multitrek.cumulants import _DeterminantPlan, noise_entry
 from multitrek.moments import ConjectureReport
 
 
@@ -187,10 +197,9 @@ class TestMomentRouteAgainstNoiseMoments:
             tensor = model_moment(g, inst, k)
             for idx in itertools.product(range(len(g.vertices)), repeat=k):
                 assert tensor.at(idx) == ref(tuple(g.vertices[i] for i in idx))
-            cache: dict = {}
             for _ in range(10):
                 indices = tuple(rng.choice(g.vertices) for _ in range(k))
-                assert moment_entry(g, inst, indices, cache) == ref(indices)
+                assert moment_entry(g, inst, indices) == ref(indices)
             n = min(rng.choice((1, 2)), len(g.vertices))
             sides = random_sides(rng, g, k, n)
 
@@ -210,6 +219,56 @@ class TestMomentRouteAgainstNoiseMoments:
             return ref(tuple(sides[m][i] for m, i in enumerate(pos)))
 
         assert moment_subtensor_determinant(g, inst, sides) == hyperdet_by_leibniz(2, 4, entry, 1)
+
+
+class TestMomentPlan:
+    """The moment plan against dense references, and its seeded draws."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_plan_and_entries_match_references(self, k):
+        # Int and non-integral Fraction values on 30 DAGs per order, symbolic
+        # values on the small ones among every third.
+        rng = random.Random(7200 + k)
+        for case in range(30):
+            g = random_dag(rng, max_vertices=4 if k == 5 else 5)
+            sampled = sample_generic_instance(g, k, rng.randrange(10**6))
+            insts = [(sampled, False), (non_integral_twin(sampled, rng), False)]
+            if case % 3 == 0 and len(g.vertices) <= 4:
+                insts.append((symbolic_instance(g, k), True))
+            n = min(rng.choice((1, 2)), len(g.vertices))
+            sides = random_sides(rng, g, k, n)
+            plan = _DeterminantPlan(g, sides, moments=True)
+            indices = tuple(rng.choice(g.vertices) for _ in range(k))
+            positions = tuple(g.index_of(v) for v in indices)
+            for inst, symbolic in insts:
+                ref = moment_by_noise_moments(g, inst, k)
+
+                def entry(pos):
+                    return ref(tuple(sides[m][i] for m, i in enumerate(pos)))
+
+                assert plan.at(inst) == hyperdet_by_leibniz(n, k, entry, 1)
+                moment, cumulant = moment_entry(g, inst, indices), cumulant_entry(g, inst, indices)
+                if symbolic:  # full tensors hold rationals only
+                    assert moment == ref(indices)
+                    assert cumulant == cumulant_entry_by_trek_rule(g, inst, indices)
+                else:
+                    assert moment == model_moment(g, inst, k).at(positions)
+                    assert cumulant == model_cumulant(g, inst, k).at(positions)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_lower_order_at_seed_reads_the_order_k_instance(self, k):
+        # _parameter_layout(g, h) is a prefix of _parameter_layout(g, k) and
+        # the draws are sequential, so an order-h plan needs no k.
+        rng = random.Random(7300 + k)
+        for _ in range(12):
+            g = canonical_dag(random_mixed(rng, max_vertices=5, max_hyperedges=1)).dag
+            seed = rng.getrandbits(32)
+            inst = sample_generic_instance(g, k, seed)
+            for h in range(2, k + 1):
+                sides = random_sides(rng, g, h, rng.randint(1, 2))
+                for moments in (False, True):
+                    plan = _DeterminantPlan(g, sides, moments=moments)
+                    assert plan.at_seed(seed) == plan.at(inst)
 
 
 class TestEnumerateSplitTreks:
@@ -323,18 +382,19 @@ class TestDeterminantRoutes:
         assert exists_split_trek_system_no_sided_intersection(g, sides).found is False
         assert det_by_split_trek_systems(g, inst, sides) == dense
 
-    def test_shared_cache_gives_the_fresh_determinants(self):
-        # One cache serves determinants of every order and side set taken at
-        # the same instance, as the scan's lower-order checks use it.
+    def test_lower_order_plans_give_the_fresh_determinants(self):
+        # As in the scan's lower-order checks: plans of every order and side
+        # set, each evaluated at the seeds of one order-4 instance family.
         rng = random.Random(315)
         for _ in range(8):
             g = random_dag(rng, max_vertices=6)
-            inst = sample_generic_instance(g, 4, rng.randrange(10**6))
-            cache: dict = {}
+            seeds = [rng.randrange(10**6) for _ in range(3)]
+            insts = [sample_generic_instance(g, 4, s) for s in seeds]
             for k in (4, 2, 3, 2, 4):
                 sides = random_sides(rng, g, k, rng.randint(1, 2))
-                shared = moment_subtensor_determinant(g, inst, sides, cache)
-                assert shared == moment_subtensor_determinant(g, inst, sides)
+                plan = _DeterminantPlan(g, sides, moments=True)
+                for seed, inst in zip(seeds, insts):
+                    assert plan.at_seed(seed) == moment_subtensor_determinant(g, inst, sides)
 
     def test_fork_determinant_factors_and_vanishes(self, factorization_dag):
         inst = sample_generic_instance(factorization_dag, 4, 11)
@@ -386,6 +446,25 @@ class TestScanConjecture:
         assert report.agreements + len(report.disagreements) == 12
         assert not [d for d in report.disagreements if d["direction"] == "if"]
         assert not report.lower_order_violations
+
+    def test_report_is_pinned(self):
+        # Two only-if records, each with a symbolic recheck, and six lower-order checks.
+        ensemble = {"cases": 8, "edge_prob": "1/2", "k": 4, "max_vertices": 6, "set_size": 2}
+        report = scan_conjecture(4, ensemble, seed=18, trials=5)
+        assert report.to_json() == (
+            '{"agreements":6,"cases_scanned":8,"disagreements":[{"algebraic_zero":true,"case":6,'
+            '"certain_recheck_zero":true,"combinatorial_absent":false,"direction":"only-if",'
+            '"graph":"{\\"directed_edges\\":[[1,5],[2,3],[2,5],[4,6]],'
+            '\\"multidirected_edges\\":[],\\"vertices\\":[1,2,3,4,5,6]}",'
+            '"instance_seeds":[3258224721,3258224722,3258224723,3258224724,3258224725],'
+            '"sides":[[2,3],[3,6],[1,4],[1,3]]},{"algebraic_zero":true,"case":7,'
+            '"certain_recheck_zero":true,"combinatorial_absent":false,"direction":"only-if",'
+            '"graph":"{\\"directed_edges\\":[[1,6],[2,3],[3,4],[3,5],[4,5],[4,6]],'
+            '\\"multidirected_edges\\":[],\\"vertices\\":[1,2,3,4,5,6]}",'
+            '"instance_seeds":[4275879842,4275879843,4275879844,4275879845,4275879846],'
+            '"sides":[[2,3],[4,6],[4,5],[5,6]]}],'
+            '"lower_order_checked":6,"lower_order_violations":[]}'
+        )
 
     def test_scan_is_deterministic(self):
         ens = {"cases": 6, "max_vertices": 4}
