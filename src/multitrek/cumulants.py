@@ -311,6 +311,7 @@ def det_by_trek_systems(
 
 # The "order" that marks an edge weight in a parameter layout; noise orders start at 2.
 _WEIGHT = 1
+VALUE_RANGE = 997  # generic instance values are nonzero ints +-1..+-VALUE_RANGE
 
 
 def _parameter_layout(g: MixedGraph, k_max: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -335,12 +336,12 @@ def _parameter_layout(g: MixedGraph, k_max: int) -> tuple[tuple[int, tuple[int, 
 
 def _draws(seed: int, count: int) -> list[int]:
     """The first ``count`` values of the seeded generic instance, in layout order:
-    nonzero ints +-1..+-997, each drawn as a magnitude and then a sign."""
+    nonzero ints +-1..+-VALUE_RANGE, each drawn as a magnitude and then a sign."""
     rng = random.Random(seed)
     randrange, uniform = rng.randrange, rng.random
     values = []
     for _ in range(count):
-        magnitude = randrange(1, 998)  # randint(1, 997) is an alias of this call
+        magnitude = randrange(1, VALUE_RANGE + 1)  # randint(1, VALUE_RANGE) is an alias
         values.append(magnitude if uniform() < 0.5 else -magnitude)
     return values
 
@@ -369,10 +370,10 @@ def _instance_of(
 def sample_generic_instance(g: MixedGraph, k_max: int, rng_seed: int) -> ModelInstance:
     """Random instance for polynomial identity testing; deterministic per seed.
 
-    Edge weights and noise values are nonzero ints +-1..+-997, drawn in
-    the order of _parameter_layout.  Diagonal noise covers every vertex
-    at orders 2..k_max; hyperedge noise covers every admissible multiset
-    of each hyperedge.
+    Edge weights and noise values are nonzero ints +-1..+-VALUE_RANGE,
+    drawn in the order of _parameter_layout.  Diagonal noise covers every
+    vertex at orders 2..k_max; hyperedge noise covers every admissible
+    multiset of each hyperedge.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")

@@ -28,6 +28,7 @@ moments of the lifted model with latent columns ignored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -44,15 +45,14 @@ from .tensors import Tensor, signed_permutations, symmetric_tensor
 from .treks import (
     DEFAULT_BUDGET,
     DirectedPath,
-    TopObstruction,
     Trek,
     TrekSearchResult,
+    _reaching,
     _verify_system,
     checked_sides,
     enumerate_paths,
     exists_disjoint_path_system,
     make_trek_system,
-    reach_sets,
     repeated_side,
     signed_system_sum,
 )
@@ -223,13 +223,11 @@ def enumerate_split_treks(
     vset = set(g.vertices)
     if any(s not in vset for s in sinks):
         raise ValueError(f"sinks {tuple(sinks)} must belong to the graph")
-    reach = reach_sets(g)
     pools: list[list[DirectedPath]] = []
     for s in sinks:
         pool: list[DirectedPath] = []
-        for u in g.vertices:
-            if s in reach[u]:
-                pool.extend(enumerate_paths(g, u, s, budget))
+        for u in sorted(_reaching(g, (s,))):
+            pool.extend(enumerate_paths(g, u, s, budget))
         pool.sort(key=lambda p: p.vertices)
         pools.append(pool)
     out: list[SplitTrek] = []
@@ -258,8 +256,7 @@ def exists_split_trek_system_no_sided_intersection(
     source multiset is singleton-free; rows are matched by brute force
     over per-side bijections with side 1 fixed.  Any existing system
     induces such columns and bijections, so the search is exhaustive.
-    The obstruction log lists each column with no disjoint path system
-    onto its side.
+    The result carries no obstruction log.
     """
     _require_dag(g)
     side_lists = checked_sides(g.vertices, sides)
@@ -269,24 +266,14 @@ def exists_split_trek_system_no_sided_intersection(
     n = len(side_lists[0])
     k = len(side_lists)
 
-    reach = reach_sets(g)
-    useful = [
-        [v for v in g.vertices if reach[v] & set(side)] for side in side_lists
-    ]
-    flows: dict[tuple[int, tuple[int, ...]], list[DirectedPath] | None] = {}
-    obstructions: list[TopObstruction] = []
-
-    def flow(i: int, columns: tuple[int, ...]) -> list[DirectedPath] | None:
-        key = (i, columns)
-        if key not in flows:
-            got = exists_disjoint_path_system(g, columns, side_lists[i])
-            flows[key] = got
-            if got is None:
-                obstructions.append(TopObstruction(top=columns, blocked_side=i + 1))
-        return flows[key]
-
+    flow = functools.cache(
+        lambda i, columns: exists_disjoint_path_system(g, columns, side_lists[i])
+    )
     count = 0
-    column_choices = [list(itertools.combinations(u, n)) for u in useful]
+    column_choices = [
+        list(itertools.combinations(sorted(_reaching(g, side)), n))
+        for side in side_lists
+    ]
     perms, _ = signed_permutations(n)
     for cols in itertools.product(*column_choices):
         count += 1
@@ -325,8 +312,8 @@ def exists_split_trek_system_no_sided_intersection(
         treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
         system = make_trek_system(treks, side_lists)
         _verify_system(g, system, open_first_side=False)
-        return TrekSearchResult(system=system, obstructions=tuple(obstructions))
-    return TrekSearchResult(system=None, obstructions=tuple(obstructions))
+        return TrekSearchResult(system=system)
+    return TrekSearchResult(system=None)
 
 
 # -- split-trek expansion of the moment determinant --------------------------

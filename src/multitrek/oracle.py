@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cumulants import _DeterminantPlan, symbolic_instance
+from .cumulants import VALUE_RANGE, _DeterminantPlan, symbolic_instance
 from .errors import InternalInconsistency
 from .graphs import MixedGraph, canonical_dag, serialize_graph
 from .polynomial import Poly
@@ -70,8 +70,6 @@ from .treks import (
 
 VANISHES = "Vanishes"
 NOT_VANISHES = "NotVanishes"
-
-VALUE_RANGE = 997
 
 EXIT_NOT_VANISHES = 0
 EXIT_VANISHES = 10
@@ -282,6 +280,15 @@ def _separator_defect(
     return None
 
 
+def _is_obstruction_log(log: object) -> bool:
+    """A list of {"top": [ints], "blocked_side": int}, the one log shape ever written."""
+    return isinstance(log, list) and all(
+        isinstance(e, dict) and set(e) == {"top", "blocked_side"} and isinstance(e["top"], list)
+        and all(type(v) is int for v in [*e["top"], e["blocked_side"]])
+        for e in log
+    )
+
+
 def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
     """Re-verify a stored Decision document against the graph.
 
@@ -294,7 +301,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     canonical DAG; for any other vanishing verdict, that the search
     still comes up empty).  A non-vanishing record must carry a nonzero
     determinant, and a policy certificate must cite a repeat that
-    forces zero (see repeated_side).
+    forces zero (see repeated_side); an obstruction log is checked by shape.
     Earlier versions wrote order-2 vanishing decisions with an
     obstruction log instead of a separator, and NotVanishes decisions
     with a "gap" marker (paper criterion empty, determinant nonzero);
@@ -361,7 +368,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
 
     if gap:
         # Accept-only path for documents written before the odd-order rule.
-        if "obstructions" not in certificate:
+        if not _is_obstruction_log(certificate.get("obstructions")):
             return False, "gap certificate is missing the obstruction log"
         if k == 2:
             return False, "gap certificate is impossible at order 2"
@@ -395,6 +402,8 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         if defect is not None:
             return False, defect
         return True, "separator verified"
+    if not _is_obstruction_log(certificate.get("obstructions")):
+        return False, "vanishing certificate needs a separator or an obstruction log"
 
     search: TrekSearchResult = exists_trek_system_no_sided_intersection(
         g, sides, budget, open_first_side=k % 2 == 1

@@ -21,6 +21,13 @@ vertex ids, latents included.  The same trek-system machinery serves
 the moment side: split-treks fill the same TrekSystem, pass the same
 verifier and feed the same signed expansion.
 
+Every "which vertices reach this side" question — the useful tops of a
+search, the sources of treks and paths into given sinks, the open sides
+of a separation check — is answered by one reverse search over parent
+lists from the whole side at once (``_reaching``), which may avoid a
+blocking set: a vertex counts when it has a directed path into the
+side that meets no blocked vertex, endpoints included.
+
 All enumerations are capped (default 10^6 items); exceeding a cap is
 an explicit BudgetExceeded, never silent truncation.  The order-2 flow
 enumerates nothing and takes no cap.  Orderings are lexicographic or
@@ -34,7 +41,7 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .graphs import MixedGraph, canonical_dag
@@ -143,7 +150,7 @@ class TopObstruction:
     """A candidate top set R and a side with no disjoint path system from R.
 
     The k-trek search (orders >= 3) logs the first blocked side of each
-    top set; the split-trek search logs each blocked per-side source set.
+    top set it tries.
     """
 
     top: tuple[int, ...]
@@ -155,12 +162,13 @@ class TrekSearchResult:
     """Either a verified intersection-free system, or why none exists.
 
     At order 2 an empty result carries a minimum t-separator
-    (C_A, C_B) in canonical-DAG ids; from order 3 on it carries the
-    per-top obstructions of the enumeration.
+    (C_A, C_B) in canonical-DAG ids; from order 3 on the k-trek search
+    carries the per-top obstructions of its enumeration.  The split-trek
+    search carries neither.
     """
 
     system: TrekSystem | None
-    obstructions: tuple[TopObstruction, ...]
+    obstructions: tuple[TopObstruction, ...] = ()
     separator: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @property
@@ -173,21 +181,25 @@ class TrekSearchResult:
 
 def reachable_from(g: MixedGraph, u: int) -> frozenset[int]:
     """Vertices reachable from u by directed edges, u included."""
-    return _reach(g.adjacency(), u)
+    return _reach(g.adjacency(), (u,))
 
 
-def reach_sets(g: MixedGraph) -> dict[int, frozenset[int]]:
-    """reachable_from of every vertex, all from one adjacency."""
-    children = g.adjacency()
-    return {v: _reach(children, v) for v in g.vertices}
+def _reaching(g: MixedGraph, targets: Iterable[int], avoid: Iterable[int] = ()) -> frozenset[int]:
+    """Vertices with a directed path into targets meeting no vertex of avoid (endpoints count)."""
+    parents: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for a, b in g.directed_edges:
+        parents[b].append(a)
+    return _reach(parents, targets, frozenset(avoid))
 
 
-def _reach(children: Mapping[int, Sequence[int]], u: int) -> frozenset[int]:
-    seen = {u}
-    stack = [u]
+def _reach(
+    children: Mapping[int, Sequence[int]], starts: Iterable[int], avoid: Container[int] = ()
+) -> frozenset[int]:
+    seen = {u for u in starts if u not in avoid}
+    stack = list(seen)
     while stack:
         for c in children[stack.pop()]:
-            if c not in seen:
+            if c not in seen and c not in avoid:
                 seen.add(c)
                 stack.append(c)
     return frozenset(seen)
@@ -205,10 +217,7 @@ def enumerate_paths(
     if u not in vset or v not in vset:
         raise ValueError(f"vertices {u},{v} must belong to the graph")
     children = g.adjacency()
-    parents: dict[int, list[int]] = {w: [] for w in g.vertices}
-    for a, b in g.directed_edges:
-        parents[b].append(a)
-    into_v = _reach(parents, v)
+    into_v = _reaching(g, (v,))
     out: list[DirectedPath] = []
 
     def dfs(path: list[int]) -> None:
@@ -248,15 +257,15 @@ def enumerate_ktreks(
     vset = set(g.vertices)
     if any(s not in vset for s in sinks):
         raise ValueError(f"sinks {tuple(sinks)} must belong to the graph")
-    reach = reach_sets(g)
+    into = [_reaching(g, (s,)) for s in sinks]
 
     source_tuples: set[tuple[int, ...]] = set()
     for t in g.vertices:
-        if all(s in reach[t] for s in sinks):
+        if all(t in reaching for reaching in into):
             source_tuples.add((t,) * k)
     for h in g.multidirected_edges:
         members = sorted(set(h))
-        pools = [[m for m in members if sinks[i] in reach[m]] for i in range(k)]
+        pools = [[m for m in members if m in reaching] for reaching in into]
         if all(pools):
             for srcs in itertools.product(*pools):
                 source_tuples.add(srcs)
@@ -590,10 +599,8 @@ def _search_dag(
     k = len(sides)
     if k == 2:
         return _trek_flow(dag, sides)
-    reach = reach_sets(dag)
-    useful = [
-        v for v in dag.vertices if all(reach[v] & set(side) for side in sides)
-    ]
+    into = [_reaching(dag, side) for side in sides]
+    useful = [v for v in dag.vertices if all(v in reaching for reaching in into)]
     obstructions: list[TopObstruction] = []
     count = 0
     for tops in itertools.combinations(useful, n):
@@ -671,7 +678,7 @@ def _trek_flow(dag: MixedGraph, sides: tuple[tuple[int, ...], ...]) -> TrekSearc
             )
             for c in (0, 2)
         )
-        return TrekSearchResult(system=None, obstructions=(), separator=separator)
+        return TrekSearchResult(system=None, separator=separator)
     treks = []
     for a in side_a:
         nodes = net.walk(4 * idx[a], snk)[:-1]
@@ -680,7 +687,7 @@ def _trek_flow(dag: MixedGraph, sides: tuple[tuple[int, ...], ...]) -> TrekSearc
         treks.append(KTrek(paths=(DirectedPath(up), DirectedPath(down)), top_vertex=up[0]))
     system = make_trek_system(treks, sides)
     _verify_system(dag, system, open_first_side=False)
-    return TrekSearchResult(system=system, obstructions=())
+    return TrekSearchResult(system=system)
 
 
 def system_defect(
@@ -790,47 +797,27 @@ def check_ktrek_separation(
     """
     if len(blockers) != len(sides):
         raise ValueError("need one blocking set per side")
-    side_lists = [list(side) for side in sides]
-    block_sets = [set(a) for a in blockers]
     vset = set(g.vertices)
-    for group in list(side_lists) + [sorted(a) for a in block_sets]:
+    for group in [*sides, *blockers]:
         if any(v not in vset for v in group):
             raise ValueError("sides and blockers must belong to the graph")
-
-    avoid_reach: list[dict[int, frozenset[int]]] = []
-    for a in block_sets:
-        sub = _induced(g, vset - a)
-        avoid_reach.append(reach_sets(sub))
-
-    def side_open(i: int, source: int) -> bool:
-        if source in block_sets[i]:
-            return False
-        return bool(avoid_reach[i][source] & set(side_lists[i]))
+    # per side, the tops with a path into it that avoids its blocking set
+    opens = [_reaching(g, side, a) for side, a in zip(sides, blockers)]
 
     count = 0
     for t in g.vertices:
         count += 1
         if count > budget:
             raise BudgetExceeded("separation top candidates", budget)
-        if all(side_open(i, t) for i in range(len(side_lists))):
+        if all(t in reaching for reaching in opens):
             return False
     for h in g.multidirected_edges:
         count += 1
         if count > budget:
             raise BudgetExceeded("separation top candidates", budget)
-        members = set(h)
-        if all(any(side_open(i, m) for m in members) for i in range(len(side_lists))):
+        if all(any(m in reaching for m in h) for reaching in opens):
             return False
     return True
-
-
-def _induced(g: MixedGraph, keep: set[int]) -> MixedGraph:
-    return MixedGraph(
-        vertices=tuple(sorted(keep)),
-        directed_edges=tuple(
-            (a, b) for a, b in g.directed_edges if a in keep and b in keep
-        ),
-    )
 
 
 def find_ktrek_separating_sets(

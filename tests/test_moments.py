@@ -466,6 +466,60 @@ class TestScanConjecture:
             '"lower_order_checked":6,"lower_order_violations":[]}'
         )
 
+    def test_if_record_when_only_the_first_trial_is_zero(self, monkeypatch):
+        # No split-trek system exists on this edgeless case; forcing the
+        # determinant nonzero at every trial but the first must give an
+        # "if" record, since one zero trial does not make the case zero.
+        ensemble = {"cases": 1, "edge_prob": 0, "max_vertices": 6, "set_size": 1}
+        seen = []
+
+        def at_seed(plan, seed):
+            seen.append(seed)
+            return 0 if seed == seen[0] else 1
+
+        monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
+        report = scan_conjecture(4, ensemble, seed=0, trials=3)
+        assert seen == [3246154361, 3246154362, 3246154363]
+        assert report.to_json() == (
+            '{"agreements":0,"cases_scanned":1,"disagreements":[{"algebraic_zero":false,'
+            '"case":0,"combinatorial_absent":true,"direction":"if","graph":'
+            '"{\\"directed_edges\\":[],\\"multidirected_edges\\":[],\\"vertices\\":[1,2,3,4,5]}",'
+            '"instance_seeds":[3246154361,3246154362,3246154363],"sides":[[5],[2],[3],[2]]}],'
+            '"lower_order_checked":0,"lower_order_violations":[]}'
+        )
+
+    def test_randomized_fluke_is_resolved_by_the_symbolic_recheck(self, monkeypatch):
+        # On a complete DAG vertex 1 tops a split-trek into any sinks, so a
+        # system exists and the determinant is a nonzero polynomial.
+        ensemble = {"cases": 1, "edge_prob": 1, "max_vertices": 4, "set_size": 1}
+        clean = scan_conjecture(4, ensemble, seed=0, trials=3).to_doc()
+        assert (clean["agreements"], clean["lower_order_checked"]) == (1, 0)
+
+        # Zero at every trial: the recheck finds the nonzero polynomial, so the
+        # case is an agreement, and its all-zero trials run the three
+        # lower-order checks.
+        monkeypatch.setattr(_DeterminantPlan, "at_seed", lambda plan, seed: 0)
+        report = scan_conjecture(4, ensemble, seed=0, trials=3)
+        assert report.to_doc() == {
+            "agreements": 1,
+            "cases_scanned": 1,
+            "disagreements": [],
+            "lower_order_checked": 3,
+            "lower_order_violations": [],
+        }
+
+        # Zero at the first trial only: not all zero, so no recheck and no
+        # lower-order checks.
+        seen = []
+
+        def at_seed(plan, seed):
+            seen.append(seed)
+            return 0 if seed == seen[0] else 1
+
+        monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
+        assert scan_conjecture(4, ensemble, seed=0, trials=3).to_doc() == clean
+        assert len(seen) == 3
+
     def test_scan_is_deterministic(self):
         ens = {"cases": 6, "max_vertices": 4}
         a = scan_conjecture(4, ens, seed=8, trials=2)

@@ -8,6 +8,7 @@ from multitrek import (
     Decision,
     InternalInconsistency,
     MixedGraph,
+    TrekSearchResult,
     certify_decision,
     decide_vanishing,
     detect_common_cause,
@@ -477,4 +478,113 @@ def test_certify_rejects_malformed_documents_with_a_reason(star, collider):
     order_three["combinatorial_certificate"] = {"separator": [[], []]}
     assert certify_decision(collider, order_three) == (
         False, "a separator certifies order 2 only, not order 3"
+    )
+
+
+def test_certify_rejects_vanishing_documents_without_a_certificate(star, collider):
+    # Only a policy entry, a separator or an obstruction log certifies a
+    # vanishing verdict; any other certificate is refused by its shape.
+    reason = "vanishing certificate needs a separator or an obstruction log"
+    order_two = json.loads(LEGACY_ORDER_TWO_SEED3)
+    order_three = decide_vanishing(collider, ((1,), (2,), (3,)), seed=6).to_doc()
+    assert order_three["verdict"] == "Vanishes"
+    for g, doc in ((ORDER_TWO_GRAPH, order_two), (collider, order_three)):
+        for certificate in (
+            {},
+            {"whatever": 1},
+            {"obstructions": "nonsense"},
+            {"obstructions": [5]},
+            {"obstructions": [{"top": [1]}]},
+            {"obstructions": [{"top": "1", "blocked_side": 1}]},
+            {"obstructions": [{"top": [1.0], "blocked_side": 1}]},
+            {"obstructions": [{"top": [1], "blocked_side": "1"}]},
+            {"obstructions": [{"top": [1], "blocked_side": 1, "extra": 0}]},
+        ):
+            bad = copy.deepcopy(doc)
+            bad["combinatorial_certificate"] = certificate
+            assert certify_decision(g, bad, budget=0) == (False, reason)
+    # The log's shape is checked, not its content: legacy logs still pass.
+    bad = copy.deepcopy(order_three)
+    bad["combinatorial_certificate"] = {"obstructions": [{"top": [9], "blocked_side": 7}]}
+    assert certify_decision(collider, bad) == (True, "vanishing re-verified")
+
+    gap = json.loads(LEGACY_GAP_CERTAIN)
+    gap["combinatorial_certificate"]["obstructions"] = "nonsense"
+    assert certify_decision(GAP_GRAPH, gap) == (
+        False, "gap certificate is missing the obstruction log"
+    )
+
+
+def test_certify_rejects_each_tampered_claim_with_its_reason(monkeypatch, star, collider):
+    import multitrek.oracle as oracle_module
+
+    sides = ((1,), (2,), (3,))
+    found = decide_vanishing(star, sides, seed=6).to_doc()
+    certain = decide_vanishing(star, sides, mode="certain").to_doc()
+    empty = decide_vanishing(collider, sides, seed=6).to_doc()
+    assert (found["verdict"], empty["verdict"]) == ("NotVanishes", "Vanishes")
+
+    bad = copy.deepcopy(empty)
+    bad["algebraic_record"] = [{"seed": None, "determinant": "nonzero-polynomial(1 terms)"}]
+    assert certify_decision(collider, bad) == (
+        False, "vanishing verdict carries a nonzero determinant"
+    )
+
+    # A claimed vanishing where the search finds a witness, at orders 2 and 3 ...
+    for order_sides in (sides[:2], sides):
+        bad = decide_vanishing(star, order_sides, seed=6).to_doc()
+        bad.update(verdict="Vanishes", algebraic_record=[])
+        bad["combinatorial_certificate"] = {"obstructions": []}
+        assert certify_decision(star, bad) == (
+            False, "a trek system without sided intersection exists after all"
+        )
+    # ... and a gap claimed where the closed search finds one.
+    bad = copy.deepcopy(found)
+    bad["combinatorial_certificate"] = {"gap": "forged", "obstructions": []}
+    assert certify_decision(star, bad) == (
+        False, "a trek system without sided intersection exists after all"
+    )
+
+    bad = copy.deepcopy(empty)
+    bad["verdict"] = "NotVanishes"
+    bad["combinatorial_certificate"] = {"gap": "forged", "obstructions": []}
+    assert certify_decision(collider, bad) == (
+        False, "gap certificate carries no nonzero evidence"
+    )
+
+    bad = copy.deepcopy(certain)
+    bad["sides"] = [[1], [3], [2]]
+    assert certify_decision(star, bad) == (
+        False, "trek system endpoints do not match the decision sides"
+    )
+
+    bad = copy.deepcopy(found)
+    bad["combinatorial_certificate"]["trek_system"]["treks"][0] = {
+        "paths": [[3, 1], [3, 2], [3]], "top": {"vertex": 3}
+    }
+    assert certify_decision(star, bad) == (
+        False, "certificate path [3, 1] is not a path of the graph"
+    )
+
+    latent = MixedGraph((1, 2, 3), multidirected_edges=((1, 2, 3),))
+    bad = decide_vanishing(latent, sides, seed=6).to_doc()
+    top = bad["combinatorial_certificate"]["trek_system"]["treks"][0]["top"]
+    assert top["hyperedge"] == [1, 2, 3]
+    top["hyperedge"] = [1, 2, 3, 4]
+    assert certify_decision(latent, bad) == (
+        False, "certificate hyperedge [1, 2, 3, 4] is not in the graph"
+    )
+
+    # An empty search beside a nonzero polynomial: only the symbolic
+    # recheck can refuse the document.
+    monkeypatch.setattr(
+        oracle_module,
+        "exists_trek_system_no_sided_intersection",
+        lambda *args, **kwargs: TrekSearchResult(system=None),
+    )
+    bad = copy.deepcopy(found)
+    bad.update(verdict="Vanishes", algebraic_record=[])
+    bad["combinatorial_certificate"] = {"obstructions": []}
+    assert certify_decision(star, bad) == (
+        False, "vanishing verdict but the determinant is a nonzero polynomial"
     )

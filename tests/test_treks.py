@@ -31,7 +31,7 @@ from multitrek import (
     trek_system_to_doc,
 )
 from multitrek.estimation import test_determinant_zero as determinant_flag
-from multitrek.treks import reach_sets, system_defect
+from multitrek.treks import _reaching, system_defect
 from conftest import all_paths, random_dag, random_mixed, random_sides
 
 
@@ -41,9 +41,28 @@ def test_reachable_from(two_root_dag):
     assert reachable_from(two_root_dag, 5) == frozenset({5})
 
 
-def test_reach_sets_match_reachable_from(two_root_dag, menger_gap):
-    for g in (two_root_dag, menger_gap[0]):
-        assert reach_sets(g) == {v: reachable_from(g, v) for v in g.vertices}
+def test_reaching_is_forward_reach_in_the_graph_minus_the_blockers(two_root_dag, menger_gap):
+    # The reverse search from the targets against the definition: the
+    # vertices of G - A whose forward reach in G - A meets the targets.
+    rng = random.Random(43)
+    graphs = [two_root_dag, menger_gap[0]] + [random_mixed(rng, max_vertices=8) for _ in range(60)]
+    for g in graphs:
+        for _ in range(4):
+            targets = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+            avoid = rng.sample(g.vertices, rng.randint(0, len(g.vertices) - 1))
+            keep = set(g.vertices) - set(avoid)
+            minus = MixedGraph(
+                vertices=tuple(keep),
+                directed_edges=tuple(
+                    (a, b) for a, b in g.directed_edges if a in keep and b in keep
+                ),
+            )
+            assert _reaching(g, targets, avoid) == frozenset(
+                v for v in keep if reachable_from(minus, v) & set(targets)
+            )
+        assert _reaching(g, targets) == frozenset(
+            v for v in g.vertices if reachable_from(g, v) & set(targets)
+        )
 
 
 def test_enumerate_paths_fixture(two_root_dag):
