@@ -21,16 +21,17 @@ Every parameter of an instance has one place in a layout
 (_parameter_layout): edge weights first, then the noise of each order.
 Generic instances draw their values in that order and symbolic
 instances name theirs after it, so the draw order of a seed is fixed in
-one place.  Single entries and subtensor determinants, of cumulants
-and of moments (moments.py) alike, go through one plan
-(_DeterminantPlan) built once per graph and sides: the topological
-sweep for the path sums into the side vertices, the layout slot of each
-parameter it reads, and the distinct sorted entry keys, each a sum over
-partitions of distinct cumulant keys with their support terms.  A
-single entry is the plan over singleton sides.  Graph-only work is done
-once per plan; evaluating it at an instance, or at a seed without
-building the instance, does only the arithmetic.  Full tensors
-(model_cumulant) take the Tucker route, one path matrix for every key.
+one place.  Every cumulant value, and every moment value (moments.py),
+is evaluated on one entry plan (_EntryPlan) built once per graph and
+set of distinct sorted entry keys: the topological sweep for the path
+sums into the key vertices, the layout slot of each parameter it reads,
+the noise support terms, and each key as a sum over partitions of
+distinct cumulant keys.  A subtensor determinant (_DeterminantPlan)
+takes the keys of its sides, a single entry is the plan over singleton
+sides, and a full tensor (model_cumulant) takes every sorted key and
+broadcasts it by symmetry.  Graph-only work is done once per plan;
+evaluating it at an instance, or at a seed without building the
+instance, does only the arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,78 +167,6 @@ def path_matrix(g: MixedGraph, lam: Mapping[tuple[int, int], object]) -> list[li
     return m
 
 
-# -- cumulant assembly -----------------------------------------------------
-
-
-def noise_support(g: MixedGraph, inst: ModelInstance, order: int) -> dict[tuple[int, ...], object]:
-    """Nonzero noise entries at full index tuples (all permutations filled in)."""
-    nc = inst.noise_at(order)
-    full: dict[tuple[int, ...], object] = {}
-    for v, val in nc.diag.values.items():
-        if val:
-            full[(v,) * order] = val
-    for key, val in nc.hyper.entries.items():
-        if not val:
-            continue
-        for perm in set(itertools.permutations(key)):
-            full[perm] = val
-    return full
-
-
-def model_cumulant(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:
-    """Order-k cumulant tensor of the observed vector; exact and symmetric."""
-    values = _tucker_values(g, inst, (order,))[order]
-    return symmetric_tensor(len(g.vertices), order, values.__getitem__)
-
-
-def _tucker_values(g: MixedGraph, inst: ModelInstance, orders: Sequence[int]) -> dict[int, dict]:
-    """The Tucker route: the cumulant values of each order at every sorted
-    position key, the noise cumulants (noise_support) pushed through one path matrix."""
-    validate_instance(g, inst)
-    m = path_matrix(g, inst.lam)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    out = {}
-    for order in orders:
-        support = _support_by_first_row(noise_support(g, inst, order), idx)
-        keys = itertools.combinations_with_replacement(range(len(idx)), order)
-        out[order] = {key: _tucker_entry(support, m, key) for key in keys}
-    return out
-
-
-def _support_by_first_row(
-    support: Mapping[tuple[int, ...], object], idx: Mapping[int, int]
-) -> dict[int, list]:
-    """Support tuples as path-matrix rows, grouped by the row of their first index."""
-    groups: dict[int, list] = {}
-    for jtuple, val in support.items():
-        rows = [idx[j] for j in jtuple]
-        groups.setdefault(rows[0], []).append((rows[1:], val))
-    return groups
-
-
-def _tucker_entry(groups: Mapping[int, list], m: list[list], positions: tuple[int, ...]) -> object:
-    """Sum of val * m[j_1][i_1] * ... * m[j_k][i_k] over the support tuples (j, val).
-
-    A group whose first factor m[j_1][i_1] is zero is skipped whole.
-    """
-    first, rest = positions[0], positions[1:]
-    total = 0
-    for j0, terms in groups.items():
-        lead = m[j0][first]
-        if not lead:
-            continue
-        for rows, val in terms:
-            term = val * lead
-            for j, i in zip(rows, rest):
-                factor = m[j][i]
-                if not factor:
-                    term = 0
-                    break
-                term = term * factor
-            total = total + term
-    return total
-
-
 # -- trek-rule routes -------------------------------------------------------
 
 
@@ -274,8 +204,8 @@ def cumulant_entry_by_trek_rule(
 ) -> object:
     """Cumulant entry as a sum of monomials over all k-treks into the indices.
 
-    Must agree with the Tucker route exactly; that agreement is one of
-    the package's core self-tests.
+    Must agree with the entry plan (cumulant_entry, model_cumulant)
+    exactly; that agreement is one of the package's core self-tests.
     """
     total = 0
     for trek in enumerate_ktreks(g, tuple(indices), budget):
@@ -419,46 +349,43 @@ def _partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(split(tuple(range(k))))
 
 
-class _DeterminantPlan:
-    """det C^(k)[S_1..S_k], or with ``moments`` det N^(k)[S_1..S_k], on one
-    graph and one list of sides, with the work that no parameter value
-    changes done once.
+class _EntryPlan:
+    """Cumulant entries, or with ``moments`` moment entries, of one order on
+    one graph at distinct sorted keys of column positions, with the work
+    that no parameter value changes done once.
 
     Each entry is a sum over partitions of a product of cumulant values
     over the blocks: a cumulant entry is the one-block partition, a moment
     entry has the blocks of _partitions(k) (the moment-cumulant formula of
-    a centered vector), so it reads noise orders 2..k-2 and k.  The plan
-    holds the topological sweep that fills the path-sum columns of the
-    side vertices (rows only for vertices with a path into a side), the
-    slot of each edge weight and read noise parameter in the instance
-    layout (_parameter_layout), the distinct sorted entry keys with their
-    partitions over distinct cumulant keys, each cumulant key with the
-    support terms that can be nonzero on it, and the table from each
-    subtensor position to its entry.  at(inst) evaluates at any instance;
-    at_seed(seed) gives the value at sample_generic_instance(g, k, seed)
-    from the drawn values alone, without building that instance.  Singleton
-    sides give a single entry: the determinant of a 1 x ... x 1 tensor.
+    a centered vector), so it reads noise orders 2..k-2 and k.  A cumulant
+    value at vertices (i_1..i_m) is the noise core pushed through the path
+    sums: the sum over support terms, the diagonal noise of a vertex j or
+    a hyperedge noise entry at an arrangement (j_1..j_m), of the noise
+    value times the path sums j_1 -> i_1, ..., j_m -> i_m.  The plan holds
+    the topological sweep that fills the path-sum columns (rows only for
+    vertices with a path into a column), the slot of each edge weight and
+    read noise parameter in the instance layout (_parameter_layout), the
+    support terms of each read order grouped by their first row, and each
+    key's partitions over distinct cumulant keys.  at(inst) gives the
+    entries, in key order, at any instance; at_seed(seed) gives them at
+    sample_generic_instance(g, k, seed) from the drawn values alone,
+    without building that instance.
     """
 
     def __init__(
-        self, g: MixedGraph, sides: Sequence[Sequence[int]], moments: bool = False
+        self, g: MixedGraph, order: int, columns: Sequence, keys: Sequence, moments: bool = False
     ) -> None:
-        side_lists = checked_sides(g.vertices, sides)
         topo = validate_acyclic(g)
-        k = len(side_lists)
-        self.graph, self.order, self.n = g, k, len(side_lists[0])
-        partitions = _partitions(k) if moments else ((tuple(range(k)),),)
+        self.graph = g
+        partitions = _partitions(order) if moments else ((tuple(range(order)),),)
         orders = {len(block) for partition in partitions for block in partition}
 
-        layout = _parameter_layout(g, k)
+        layout = _parameter_layout(g, order)
         self._n_drawn = len(layout)
-        self._slots = tuple(
-            i for i, (order, _) in enumerate(layout) if order == _WEIGHT or order in orders
-        )
+        self._slots = tuple(i for i, (o, _) in enumerate(layout) if o == _WEIGHT or o in orders)
         self._params = tuple(layout[i] for i in self._slots)
         param_of = {param: i for i, param in enumerate(self._params)}
 
-        columns = sorted({v for side in side_lists for v in side})
         col = {v: c for c, v in enumerate(columns)}
         q = len(columns)
         children = g.adjacency()
@@ -489,72 +416,58 @@ class _DeterminantPlan:
                 sweep.append((base[v], links))
         self._sweep = tuple(sweep)
 
-        # Support terms: the diagonal noise of every row vertex, and every
-        # distinct arrangement of each hyperedge multiset within the rows.
-        ancestors = [sum(1 << r for r, v in enumerate(rows) if reach[v] >> c & 1) for c in range(q)]
-        diag_slots = {order: [param_of[(order, (v,))] for v in rows] for order in orders}
-        hyper_terms: dict[int, list] = {order: [] for order in orders}
-        for order, key in self._params:
-            if order != _WEIGHT and len(key) > 1 and all(reach[v] for v in key):
-                slot = param_of[(order, key)]
-                perms = sorted(set(itertools.permutations(key)))
-                hyper_terms[order] += [(slot, perm) for perm in perms]
+        # Support terms per read order, one group per row vertex j: the slot
+        # of j's diagonal noise, and (slot, offsets of the rows after the
+        # first) for every distinct arrangement, starting at j, of each
+        # hyperedge multiset within the rows.  A key reads the groups whose
+        # row has a path into its first column.
+        hyper: dict[int, dict[int, list]] = {o: {v: [] for v in rows} for o in orders}
+        for o, key in self._params:
+            if o != _WEIGHT and len(key) > 1 and all(reach[v] for v in key):
+                slot = param_of[(o, key)]
+                for perm in sorted(set(itertools.permutations(key))):
+                    hyper[o][perm[0]].append((slot, tuple(base[v] for v in perm[1:])))
+        groups = {
+            o: [(v, (base[v], param_of[(o, (v,))], tuple(hyper[o][v]))) for v in rows]
+            for o in orders
+        }
+        into = {
+            o: [tuple(group for v, group in groups[o] if reach[v] >> c & 1) for c in range(q)]
+            for o in orders
+        }
 
-        keys: dict[tuple[int, ...], int] = {}
-        self._table = tuple(
-            keys.setdefault(tuple(sorted(cols)), len(keys))
-            for cols in itertools.product(*([col[v] for v in side] for side in side_lists))
-        )
         # Each entry's partitions, as tuples of distinct cumulant keys; with
         # a single one-block partition every entry is its own cumulant key.
-        cumulant_keys, self._entries = keys, None
+        cumulant_keys: Sequence[tuple[int, ...]] = keys
+        self._entries = None
         if len(partitions) > 1:
-            cumulant_keys = {}
-            self._entries = tuple(
-                tuple(
-                    tuple(
-                        cumulant_keys.setdefault(tuple(key[x] for x in block), len(cumulant_keys))
-                        for block in partition
-                    )
-                    for partition in partitions
-                )
+            distinct: dict[tuple[int, ...], int] = {}
+            index = distinct.setdefault
+            blocks = [[operator.itemgetter(*b) for b in partition] for partition in partitions]
+            self._entries = [
+                [[index(get(key), len(distinct)) for get in getters] for getters in blocks]
                 for key in keys
-            )
-        cumulants = []
-        for key in cumulant_keys:
-            common = -1
-            for i in key:
-                common &= ancestors[i]
-            terms = [
-                (slot, tuple(r * q + i for i in key))
-                for r, slot in enumerate(diag_slots[len(key)])
-                if common >> r & 1
             ]
-            terms += [
-                (slot, tuple(base[j] + i for j, i in zip(perm, key)))
-                for slot, perm in hyper_terms[len(key)]
-                if all(reach[j] >> i & 1 for j, i in zip(perm, key))
-            ]
-            cumulants.append(tuple(terms))
-        self._cumulants = tuple(cumulants)
+            cumulant_keys = list(distinct)
+        self._cumulants = tuple((into[len(key)][key[0]], key[0], key[1:]) for key in cumulant_keys)
 
-    def at(self, inst: ModelInstance) -> object:
-        """The determinant at ``inst``; int, Fraction or Poly values alike."""
+    def at(self, inst: ModelInstance) -> list:
+        """The entries at ``inst``; int, Fraction or Poly values alike."""
         validate_instance(self.graph, inst)
         return self._evaluate([
             inst.lam.get(key, 0) if order == _WEIGHT else noise_entry(inst, order, key)
             for order, key in self._params
         ])
 
-    def at_seed(self, seed: int) -> object:
-        """The determinant at sample_generic_instance(graph, k, seed) for any
+    def at_seed(self, seed: int) -> list:
+        """The entries at sample_generic_instance(graph, k, seed) for any
         k >= order: the layout up to the plan's order is a prefix of the
         layout up to k, and the draws are sequential."""
         drawn = _draws(seed, self._n_drawn)
         return self._evaluate([drawn[i] for i in self._slots])
 
-    def _evaluate(self, params: Sequence) -> object:
-        """The determinant at the values of the plan's parameters, in layout order."""
+    def _evaluate(self, params: Sequence) -> list:
+        """The entries at the values of the plan's parameters, in layout order."""
         paths = list(self._unit)
         for row, links in self._sweep:
             for child, slot, cols in links:
@@ -565,27 +478,48 @@ class _DeterminantPlan:
                     x = paths[child + c]
                     if x:
                         paths[row + c] = paths[row + c] + w * x
-        values = [_entry_value(terms, params, paths) for terms in self._cumulants]
+        values = [_entry_value(*key, params, paths) for key in self._cumulants]
         if self._entries is not None:
             values = [_partition_value(partitions, values) for partitions in self._entries]
-        return hyperdet_from_table(self.n, self.order, [values[s] for s in self._table])
+        return values
 
 
-def _entry_value(terms: Sequence, params: Sequence, paths: Sequence) -> object:
-    """One cumulant entry: the sum over its terms (slot, cells) of params[slot]
-    times the path sums at the cells, a term dropped at its first zero factor."""
+def _entry_value(
+    groups: Sequence, first: int, rest: Sequence[int], params: Sequence, paths: Sequence
+) -> object:
+    """One cumulant entry at the columns (first, *rest): over the groups
+    (row, slot, hyper), params[slot] times the path sums at row + each
+    column, plus for each (slot, rows) of hyper params[slot] times the path
+    sums at row + first and at rows + rest, cell by cell.  A group whose
+    first path sum is zero is skipped whole, and a term is dropped at its
+    first zero factor."""
     total = 0
-    for slot, cells in terms:
-        term = params[slot]
-        if not term:
+    for row, slot, hyper in groups:
+        lead = paths[row + first]
+        if not lead:
             continue
-        for cell in cells:
-            factor = paths[cell]
-            if not factor:
-                break
-            term = term * factor
-        else:
-            total = total + term
+        term = params[slot]
+        if term:
+            term = term * lead
+            for c in rest:
+                factor = paths[row + c]
+                if not factor:
+                    break
+                term = term * factor
+            else:
+                total = total + term
+        for slot, rows in hyper:
+            term = params[slot]
+            if not term:
+                continue
+            term = term * lead
+            for r, c in zip(rows, rest):
+                factor = paths[r + c]
+                if not factor:
+                    break
+                term = term * factor
+            else:
+                total = total + term
     return total
 
 
@@ -602,6 +536,50 @@ def _partition_value(partitions: Sequence, cumulants: Sequence) -> object:
         if term:
             total = total + term
     return total
+
+
+class _DeterminantPlan(_EntryPlan):
+    """det C^(k)[S_1..S_k], or with ``moments`` det N^(k)[S_1..S_k], on one
+    graph and one list of sides: the entry plan over the distinct sorted
+    entry keys of the subtensor, with the table from each subtensor
+    position to its key, so that at(inst) and at_seed(seed) give the
+    determinant.  Singleton sides give a single entry: the determinant of
+    a 1 x ... x 1 tensor.
+    """
+
+    def __init__(
+        self, g: MixedGraph, sides: Sequence[Sequence[int]], moments: bool = False
+    ) -> None:
+        side_lists = checked_sides(g.vertices, sides)
+        self.order, self.n = len(side_lists), len(side_lists[0])
+        columns = sorted({v for side in side_lists for v in side})
+        col = {v: c for c, v in enumerate(columns)}
+        keys: dict[tuple[int, ...], int] = {}
+        self._table = tuple(
+            keys.setdefault(tuple(sorted(cols)), len(keys))
+            for cols in itertools.product(*([col[v] for v in side] for side in side_lists))
+        )
+        super().__init__(g, self.order, columns, list(keys), moments)
+
+    def _evaluate(self, params: Sequence) -> object:
+        values = super()._evaluate(params)
+        return hyperdet_from_table(self.n, self.order, [values[s] for s in self._table])
+
+
+def _model_tensor(g: MixedGraph, inst: ModelInstance, order: int, moments: bool) -> Tensor:
+    """The order-k cumulant (with ``moments``, moment) tensor of the observed
+    vector: one entry plan over every sorted key, broadcast by symmetric_tensor."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    p = len(g.vertices)
+    keys = list(itertools.combinations_with_replacement(range(p), order))
+    values = _EntryPlan(g, order, g.vertices, keys, moments).at(inst)
+    return symmetric_tensor(p, order, dict(zip(keys, values)).__getitem__)
+
+
+def model_cumulant(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:
+    """Order-k cumulant tensor of the observed vector; exact and symmetric."""
+    return _model_tensor(g, inst, order, moments=False)
 
 
 def cumulant_entry(g: MixedGraph, inst: ModelInstance, indices: Sequence[int]) -> object:
@@ -660,6 +638,8 @@ def instance_from_json(text: str) -> ModelInstance:
             order = int(order_key)
         except ValueError as exc:
             raise SchemaError(f"/noise/{order_key}", "order must be an integer") from exc
+        if order < 2:
+            raise SchemaError(f"/noise/{order_key}", "order must be >= 2")
         if not isinstance(nc_doc, dict) or not isinstance(nc_doc.get("diag"), dict):
             raise SchemaError(f"/noise/{order_key}", 'expected an object with key "diag"')
         if not isinstance(nc_doc.get("hyper", {}), dict):

@@ -2,12 +2,11 @@
 
 Moments come from cumulants by the moment-cumulant formula for a
 centered vector, a sum over the set partitions of the positions
-(_partitions).  Full moment tensors take it (_partition_sum) over the
-cumulant values of the Tucker route; single entries and subtensor
-determinants take it inside the cumulant module's determinant plan
-(_DeterminantPlan), which the scan builds once per case and per
-lower-order side group and evaluates at each seed without building an
-instance.  The noise moments of independent components are products of
+(_partitions).  Full moment tensors, single entries and subtensor
+determinants all take it inside the cumulant module's entry plan
+(_EntryPlan); the scan builds one determinant plan per case and per
+lower-order side group and evaluates it at each seed without building
+an instance.  The noise moments of independent components are products of
 per-vertex moments, nonzero only when no vertex appears exactly once.
 The trek notion that matches this support is the *split-trek*: k paths
 into the given sinks whose every source is shared by at least two of
@@ -47,10 +46,10 @@ from .treks import (
     DirectedPath,
     Trek,
     TrekSearchResult,
+    _paths_into,
     _reaching,
     _verify_system,
     checked_sides,
-    enumerate_paths,
     exists_disjoint_path_system,
     make_trek_system,
     repeated_side,
@@ -59,9 +58,9 @@ from .treks import (
 from .cumulants import (
     ModelInstance,
     _DeterminantPlan,
+    _model_tensor,
     _partitions,
     _times_path_weights,
-    _tucker_values,
     noise_entry,
     symbolic_instance,
 )
@@ -139,17 +138,13 @@ def _require_dag(g: MixedGraph) -> None:
 def model_moment(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:
     """Order-k moment tensor of the observed vector; exact and symmetric.
 
-    The partition sum over cumulant values at just the block orders that
-    occur: k, and 2..k-2 (the rest of the positions must split into blocks
-    of size >= 2), so order 4 needs orders 2 and 4.
+    One moment plan over every sorted key: each entry is the partition
+    sum over cumulant values at just the block orders that occur: k, and
+    2..k-2 (the rest of the positions must split into blocks of size
+    >= 2), so order 4 needs orders 2 and 4.
     """
     _require_dag(g)
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    tables = _tucker_values(g, inst, [*range(2, order - 1), order])
-    return symmetric_tensor(
-        len(g.vertices), order, lambda key: _partition_sum(key, lambda sub: tables[len(sub)][sub])
-    )
+    return _model_tensor(g, inst, order, moments=True)
 
 
 def moment_entry(g: MixedGraph, inst: ModelInstance, indices: Sequence[int]) -> object:
@@ -223,13 +218,14 @@ def enumerate_split_treks(
     vset = set(g.vertices)
     if any(s not in vset for s in sinks):
         raise ValueError(f"sinks {tuple(sinks)} must belong to the graph")
-    pools: list[list[DirectedPath]] = []
-    for s in sinks:
-        pool: list[DirectedPath] = []
-        for u in sorted(_reaching(g, (s,))):
-            pool.extend(enumerate_paths(g, u, s, budget))
-        pool.sort(key=lambda p: p.vertices)
-        pools.append(pool)
+    return _split_treks(sinks, [_paths_into(g, s, budget) for s in sinks], budget)
+
+
+def _split_treks(
+    sinks: Sequence[int], pools: Sequence[Sequence[DirectedPath]], budget: int
+) -> list[SplitTrek]:
+    """The split-treks among the combinations of one path from each pool,
+    pool i holding every path into sinks[i] in lexicographic order."""
     out: list[SplitTrek] = []
     count = 0
     for combo in itertools.product(*pools):
@@ -343,9 +339,10 @@ def det_by_split_trek_systems(
     """
     _require_dag(g)
     mu_memo: dict = {}
+    paths_into = functools.cache(lambda sink: _paths_into(g, sink, budget))
     return signed_system_sum(
         checked_sides(g.vertices, sides),
-        lambda sinks: enumerate_split_treks(g, sinks, budget),
+        lambda sinks: _split_treks(sinks, [paths_into(s) for s in sinks], budget),
         lambda trek: split_trek_monomial(inst, trek, mu_memo),
         budget,
     )

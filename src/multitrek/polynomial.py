@@ -80,6 +80,9 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other: object) -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            # A constant scales the coefficients; no monomial changes.
+            return self if other == 1 else Poly({m: c * other for m, c in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -216,25 +216,36 @@ def enumerate_paths(
     vset = set(g.vertices)
     if u not in vset or v not in vset:
         raise ValueError(f"vertices {u},{v} must belong to the graph")
+    return _paths_into(g, v, budget, (u,))
+
+
+def _paths_into(
+    g: MixedGraph, v: int, budget: int, sources: Iterable[int] | None = None
+) -> list[DirectedPath]:
+    """The directed paths into v from each of sources in turn (default: every
+    vertex with a path into v, ascending), lexicographic by vertex sequence
+    per source, by one reverse search.  Raises BudgetExceeded past the cap
+    on the paths from one source."""
     children = g.adjacency()
     into_v = _reaching(g, (v,))
     out: list[DirectedPath] = []
 
-    def dfs(path: list[int]) -> None:
+    def dfs(path: list[int], first: int) -> None:
         cur = path[-1]
         if cur == v:
-            if len(out) >= budget:
-                raise BudgetExceeded(f"paths {u}->{v}", budget)
+            if len(out) - first >= budget:
+                raise BudgetExceeded(f"paths {path[0]}->{v}", budget)
             out.append(DirectedPath(tuple(path)))
             return
         for c in children[cur]:
             if c in into_v:
                 path.append(c)
-                dfs(path)
+                dfs(path, first)
                 path.pop()
 
-    if u in into_v:
-        dfs([u])
+    for u in sorted(into_v) if sources is None else sources:
+        if u in into_v:
+            dfs([u], len(out))
     return out
 
 

@@ -169,6 +169,35 @@ class TestParametrize:
         assert code == EXIT_ERROR
         assert "order" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("order", ["0", "1"])
+    @pytest.mark.parametrize("kind", ["cumulant", "moment"])
+    def test_order_below_two_is_an_error(self, capsys, tmp_path, chain2, order, kind):
+        gpath = write_graph(tmp_path, chain2)
+        ipath = tmp_path / "inst.json"
+        ipath.write_text(instance_to_json(sample_generic_instance(chain2, 3, 4)))
+        code, out = run_cli(
+            capsys, "parametrize", "--graph", gpath, "--instance", str(ipath),
+            "--order", order, "--kind", kind,
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": "order must be >= 2"}
+
+    @pytest.mark.parametrize("order", ["0", "1", "2"])
+    @pytest.mark.parametrize("noise_order", ["0", "1"])
+    def test_instance_noise_order_below_two_is_a_json_error(
+        self, capsys, tmp_path, chain2, order, noise_order
+    ):
+        gpath = write_graph(tmp_path, chain2)
+        ipath = tmp_path / "inst.json"
+        diag = {"diag": {"1": "1/1", "2": "2/1"}}
+        noise = {noise_order: diag, "2": diag}
+        ipath.write_text(json.dumps({"lambda": {"1->2": "3/1"}, "noise": noise}))
+        code, out = run_cli(
+            capsys, "parametrize", "--graph", gpath, "--instance", str(ipath), "--order", order
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": f"/noise/{noise_order}: order must be >= 2"}
+
     @pytest.mark.parametrize(
         "instance, where",
         [

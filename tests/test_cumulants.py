@@ -11,6 +11,8 @@ from multitrek import (
     MixedGraph,
     ModelInstance,
     NoiseCumulants,
+    SchemaError,
+    Tensor,
     canonical_dag,
     cumulant_entry,
     cumulant_entry_by_trek_rule,
@@ -26,9 +28,11 @@ from multitrek import (
     subtensor,
     subtensor_determinant,
     symbolic_instance,
+    tucker_apply,
     validate_instance,
 )
 from multitrek import cumulants
+from multitrek.cumulants import noise_entry
 from multitrek.polynomial import Poly
 from conftest import (
     all_paths,
@@ -111,6 +115,39 @@ def test_model_cumulant_symmetric_and_entrywise(latent_triple):
     # the cross-entry is exactly the hyperedge noise parameter
     e123 = inst.noise_at(3).hyper.entries[(1, 2, 3)]
     assert t.at((0, 1, 2)) == e123
+
+
+def test_model_cumulant_matches_the_trek_rule_and_the_tucker_product():
+    # model_cumulant and the determinant plans evaluate on one entry plan, so
+    # every entry is checked against routes outside it: the trek rule on
+    # mixed graphs, and on DAGs the noise tensor pushed through the path
+    # matrix in every mode.
+    rng = random.Random(60)
+    shapes = set()
+    for _ in range(60):
+        g = random_mixed(rng, max_vertices=5, max_hyperedges=2)
+        k = rng.randint(2, 4)
+        inst = non_integral_twin(sample_generic_instance(g, k, rng.getrandbits(32)), rng)
+        p = len(g.vertices)
+        t = model_cumulant(g, inst, k)
+        assert t.dims == (p,) * k
+        by_trek_rule = {}
+        for idx in itertools.product(range(p), repeat=k):
+            key = tuple(sorted(g.vertices[i] for i in idx))
+            if key not in by_trek_rule:
+                by_trek_rule[key] = cumulant_entry_by_trek_rule(g, inst, key)
+            assert t.at(idx) == by_trek_rule[key]
+        if not g.multidirected_edges:
+            noise = Tensor.of(
+                (p,) * k,
+                [
+                    noise_entry(inst, k, [g.vertices[i] for i in idx])
+                    for idx in itertools.product(range(p), repeat=k)
+                ],
+            )
+            assert t == tucker_apply(noise, path_matrix(g, inst.lam))
+        shapes.add((k, bool(g.multidirected_edges)))
+    assert shapes == {(k, mixed) for k in (2, 3, 4) for mixed in (False, True)}
 
 
 def test_fig_pair_symbolic(latent_triple, pairwise_triple):
@@ -442,6 +479,20 @@ def test_validate_instance_rejects(two_root_dag, latent_triple):
         )
     with pytest.raises(ValueError):
         HyperedgeSpec({(2, 2): 1})
+
+
+@pytest.mark.parametrize("order_key", ["-3", "0", "1"])
+def test_instance_json_rejects_noise_orders_below_two(order_key):
+    text = '{"lambda":{},"noise":{"%s":{"diag":{"1":"1/1"}}}}' % order_key
+    with pytest.raises(SchemaError, match=f"^/noise/{order_key}: order must be >= 2$"):
+        instance_from_json(text)
+
+
+@pytest.mark.parametrize("order", [-1, 0, 1])
+def test_model_cumulant_rejects_orders_below_two(chain2, order):
+    inst = sample_generic_instance(chain2, 2, rng_seed=3)
+    with pytest.raises(ValueError, match="^order must be >= 2$"):
+        model_cumulant(chain2, inst, order)
 
 
 def test_instance_json_round_trip(latent_triple):

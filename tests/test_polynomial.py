@@ -46,6 +46,21 @@ def test_zero_and_constants():
     assert bool(x)
 
 
+def test_scalar_product_matches_the_constant_product():
+    # An int or Fraction factor scales the coefficients: same terms, in the
+    # same order, as the product with the constant polynomial.
+    rng = random.Random(33)
+    for _ in range(60):
+        a = rand_poly(rng)
+        for c in (0, 1, -1, 3, Fraction(2, 3), Fraction(4, 2), True):
+            for product in (a * c, c * a):
+                general = Poly.__mul__(a, Poly.const(c))
+                assert product == general
+                assert list(product.terms.items()) == list(general.terms.items())
+                assert all(type(x) in (int, Fraction) for x in product.terms.values())
+        assert a * 1 is a and 1 * a is a
+
+
 def test_variable_powers_merge():
     x = Poly.var("x")
     p = x * x * x
