@@ -14,8 +14,8 @@ over them stay in int arithmetic; Fraction appears only where a value
 is not an integer (e.g. "3/2" in an instance file).
 
 Everything here is ring-generic: values may be rationals or the sparse
-polynomials from .polynomial, which is how the symbolic ("certain")
-vanishing checks reuse the same code paths.
+polynomials from .polynomial, which is how the symbolic vanishing
+checks reuse the same code paths.
 
 Every parameter of an instance has one place in a layout
 (_parameter_layout): edge weights first, then the noise of each order.
@@ -31,7 +31,9 @@ takes the keys of its sides, a single entry is the plan over singleton
 sides, and a full tensor (model_cumulant) takes every sorted key and
 broadcasts it by symmetry.  Graph-only work is done once per plan;
 evaluating it at an instance, or at a seed without building the
-instance, does only the arithmetic.
+instance, does only the arithmetic.  On a DAG a determinant plan also
+decides whether the cumulant determinant is the zero polynomial from
+its polynomial path sums alone (_DeterminantPlan.nonzero_top).
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
 from .polynomial import Poly
 from .ser import as_rational, canonical_json, frac_from_str, frac_to_str
-from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, symmetric_tensor
+from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, signed_permutations, symmetric_tensor
 from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
 
 
@@ -314,17 +316,20 @@ def sample_generic_instance(g: MixedGraph, k_max: int, rng_seed: int) -> ModelIn
 def symbolic_instance(g: MixedGraph, k_max: int) -> ModelInstance:
     """Instance whose values are independent polynomial variables.
 
-    Used by the certain decision mode: a determinant vanishes on the
-    whole model iff it is the zero polynomial in these variables.  The
+    A determinant vanishes on the whole model iff it is the zero
+    polynomial in these variables; the moment scan's recheck expands it
+    on this instance (the decision oracle's zero test needs only the
+    edge-weight variables, see _DeterminantPlan.nonzero_top).  The
     variable of edge (u, v) is "lu_v"; that of the order-k noise at a
     multiset i_1..i_m is "ek_i_1_..._i_m".
     """
     layout = _parameter_layout(g, k_max)
-    names = [
-        ("l" if order == _WEIGHT else f"e{order}_") + "_".join(map(str, key))
-        for order, key in layout
-    ]
-    return _instance_of(k_max, layout, [Poly.var(name) for name in names])
+    return _instance_of(k_max, layout, [_variable(order, key) for order, key in layout])
+
+
+def _variable(order: int, key: tuple[int, ...]) -> Poly:
+    """The polynomial variable of one layout parameter, named as symbolic_instance names it."""
+    return Poly.var(("l" if order == _WEIGHT else f"e{order}_") + "_".join(map(str, key)))
 
 
 # -- subtensor determinants ---------------------------------------------------
@@ -396,7 +401,7 @@ class _EntryPlan:
                 mask |= reach[c]
             reach[v] = mask
         rows = [v for v in g.vertices if reach[v]]
-        base = {v: r * q for r, v in enumerate(rows)}
+        self._base = base = {v: r * q for r, v in enumerate(rows)}
         unit = [0] * (len(rows) * q)
         for v, c in col.items():
             unit[base[v] + c] = 1
@@ -466,8 +471,10 @@ class _EntryPlan:
         drawn = _draws(seed, self._n_drawn)
         return self._evaluate([drawn[i] for i in self._slots])
 
-    def _evaluate(self, params: Sequence) -> list:
-        """The entries at the values of the plan's parameters, in layout order."""
+    def _path_sums(self, params: Sequence) -> list:
+        """The path sums into the columns at the plan's parameter values (only
+        the edge weights, which lead the layout, are read): the sum from row
+        vertex v into column c sits at self._base[v] + c."""
         paths = list(self._unit)
         for row, links in self._sweep:
             for child, slot, cols in links:
@@ -478,6 +485,11 @@ class _EntryPlan:
                     x = paths[child + c]
                     if x:
                         paths[row + c] = paths[row + c] + w * x
+        return paths
+
+    def _evaluate(self, params: Sequence) -> list:
+        """The entries at the values of the plan's parameters, in layout order."""
+        paths = self._path_sums(params)
         values = [_entry_value(*key, params, paths) for key in self._cumulants]
         if self._entries is not None:
             values = [_partition_value(partitions, values) for partitions in self._entries]
@@ -555,15 +567,82 @@ class _DeterminantPlan(_EntryPlan):
         columns = sorted({v for side in side_lists for v in side})
         col = {v: c for c, v in enumerate(columns)}
         keys: dict[tuple[int, ...], int] = {}
+        self._side_columns = tuple(tuple(col[v] for v in side) for side in side_lists)
         self._table = tuple(
             keys.setdefault(tuple(sorted(cols)), len(keys))
-            for cols in itertools.product(*([col[v] for v in side] for side in side_lists))
+            for cols in itertools.product(*self._side_columns)
         )
         super().__init__(g, self.order, columns, list(keys), moments)
 
     def _evaluate(self, params: Sequence) -> object:
         values = super()._evaluate(params)
         return hyperdet_from_table(self.n, self.order, [values[s] for s in self._table])
+
+    def nonzero_top(self, tops: Iterable[Sequence[int]] | None = None) -> tuple[int, ...] | None:
+        """The first n-set T of vertices whose k factors below are all nonzero
+        polynomials, or None when the cumulant determinant is the zero
+        polynomial (vanishes on the whole model).
+
+        On a DAG the noise core is diagonal, so Cauchy-Binet applied once per
+        mode gives
+
+            Det C^(k)[S_1..S_k] = sum_T kappa_T {det|perm}(B[T,S_1]) prod_{m>=2} det(B[T,S_m])
+
+        over the n-sets T of vertices, with kappa_T the product of the order-k
+        noise cumulants of the vertices of T and B = (I - Lambda)^{-1} the path
+        sums.  Side 1 takes the determinant at even k and the permanent at odd
+        k: its mode carries no permutation, so reordering T flips the sign of
+        the k - 1 signed factors only.  Proof of the test: distinct T give
+        distinct monomials kappa_T and B holds no kappa, so Det is the zero
+        polynomial iff every coefficient is; a coefficient is a product of
+        polynomials, nonzero iff every factor is.
+
+        The plan's sweep takes the path sums over the edge-weight variables
+        of symbolic_instance; no instance is built.  T runs over the n-sets,
+        in vertex order, of the rows with a nonzero path sum into some vertex
+        of every side, or over ``tops``.  A factor is a Leibniz sum with each
+        term dropped at its first zero cell; a T is dropped at its first zero
+        factor.
+        """
+        if self._entries is not None or self.graph.multidirected_edges:
+            raise ValueError("the factored zero test needs cumulants on a DAG")
+        paths = self._path_sums([_variable(o, key) for o, key in self._params if o == _WEIGHT])
+        base = self._base
+        if tops is None:
+            rows = [
+                v for v, row in base.items()
+                if all(any(paths[row + c] for c in cols) for cols in self._side_columns)
+            ]
+            tops = itertools.combinations(rows, self.n)
+        perms, signs = signed_permutations(self.n)
+        first_signs = (1,) * len(perms) if self.order % 2 else signs
+        for top in tops:
+            if not all(v in base for v in top):
+                continue
+            offsets = [base[v] for v in top]
+            if all(
+                _leibniz(paths, offsets, cols, perms, signs if m else first_signs)
+                for m, cols in enumerate(self._side_columns)
+            ):
+                return tuple(top)
+        return None
+
+
+def _leibniz(paths: Sequence, rows: Sequence, cols: Sequence, perms: Sequence, signs: Sequence) -> object:
+    """The sum over perms of sign times the path sums at rows[a] + cols[perm[a]],
+    a term dropped at its first zero cell: a determinant, or with every sign
+    +1 a permanent."""
+    total = 0
+    for perm, sign in zip(perms, signs):
+        term = 1
+        for row, j in zip(rows, perm):
+            cell = paths[row + cols[j]]
+            if not cell:
+                break
+            term = term * cell
+        else:
+            total = total + term if sign > 0 else total - term
+    return total
 
 
 def _model_tensor(g: MixedGraph, inst: ModelInstance, order: int, moments: bool) -> Tensor:

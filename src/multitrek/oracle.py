@@ -10,8 +10,12 @@ runs two independent routes and cross-checks them:
     vanishing);
   * algebraic — evaluate the determinant exactly at random rational
     instances (randomized mode; five zeros at a 997-value range makes a
-    false "vanishes" call vanishingly unlikely), or expand it as a
-    polynomial in the model parameters (certain mode).
+    false "vanishes" call vanishingly unlikely), or decide exactly whether
+    it is the zero polynomial in the model parameters (certain mode) by a
+    factored test: on the canonical DAG it is a sum over n-sets T of
+    vertices of distinct noise monomials kappa_T, each times k minors of
+    path sums (a permanent for side 1 at odd k), so it vanishes iff every
+    T has a zero minor; a nonzero verdict names the first T found.
 
 The search rule depends on the order k.  At k = 2 it is classical trek
 separation (Sullivant, Talaska and Draisma 2010): one max flow on a
@@ -37,23 +41,25 @@ model; certificates are re-expressed over the original vertices.
 
 decide_vanishing and certify_decision build one determinant plan per
 call on the canonical DAG and the sides, and take every randomized
-trial, every replayed seed and every symbolic evaluation from it: the
-graph-only work is done once, and a trial draws its seed's values in
-the one layout order that sample_generic_instance uses, without
-building the instance.
+trial, every replayed seed and every symbolic zero test from it: the
+graph-only work is done once, a trial draws its seed's values in the
+one layout order that sample_generic_instance uses, without building
+the instance, and the zero test reuses the plan's path-sum sweep.  The
+trials evaluate the unfactored determinant, so the two algebraic routes
+stay independent of each other and of the search.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cumulants import VALUE_RANGE, _DeterminantPlan, symbolic_instance
+from .cumulants import VALUE_RANGE, _DeterminantPlan
 from .errors import InternalInconsistency
 from .graphs import MixedGraph, canonical_dag, serialize_graph
-from .polynomial import Poly
 from .ser import canonical_json, frac_to_str
 from .treks import (
     DEFAULT_BUDGET,
@@ -116,17 +122,34 @@ def graph_hash(g: MixedGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode("utf-8")).hexdigest()
 
 
-def _symbolic_nonzero(plan: _DeterminantPlan) -> Poly | None:
-    """The determinant over a symbolic instance of the plan's DAG, or None
-    when it is the zero polynomial (vanishes on the whole model)."""
-    det = plan.at(symbolic_instance(plan.graph, plan.order))
-    return det if isinstance(det, Poly) and det else None
+_TOP_ENTRY = "nonzero-polynomial(top "
 
 
-def _symbolic_entry(det: Poly | None) -> dict:
-    """The algebraic-record entry of a symbolic evaluation (None: zero polynomial)."""
-    value = "0" if det is None else f"nonzero-polynomial({det.n_terms} terms)"
+def _symbolic_entry(top: tuple[int, ...] | None) -> dict:
+    """The algebraic-record entry of a symbolic zero test (plan.nonzero_top):
+    "0" for the zero polynomial, else the top set T whose term kappa_T of the
+    determinant is nonzero, in canonical-DAG ids."""
+    value = "0" if top is None else f"{_TOP_ENTRY}{list(top)})"
     return {"seed": None, "determinant": value}
+
+
+def _top_defect(plan: _DeterminantPlan, recorded: str) -> str | None:
+    """Why a recorded "nonzero-polynomial(top [...])" entry does not re-derive, else None."""
+    try:
+        top = json.loads(recorded[len(_TOP_ENTRY):-1]) if recorded.endswith(")") else None
+    except (ValueError, RecursionError):  # malformed or absurdly nested JSON
+        top = None
+    vertices = set(plan.graph.vertices)
+    if not (
+        isinstance(top, list)
+        and len(top) == plan.n
+        and all(type(v) is int and v in vertices for v in top)
+        and len(set(top)) == plan.n
+    ):
+        return f"recorded top in {recorded!r} is no {plan.n}-set of canonical-DAG vertices"
+    if plan.nonzero_top([top]) is None:
+        return f"recorded top {top} has a zero factor"
+    return None
 
 
 def instance_seed(seed: int, trial: int) -> int:
@@ -186,9 +209,9 @@ def decide_vanishing(
             if det:
                 algebraic_nonzero = True
     else:
-        det = _symbolic_nonzero(plan)
-        algebraic_nonzero = det is not None
-        record.append(_symbolic_entry(det))
+        top = plan.nonzero_top()
+        algebraic_nonzero = top is not None
+        record.append(_symbolic_entry(top))
 
     if search.found and not algebraic_nonzero:
         # A verified witness system certifies a generically nonzero
@@ -196,9 +219,9 @@ def decide_vanishing(
         # roots of a nonzero polynomial, so settle symbolically before
         # declaring the implementation inconsistent.
         if mode == "randomized":
-            det = _symbolic_nonzero(plan)
-            if det is not None:
-                record.append(_symbolic_entry(det))
+            top = plan.nonzero_top()
+            if top is not None:
+                record.append(_symbolic_entry(top))
                 algebraic_nonzero = True
         if not algebraic_nonzero:
             raise InternalInconsistency(
@@ -299,9 +322,12 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     paths meet at odd orders; for an order-2 vanishing verdict, that
     the separator is smaller than the sides and t-separates them on the
     canonical DAG; for any other vanishing verdict, that the search
-    still comes up empty).  A non-vanishing record must carry a nonzero
-    determinant, and a policy certificate must cite a repeat that
-    forces zero (see repeated_side); an obstruction log is checked by shape.
+    still comes up empty, and from order 3 on that the symbolic zero
+    test agrees).  A non-vanishing record must carry a nonzero
+    determinant; a symbolic entry naming a top set T must name an n-set
+    of canonical-DAG vertices whose minors are all nonzero.  A policy
+    certificate must cite a repeat that forces zero (see repeated_side);
+    an obstruction log is checked by shape.
     Earlier versions wrote order-2 vanishing decisions with an
     obstruction log instead of a separator, and NotVanishes decisions
     with a "gap" marker (paper criterion empty, determinant nonzero);
@@ -354,8 +380,12 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
             if str(recorded).startswith("nonzero-polynomial"):
                 if verdict == VANISHES:
                     return False, "vanishing verdict carries a nonzero determinant"
+                if isinstance(recorded, str) and recorded.startswith(_TOP_ENTRY):
+                    defect = _top_defect(plan, recorded)
+                    if defect is not None:
+                        return False, defect
                 claimed_nonzero = True
-            continue  # symbolic entries are re-derived below where needed
+            continue  # other symbolic entries are re-derived below where needed
         if type(child) is not int:
             return False, f"recorded seed {child!r} is not an integer"
         det = Fraction(plan.at_seed(child))
@@ -375,7 +405,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         gap_search = exists_trek_system_no_sided_intersection(g, sides, budget)
         if gap_search.found:
             return False, "a trek system without sided intersection exists after all"
-        if not replayed_nonzero and _symbolic_nonzero(plan) is None:
+        if not replayed_nonzero and plan.nonzero_top() is None:
             return False, "gap certificate carries no nonzero evidence"
         return True, "gap verified: no witness system, determinant nonzero"
 
@@ -413,8 +443,8 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     if k >= 3:
         # At order 2 the empty search proves vanishing by the classical
         # theorem.  From order 3 on it rests on the package's own
-        # expansion identity, so confirm it independently: the recorded
-        # randomized zeros could all be roots of a nonzero polynomial.
-        if _symbolic_nonzero(plan) is not None:
+        # expansion identity, so confirm it by the factored zero test: the
+        # recorded randomized zeros could all be roots of a nonzero polynomial.
+        if plan.nonzero_top() is not None:
             return False, "vanishing verdict but the determinant is a nonzero polynomial"
     return True, "vanishing re-verified"

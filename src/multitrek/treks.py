@@ -268,7 +268,8 @@ def enumerate_ktreks(
     vset = set(g.vertices)
     if any(s not in vset for s in sinks):
         raise ValueError(f"sinks {tuple(sinks)} must belong to the graph")
-    into = [_reaching(g, (s,)) for s in sinks]
+    reaching = {s: _reaching(g, (s,)) for s in set(sinks)}
+    into = [reaching[s] for s in sinks]
 
     source_tuples: set[tuple[int, ...]] = set()
     for t in g.vertices:
@@ -281,12 +282,16 @@ def enumerate_ktreks(
             for srcs in itertools.product(*pools):
                 source_tuples.add(srcs)
 
-    path_cache: dict[tuple[int, int], list[DirectedPath]] = {}
-
-    def paths(a: int, b: int) -> list[DirectedPath]:
-        if (a, b) not in path_cache:
-            path_cache[(a, b)] = enumerate_paths(g, a, b, budget)
-        return path_cache[(a, b)]
+    # One reverse search per distinct sink: its pool holds the paths from
+    # each source some tuple sends into it, grouped by source.
+    sources: dict[int, set[int]] = {}
+    for srcs in source_tuples:
+        for a, b in zip(srcs, sinks):
+            sources.setdefault(b, set()).add(a)
+    paths: dict[tuple[int, int], list[DirectedPath]] = {}
+    for b, starts in sources.items():
+        for path in _paths_into(g, b, budget, sorted(starts)):
+            paths.setdefault((path.source, b), []).append(path)
 
     treks: list[KTrek] = []
     for srcs in sorted(source_tuples):
@@ -296,7 +301,7 @@ def enumerate_ktreks(
             top_hyperedge = min(
                 h for h in g.multidirected_edges if set(srcs) <= set(h)
             )
-        for combo in itertools.product(*(paths(srcs[i], sinks[i]) for i in range(k))):
+        for combo in itertools.product(*(paths[pair] for pair in zip(srcs, sinks))):
             if len(treks) >= budget:
                 raise BudgetExceeded(f"k-treks into {tuple(sinks)}", budget)
             treks.append(

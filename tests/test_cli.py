@@ -563,7 +563,7 @@ class TestPinnedStdout:
         ),
         "certain": (
             0,
-            '{"algebraic_record":[{"determinant":"nonzero-polynomial(9 terms)","seed":null}],'
+            '{"algebraic_record":[{"determinant":"nonzero-polynomial(top [1, 2])","seed":null}],'
             '"combinatorial_certificate":{"trek_system":{"permutations":[[1,0],[0,1]],'
             '"side_endpoints":[[2,3],[3,4],[2,4]],"sign":-1,"treks":[{"paths":[[2],[2,4],'
             '[2]],"top":{"vertex":2}},{"paths":[[1,3],[1,3],[1,3,4]],"top":{"vertex":1}}]}},'

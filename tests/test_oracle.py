@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import random
 
@@ -9,14 +10,17 @@ from multitrek import (
     InternalInconsistency,
     MixedGraph,
     TrekSearchResult,
+    canonical_dag,
     certify_decision,
     decide_vanishing,
     detect_common_cause,
     exists_trek_system_no_sided_intersection,
     find_sided_intersection,
     graph_hash,
+    symbolic_instance,
     trek_system_from_doc,
 )
+from multitrek.cumulants import _DeterminantPlan
 from multitrek.oracle import EXIT_NOT_VANISHES, EXIT_VANISHES, instance_seed
 from conftest import random_mixed, random_sides
 
@@ -280,7 +284,7 @@ def test_witness_with_zero_determinant_raises(monkeypatch, star):
     import multitrek.oracle as oracle_module
 
     monkeypatch.setattr(oracle_module._DeterminantPlan, "at_seed", lambda plan, seed: 0)
-    monkeypatch.setattr(oracle_module._DeterminantPlan, "at", lambda plan, inst: 0)
+    monkeypatch.setattr(oracle_module._DeterminantPlan, "nonzero_top", lambda plan: None)
     for mode, seed in (("randomized", 2), ("certain", None)):
         with pytest.raises(InternalInconsistency, match="witness trek system"):
             decide_vanishing(star, ((1,), (2,), (3,)), mode=mode, seed=seed)
@@ -588,3 +592,102 @@ def test_certify_rejects_each_tampered_claim_with_its_reason(monkeypatch, star, 
     assert certify_decision(star, bad) == (
         False, "vanishing verdict but the determinant is a nonzero polynomial"
     )
+
+
+# The k = 5, n = 3 document whose symbolic recheck once expanded the full
+# polynomial determinant, 6**4 products of polynomial entries, and did not
+# return in minutes; the factored zero test answers in milliseconds.
+FIVE_SIDES_GRAPH = MixedGraph(
+    (1, 2, 3, 4, 5, 6, 7),
+    ((1, 2), (1, 3), (1, 6), (2, 3), (2, 5), (2, 6), (3, 4), (3, 6), (4, 7), (5, 7), (6, 7)),
+    ((1, 2, 4, 7), (1, 6, 7)),
+)
+FIVE_SIDES = ((4, 5, 6), (1, 3, 5), (1, 5, 7), (1, 4, 6), (2, 5, 6))
+
+
+def test_zero_test_certifies_the_order_five_vanishing_document():
+    d = decide_vanishing(FIVE_SIDES_GRAPH, FIVE_SIDES, seed=287)
+    assert d.verdict == "Vanishes"
+    assert certify_decision(FIVE_SIDES_GRAPH, d.to_doc()) == (True, "vanishing re-verified")
+    c = decide_vanishing(FIVE_SIDES_GRAPH, FIVE_SIDES, mode="certain")
+    assert c.verdict == "Vanishes"
+    assert c.algebraic_record == ({"seed": None, "determinant": "0"},)
+
+
+def _tops_of(det, k: int) -> set:
+    """The n-sets T of the noise monomials kappa_T that occur in a symbolic determinant."""
+    prefix = f"e{k}_"
+    tops = set()
+    for mono in det.terms if det else ():
+        top = tuple(sorted(int(name[len(prefix):]) for name, exp in mono if name.startswith(prefix)))
+        assert all(exp == 1 for name, exp in mono if name.startswith(prefix))
+        tops.add(top)
+    return tops
+
+
+def test_zero_test_matches_the_full_expansion_on_random_graphs():
+    # Every n-set T passes the factored test iff kappa_T occurs in the fully
+    # expanded determinant, and the test names the first such T.  A repeat
+    # on side 1 at odd k exercises the permanent.  The full expansion of an
+    # n = 3 determinant can take half a minute on six vertices, so those
+    # graphs stay smaller.
+    rng = random.Random(64)
+    shapes = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2))
+    verdicts = []
+    for i in range(150):
+        k, n = shapes[i % len(shapes)]
+        g = random_mixed(rng, max_vertices=5 if n < 3 else 4, edge_prob=0.45, max_hyperedges=1)
+        if len(g.vertices) < n:
+            continue
+        sides = list(random_sides(rng, g, k, n))
+        if k % 2 and n > 1 and i % 3 == 0:
+            sides[0] = (sides[0][0],) * n
+        plan = _DeterminantPlan(canonical_dag(g).dag, sides)
+        tops = _tops_of(plan.at(symbolic_instance(plan.graph, k)), k)
+        for top in itertools.combinations(plan.graph.vertices, n):
+            assert (plan.nonzero_top([top]) is not None) == (top in tops)
+        position = {v: i for i, v in enumerate(plan.graph.vertices)}
+        first = min(tops, key=lambda t: [position[v] for v in t]) if tops else None
+        assert plan.nonzero_top() == first
+
+        rand = decide_vanishing(g, sides, seed=rng.getrandbits(16))
+        cert = decide_vanishing(g, sides, mode="certain")
+        assert rand.verdict == cert.verdict == ("NotVanishes" if tops else "Vanishes")
+        verdicts.append(cert.verdict)
+    assert verdicts.count("Vanishes") >= 10 and verdicts.count("NotVanishes") >= 10
+
+
+def test_certify_named_top_is_re_derived(star):
+    sides = ((1,), (2,), (3,))
+    doc = decide_vanishing(star, sides, mode="certain").to_doc()
+    assert doc["algebraic_record"] == [{"seed": None, "determinant": "nonzero-polynomial(top [0])"}]
+    assert certify_decision(star, doc) == (True, "certificate verified")
+
+    # Vertex 1 has no path into sides 2 and 3: its factors are zero.
+    bad = copy.deepcopy(doc)
+    bad["algebraic_record"][0]["determinant"] = "nonzero-polynomial(top [1])"
+    assert certify_decision(star, bad) == (False, "recorded top [1] has a zero factor")
+
+    # Documents written before the factored test count the polynomial's terms.
+    legacy = copy.deepcopy(doc)
+    legacy["algebraic_record"][0]["determinant"] = "nonzero-polynomial(1 terms)"
+    assert certify_decision(star, legacy) == (True, "certificate verified")
+
+
+def test_certify_named_top_must_be_an_n_set_of_dag_vertices():
+    doc = decide_vanishing(GAP_GRAPH, GAP_SIDES, mode="certain").to_doc()
+    entry = doc["algebraic_record"][0]["determinant"]
+    assert entry == "nonzero-polynomial(top [2, 3])"
+    assert certify_decision(GAP_GRAPH, doc) == (True, "certificate verified")
+    for top in ("[2, 2]", "[2]", "[2, 3, 4]", "[2, 9]", "[2, true]", '[2, "3"]', "[2, 3", "2, 3"):
+        bad = copy.deepcopy(doc)
+        recorded = f"nonzero-polynomial(top {top})"
+        bad["algebraic_record"][0]["determinant"] = recorded
+        assert certify_decision(GAP_GRAPH, bad) == (
+            False, f"recorded top in {recorded!r} is no 2-set of canonical-DAG vertices"
+        )
+    # Vertex 1 is isolated; [3, 4] reaches side 2 = (2, 3) through 3 alone.
+    for top in ([1, 3], [3, 4]):
+        bad = copy.deepcopy(doc)
+        bad["algebraic_record"][0]["determinant"] = f"nonzero-polynomial(top {top})"
+        assert certify_decision(GAP_GRAPH, bad) == (False, f"recorded top {top} has a zero factor")
