@@ -34,7 +34,7 @@ from .estimation import (
     write_sample_csv,
 )
 from .graphs import parse_graph
-from .moments import model_moment, scan_conjecture
+from .moments import _ensemble_count, model_moment, scan_conjecture
 from .oracle import EXIT_VANISHES, certify_decision, decide_vanishing, detect_common_cause
 from .ser import canonical_json, frac_from_str
 from .tensors import tensor_to_json
@@ -254,7 +254,7 @@ def _cmd_scan(args) -> int:
     ensemble = json.loads(Path(args.ensemble).read_text(encoding="utf-8"))
     if not isinstance(ensemble, dict):
         raise ValueError("the ensemble file must hold a JSON object")
-    order = args.order if args.order is not None else int(_number(ensemble.get("k", 0), "/k"))
+    order = args.order if args.order is not None else _ensemble_count(ensemble, "k", 0)
     if order < 4:
         raise ValueError("scan-conjecture needs --order >= 4 (or a k >= 4 in the ensemble file)")
     report = scan_conjecture(order, ensemble, args.seed, trials=args.trials, budget=args.budget)

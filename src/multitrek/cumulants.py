@@ -34,6 +34,12 @@ evaluating it at an instance, or at a seed without building the
 instance, does only the arithmetic.  On a DAG a determinant plan also
 decides whether the cumulant determinant is the zero polynomial from
 its polynomial path sums alone (_DeterminantPlan.nonzero_top).
+
+Each exact operation has one kernel: the plan's sweep takes every path
+sum (path_matrix is the sweep with every vertex as a column),
+_partition_value every partition sum (the moment module's too), and
+tensors.hyperdet_from_table every determinant, the zero test's minors
+included.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
@@ -140,33 +146,18 @@ def validate_instance(g: MixedGraph, inst: ModelInstance) -> None:
 def path_matrix(g: MixedGraph, lam: Mapping[tuple[int, int], object]) -> list[list]:
     """(I - Lambda)^{-1} as path sums: entry (j, i) sums weight products over paths j -> i.
 
-    Computed by dynamic programming over the topological order, so no
-    path enumeration; works for any scalar ring (rationals, floats,
-    polynomials).
+    The sweep of an entry plan with every vertex as a column (hyperedges
+    are ignored), so no path enumeration; works for any scalar ring
+    (rationals, floats, polynomials).
     """
     edges = set(g.directed_edges)
     for e in lam:
         if tuple(e) not in edges:
             raise ValueError(f"lambda entry {e} is not a directed edge of the graph")
-    order = validate_acyclic(g)
-    idx = {v: i for i, v in enumerate(g.vertices)}
+    plan = _EntryPlan(g, 2, g.vertices, ())
+    paths = plan._path_sums([lam.get(key, 0) for o, key in plan._params if o == _WEIGHT])
     p = len(g.vertices)
-    m: list[list] = [[0] * p for _ in range(p)]
-    for i in range(p):
-        m[i][i] = 1
-    children = g.adjacency()
-    for v in reversed(order):
-        j = idx[v]
-        for c in children[v]:
-            w = lam.get((v, c), 0)
-            if not w:
-                continue
-            row_c = m[idx[c]]
-            row_j = m[j]
-            for i in range(p):
-                if row_c[i]:
-                    row_j[i] = row_j[i] + w * row_c[i]
-    return m
+    return [paths[r * p : (r + 1) * p] for r in range(p)]
 
 
 # -- trek-rule routes -------------------------------------------------------
@@ -492,7 +483,8 @@ class _EntryPlan:
         paths = self._path_sums(params)
         values = [_entry_value(*key, params, paths) for key in self._cumulants]
         if self._entries is not None:
-            values = [_partition_value(partitions, values) for partitions in self._entries]
+            cumulant = values.__getitem__
+            values = [_partition_value(partitions, cumulant) for partitions in self._entries]
         return values
 
 
@@ -535,16 +527,18 @@ def _entry_value(
     return total
 
 
-def _partition_value(partitions: Sequence, cumulants: Sequence) -> object:
-    """One moment entry: the sum over its partitions of the product of the
-    cumulant values at their blocks, a product dropped at its first zero factor."""
+def _partition_value(partitions: Iterable[Sequence], value_of: Callable) -> object:
+    """The sum over the partitions of the product of value_of over their blocks:
+    the moment-cumulant formula of a centered vector (McCullagh 1987) when a
+    block's value is the cumulant at it.  The first block of every partition
+    is always asked for, and a product stops at its first zero factor."""
     total = 0
     for blocks in partitions:
-        term = cumulants[blocks[0]]
+        term = value_of(blocks[0])
         for block in blocks[1:]:
             if not term:
                 break
-            term = term * cumulants[block]
+            term = term * value_of(block)
         if term:
             total = total + term
     return total
@@ -600,9 +594,14 @@ class _DeterminantPlan(_EntryPlan):
         The plan's sweep takes the path sums over the edge-weight variables
         of symbolic_instance; no instance is built.  T runs over the n-sets,
         in vertex order, of the rows with a nonzero path sum into some vertex
-        of every side, or over ``tops``.  A factor is a Leibniz sum with each
-        term dropped at its first zero cell; a T is dropped at its first zero
-        factor.
+        of every side, or over ``tops``.  Each factor reads the n x n table of
+        cells B[T,S_m], and a T is dropped at its first zero factor.  A
+        determinant is hyperdet_from_table at order 2.  The permanent of side
+        1 at odd k is decided by support: a path sum adds one monomial per
+        path, so every cell has nonnegative coefficients, and so does every
+        product of cells; a sum of such polynomials is zero only if every
+        summand is, and a product of nonzero polynomials is nonzero.  So the
+        permanent is nonzero iff some permutation meets no zero cell.
         """
         if self._entries is not None or self.graph.multidirected_edges:
             raise ValueError("the factored zero test needs cumulants on a DAG")
@@ -614,35 +613,22 @@ class _DeterminantPlan(_EntryPlan):
                 if all(any(paths[row + c] for c in cols) for cols in self._side_columns)
             ]
             tops = itertools.combinations(rows, self.n)
-        perms, signs = signed_permutations(self.n)
-        first_signs = (1,) * len(perms) if self.order % 2 else signs
+        n = self.n
+        perms, _ = signed_permutations(n)
+        odd = self.order % 2
         for top in tops:
             if not all(v in base for v in top):
                 continue
             offsets = [base[v] for v in top]
+            tables = ([paths[row + c] for row in offsets for c in cols] for cols in self._side_columns)
             if all(
-                _leibniz(paths, offsets, cols, perms, signs if m else first_signs)
-                for m, cols in enumerate(self._side_columns)
+                any(all(cells[a * n + j] for a, j in enumerate(perm)) for perm in perms)
+                if odd and m == 0
+                else hyperdet_from_table(n, 2, cells)
+                for m, cells in enumerate(tables)
             ):
                 return tuple(top)
         return None
-
-
-def _leibniz(paths: Sequence, rows: Sequence, cols: Sequence, perms: Sequence, signs: Sequence) -> object:
-    """The sum over perms of sign times the path sums at rows[a] + cols[perm[a]],
-    a term dropped at its first zero cell: a determinant, or with every sign
-    +1 a permanent."""
-    total = 0
-    for perm, sign in zip(perms, signs):
-        term = 1
-        for row, j in zip(rows, perm):
-            cell = paths[row + cols[j]]
-            if not cell:
-                break
-            term = term * cell
-        else:
-            total = total + term if sign > 0 else total - term
-    return total
 
 
 def _model_tensor(g: MixedGraph, inst: ModelInstance, order: int, moments: bool) -> Tensor:

@@ -113,7 +113,7 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """n x p float data with n >= 1; column i belongs to vertices[i]."""
+    """n x p float data with n >= 1; column i belongs to vertices[i], no label twice."""
 
     data: np.ndarray
     vertices: tuple[int, ...]
@@ -128,9 +128,12 @@ class SampleMatrix:
             raise ValueError("one column per vertex required")
         if not np.all(np.isfinite(arr)):
             raise ValueError("sample data must be finite")
+        vertices = tuple(int(v) for v in self.vertices)
+        if len(set(vertices)) != len(vertices):
+            raise ValueError(f"vertex labels {list(vertices)} repeat a vertex")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def n_samples(self) -> int:

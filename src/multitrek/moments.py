@@ -2,9 +2,12 @@
 
 Moments come from cumulants by the moment-cumulant formula for a
 centered vector, a sum over the set partitions of the positions
-(_partitions).  Full moment tensors, single entries and subtensor
-determinants all take it inside the cumulant module's entry plan
-(_EntryPlan); the scan builds one determinant plan per case and per
+(_partitions), taken by the cumulant module's one partition kernel
+(_partition_value).  Full moment tensors, single entries and subtensor
+determinants take it inside the entry plan (_EntryPlan) over the
+cumulant values the plan reads; moments_from_cumulants takes it over
+given cumulant tensors, and a noise component's moments over its
+cumulants.  The scan builds one determinant plan per case and per
 lower-order side group and evaluates it at each seed without building
 an instance.  The noise moments of independent components are products of
 per-vertex moments, nonzero only when no vertex appears exactly once.
@@ -59,31 +62,12 @@ from .cumulants import (
     ModelInstance,
     _DeterminantPlan,
     _model_tensor,
+    _partition_value,
     _partitions,
     _times_path_weights,
     noise_entry,
     symbolic_instance,
 )
-
-
-def _partition_sum(key: tuple[int, ...], value_of_block) -> object:
-    """Sum over the partitions of key's positions (_partitions) of the product of
-    value_of_block over the blocks, each given as the sub-key at its positions.
-
-    The moment-cumulant formula of a centered vector (McCullagh 1987).
-    Each product stops at its first zero factor; the first block of every
-    partition is always evaluated, so each block order is asked for.
-    """
-    total = 0
-    for partition in _partitions(len(key)):
-        term = 1
-        for block in partition:
-            term = term * value_of_block(tuple(key[x] for x in block))
-            if not term:
-                break
-        else:
-            total = total + term
-    return total
 
 
 # -- moment/cumulant duality -------------------------------------------------
@@ -109,22 +93,25 @@ def moments_from_cumulants(cumulants: Mapping[int, Tensor]) -> dict[int, Tensor]
         if t != symmetric_tensor(p, o, t.at, kind):
             raise ValueError(f"cumulant tensor at order {o} is not symmetric")
 
-    def block_value(sub: tuple[int, ...]) -> object:
-        size = len(sub)
-        if size not in tensors:
-            raise MissingOrder(f"partition block of size {size} needs the order-{size} cumulant tensor")
-        return tensors[size].at(sub)
+    def moment(key: tuple[int, ...]) -> object:
+        def cumulant(block: tuple[int, ...]) -> object:
+            size = len(block)
+            if size not in tensors:
+                raise MissingOrder(f"partition block of size {size} needs the order-{size} cumulant tensor")
+            return tensors[size].at(tuple(key[x] for x in block))
 
-    return {
-        o: symmetric_tensor(p, o, lambda key: _partition_sum(key, block_value), kind) for o in orders
-    }
+        return _partition_value(_partitions(len(key)), cumulant)
+
+    return {o: symmetric_tensor(p, o, moment, kind) for o in orders}
 
 
 def _vertex_moment(inst: ModelInstance, v: int, mult: int, memo: dict) -> object:
     """Central moment of one noise component from its cumulants (exact duality)."""
     key = (v, mult)
     if key not in memo:
-        memo[key] = _partition_sum((v,) * mult, lambda sub: noise_entry(inst, len(sub), sub))
+        memo[key] = _partition_value(
+            _partitions(mult), lambda block: noise_entry(inst, len(block), (v,) * len(block))
+        )
     return memo[key]
 
 
@@ -411,6 +398,24 @@ class ConjectureReport:
         return canonical_json(self.to_doc())
 
 
+def _ensemble_number(ensemble: Mapping, key: str, default: int | Fraction) -> Fraction:
+    """ensemble[key] (or the default) as a Fraction: a finite number or an "a/b" string."""
+    value = ensemble.get(key, default)
+    if isinstance(value, str):
+        return frac_from_str(value, f"/{key}")
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)) or not math.isfinite(value):
+        raise ValueError(f"ensemble {key} must be a number, got {value!r}")
+    return Fraction(value)
+
+
+def _ensemble_count(ensemble: Mapping, key: str, default: int) -> int:
+    """ensemble[key] (or the default) as an int; 3, 3.0 and "3" pass, 4.5 and "3/2" do not."""
+    value = _ensemble_number(ensemble, key, default)
+    if value.denominator != 1:
+        raise ValueError(f"ensemble {key} must be a whole number, got {ensemble[key]!r}")
+    return int(value)
+
+
 def _ensemble_params(ensemble: Mapping, k: int) -> tuple[int, Fraction, int, int]:
     if not isinstance(ensemble, Mapping):
         raise ValueError("the ensemble must be a JSON object")
@@ -418,20 +423,11 @@ def _ensemble_params(ensemble: Mapping, k: int) -> tuple[int, Fraction, int, int
     unknown = set(ensemble) - known
     if unknown:
         raise ValueError(f"unknown ensemble keys {sorted(unknown)}")
-
-    def number(key: str, default: int | Fraction) -> Fraction:
-        value = ensemble.get(key, default)
-        if isinstance(value, str):
-            return frac_from_str(value, f"/{key}")
-        if not isinstance(value, (int, float, Fraction)) or not math.isfinite(value):
-            raise ValueError(f"ensemble {key} must be a number, got {value!r}")
-        return Fraction(value)
-
-    max_vertices = int(number("max_vertices", 6))
-    cases = int(number("cases", 100))
-    set_size = int(number("set_size", 1))
-    prob = number("edge_prob", Fraction(1, 2))
-    if int(number("k", k)) != k:
+    max_vertices = _ensemble_count(ensemble, "max_vertices", 6)
+    cases = _ensemble_count(ensemble, "cases", 100)
+    set_size = _ensemble_count(ensemble, "set_size", 1)
+    prob = _ensemble_number(ensemble, "edge_prob", Fraction(1, 2))
+    if _ensemble_count(ensemble, "k", k) != k:
         raise ValueError(f"ensemble says k={ensemble['k']} but the scan was asked for k={k}")
     if max_vertices < 2 or cases < 1 or set_size < 1 or set_size > max_vertices:
         raise ValueError("ensemble parameters out of range")

@@ -440,6 +440,7 @@ def checked_sides(
 ) -> tuple[tuple[int, ...], ...]:
     """The sides as tuples: at least two, of equal nonzero size, over known vertices.
 
+    A vertex id must be an int, not a bool or a float that equals one.
     Repeated vertices pass; where a repeat matters, repeated_side says so.
     """
     side_lists = tuple(tuple(side) for side in sides)
@@ -450,6 +451,8 @@ def checked_sides(
         raise ValueError("sides must be nonempty and of equal size")
     vset = set(vertices)
     for side in side_lists:
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in side):
+            raise ValueError(f"side {side} holds a vertex id that is not an int")
         if any(v not in vset for v in side):
             raise ValueError(f"side {side} leaves the vertex set")
     return side_lists

@@ -341,6 +341,16 @@ class TestEstimate:
         assert code == EXIT_ERROR
         assert json.loads(out) == {"error": "sample data needs at least one row"}
 
+    def test_repeated_header_label_is_an_error(self, capsys, tmp_path):
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("1,1,2\n0.5,1.0,2.0\n1.5,2.0,0.25\n")
+        code, out = run_cli(
+            capsys, "estimate", "--data", str(repeated), "--order", "2", "--sets", "1;2",
+            "--boot", "5", "--seed", "0",
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": "vertex labels [1, 1, 2] repeat a vertex"}
+
 
 class TestScanConjecture:
     def test_small_scan(self, capsys, tmp_path):
@@ -389,6 +399,40 @@ class TestScanConjecture:
         code, out = run_cli(capsys, "scan-conjecture", "--ensemble", str(epath), "--seed", "0")
         assert code == EXIT_ERROR
         assert json.loads(out) == {"error": message}
+
+    @pytest.mark.parametrize(
+        "ensemble, message",
+        [
+            ({"k": 4.5, "cases": 2, "max_vertices": 4}, "ensemble k must be a whole number, got 4.5"),
+            ({"k": 4, "cases": 2.7, "max_vertices": 4}, "ensemble cases must be a whole number, got 2.7"),
+            ({"k": 4, "max_vertices": 4.5}, "ensemble max_vertices must be a whole number, got 4.5"),
+            ({"k": 4, "set_size": "3/2"}, "ensemble set_size must be a whole number, got '3/2'"),
+            ({"k": 4, "cases": True}, "ensemble cases must be a number, got True"),
+            ({"k": True}, "ensemble k must be a number, got True"),
+        ],
+        ids=["half-k", "fractional-cases", "fractional-max-vertices", "fraction-set-size",
+             "bool-cases", "bool-k"],
+    )
+    def test_counts_must_be_whole_numbers(self, capsys, tmp_path, ensemble, message):
+        epath = tmp_path / "ens.json"
+        epath.write_text(json.dumps(ensemble))
+        code, out = run_cli(capsys, "scan-conjecture", "--ensemble", str(epath), "--seed", "0")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": message}
+
+    def test_whole_counts_may_be_floats_or_strings(self, capsys, tmp_path):
+        outs = []
+        for ensemble in (
+            {"k": 4, "cases": 3, "max_vertices": 4, "set_size": 1},
+            {"k": 4.0, "cases": "3", "max_vertices": 4.0, "set_size": "1"},
+        ):
+            epath = tmp_path / "ens.json"
+            epath.write_text(json.dumps(ensemble))
+            code, out = run_cli(capsys, "scan-conjecture", "--ensemble", str(epath), "--seed", "5")
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["cases_scanned"] == 3
 
 
 class TestCertify:

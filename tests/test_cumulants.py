@@ -76,6 +76,22 @@ def test_path_matrix_matches_path_sums():
                         w *= lam[(x, y)]
                     total += w
                 assert m[g.index_of(a)][g.index_of(b)] == total
+    # Mixed graphs (hyperedges play no part), float weights, and weights that
+    # leave some edges out (a missing edge weighs 0).  The floats are small
+    # multiples of 1/4, so every path sum is exact in any addition order.
+    for _ in range(25):
+        g = random_mixed(rng, max_vertices=7, max_hyperedges=2)
+        lam = {e: rng.randint(-8, 8) / 4 for e in g.directed_edges if rng.random() < 0.8}
+        m = path_matrix(g, lam)
+        for a in g.vertices:
+            for b in g.vertices:
+                total = 0.0
+                for path in all_paths(g, a, b):
+                    w = 1.0
+                    for x, y in zip(path, path[1:]):
+                        w *= lam.get((x, y), 0.0)
+                    total += w
+                assert m[g.index_of(a)][g.index_of(b)] == total
 
 
 def test_gvl_minor_identity():

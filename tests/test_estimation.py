@@ -1,5 +1,6 @@
 """Tests for simulation, sample cumulants, the bootstrap flag, and data I/O."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -126,6 +127,32 @@ class TestSimulate:
         corr = np.corrcoef(sm.data.T)
         assert np.all(corr[np.triu_indices(3, 1)] > 0.2)
 
+    def test_data_bytes_are_pinned(self):
+        # The path sums add their float terms in one fixed order.  Here three
+        # directed paths run 1 -> 5, and taking the children of each vertex in
+        # reverse order changes the last bit of the 1 -> 5 path sum, and so
+        # the data.  Vertex 6 is the latent of the hyperedge (canonical-DAG
+        # id).  The rows also pass through one BLAS product, so the pin holds
+        # for a given float kernel, such as the OpenBLAS that numpy wheels bundle.
+        g = MixedGraph(
+            vertices=(1, 2, 3, 4, 5),
+            directed_edges=((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 5), (4, 5)),
+            multidirected_edges=((2, 3, 4),),
+        )
+        lam = {
+            (1, 2): 0.69, (1, 3): -1.74, (1, 4): 1.03, (2, 3): 0.36, (2, 5): -0.79,
+            (3, 5): -1.88, (4, 5): 1.46, (6, 2): -0.11, (6, 3): 0.88, (6, 4): 1.52,
+        }
+        noise = NoiseSpec({
+            1: ("uniform", 1), 2: ("exponential", 2), 3: ("laplace", F(1, 2)),
+            4: ("gamma", 2, 1), 5: ("uniform", 3), 6: ("exponential", 1),
+        })
+        sm = simulate_lsem(g, lam, noise, 64, seed=11)
+        assert sm.data.shape == (64, 5)
+        assert hashlib.sha256(sm.data.tobytes()).hexdigest() == (
+            "5b6ae9d5ea64bcf355257ade6b26e6a3c450f702c5492697737ffc419612d772"
+        )
+
     def test_rejects_empty_sample(self, chain2):
         noise = NoiseSpec({1: ("uniform", 1), 2: ("uniform", 1)})
         with pytest.raises(ValueError, match=">= 1"):
@@ -142,6 +169,14 @@ class TestSampleMatrix:
             SampleMatrix(data=np.array([[np.nan, 0.0]]), vertices=(1, 2))
         with pytest.raises(ValueError, match="at least one row"):
             SampleMatrix(data=np.zeros((0, 2)), vertices=(1, 2))
+
+    def test_repeated_labels_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match=r"vertex labels \[1, 1, 2\] repeat a vertex"):
+            SampleMatrix(data=np.zeros((2, 3)), vertices=(1, 1, 2))
+        path = tmp_path / "repeat.csv"
+        path.write_text("1,1,2\n0.5,1.0,2.0\n")
+        with pytest.raises(ValueError, match="repeat a vertex"):
+            read_sample_csv(path)
 
     def test_data_is_an_immutable_copy(self):
         raw = np.zeros((2, 2))

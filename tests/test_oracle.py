@@ -437,6 +437,19 @@ def test_legacy_order_two_obstruction_logs_still_certify():
     assert fresh == legacy
 
 
+@pytest.mark.parametrize("side", [[2.0], [True]], ids=["float", "bool"])
+def test_side_ids_must_be_ints(star, side):
+    # 2.0 == 2 and True == 1 are vertex ids by equality, but not ints.
+    message = f"side {tuple(side)} holds a vertex id that is not an int"
+    with pytest.raises(ValueError) as info:
+        decide_vanishing(star, [side, [3]], seed=6)
+    assert str(info.value) == message
+    doc = decide_vanishing(star, ((int(side[0]),), (3,)), seed=6).to_doc()
+    assert certify_decision(star, doc) == (True, "certificate verified")
+    doc["sides"] = [side, [3]]
+    assert certify_decision(star, doc) == (False, f"decision sides are malformed: {message}")
+
+
 def test_certify_rejects_malformed_documents_with_a_reason(star, collider):
     doc = decide_vanishing(star, ((1,), (2,)), seed=6).to_doc()
     for field, value, reason in (
