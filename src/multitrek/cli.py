@@ -184,10 +184,10 @@ def _cmd_parametrize(args) -> int:
 
 
 def _number(x, where: str):
-    """A finite JSON number as it is; anything else must be an "a/b" string."""
+    """A finite JSON number as it is; anything else, booleans included, must be an "a/b" string."""
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"{where}: {x} is not a finite number")
-    return x if isinstance(x, (int, float)) else frac_from_str(x, where)
+    return x if isinstance(x, (int, float)) and not isinstance(x, bool) else frac_from_str(x, where)
 
 
 def _noise_spec(doc: dict) -> NoiseSpec:

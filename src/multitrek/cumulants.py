@@ -31,15 +31,15 @@ takes the keys of its sides, a single entry is the plan over singleton
 sides, and a full tensor (model_cumulant) takes every sorted key and
 broadcasts it by symmetry.  Graph-only work is done once per plan;
 evaluating it at an instance, or at a seed without building the
-instance, does only the arithmetic.  On a DAG a determinant plan also
-decides whether the cumulant determinant is the zero polynomial from
-its polynomial path sums alone (_DeterminantPlan.nonzero_top).
+instance, does only the arithmetic.  Whether the cumulant determinant
+is the zero polynomial is not decided here: on a DAG it is a question
+of vertex-disjoint path systems, which the trek search answers by max
+flows (treks.first_linked_top).
 
 Each exact operation has one kernel: the plan's sweep takes every path
 sum (path_matrix is the sweep with every vertex as a column),
 _partition_value every partition sum (the moment module's too), and
-tensors.hyperdet_from_table every determinant, the zero test's minors
-included.
+tensors.hyperdet_from_table every determinant.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
 from .polynomial import Poly
 from .ser import as_rational, canonical_json, frac_from_str, frac_to_str
-from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, signed_permutations, symmetric_tensor
+from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, symmetric_tensor
 from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
 
 
@@ -309,18 +309,16 @@ def symbolic_instance(g: MixedGraph, k_max: int) -> ModelInstance:
 
     A determinant vanishes on the whole model iff it is the zero
     polynomial in these variables; the moment scan's recheck expands it
-    on this instance (the decision oracle's zero test needs only the
-    edge-weight variables, see _DeterminantPlan.nonzero_top).  The
+    on this instance.  The decision oracle decides the cumulant
+    determinant without it, by trek flows (treks.first_linked_top).  The
     variable of edge (u, v) is "lu_v"; that of the order-k noise at a
     multiset i_1..i_m is "ek_i_1_..._i_m".
     """
     layout = _parameter_layout(g, k_max)
-    return _instance_of(k_max, layout, [_variable(order, key) for order, key in layout])
-
-
-def _variable(order: int, key: tuple[int, ...]) -> Poly:
-    """The polynomial variable of one layout parameter, named as symbolic_instance names it."""
-    return Poly.var(("l" if order == _WEIGHT else f"e{order}_") + "_".join(map(str, key)))
+    return _instance_of(k_max, layout, [
+        Poly.var(("l" if order == _WEIGHT else f"e{order}_") + "_".join(map(str, key)))
+        for order, key in layout
+    ])
 
 
 # -- subtensor determinants ---------------------------------------------------
@@ -392,7 +390,7 @@ class _EntryPlan:
                 mask |= reach[c]
             reach[v] = mask
         rows = [v for v in g.vertices if reach[v]]
-        self._base = base = {v: r * q for r, v in enumerate(rows)}
+        base = {v: r * q for r, v in enumerate(rows)}
         unit = [0] * (len(rows) * q)
         for v, c in col.items():
             unit[base[v] + c] = 1
@@ -464,8 +462,9 @@ class _EntryPlan:
 
     def _path_sums(self, params: Sequence) -> list:
         """The path sums into the columns at the plan's parameter values (only
-        the edge weights, which lead the layout, are read): the sum from row
-        vertex v into column c sits at self._base[v] + c."""
+        the edge weights, which lead the layout, are read): the sum from the
+        r-th row vertex (of those with a path into a column, in vertex order)
+        into column c sits at r * len(columns) + c."""
         paths = list(self._unit)
         for row, links in self._sweep:
             for child, slot, cols in links:
@@ -561,74 +560,15 @@ class _DeterminantPlan(_EntryPlan):
         columns = sorted({v for side in side_lists for v in side})
         col = {v: c for c, v in enumerate(columns)}
         keys: dict[tuple[int, ...], int] = {}
-        self._side_columns = tuple(tuple(col[v] for v in side) for side in side_lists)
         self._table = tuple(
             keys.setdefault(tuple(sorted(cols)), len(keys))
-            for cols in itertools.product(*self._side_columns)
+            for cols in itertools.product(*([col[v] for v in side] for side in side_lists))
         )
         super().__init__(g, self.order, columns, list(keys), moments)
 
     def _evaluate(self, params: Sequence) -> object:
         values = super()._evaluate(params)
         return hyperdet_from_table(self.n, self.order, [values[s] for s in self._table])
-
-    def nonzero_top(self, tops: Iterable[Sequence[int]] | None = None) -> tuple[int, ...] | None:
-        """The first n-set T of vertices whose k factors below are all nonzero
-        polynomials, or None when the cumulant determinant is the zero
-        polynomial (vanishes on the whole model).
-
-        On a DAG the noise core is diagonal, so Cauchy-Binet applied once per
-        mode gives
-
-            Det C^(k)[S_1..S_k] = sum_T kappa_T {det|perm}(B[T,S_1]) prod_{m>=2} det(B[T,S_m])
-
-        over the n-sets T of vertices, with kappa_T the product of the order-k
-        noise cumulants of the vertices of T and B = (I - Lambda)^{-1} the path
-        sums.  Side 1 takes the determinant at even k and the permanent at odd
-        k: its mode carries no permutation, so reordering T flips the sign of
-        the k - 1 signed factors only.  Proof of the test: distinct T give
-        distinct monomials kappa_T and B holds no kappa, so Det is the zero
-        polynomial iff every coefficient is; a coefficient is a product of
-        polynomials, nonzero iff every factor is.
-
-        The plan's sweep takes the path sums over the edge-weight variables
-        of symbolic_instance; no instance is built.  T runs over the n-sets,
-        in vertex order, of the rows with a nonzero path sum into some vertex
-        of every side, or over ``tops``.  Each factor reads the n x n table of
-        cells B[T,S_m], and a T is dropped at its first zero factor.  A
-        determinant is hyperdet_from_table at order 2.  The permanent of side
-        1 at odd k is decided by support: a path sum adds one monomial per
-        path, so every cell has nonnegative coefficients, and so does every
-        product of cells; a sum of such polynomials is zero only if every
-        summand is, and a product of nonzero polynomials is nonzero.  So the
-        permanent is nonzero iff some permutation meets no zero cell.
-        """
-        if self._entries is not None or self.graph.multidirected_edges:
-            raise ValueError("the factored zero test needs cumulants on a DAG")
-        paths = self._path_sums([_variable(o, key) for o, key in self._params if o == _WEIGHT])
-        base = self._base
-        if tops is None:
-            rows = [
-                v for v, row in base.items()
-                if all(any(paths[row + c] for c in cols) for cols in self._side_columns)
-            ]
-            tops = itertools.combinations(rows, self.n)
-        n = self.n
-        perms, _ = signed_permutations(n)
-        odd = self.order % 2
-        for top in tops:
-            if not all(v in base for v in top):
-                continue
-            offsets = [base[v] for v in top]
-            tables = ([paths[row + c] for row in offsets for c in cols] for cols in self._side_columns)
-            if all(
-                any(all(cells[a * n + j] for a, j in enumerate(perm)) for perm in perms)
-                if odd and m == 0
-                else hyperdet_from_table(n, 2, cells)
-                for m, cells in enumerate(tables)
-            ):
-                return tuple(top)
-        return None
 
 
 def _model_tensor(g: MixedGraph, inst: ModelInstance, order: int, moments: bool) -> Tensor:
@@ -709,10 +649,14 @@ def instance_from_json(text: str) -> ModelInstance:
             raise SchemaError(f"/noise/{order_key}", 'expected an object with key "diag"')
         if not isinstance(nc_doc.get("hyper", {}), dict):
             raise SchemaError(f"/noise/{order_key}/hyper", "expected an object")
-        diag = {
-            int(v): frac_from_str(x, f"/noise/{order_key}/diag/{v}")
-            for v, x in nc_doc["diag"].items()
-        }
+        diag = {}
+        for v, x in nc_doc["diag"].items():
+            where = f"/noise/{order_key}/diag/{v}"
+            try:
+                vertex = int(v)
+            except ValueError as exc:
+                raise SchemaError(where, "vertex id must be an integer") from exc
+            diag[vertex] = frac_from_str(x, where)
         hyper = {}
         for hkey, x in nc_doc.get("hyper", {}).items():
             try:

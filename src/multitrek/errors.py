@@ -59,14 +59,15 @@ class MissingOrder(MultitrekError):
 
 
 class InternalInconsistency(MultitrekError):
-    """The two decision routes disagree where agreement is guaranteed.
+    """Two computations disagree where agreement is guaranteed.
 
-    Raised when a verified witness system coexists with an exactly
-    zero determinant, or when the search finds no system (under the
-    oracle's rule: side 1 open at odd orders, each vertex carrying up
-    to n paths there) while the determinant is nonzero.  The rule is
-    exact at every order, so either way it is an implementation fault
-    and should be reported with the offending inputs.
+    Raised when the search finds no system (under the oracle's rule:
+    side 1 open at odd orders, each vertex carrying up to n paths there)
+    while a randomized draw of the determinant is nonzero, when a
+    returned witness fails its own check, or when the order-2 flow finds
+    treks but no top set links both sides.  The rule is exact at every
+    order, so either way it is an implementation fault and should be
+    reported with the offending inputs.
     """
 
 

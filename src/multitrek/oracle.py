@@ -1,21 +1,28 @@
 """The user-facing vanishing decision.
 
 decide_vanishing answers: does det of the cumulant subtensor indexed by
-S_1..S_k vanish on *every* model consistent with the graph?  It always
-runs two independent routes and cross-checks them:
+S_1..S_k vanish on *every* model consistent with the graph?  It searches
+for a trek system without sided intersection: a found system certifies
+generic non-vanishing, and an empty search proves vanishing (at order 2
+it leaves a t-separator).  The algebraic record beside the verdict comes
+from one of two modes:
 
-  * combinatorial — search for a trek system without sided
-    intersection (a found system certifies generic non-vanishing; at
-    order 2 an empty search yields a t-separator that certifies
-    vanishing);
-  * algebraic — evaluate the determinant exactly at random rational
-    instances (randomized mode; five zeros at a 997-value range makes a
-    false "vanishes" call vanishingly unlikely), or decide exactly whether
-    it is the zero polynomial in the model parameters (certain mode) by a
-    factored test: on the canonical DAG it is a sum over n-sets T of
-    vertices of distinct noise monomials kappa_T, each times k minors of
-    path sums (a permanent for side 1 at odd k), so it vanishes iff every
-    T has a zero minor; a nonzero verdict names the first T found.
+  * randomized — evaluate the determinant exactly at random rational
+    instances (five zeros at a 997-value range makes a false "vanishes"
+    call vanishingly unlikely).  The trials evaluate the unfactored
+    determinant, so they stay an algebraic check independent of the
+    search: a nonzero draw beside an empty search is a hard
+    InternalInconsistency.  When a witness exists but every draw is 0,
+    the record adds the zero test's entry below.
+  * certain — decide exactly whether the determinant is the zero
+    polynomial in the model parameters.  On the canonical DAG the
+    search's own enumeration of top sets is that test
+    (treks.first_linked_top holds the proof): an empty search records
+    "0", and a found one names its first linked top set T.  At order 2
+    the flow's tops need not come first, so the enumeration runs once to
+    name T, and a flow beside an empty enumeration is a hard
+    InternalInconsistency.  Certain mode evaluates no polynomial and
+    builds no determinant plan.
 
 The search rule depends on the order k.  At k = 2 it is classical trek
 separation (Sullivant, Talaska and Draisma 2010): one max flow on a
@@ -27,26 +34,17 @@ above the original ones).  At even k every side needs a
 vertex-disjoint path system (the paper's criterion).  At odd k side 1
 is open: each vertex carries up to n side-1 paths and each side-1
 position takes one, because meetings on side 1 carry the sign factor
-(-1)**(k-1) = +1 and do not cancel (see
-exists_trek_system_no_sided_intersection).  With that rule the empty
-search is equivalent to vanishing at every order, so any disagreement
-between the routes is a hard InternalInconsistency: a verified witness
-with an exactly zero determinant (after a symbolic recheck that rules
-out an unlucky randomized draw), or an empty search with a nonzero
-determinant.
+(-1)**(k-1) = +1 and do not cancel.  With that rule the empty search is
+equivalent to vanishing at every order.
 
 Graphs with multidirected edges are decided through their canonical
 DAG, whose latent parametrization is exactly the hidden-variable
 model; certificates are re-expressed over the original vertices.
 
-decide_vanishing and certify_decision build one determinant plan per
-call on the canonical DAG and the sides, and take every randomized
-trial, every replayed seed and every symbolic zero test from it: the
-graph-only work is done once, a trial draws its seed's values in the
-one layout order that sample_generic_instance uses, without building
-the instance, and the zero test reuses the plan's path-sum sweep.  The
-trials evaluate the unfactored determinant, so the two algebraic routes
-stay independent of each other and of the search.
+Randomized trials and replayed seeds come from one determinant plan
+per call on the canonical DAG and the sides: the graph-only work is
+done once, and a trial draws its seed's values in the one layout order
+that sample_generic_instance uses, without building the instance.
 """
 
 from __future__ import annotations
@@ -67,6 +65,7 @@ from .treks import (
     check_ktrek_separation,
     checked_sides,
     exists_trek_system_no_sided_intersection,
+    first_linked_top,
     obstructions_to_doc,
     repeated_side,
     system_defect,
@@ -126,28 +125,50 @@ _TOP_ENTRY = "nonzero-polynomial(top "
 
 
 def _symbolic_entry(top: tuple[int, ...] | None) -> dict:
-    """The algebraic-record entry of a symbolic zero test (plan.nonzero_top):
-    "0" for the zero polynomial, else the top set T whose term kappa_T of the
-    determinant is nonzero, in canonical-DAG ids."""
+    """The algebraic-record entry of a symbolic zero test: "0" for the zero
+    polynomial, else the first top set T (see first_linked_top) whose term
+    kappa_T of the determinant is nonzero, in canonical-DAG ids."""
     value = "0" if top is None else f"{_TOP_ENTRY}{list(top)})"
     return {"seed": None, "determinant": value}
 
 
-def _top_defect(plan: _DeterminantPlan, recorded: str) -> str | None:
+def _linked_top(
+    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], search: TrekSearchResult
+) -> tuple[int, ...] | None:
+    """The top set the zero test names for a search under the oracle's rule, None if empty.
+
+    From order 3 on the search is the zero test and names it.  The order-2
+    flow's tops need not come first, so a found flow runs the enumeration,
+    which must then find a top set too: both decide trek separation.
+    """
+    if search.found and search.top is None:
+        search = first_linked_top(dag, sides)
+        if not search.found:
+            raise InternalInconsistency(
+                "the order-2 flow found treks but no top set links both sides: "
+                f"graph={serialize_graph(dag)}, sides={sides}"
+            )
+    return search.top
+
+
+def _top_defect(
+    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], recorded: str
+) -> str | None:
     """Why a recorded "nonzero-polynomial(top [...])" entry does not re-derive, else None."""
     try:
         top = json.loads(recorded[len(_TOP_ENTRY):-1]) if recorded.endswith(")") else None
     except (ValueError, RecursionError):  # malformed or absurdly nested JSON
         top = None
-    vertices = set(plan.graph.vertices)
+    n = len(sides[0])
+    vertices = set(dag.vertices)
     if not (
         isinstance(top, list)
-        and len(top) == plan.n
+        and len(top) == n
         and all(type(v) is int and v in vertices for v in top)
-        and len(set(top)) == plan.n
+        and len(set(top)) == n
     ):
-        return f"recorded top in {recorded!r} is no {plan.n}-set of canonical-DAG vertices"
-    if plan.nonzero_top([top]) is None:
+        return f"recorded top in {recorded!r} is no {n}-set of canonical-DAG vertices"
+    if not first_linked_top(dag, sides, [top], open_first_side=len(sides) % 2 == 1).found:
         return f"recorded top {top} has a zero factor"
     return None
 
@@ -198,42 +219,28 @@ def decide_vanishing(
         g, side_lists, budget, open_first_side=k % 2 == 1
     )
 
-    plan = _DeterminantPlan(canonical_dag(g).dag, side_lists)
+    dag = canonical_dag(g).dag
     record: list[dict] = []
-    algebraic_nonzero = False
     if mode == "randomized":
+        plan = _DeterminantPlan(dag, side_lists)
+        nonzero = False
         for t in range(trials):
             child = instance_seed(seed, t)
             det = Fraction(plan.at_seed(child))
             record.append({"seed": child, "determinant": frac_to_str(det)})
-            if det:
-                algebraic_nonzero = True
-    else:
-        top = plan.nonzero_top()
-        algebraic_nonzero = top is not None
-        record.append(_symbolic_entry(top))
-
-    if search.found and not algebraic_nonzero:
-        # A verified witness system certifies a generically nonzero
-        # determinant at every order.  Randomized draws can all land on
-        # roots of a nonzero polynomial, so settle symbolically before
-        # declaring the implementation inconsistent.
-        if mode == "randomized":
-            top = plan.nonzero_top()
-            if top is not None:
-                record.append(_symbolic_entry(top))
-                algebraic_nonzero = True
-        if not algebraic_nonzero:
+            nonzero = nonzero or bool(det)
+        if nonzero and not search.found:
             raise InternalInconsistency(
-                "a witness trek system coexists with an exactly zero determinant: "
+                f"order-{k} routes disagree: no trek system, nonzero determinant: "
                 f"graph={serialize_graph(g)}, sides={side_lists}"
             )
-
-    if algebraic_nonzero and not search.found:
-        raise InternalInconsistency(
-            f"order-{k} routes disagree: no trek system, nonzero determinant: "
-            f"graph={serialize_graph(g)}, sides={side_lists}"
-        )
+        if search.found and not nonzero:
+            # A verified witness system certifies a generically nonzero
+            # determinant; every draw landed on a root of it.  Record the
+            # term that the zero test finds nonzero.
+            record.append(_symbolic_entry(_linked_top(dag, side_lists, search)))
+    else:
+        record.append(_symbolic_entry(_linked_top(dag, side_lists, search)))
 
     if search.found:
         certificate = {"trek_system": trek_system_to_doc(search.system)}
@@ -322,10 +329,11 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     paths meet at odd orders; for an order-2 vanishing verdict, that
     the separator is smaller than the sides and t-separates them on the
     canonical DAG; for any other vanishing verdict, that the search
-    still comes up empty, and from order 3 on that the symbolic zero
-    test agrees).  A non-vanishing record must carry a nonzero
+    still comes up empty, which from order 3 on is also the symbolic
+    zero test).  A non-vanishing record must carry a nonzero
     determinant; a symbolic entry naming a top set T must name an n-set
-    of canonical-DAG vertices whose minors are all nonzero.  A policy
+    of canonical-DAG vertices linked to every side, so that its factors
+    of the determinant are all nonzero (see first_linked_top).  A policy
     certificate must cite a repeat that forces zero (see repeated_side);
     an obstruction log is checked by shape.
     Earlier versions wrote order-2 vanishing decisions with an
@@ -369,8 +377,8 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     if repeated_side(sides, open_first_side=k % 2 == 1 and not gap) is not None:
         return False, "the sides repeat a vertex, which only a policy certificate covers"
 
-    canon = canonical_dag(g)
-    plan = _DeterminantPlan(canon.dag, sides)
+    dag = canonical_dag(g).dag
+    plan = None
     replayed_nonzero = False
     claimed_nonzero = False
     for entry in record:
@@ -381,13 +389,15 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
                 if verdict == VANISHES:
                     return False, "vanishing verdict carries a nonzero determinant"
                 if isinstance(recorded, str) and recorded.startswith(_TOP_ENTRY):
-                    defect = _top_defect(plan, recorded)
+                    defect = _top_defect(dag, sides, recorded)
                     if defect is not None:
                         return False, defect
                 claimed_nonzero = True
             continue  # other symbolic entries are re-derived below where needed
         if type(child) is not int:
             return False, f"recorded seed {child!r} is not an integer"
+        if plan is None:
+            plan = _DeterminantPlan(dag, sides)
         det = Fraction(plan.at_seed(child))
         if frac_to_str(det) != recorded:
             return False, f"recorded determinant at seed {child} does not replay"
@@ -405,7 +415,10 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         gap_search = exists_trek_system_no_sided_intersection(g, sides, budget)
         if gap_search.found:
             return False, "a trek system without sided intersection exists after all"
-        if not replayed_nonzero and plan.nonzero_top() is None:
+        if not (
+            replayed_nonzero
+            or first_linked_top(dag, sides, open_first_side=k % 2 == 1, budget=budget).found
+        ):
             return False, "gap certificate carries no nonzero evidence"
         return True, "gap verified: no witness system, determinant nonzero"
 
@@ -428,7 +441,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         return True, "certificate verified"
 
     if "separator" in certificate:
-        defect = _separator_defect(canon.dag, sides, certificate["separator"])
+        defect = _separator_defect(dag, sides, certificate["separator"])
         if defect is not None:
             return False, defect
         return True, "separator verified"
@@ -440,11 +453,4 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     )
     if search.found:
         return False, "a trek system without sided intersection exists after all"
-    if k >= 3:
-        # At order 2 the empty search proves vanishing by the classical
-        # theorem.  From order 3 on it rests on the package's own
-        # expansion identity, so confirm it by the factored zero test: the
-        # recorded randomized zeros could all be roots of a nonzero polynomial.
-        if plan.nonzero_top() is not None:
-            return False, "vanishing verdict but the determinant is a nonzero polynomial"
     return True, "vanishing re-verified"

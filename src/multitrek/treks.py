@@ -14,8 +14,10 @@ order 3 on it reduces to finding n distinct candidate tops from which
 every side admits a vertex-disjoint path system, which is one max flow
 per side with capacity 1 on every vertex.  The exact rule at odd orders
 opens side 1 (``open_first_side``): the same flow lets each vertex
-carry up to n side-1 paths, and each side-1 position takes one.
-Graphs with hyperedges are searched on their
+carry up to n side-1 paths, and each side-1 position takes one.  The
+enumeration of top sets (first_linked_top) is also the exact test of
+whether the cumulant determinant is the zero polynomial, at every
+order.  Graphs with hyperedges are searched on their
 canonical DAG, so separators and obstruction tops cite canonical-DAG
 vertex ids, latents included.  The same trek-system machinery serves
 the moment side: split-treks fill the same TrekSystem, pass the same
@@ -163,13 +165,15 @@ class TrekSearchResult:
 
     At order 2 an empty result carries a minimum t-separator
     (C_A, C_B) in canonical-DAG ids; from order 3 on the k-trek search
-    carries the per-top obstructions of its enumeration.  The split-trek
-    search carries neither.
+    carries the per-top obstructions of its enumeration, and a found
+    system the top set T it was built from (see first_linked_top), in
+    canonical-DAG ids.  The split-trek search carries none of these.
     """
 
     system: TrekSystem | None
     obstructions: tuple[TopObstruction, ...] = ()
     separator: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    top: tuple[int, ...] | None = None
 
     @property
     def found(self) -> bool:
@@ -567,14 +571,9 @@ def exists_trek_system_no_sided_intersection(
     carries up to n paths and each side-1 position takes one, so the
     side-1 paths may meet and side 1 may repeat a vertex; sides 2..k
     still need disjoint path systems (a repeat on a side that needs one
-    is a ValueError).  This is the exact rule at odd orders: with a
-    diagonal noise core the determinant is
-    sum_S omega_S * perm(B_1[S]) * prod_{m>=2} det(B_m[S]) over n-sets S
-    of tops, distinct S carry distinct omega_S and cannot cancel, the
-    permanent is nonzero iff the tops can be matched onto side-1
-    positions they reach (iff the open flow carries n), and each
-    determinant is nonzero iff a disjoint path system exists
-    (Lindstrom-Gessel-Viennot).
+    is a ValueError).  This is the exact rule at odd orders: the search
+    then finds a system iff the cumulant determinant is a nonzero
+    polynomial (proof at first_linked_top).
 
     Hyperedges are handled through the canonical DAG and the found
     system is re-expressed over the original vertices (treks topped at
@@ -588,11 +587,12 @@ def exists_trek_system_no_sided_intersection(
     repeat = repeated_side(side_lists, open_first_side)
     if repeat is not None:
         raise ValueError(f"side {repeat} repeats a vertex")
-    if g.is_dag:
-        return _search_dag(g, side_lists, budget, open_first_side)
     canon = canonical_dag(g)
-    result = _search_dag(canon.dag, side_lists, budget, open_first_side)
-    if result.system is None:
+    if len(side_lists) == 2:
+        result = _trek_flow(canon.dag, side_lists)
+    else:
+        result = first_linked_top(canon.dag, side_lists, open_first_side=open_first_side, budget=budget)
+    if g.is_dag or result.system is None:
         return result
     treks = []
     for trek in result.system.treks:
@@ -608,51 +608,86 @@ def exists_trek_system_no_sided_intersection(
             treks.append(trek)
     system = make_trek_system(treks, side_lists)
     _verify_system(g, system, open_first_side)
-    return TrekSearchResult(system=system, obstructions=result.obstructions)
+    return TrekSearchResult(system=system, obstructions=result.obstructions, top=result.top)
 
 
-def _search_dag(
-    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], budget: int, open_first_side: bool
+def first_linked_top(
+    dag: MixedGraph,
+    sides: Sequence[Sequence[int]],
+    tops: Iterable[Sequence[int]] | None = None,
+    open_first_side: bool = False,
+    budget: int = DEFAULT_BUDGET,
 ) -> TrekSearchResult:
-    n = len(sides[0])
-    k = len(sides)
-    if k == 2:
-        return _trek_flow(dag, sides)
-    into = [_reaching(dag, side) for side in sides]
-    useful = [v for v in dag.vertices if all(v in reaching for reaching in into)]
+    """The first top set T linked to every side, with its trek system, or the log of blocked T.
+
+    T runs over the n-sets, in itertools.combinations order, of the
+    vertices with a path into every side, or over ``tops``.  T is linked
+    to a side when one path runs from each vertex of T onto its own
+    position of the side: vertex-disjoint paths on a closed side
+    (exists_disjoint_path_system), paths that may meet on side 1 when it
+    is open (_side_paths with capacity n).  The found system's treks run
+    from T, and the result names T in the DAG's vertex ids; each T tried
+    before logs its first blocked side.  Raises BudgetExceeded past
+    ``budget`` top sets.
+
+    With side 1 open exactly at odd k (the oracle's rule) this is also
+    the exact zero test of the cumulant determinant on a DAG.  The noise
+    core is diagonal, so Cauchy-Binet applied once per
+    mode gives
+
+        Det C^(k)[S_1..S_k] = sum_T kappa_T {det|perm}(B[T,S_1]) prod_{m>=2} det(B[T,S_m])
+
+    over the n-sets T, with kappa_T the product of the order-k noise
+    cumulants of the vertices of T and B = (I - Lambda)^{-1} the path
+    sums.  Side 1 takes the determinant at even k and the permanent at
+    odd k: its mode carries no permutation, so reordering T flips the
+    sign of the k - 1 signed factors only.  Distinct T give distinct
+    monomials kappa_T and B holds no kappa, so Det is the zero polynomial
+    iff every coefficient is; a coefficient is a product of polynomials,
+    nonzero iff every factor is.  A minor det(B[T,S_m]) is a signed sum
+    over the vertex-disjoint path systems from T onto S_m
+    (Lindstrom-Gessel-Viennot); distinct systems use distinct edge sets,
+    so their monomials differ, and the minor is nonzero iff such a system
+    exists.  The permanent is decided by its support: a path sum adds one
+    monomial per path, so every cell and every product of cells has
+    nonnegative coefficients, a sum of such polynomials is zero only if
+    every summand is, and the permanent is nonzero iff some permutation
+    meets no zero cell, that is iff T matches onto the side-1 positions
+    it reaches, which is what the open flow decides.  So the first
+    linked T is the first nonzero term of the determinant, and none
+    exists iff it vanishes identically.
+    """
+    n, k = len(sides[0]), len(sides)
+    if tops is None:
+        into = [_reaching(dag, side) for side in sides]
+        useful = [v for v in dag.vertices if all(v in reaching for reaching in into)]
+        tops = itertools.combinations(useful, n)
     obstructions: list[TopObstruction] = []
-    count = 0
-    for tops in itertools.combinations(useful, n):
-        count += 1
+    for count, top in enumerate(tops, 1):
         if count > budget:
             raise BudgetExceeded("candidate top sets", budget)
+        top = tuple(top)
         per_side: list[list[DirectedPath]] = []
         for i, side in enumerate(sides):
             if open_first_side and i == 0:
-                found = _side_paths(dag, tops, side, n)
+                found = _side_paths(dag, top, side, n)
             else:
-                found = exists_disjoint_path_system(dag, tops, side)
+                found = exists_disjoint_path_system(dag, top, side)
             if found is None:
-                obstructions.append(TopObstruction(top=tops, blocked_side=i + 1))
+                obstructions.append(TopObstruction(top=top, blocked_side=i + 1))
                 break
             per_side.append(found)
         if len(per_side) < k:
             continue
-        raw = [
-            KTrek(
-                paths=tuple(per_side[i][j] for i in range(k)),
-                top_vertex=tops[j],
-            )
-            for j in range(n)
-        ]
         # Place the treks in side 1's order; a repeated vertex takes its
         # treks in top order, one per position.
         by_sink: dict[int, list[KTrek]] = {}
-        for trek in raw:
+        for j, v in enumerate(top):
+            trek = KTrek(paths=tuple(paths[j] for paths in per_side), top_vertex=v)
             by_sink.setdefault(trek.paths[0].sink, []).append(trek)
         system = make_trek_system([by_sink[v].pop(0) for v in sides[0]], sides)
         _verify_system(dag, system, open_first_side)
-        return TrekSearchResult(system=system, obstructions=tuple(obstructions))
+        return TrekSearchResult(system=system, obstructions=tuple(obstructions), top=top)
     return TrekSearchResult(system=None, obstructions=tuple(obstructions))
 
 

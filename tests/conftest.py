@@ -8,13 +8,16 @@ routines they validate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import pytest
 
 from multitrek import DiagonalSpec, HyperedgeSpec, MixedGraph, ModelInstance, NoiseCumulants
+from multitrek.polynomial import Poly
 
 # -- frozen graphs ---------------------------------------------------------
 
@@ -284,6 +287,46 @@ def minor_det_by_path_systems(
                     weight *= lam[(a, b)]
             total += weight
     return total
+
+
+def nonzero_top_by_path_polynomials(
+    dag: MixedGraph, sides: Sequence[Sequence[int]], tops: Iterable[Sequence[int]] | None = None
+) -> tuple[int, ...] | None:
+    """The first n-set T of DAG vertices, in itertools.combinations order
+    or over ``tops``, whose every factor of the cumulant determinant is a
+    nonzero polynomial, else None.
+
+    The determinant is sum_T kappa_T {det|perm}(B[T,S_1]) prod_{m>=2}
+    det(B[T,S_m]), with the permanent on side 1 at odd k.  Each path sum
+    B[t][s] is a Poly with one monomial per path (variable "lu_v" per
+    edge), and each factor is expanded in full by the Leibniz formula; the
+    reference for the flow zero test, multitrek.treks.first_linked_top.
+    """
+    n, k = len(sides[0]), len(sides)
+
+    @functools.cache
+    def path_sum(u: int, v: int) -> Poly:
+        total = Poly()
+        for path in all_paths(dag, u, v):
+            term = Poly.const(1)
+            for a, b in zip(path, path[1:]):
+                term = term * Poly.var(f"l{a}_{b}")
+            total = total + term
+        return total
+
+    for top in itertools.combinations(dag.vertices, n) if tops is None else tops:
+        for m, side in enumerate(sides):
+            factor = Poly()
+            for perm in itertools.permutations(range(n)):
+                term = Poly.const(1 if m == 0 and k % 2 else perm_sign_by_inversions(perm))
+                for i in range(n):
+                    term = term * path_sum(top[i], side[perm[i]])
+                factor = factor + term
+            if not factor:
+                break
+        else:
+            return tuple(top)
+    return None
 
 
 # -- acceptance reporting --------------------------------------------------

@@ -203,8 +203,10 @@ class TestParametrize:
         [
             ({"lambda": {"1->2": 3}, "noise": {"2": {"diag": {"1": "1/1"}}}}, "/lambda/1->2"),
             ({"lambda": [], "noise": {"2": {"diag": {"1": "1/1"}}}}, "/lambda"),
+            ({"lambda": {}, "noise": {"2": {"diag": {"x": "1/1"}}}}, "/noise/2/diag/x"),
+            ({"lambda": {}, "noise": {"2": {"diag": {"1.0": "1/1"}}}}, "/noise/2/diag/1.0"),
         ],
-        ids=["numeric-rational", "lambda-array"],
+        ids=["numeric-rational", "lambda-array", "diag-name", "diag-float"],
     )
     def test_malformed_instance_is_a_json_error(self, capsys, tmp_path, chain2, instance, where):
         gpath = write_graph(tmp_path, chain2)
@@ -283,6 +285,26 @@ class TestSimulate:
         )
         assert code == EXIT_ERROR
         assert message in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "lam, noise, where",
+        [
+            ({"1->2": True}, {"1": ["uniform", 1], "2": ["uniform", 1]}, "/lambda/1->2"),
+            ({"1->2": "1/2"}, {"1": ["uniform", True], "2": ["uniform", 1]}, "/noise/1"),
+        ],
+        ids=["lambda", "noise"],
+    )
+    def test_booleans_are_not_numbers(self, capsys, tmp_path, chain2, lam, noise, where):
+        gpath = write_graph(tmp_path, chain2)
+        mpath = write_model(tmp_path, lam, noise)
+        code, out = run_cli(
+            capsys, "simulate", "--graph", gpath, "--model", mpath,
+            "--n", "5", "--seed", "0", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": f"{where}: a rational must be an 'a/b' string, got True"
+        }
 
 
 @pytest.fixture()

@@ -504,6 +504,13 @@ def test_instance_json_rejects_noise_orders_below_two(order_key):
         instance_from_json(text)
 
 
+@pytest.mark.parametrize("vertex", ["x", "1.0"])
+def test_instance_json_rejects_diagonal_keys_that_are_no_vertex_ids(vertex):
+    text = '{"lambda":{},"noise":{"2":{"diag":{"%s":"1/1"}}}}' % vertex
+    with pytest.raises(SchemaError, match=f"^/noise/2/diag/{vertex}: vertex id must be an integer$"):
+        instance_from_json(text)
+
+
 @pytest.mark.parametrize("order", [-1, 0, 1])
 def test_model_cumulant_rejects_orders_below_two(chain2, order):
     inst = sample_generic_instance(chain2, 2, rng_seed=3)

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,8 @@ from multitrek import (
 )
 from multitrek.cumulants import _DeterminantPlan
 from multitrek.oracle import EXIT_NOT_VANISHES, EXIT_VANISHES, instance_seed
-from conftest import random_mixed, random_sides
+from multitrek.treks import first_linked_top
+from conftest import nonzero_top_by_path_polynomials, random_mixed, random_sides
 
 
 def test_star_not_vanishes_both_modes(star):
@@ -281,13 +283,21 @@ def test_order2_disagreement_raises(monkeypatch):
 
 
 def test_witness_with_zero_determinant_raises(monkeypatch, star):
+    # At order 2 the flow finds the witness and the top-set enumeration
+    # names the nonzero term; an enumeration that finds none contradicts
+    # the flow.  From order 3 on the search itself names the term, so the
+    # oracle does not consult the enumeration again.
     import multitrek.oracle as oracle_module
 
     monkeypatch.setattr(oracle_module._DeterminantPlan, "at_seed", lambda plan, seed: 0)
-    monkeypatch.setattr(oracle_module._DeterminantPlan, "nonzero_top", lambda plan: None)
+    monkeypatch.setattr(
+        oracle_module, "first_linked_top", lambda *args, **kwargs: TrekSearchResult(system=None)
+    )
     for mode, seed in (("randomized", 2), ("certain", None)):
-        with pytest.raises(InternalInconsistency, match="witness trek system"):
-            decide_vanishing(star, ((1,), (2,), (3,)), mode=mode, seed=seed)
+        with pytest.raises(InternalInconsistency, match="order-2 flow found treks"):
+            decide_vanishing(star, ((1,), (2,)), mode=mode, seed=seed)
+        d = decide_vanishing(star, ((1,), (2,), (3,)), mode=mode, seed=seed)
+        assert d.algebraic_record[-1] == {"seed": None, "determinant": "nonzero-polynomial(top [0])"}
 
 
 def test_randomized_fluke_resolved_symbolically(monkeypatch, star):
@@ -296,12 +306,12 @@ def test_randomized_fluke_resolved_symbolically(monkeypatch, star):
     import multitrek.oracle as oracle_module
 
     monkeypatch.setattr(oracle_module._DeterminantPlan, "at_seed", lambda plan, seed: 0)
-    d = decide_vanishing(star, ((1,), (2,), (3,)), mode="randomized", seed=9)
-    assert d.verdict == "NotVanishes"
-    assert "trek_system" in d.combinatorial_certificate
-    assert d.algebraic_record[-1]["seed"] is None
-    assert d.algebraic_record[-1]["determinant"].startswith("nonzero-polynomial(")
-    assert all(e["determinant"] == "0/1" for e in d.algebraic_record[:-1])
+    for sides in (((1,), (2,)), ((1,), (2,), (3,))):
+        d = decide_vanishing(star, sides, mode="randomized", seed=9)
+        assert d.verdict == "NotVanishes"
+        assert "trek_system" in d.combinatorial_certificate
+        assert d.algebraic_record[-1] == {"seed": None, "determinant": "nonzero-polynomial(top [0])"}
+        assert all(e["determinant"] == "0/1" for e in d.algebraic_record[:-1])
 
 
 def test_side_one_repeat_at_odd_order_is_decided():
@@ -592,24 +602,27 @@ def test_certify_rejects_each_tampered_claim_with_its_reason(monkeypatch, star, 
         False, "certificate hyperedge [1, 2, 3, 4] is not in the graph"
     )
 
-    # An empty search beside a nonzero polynomial: only the symbolic
-    # recheck can refuse the document.
+    # An empty search beside a nonzero polynomial: the search is also the
+    # zero test, so only the record can refuse the document, by a replayed
+    # draw or by a named top set.
     monkeypatch.setattr(
         oracle_module,
         "exists_trek_system_no_sided_intersection",
         lambda *args, **kwargs: TrekSearchResult(system=None),
     )
-    bad = copy.deepcopy(found)
-    bad.update(verdict="Vanishes", algebraic_record=[])
-    bad["combinatorial_certificate"] = {"obstructions": []}
-    assert certify_decision(star, bad) == (
-        False, "vanishing verdict but the determinant is a nonzero polynomial"
-    )
+    for doc in (found, certain):
+        bad = copy.deepcopy(doc)
+        bad["verdict"] = "Vanishes"
+        bad["combinatorial_certificate"] = {"obstructions": []}
+        assert certify_decision(star, bad) == (
+            False, "vanishing verdict carries a nonzero determinant"
+        )
 
 
 # The k = 5, n = 3 document whose symbolic recheck once expanded the full
 # polynomial determinant, 6**4 products of polynomial entries, and did not
-# return in minutes; the factored zero test answers in milliseconds.
+# return in minutes; the search, which is also the zero test, answers in
+# milliseconds.
 FIVE_SIDES_GRAPH = MixedGraph(
     (1, 2, 3, 4, 5, 6, 7),
     ((1, 2), (1, 3), (1, 6), (2, 3), (2, 5), (2, 6), (3, 4), (3, 6), (4, 7), (5, 7), (6, 7)),
@@ -639,11 +652,11 @@ def _tops_of(det, k: int) -> set:
 
 
 def test_zero_test_matches_the_full_expansion_on_random_graphs():
-    # Every n-set T passes the factored test iff kappa_T occurs in the fully
-    # expanded determinant, and the test names the first such T.  A repeat
-    # on side 1 at odd k exercises the permanent.  The full expansion of an
-    # n = 3 determinant can take half a minute on six vertices, so those
-    # graphs stay smaller.
+    # Every n-set T passes the path-polynomial reference and the flow test
+    # iff kappa_T occurs in the fully expanded determinant, and both name
+    # the first such T.  A repeat on side 1 at odd k exercises the
+    # permanent.  The full expansion of an n = 3 determinant can take half
+    # a minute on six vertices, so those graphs stay smaller.
     rng = random.Random(64)
     shapes = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2))
     verdicts = []
@@ -655,19 +668,74 @@ def test_zero_test_matches_the_full_expansion_on_random_graphs():
         sides = list(random_sides(rng, g, k, n))
         if k % 2 and n > 1 and i % 3 == 0:
             sides[0] = (sides[0][0],) * n
-        plan = _DeterminantPlan(canonical_dag(g).dag, sides)
-        tops = _tops_of(plan.at(symbolic_instance(plan.graph, k)), k)
-        for top in itertools.combinations(plan.graph.vertices, n):
-            assert (plan.nonzero_top([top]) is not None) == (top in tops)
-        position = {v: i for i, v in enumerate(plan.graph.vertices)}
+        dag = canonical_dag(g).dag
+        plan = _DeterminantPlan(dag, sides)
+        tops = _tops_of(plan.at(symbolic_instance(dag, k)), k)
+        for top in itertools.combinations(dag.vertices, n):
+            assert (nonzero_top_by_path_polynomials(dag, sides, [top]) is not None) == (top in tops)
+            assert first_linked_top(dag, sides, [top], open_first_side=k % 2 == 1).found == (top in tops)
+        position = {v: i for i, v in enumerate(dag.vertices)}
         first = min(tops, key=lambda t: [position[v] for v in t]) if tops else None
-        assert plan.nonzero_top() == first
+        assert nonzero_top_by_path_polynomials(dag, sides) == first
+        assert first_linked_top(dag, sides, open_first_side=k % 2 == 1).top == first
 
         rand = decide_vanishing(g, sides, seed=rng.getrandbits(16))
         cert = decide_vanishing(g, sides, mode="certain")
         assert rand.verdict == cert.verdict == ("NotVanishes" if tops else "Vanishes")
         verdicts.append(cert.verdict)
     assert verdicts.count("Vanishes") >= 10 and verdicts.count("NotVanishes") >= 10
+
+
+def test_flow_zero_test_matches_the_path_polynomial_reference():
+    # On 1,500 random mixed graphs (k = 2..5, n <= 3, side-1 repeats at odd
+    # k), the flow test agrees with the path-polynomial reference on every
+    # n-set T of canonical-DAG vertices, and certain mode records the
+    # reference's first T, or "0".
+    rng = random.Random(65)
+    mismatches = []
+    linked = 0
+    for i in range(1500):
+        k, n = 2 + i % 4, rng.randint(1, 3)
+        g = random_mixed(rng, max_vertices=5, edge_prob=0.5, max_hyperedges=1)
+        if len(g.vertices) < n:
+            continue
+        sides = list(random_sides(rng, g, k, n))
+        if k % 2 and n > 1 and rng.random() < 0.3:
+            sides[0] = tuple(rng.choice(g.vertices) for _ in range(n))
+        dag = canonical_dag(g).dag
+        for top in itertools.combinations(dag.vertices, n):
+            expected = nonzero_top_by_path_polynomials(dag, sides, [top]) is not None
+            linked += expected
+            if first_linked_top(dag, sides, [top], open_first_side=k % 2 == 1).found != expected:
+                mismatches.append((g, sides, top))
+        first = nonzero_top_by_path_polynomials(dag, sides)
+        record = decide_vanishing(g, sides, mode="certain").algebraic_record
+        if record != ({"seed": None, "determinant": "0" if first is None
+                       else f"nonzero-polynomial(top {list(first)})"},):
+            mismatches.append((g, sides, first))
+    assert mismatches == []
+    assert linked >= 1000
+
+
+def _dense_dag(seed: int, p: int, q: float, k: int, n: int):
+    """Edges i -> j (i < j) of vertices 0..p-1, each with probability q, and
+    k sides of n vertices from the upper half."""
+    rng = random.Random(seed)
+    edges = tuple((i, j) for i, j in itertools.combinations(range(p), 2) if rng.random() < q)
+    sides = tuple(tuple(sorted(rng.sample(range(p // 2, p), n))) for _ in range(k))
+    return MixedGraph(tuple(range(p)), edges), sides
+
+
+def test_certain_mode_on_a_dense_dag_reads_the_search():
+    # Path polynomials on this DAG have one term per path, so a zero test
+    # that expands them takes seconds; the flows take milliseconds.
+    g, sides = _dense_dag(1, p=22, q=0.6, k=3, n=2)
+    assert (len(g.directed_edges), sides) == (143, ((18, 20), (13, 20), (12, 19)))
+    start = time.perf_counter()
+    d = decide_vanishing(g, sides, mode="certain")
+    assert time.perf_counter() - start < 1.0
+    assert d.algebraic_record == ({"seed": None, "determinant": "nonzero-polynomial(top [0, 1])"},)
+    assert certify_decision(g, d.to_doc()) == (True, "certificate verified")
 
 
 def test_certify_named_top_is_re_derived(star):
