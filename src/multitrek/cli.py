@@ -13,7 +13,6 @@ names three sides of size two.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -36,7 +35,7 @@ from .estimation import (
 from .graphs import parse_graph
 from .moments import _ensemble_count, model_moment, scan_conjecture
 from .oracle import EXIT_VANISHES, certify_decision, decide_vanishing, detect_common_cause
-from .ser import canonical_json, frac_from_str
+from .ser import canonical_int, canonical_json, frac_from_str, read_edge, read_int, read_json
 from .tensors import tensor_to_json
 from .treks import DEFAULT_BUDGET
 
@@ -56,23 +55,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_sets(text: str) -> list[tuple[int, ...]]:
-    sides = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            raise ValueError(f"empty side in --sets {text!r}")
-        try:
-            sides.append(tuple(int(v.strip()) for v in part.split(",")))
-        except ValueError:
-            raise ValueError(f"--sets expects integers like '4,6;5,8;7,8', got {text!r}") from None
-    return sides
+    bad = f"--sets expects integers like '4,6;5,8;7,8', got {text!r}"
+    parts = [part.strip() for part in text.split(";")]
+    if not all(parts):
+        raise ValueError(f"empty side in --sets {text!r}")
+    return [tuple(read_int(v.strip(), "", bad) for v in part.split(",")) for part in parts]
 
 
 def _parse_vars(text: str) -> list[int]:
-    try:
-        return [int(v.strip()) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"--vars expects integers like '1,2,3', got {text!r}") from None
+    bad = f"--vars expects integers like '1,2,3', got {text!r}"
+    return [read_int(v.strip(), "", bad) for v in text.split(",") if v.strip()]
+
+
+def _int_arg(text: str) -> int:
+    value = canonical_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _load_graph(path: str):
@@ -93,15 +92,15 @@ def _build_parser() -> _Parser:
 
     def common(p: _Parser) -> None:
         p.add_argument("--mode", choices=("randomized", "certain"), default="randomized")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=5)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--seed", type=_int_arg, default=None)
+        p.add_argument("--trials", type=_int_arg, default=5)
+        p.add_argument("--budget", type=_int_arg, default=DEFAULT_BUDGET)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="decide vanishing of a cumulant subtensor determinant")
     p.add_argument("--graph", required=True)
     p.add_argument("--sets", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_int_arg, default=None)
     common(p)
 
     p = sub.add_parser("common-cause", help="decide whether the variables share a cause")
@@ -112,37 +111,37 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("parametrize", help="emit the model cumulant or moment tensor")
     p.add_argument("--graph", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, required=True)
     p.add_argument("--kind", choices=("cumulant", "moment"), default="cumulant")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="simulate the structural system to a data file")
     p.add_argument("--graph", required=True)
     p.add_argument("--model", required=True, help="JSON with lambda weights and noise distributions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, required=True)
     p.add_argument("--out", required=True, help=".csv writes CSV, anything else the MTRK binary")
 
     p = sub.add_parser("estimate", help="sample cumulants or a bootstrap determinant test")
     p.add_argument("--data", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, required=True)
     p.add_argument("--sets", default=None)
-    p.add_argument("--boot", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--boot", type=_int_arg, default=200)
+    p.add_argument("--seed", type=_int_arg, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("scan-conjecture", help="randomized scan of the split-trek criterion")
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--order", type=_int_arg, default=None)
+    p.add_argument("--seed", type=_int_arg, required=True)
+    p.add_argument("--trials", type=_int_arg, default=5)
+    p.add_argument("--budget", type=_int_arg, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("certify", help="re-verify a stored decision document")
     p.add_argument("--decision", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_arg, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
 
     return parser
@@ -195,21 +194,20 @@ def _noise_spec(doc: dict) -> NoiseSpec:
         raise ValueError('model "noise" must map each vertex to a list [distribution, params...]')
     entries = {}
     for key, (tag, *params) in doc.items():
-        entries[int(key)] = (tag, *(Fraction(_number(x, f"/noise/{key}")) for x in params))
+        vertex = read_int(key, f"/noise/{key}", "vertex id must be an integer")
+        entries[vertex] = (tag, *(Fraction(_number(x, f"/noise/{key}")) for x in params))
     return NoiseSpec(entries)
 
 
 def _cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
-    model = json.loads(Path(args.model).read_text(encoding="utf-8"))
+    model = read_json(Path(args.model).read_text(encoding="utf-8"))
     if not isinstance(model, dict) or "lambda" not in model or "noise" not in model:
         raise ValueError('model file needs keys "lambda" and "noise"')
     if not isinstance(model["lambda"], dict):
         raise ValueError('model "lambda" must be an object of "u->v" -> weight')
-    lam = {}
-    for key, val in model["lambda"].items():
-        u, v = key.split("->")
-        lam[(int(u), int(v))] = float(_number(val, f"/lambda/{key}"))
+    lam = {read_edge(key, f"/lambda/{key}"): float(_number(val, f"/lambda/{key}"))
+           for key, val in model["lambda"].items()}
     noise = _noise_spec(model["noise"])
     sm = simulate_lsem(g, lam, noise, args.n, args.seed)
     fmt = "csv" if args.out.lower().endswith(".csv") else "binary"
@@ -251,7 +249,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    ensemble = json.loads(Path(args.ensemble).read_text(encoding="utf-8"))
+    ensemble = read_json(Path(args.ensemble).read_text(encoding="utf-8"))
     if not isinstance(ensemble, dict):
         raise ValueError("the ensemble file must hold a JSON object")
     order = args.order if args.order is not None else _ensemble_count(ensemble, "k", 0)
@@ -268,7 +266,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = _load_graph(args.graph)
-    doc = json.loads(Path(args.decision).read_text(encoding="utf-8"))
+    doc = read_json(Path(args.decision).read_text(encoding="utf-8"))
     valid, reason = certify_decision(g, doc, budget=args.budget)
     _emit(canonical_json({"valid": valid, "reason": reason}), args.out)
     return EXIT_OK if valid else EXIT_ERROR
@@ -305,7 +303,7 @@ def run(argv: list[str]) -> int:
     except _Usage as exc:
         sys.stdout.write(canonical_json({"error": str(exc)}) + "\n")
         return EXIT_ERROR
-    except (MultitrekError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (MultitrekError, ValueError, OSError, KeyError) as exc:
         log.debug("command failed", exc_info=True)
         sys.stdout.write(canonical_json({"error": str(exc)}) + "\n")
         return EXIT_ERROR

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 import random
 from dataclasses import dataclass, field
@@ -56,7 +55,16 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import MissingOrder, SchemaError
 from .graphs import MixedGraph, validate_acyclic
 from .polynomial import Poly
-from .ser import as_rational, canonical_json, frac_from_str, frac_to_str
+from .ser import (
+    as_rational,
+    canonical_json,
+    frac_from_str,
+    frac_to_str,
+    read_edge,
+    read_int,
+    read_ints,
+    read_json,
+)
 from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, symmetric_tensor
 from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
 
@@ -621,50 +629,33 @@ def instance_to_json(inst: ModelInstance) -> str:
 
 
 def instance_from_json(text: str) -> ModelInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
+    doc = read_json(text)
     if not isinstance(doc, dict) or "lambda" not in doc or "noise" not in doc:
         raise SchemaError("/", 'expected keys "lambda" and "noise"')
     for key in ("lambda", "noise"):
         if not isinstance(doc[key], dict):
             raise SchemaError(f"/{key}", "expected an object")
-    lam = {}
-    for key, val in doc["lambda"].items():
-        try:
-            u, v = key.split("->")
-            lam[(int(u), int(v))] = frac_from_str(val, f"/lambda/{key}")
-        except ValueError as exc:
-            raise SchemaError(f"/lambda/{key}", "expected 'u->v' key") from exc
+    lam = {
+        read_edge(key, f"/lambda/{key}"): frac_from_str(val, f"/lambda/{key}")
+        for key, val in doc["lambda"].items()
+    }
     noise = {}
     for order_key, nc_doc in doc["noise"].items():
-        try:
-            order = int(order_key)
-        except ValueError as exc:
-            raise SchemaError(f"/noise/{order_key}", "order must be an integer") from exc
+        at = f"/noise/{order_key}"
+        order = read_int(order_key, at, "order must be an integer")
         if order < 2:
-            raise SchemaError(f"/noise/{order_key}", "order must be >= 2")
+            raise SchemaError(at, "order must be >= 2")
         if not isinstance(nc_doc, dict) or not isinstance(nc_doc.get("diag"), dict):
-            raise SchemaError(f"/noise/{order_key}", 'expected an object with key "diag"')
+            raise SchemaError(at, 'expected an object with key "diag"')
         if not isinstance(nc_doc.get("hyper", {}), dict):
-            raise SchemaError(f"/noise/{order_key}/hyper", "expected an object")
+            raise SchemaError(f"{at}/hyper", "expected an object")
         diag = {}
         for v, x in nc_doc["diag"].items():
-            where = f"/noise/{order_key}/diag/{v}"
-            try:
-                vertex = int(v)
-            except ValueError as exc:
-                raise SchemaError(where, "vertex id must be an integer") from exc
-            diag[vertex] = frac_from_str(x, where)
+            where = f"{at}/diag/{v}"
+            diag[read_int(v, where, "vertex id must be an integer")] = frac_from_str(x, where)
         hyper = {}
-        for hkey, x in nc_doc.get("hyper", {}).items():
-            try:
-                key_list = json.loads(hkey)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"/noise/{order_key}/hyper/{hkey}", "bad multiset key") from exc
-            if not isinstance(key_list, list) or not all(type(i) is int for i in key_list):
-                raise SchemaError(f"/noise/{order_key}/hyper/{hkey}", "expected a list of vertex ids")
-            hyper[tuple(key_list)] = frac_from_str(x, f"/noise/{order_key}/hyper/{hkey}")
+        for key, x in nc_doc.get("hyper", {}).items():
+            where = f"{at}/hyper/{key}"
+            hyper[tuple(read_ints(read_json(key, where), where))] = frac_from_str(x, where)
         noise[order] = NoiseCumulants(diag=DiagonalSpec(diag), hyper=HyperedgeSpec(hyper))
     return ModelInstance(lam=lam, noise=noise)

@@ -12,14 +12,11 @@ class MultitrekError(Exception):
 
 
 class SchemaError(MultitrekError):
-    """A JSON document does not match the expected schema.
-
-    Carries the JSON-pointer-style path of the offending element.
-    """
+    """An input does not match the expected schema; ``path`` points at it ("" in argv)."""
 
     def __init__(self, path: str, message: str = "") -> None:
         self.path = path
-        super().__init__(f"{path}: {message}" if message else path)
+        super().__init__(": ".join(part for part in (path, message) if part))
 
 
 class CycleError(MultitrekError):

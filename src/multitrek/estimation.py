@@ -38,6 +38,7 @@ import numpy as np
 from .cumulants import ModelInstance, NoiseCumulants, path_matrix
 from .errors import InvalidBootstrapCount, OrderUnsupported
 from .graphs import MixedGraph, canonical_dag
+from .ser import canonical_int
 from .tensors import FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, symmetric_tensor
 from .treks import checked_sides
 
@@ -386,8 +387,12 @@ def test_determinant_zero(
 def write_sample_csv(
     sm: SampleMatrix, path: str | Path, labels: Mapping[int, str] | None = None
 ) -> None:
-    """CSV with one header row of vertex labels (vertex ids by default)."""
+    """CSV with one header row of vertex labels (vertex ids by default); a
+    label with a comma or a line break, or that spells another id, is refused."""
     labels = labels or {}
+    for v, label in labels.items():
+        if any(c in label for c in ",\r\n") or canonical_int(label) not in (None, v):
+            raise ValueError(f"label {label!r} of vertex {v} would not read back as its column")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(labels.get(v, str(v)) for v in sm.vertices) + "\n")
         for row in sm.data:
@@ -395,15 +400,14 @@ def write_sample_csv(
 
 
 def read_sample_csv(path: str | Path) -> SampleMatrix:
+    """A header of vertex ids names the columns; any other header numbers them 1..p."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
             raise ValueError("empty CSV")
         names = header.split(",")
-        try:
-            vertices = tuple(int(name) for name in names)
-        except ValueError:
-            vertices = tuple(range(1, len(names) + 1))
+        ids = tuple(map(canonical_int, names))  # a header of labels numbers the columns
+        vertices = ids if None not in ids else tuple(range(1, len(names) + 1))
         rows = [
             [float(cell) for cell in line.strip().split(",")]
             for line in fh

@@ -11,12 +11,12 @@ source vertex pointing at its endpoints.
 from __future__ import annotations
 
 import heapq
-import json
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .errors import CycleError, SchemaError
-from .ser import canonical_json
+from .ser import canonical_json, read_int, read_ints, read_json
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class MixedGraph:
     ``vertices`` is a sorted tuple of distinct non-negative ints,
     ``directed_edges`` a sorted tuple of (u, v) pairs, and
     ``multidirected_edges`` a sorted tuple of internally sorted vertex
-    multisets of size >= 2.  Construction normalizes (sorts, dedups)
-    and validates endpoints; acyclicity is checked separately by
-    validate_acyclic.
+    multisets of size >= 2.  Construction refuses ids that are not ints
+    (booleans included), normalizes (sorts, dedups) and validates
+    endpoints; acyclicity is checked separately by validate_acyclic.
     """
 
     vertices: tuple[int, ...]
@@ -37,19 +37,21 @@ class MixedGraph:
     labels: Mapping[int, str] | None = None
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted(set(int(v) for v in self.vertices)))
+        ids = (self.vertices, *self.directed_edges, *self.multidirected_edges, self.labels or ())
+        for x in itertools.chain(*ids):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"vertex id {x!r} is not an integer")
+        verts = tuple(sorted(set(self.vertices)))
         if any(v < 0 for v in verts):
             raise ValueError("vertex ids must be non-negative integers")
         vset = set(verts)
-        edges = tuple(sorted(set((int(u), int(v)) for u, v in self.directed_edges)))
+        edges = tuple(sorted(set((u, v) for u, v in self.directed_edges)))
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if u not in vset or v not in vset:
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside the vertex set")
-        hyper = tuple(
-            sorted(set(tuple(sorted(int(x) for x in h)) for h in self.multidirected_edges))
-        )
+        hyper = tuple(sorted(set(tuple(sorted(h)) for h in self.multidirected_edges)))
         for h in hyper:
             if len(h) < 2:
                 raise ValueError(f"multidirected edge {h} has order < 2")
@@ -60,11 +62,10 @@ class MixedGraph:
             for v in self.labels:
                 if v not in vset:
                     raise ValueError(f"label for unknown vertex {v}")
+            object.__setattr__(self, "labels", dict(sorted(self.labels.items())))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "directed_edges", edges)
         object.__setattr__(self, "multidirected_edges", hyper)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", dict(sorted(self.labels.items())))
 
     # -- basic accessors -------------------------------------------------
 
@@ -187,10 +188,7 @@ _KEYS = {"vertices", "directed_edges", "multidirected_edges", "labels"}
 
 def parse_graph(text: str) -> MixedGraph:
     """Parse the JSON graph document; validates schema and acyclicity."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
+    doc = read_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("/", "top level must be an object")
     for key in ("vertices", "directed_edges", "multidirected_edges"):
@@ -199,19 +197,15 @@ def parse_graph(text: str) -> MixedGraph:
     for key in doc:
         if key not in _KEYS:
             raise SchemaError(f"/{key}", "unknown key")
-    verts = _int_list(doc["vertices"], "/vertices")
-    edges = []
-    for i, e in enumerate(_list(doc["directed_edges"], "/directed_edges")):
-        pair = _int_list(e, f"/directed_edges/{i}")
-        if len(pair) != 2:
+    verts = read_ints(doc["vertices"], "/vertices")
+    edges = read_ints(doc["directed_edges"], "/directed_edges", 2)
+    for i, e in enumerate(edges):
+        if len(e) != 2:
             raise SchemaError(f"/directed_edges/{i}", "must be a pair")
-        edges.append((pair[0], pair[1]))
-    hyper = []
-    for i, h in enumerate(_list(doc["multidirected_edges"], "/multidirected_edges")):
-        members = _int_list(h, f"/multidirected_edges/{i}")
-        if len(members) < 2:
+    hyper = read_ints(doc["multidirected_edges"], "/multidirected_edges", 2)
+    for i, h in enumerate(hyper):
+        if len(h) < 2:
             raise SchemaError(f"/multidirected_edges/{i}", "order must be >= 2")
-        hyper.append(tuple(members))
     labels = None
     if "labels" in doc:
         if not isinstance(doc["labels"], dict):
@@ -220,17 +214,9 @@ def parse_graph(text: str) -> MixedGraph:
         for k, v in doc["labels"].items():
             if not isinstance(v, str):
                 raise SchemaError(f"/labels/{k}", "label must be a string")
-            try:
-                labels[int(k)] = v
-            except ValueError as exc:
-                raise SchemaError(f"/labels/{k}", "key must be an integer") from exc
+            labels[read_int(k, f"/labels/{k}", "key must be an integer")] = v
     try:
-        g = MixedGraph(
-            vertices=tuple(verts),
-            directed_edges=tuple(edges),
-            multidirected_edges=tuple(hyper),
-            labels=labels,
-        )
+        g = MixedGraph(verts, edges, hyper, labels)
     except ValueError as exc:
         raise SchemaError("/", str(exc)) from exc
     validate_acyclic(g)
@@ -248,18 +234,3 @@ def serialize_graph(g: MixedGraph) -> str:
         doc["labels"] = {str(k): v for k, v in g.labels.items()}
     return canonical_json(doc)
 
-
-def _list(x: object, path: str) -> list:
-    if not isinstance(x, list):
-        raise SchemaError(path, "must be an array")
-    return x
-
-
-def _int_list(x: object, path: str) -> list[int]:
-    items = _list(x, path)
-    out = []
-    for i, v in enumerate(items):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError(f"{path}/{i}", "must be an integer")
-        out.append(v)
-    return out

@@ -50,15 +50,14 @@ that sample_generic_instance uses, without building the instance.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .cumulants import VALUE_RANGE, _DeterminantPlan
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, SchemaError
 from .graphs import MixedGraph, canonical_dag, serialize_graph
-from .ser import canonical_json, frac_to_str
+from .ser import canonical_json, frac_to_str, read_ints, read_json
 from .treks import (
     DEFAULT_BUDGET,
     TrekSearchResult,
@@ -139,7 +138,8 @@ def _linked_top(
 
     From order 3 on the search is the zero test and names it.  The order-2
     flow's tops need not come first, so a found flow runs the enumeration,
-    which must then find a top set too: both decide trek separation.
+    which must then find a top set too: both decide trek separation.  That
+    enumeration runs under the default cap of 10^6 top sets, whatever the budget.
     """
     if search.found and search.top is None:
         search = first_linked_top(dag, sides)
@@ -155,18 +155,13 @@ def _top_defect(
     dag: MixedGraph, sides: tuple[tuple[int, ...], ...], recorded: str
 ) -> str | None:
     """Why a recorded "nonzero-polynomial(top [...])" entry does not re-derive, else None."""
+    body = recorded[len(_TOP_ENTRY):-1] if recorded.endswith(")") else ""
     try:
-        top = json.loads(recorded[len(_TOP_ENTRY):-1]) if recorded.endswith(")") else None
-    except (ValueError, RecursionError):  # malformed or absurdly nested JSON
+        top = read_ints(read_json(body), "/")
+    except SchemaError:
         top = None
     n = len(sides[0])
-    vertices = set(dag.vertices)
-    if not (
-        isinstance(top, list)
-        and len(top) == n
-        and all(type(v) is int and v in vertices for v in top)
-        and len(set(top)) == n
-    ):
+    if top is None or len(top) != n or len(set(top)) != n or not set(top) <= set(dag.vertices):
         return f"recorded top in {recorded!r} is no {n}-set of canonical-DAG vertices"
     if not first_linked_top(dag, sides, [top], open_first_side=len(sides) % 2 == 1).found:
         return f"recorded top {top} has a zero factor"
@@ -429,14 +424,15 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
             return False, "missing trek system certificate"
         try:
             system = trek_system_from_doc(certificate["trek_system"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, SchemaError) as exc:
             return False, f"malformed trek system: {exc}"
         if tuple(system.side_endpoints) != tuple(sides):
             return False, "trek system endpoints do not match the decision sides"
         defect = system_defect(g, system, open_first_side=k % 2 == 1)
         if defect is not None:
             return False, f"certificate {defect}"
-        if system.sign != certificate["trek_system"].get("sign"):
+        sign = certificate["trek_system"].get("sign")
+        if type(sign) is not int or system.sign != sign:
             return False, "stored sign does not match the recomputed sign"
         return True, "certificate verified"
 

@@ -1,8 +1,10 @@
-"""Canonical serialization helpers.
+"""Canonical serialization, and the one reader of input text.
 
 All JSON the package emits goes through canonical_json so that equal
 values serialize to identical bytes: keys sorted, separators compact,
-rationals rendered as "numerator/denominator" strings.
+rationals rendered as "numerator/denominator" strings.  Input is read
+here in that form, integers in text as str() writes them and ids in
+JSON arrays as JSON integers; anything else is a SchemaError.
 """
 
 from __future__ import annotations
@@ -13,22 +15,65 @@ from fractions import Fraction
 from .errors import SchemaError
 
 
+def read_json(text: str, path: str = "/") -> object:
+    """The value a JSON document holds; SchemaError at ``path`` if it does not decode."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # or nested too deep to decode
+        raise SchemaError(path, f"invalid JSON: {exc}") from exc
+
+
+def canonical_int(text: object) -> int | None:
+    """The int whose str() is exactly ``text`` (no "+", space, "_", 0-pad, non-ASCII digit), else None."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError, OverflowError):  # not even an int, or too many digits
+        return None
+    return value if str(value) == text else None
+
+
+def read_int(text: object, path: str = "/", message: str = "must be an integer") -> int:
+    """canonical_int(text), else SchemaError(path, message)."""
+    value = canonical_int(text)
+    if value is None:
+        raise SchemaError(path, message)
+    return value
+
+
+def read_edge(key: str, path: str) -> tuple[int, int]:
+    u, _, v = key.partition("->")
+    return read_int(u, path, "expected 'u->v' key"), read_int(v, path, "expected 'u->v' key")
+
+
+def read_ints(x: object, path: str, depth: int = 1) -> object:
+    """``x`` itself when it is a JSON integer (depth 0; booleans and floats are
+    refused) or an array whose items pass at depth - 1."""
+    if depth == 0:
+        if type(x) is not int:
+            raise SchemaError(path, "must be an integer")
+        return x
+    if not isinstance(x, list):
+        raise SchemaError(path, "must be an array")
+    for i, v in enumerate(x):
+        if depth > 1 or type(v) is not int:  # the recursion raises for a non-int leaf
+            read_ints(v, f"{path}/{i}", depth - 1)
+    return x
+
+
 def frac_to_str(x: Fraction) -> str:
     """Render a rational as "a/b" with b >= 1, e.g. Fraction(3) -> "3/1"."""
     return f"{x.numerator}/{x.denominator}"
 
 
-def frac_from_str(s: str, path: str = "") -> Fraction:
-    """Parse "a/b" (or a plain integer string) back into a Fraction."""
+def frac_from_str(s: object, path: str = "/") -> Fraction:
+    """Parse "a/b" (b > 0) or a plain integer, each part in canonical decimal."""
     if not isinstance(s, str):
-        raise SchemaError(path or "/", f"a rational must be an 'a/b' string, got {s!r}")
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(path or "/", f"not a rational: {s!r}") from exc
+        raise SchemaError(path, f"a rational must be an 'a/b' string, got {s!r}")
+    num, slash, den = s.partition("/")
+    numerator, denominator = canonical_int(num), canonical_int(den) if slash else 1
+    if numerator is None or denominator is None or denominator <= 0:
+        raise SchemaError(path, f"not a rational: {s!r}")
+    return Fraction(numerator, denominator)
 
 
 def as_rational(x: int | Fraction) -> int | Fraction:

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, IndexOutOfRange, NotCubical, SchemaError
-from .ser import as_rational, canonical_json, frac_from_str, frac_to_str
+from .ser import as_rational, canonical_json, frac_from_str, frac_to_str, read_ints, read_json
 
 Scalar = Fraction | float
 
@@ -379,10 +378,7 @@ def tensor_to_json(t: Tensor) -> str:
 
 
 def tensor_from_json(text: str) -> Tensor:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
+    doc = read_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("/", "top level must be an object")
     for key in ("order", "dims", "scalar", "entries"):
@@ -391,17 +387,13 @@ def tensor_from_json(text: str) -> Tensor:
     scalar = doc["scalar"]
     if scalar not in (RATIONAL, FLOAT):
         raise SchemaError("/scalar", f"unknown kind {scalar!r}")
-    if scalar == RATIONAL:
-        entries = [
-            frac_from_str(e, f"/entries/{i}") if isinstance(e, str) else Fraction(e)
-            for i, e in enumerate(doc["entries"])
-        ]
-    else:
-        entries = [float(e) for e in doc["entries"]]
-    t = Tensor(
-        order=int(doc["order"]),
-        dims=tuple(int(d) for d in doc["dims"]),
+    entries = [  # Tensor converts every other entry to its scalar kind
+        frac_from_str(e, f"/entries/{i}") if scalar == RATIONAL and isinstance(e, str) else e
+        for i, e in enumerate(doc["entries"])
+    ]
+    return Tensor(
+        order=read_ints(doc["order"], "/order", 0),
+        dims=tuple(read_ints(doc["dims"], "/dims")),
         entries=tuple(entries),
         scalar=scalar,
     )
-    return t

@@ -47,6 +47,7 @@ from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .graphs import MixedGraph, canonical_dag
+from .ser import read_ints
 from .tensors import perm_sign, signed_permutations
 
 DEFAULT_BUDGET = 10**6
@@ -928,14 +929,15 @@ def trek_system_to_doc(system: TrekSystem) -> dict:
 
 def trek_system_from_doc(doc: dict) -> TrekSystem:
     treks = []
-    for entry in doc["treks"]:
-        paths = tuple(DirectedPath(tuple(p)) for p in entry["paths"])
+    for i, entry in enumerate(doc["treks"]):
+        paths = tuple(map(DirectedPath, read_ints(entry["paths"], f"/treks/{i}/paths", 2)))
         top = entry["top"]
         if "vertex" in top:
-            treks.append(KTrek(paths=paths, top_vertex=int(top["vertex"])))
+            treks.append(KTrek(paths=paths, top_vertex=read_ints(top["vertex"], f"/treks/{i}/top/vertex", 0)))
         else:
-            treks.append(KTrek(paths=paths, top_hyperedge=tuple(sorted(top["hyperedge"]))))
-    return make_trek_system(treks, [tuple(s) for s in doc["side_endpoints"]])
+            members = read_ints(top["hyperedge"], f"/treks/{i}/top/hyperedge")
+            treks.append(KTrek(paths=paths, top_hyperedge=tuple(sorted(members))))
+    return make_trek_system(treks, read_ints(doc["side_endpoints"], "/side_endpoints", 2))
 
 
 def obstructions_to_doc(obstructions: Iterable[TopObstruction]) -> list[dict]:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests, run in-process through multitrek.cli.run."""
 
+import itertools
 import json
 import os
 import struct
@@ -557,6 +558,82 @@ class TestOutFlag:
         )
         assert code == EXIT_OK
         assert copy.read_text() == out
+
+
+class TestInputReaders:
+    """Every id in argv or a file is read in canonical decimal, and nothing escapes as a traceback.
+
+    Each bad spelling maps to the id that int() would have misread it as;
+    the graph holds that id, so a misread would run on a subtensor or a
+    model the user never named.  Spaces around a --sets or --vars token
+    are part of the set syntax, so " 3" is only a bad spelling in files.
+    """
+
+    GRAPH = MixedGraph((1, 2, 3, 10), ((1, 2), (1, 3), (1, 10)))
+    MISREAD = {"1_0": 10, "+3": 3, "03": 3, "\u0663": 3}
+    MISREAD_IN_FILES = {**MISREAD, " 3": 3}
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("bad", MISREAD)
+    def test_sets_and_vars_refuse_non_canonical_ids(self, capsys, tmp_path, bad):
+        gpath = write_graph(tmp_path, self.GRAPH)
+        code, out = run_cli(capsys, "check", "--graph", gpath, "--sets", f"{bad};2", "--seed", "1")
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"].startswith("--sets expects integers")
+        code, out = run_cli(capsys, "common-cause", "--graph", gpath, "--vars", f"{bad},2", "--seed", "1")
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"].startswith("--vars expects integers")
+
+    @pytest.mark.parametrize("option, value", [("--seed", "1_0"), ("--trials", "+5"), ("--budget", "010")])
+    def test_integer_options_refuse_non_canonical_numbers(self, capsys, tmp_path, option, value):
+        gpath = write_graph(tmp_path, self.GRAPH)
+        argv = {"--seed": "1", "--trials": "5", "--budget": "10", option: value}
+        code, out = run_cli(capsys, "check", "--graph", gpath, "--sets", "2;3",
+                            *itertools.chain.from_iterable(argv.items()))
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": f"argument {option}: invalid int value: {value!r}"}
+
+    @pytest.mark.parametrize("bad", MISREAD_IN_FILES)
+    @pytest.mark.parametrize("where", ["lambda", "noise"])
+    def test_model_keys_refuse_non_canonical_ids(self, capsys, tmp_path, bad, where):
+        vertex = self.MISREAD_IN_FILES[bad]
+        lam = {f"1->{v}": "1/2" for v in (2, 3, 10)}
+        noise = {str(v): ["uniform", 1] for v in self.GRAPH.vertices}
+        if where == "lambda":
+            lam[f"1->{bad}"] = lam.pop(f"1->{vertex}")
+            pointer, message = f"/lambda/1->{bad}", "expected 'u->v' key"
+        else:
+            noise[bad] = noise.pop(str(vertex))
+            pointer, message = f"/noise/{bad}", "vertex id must be an integer"
+        gpath = write_graph(tmp_path, self.GRAPH)
+        mpath = write_model(tmp_path, lam, noise)
+        code, out = run_cli(capsys, "simulate", "--graph", gpath, "--model", mpath,
+                            "--n", "5", "--seed", "0", "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": f"{pointer}: {message}"}
+
+    @pytest.mark.parametrize("option", ["--graph", "--instance", "--model", "--ensemble", "--decision", "hyper"])
+    def test_nesting_too_deep_to_decode_is_a_json_error(self, capsys, tmp_path, option):
+        gpath = write_graph(tmp_path, self.GRAPH)
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP)
+        argv = {
+            "--graph": ["check", "--graph", str(deep), "--sets", "2;3", "--seed", "1"],
+            "--instance": ["parametrize", "--graph", gpath, "--instance", str(deep), "--order", "2"],
+            "--model": ["simulate", "--graph", gpath, "--model", str(deep),
+                        "--n", "5", "--seed", "0", "--out", str(tmp_path / "x.csv")],
+            "--ensemble": ["scan-conjecture", "--ensemble", str(deep), "--seed", "1"],
+            "--decision": ["certify", "--decision", str(deep), "--graph", gpath],
+            "hyper": ["parametrize", "--graph", gpath, "--instance", str(deep), "--order", "2"],
+        }[option]
+        pointer = "/"
+        if option == "hyper":
+            hyper = {"lambda": {}, "noise": {"2": {"diag": {"1": "1"}, "hyper": {self.DEEP: "1"}}}}
+            deep.write_text(json.dumps(hyper))
+            pointer = f"/noise/2/hyper/{self.DEEP}"
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"].startswith(f"{pointer}: invalid JSON: ")
 
 
 class TestPinnedStdout:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -509,6 +510,44 @@ def test_instance_json_rejects_diagonal_keys_that_are_no_vertex_ids(vertex):
     text = '{"lambda":{},"noise":{"2":{"diag":{"%s":"1/1"}}}}' % vertex
     with pytest.raises(SchemaError, match=f"^/noise/2/diag/{vertex}: vertex id must be an integer$"):
         instance_from_json(text)
+
+
+NON_CANONICAL_IDS = ["1_0", " 3", "+3", "03", "\u0663"]  # the last is ARABIC-INDIC DIGIT THREE
+
+
+@pytest.mark.parametrize("bad", NON_CANONICAL_IDS)
+@pytest.mark.parametrize(
+    "template, where, message",
+    [
+        ('{"lambda":{"%s->2":"1"},"noise":{}}', "/lambda/%s->2", "expected 'u->v' key"),
+        ('{"lambda":{"1->%s":"1"},"noise":{}}', "/lambda/1->%s", "expected 'u->v' key"),
+        ('{"lambda":{},"noise":{"%s":{"diag":{"1":"1"}}}}', "/noise/%s", "order must be an integer"),
+        ('{"lambda":{},"noise":{"2":{"diag":{"%s":"1"}}}}', "/noise/2/diag/%s", "vertex id must be an integer"),
+    ],
+    ids=["lambda-tail", "lambda-head", "order", "diag"],
+)
+def test_instance_json_refuses_ids_that_are_not_canonical(bad, template, where, message):
+    with pytest.raises(SchemaError) as exc:
+        instance_from_json(template % bad)
+    assert str(exc.value) == f"{where % bad}: {message}"
+
+
+@pytest.mark.parametrize("value", ["1_0/3", "+7", "1/02"])
+def test_instance_json_refuses_rationals_that_are_not_canonical(value):
+    with pytest.raises(SchemaError, match="^/noise/2/diag/1: not a rational: "):
+        instance_from_json('{"lambda":{},"noise":{"2":{"diag":{"1":"%s"}}}}' % value)
+
+
+@pytest.mark.parametrize(
+    "key, where",
+    [("[1, 2.0]", "/1"), ("[true, 2]", "/0"), ("{}", ""), ("[1,", ""), ("[" * 100_000 + "]" * 100_000, "")],
+    ids=["float", "bool", "object", "truncated", "deep"],
+)
+def test_instance_json_refuses_hyper_keys_that_are_no_id_lists(key, where):
+    doc = {"lambda": {}, "noise": {"2": {"diag": {"1": "1"}, "hyper": {key: "1"}}}}
+    with pytest.raises(SchemaError) as exc:
+        instance_from_json(json.dumps(doc))
+    assert exc.value.path == f"/noise/2/hyper/{key}{where}"
 
 
 @pytest.mark.parametrize("order", [-1, 0, 1])

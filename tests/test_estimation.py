@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -398,6 +399,33 @@ class TestDataIO:
             assert fh.readline().strip() == "left,right"
         back = read_sample_csv(path)
         assert back.vertices == (1, 2)
+
+    @pytest.mark.parametrize("header", ["1_0,2", "+5,9", "05,9", "5, 9", "\u0665,9"])
+    def test_csv_header_of_non_canonical_ids_numbers_the_columns(self, tmp_path, header):
+        path = tmp_path / "odd.csv"
+        path.write_text(header + "\n0.5,1.5\n")
+        assert read_sample_csv(path).vertices == (1, 2)
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [({7: "left,x", 8: "right"}, "'left,x' of vertex 7"),
+         ({7: "left\nx"}, "'left\\nx' of vertex 7"),
+         ({7: "8", 8: "7"}, "'8' of vertex 7"),
+         ({8: "9"}, "'9' of vertex 8")],
+        ids=["comma", "newline", "swapped-ids", "foreign-id"],
+    )
+    def test_csv_refuses_labels_that_do_not_read_back(self, tmp_path, labels, bad):
+        sm = SampleMatrix(data=np.ones((2, 2)), vertices=(7, 8))
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=re.escape(f"label {bad} would not read back as its column")):
+            write_sample_csv(sm, path, labels=labels)
+        assert not path.exists()
+
+    def test_csv_label_may_spell_its_own_id(self, tmp_path):
+        sm = SampleMatrix(data=np.ones((2, 2)), vertices=(7, 8))
+        path = tmp_path / "own.csv"
+        write_sample_csv(sm, path, labels={7: "7"})
+        assert read_sample_csv(path).vertices == (7, 8)
 
     def test_csv_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -39,6 +39,17 @@ def test_construction_rejects_bad_input():
         MixedGraph(vertices=(-1, 2))
     with pytest.raises(ValueError):
         MixedGraph(vertices=(1, 2), labels={7: "x"})
+    # ids that are no ints are refused, not rounded or read as 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        MixedGraph(vertices=(True, 2.9, 3), directed_edges=((1.2, 2.7),))
+    with pytest.raises(ValueError, match="is not an integer"):
+        MixedGraph(vertices=(1, 2), directed_edges=((True, 2),))
+    with pytest.raises(ValueError, match="is not an integer"):
+        MixedGraph(vertices=(1, 2, 3), multidirected_edges=((1, 2.0),))
+    with pytest.raises(ValueError, match="is not an integer"):
+        MixedGraph(vertices=("1", 2))
+    with pytest.raises(ValueError, match="is not an integer"):
+        MixedGraph(vertices=(1, 2), labels={True: "x"})  # would serialize as key "True"
 
 
 def test_accessors(two_root_dag):
@@ -136,6 +147,25 @@ def test_parse_labels_round_trip():
     g = MixedGraph(vertices=(1, 2), directed_edges=((1, 2),), labels={1: "x", 2: "y"})
     back = parse_graph(serialize_graph(g))
     assert back.labels == {1: "x", 2: "y"}
+
+
+@pytest.mark.parametrize("key", ["1_0", " 3", "+3", "03", "\u0663"])
+def test_parse_refuses_label_keys_that_are_not_canonical(key):
+    doc = {"vertices": [3, 10], "directed_edges": [], "multidirected_edges": [], "labels": {key: "x"}}
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(json.dumps(doc))
+    assert str(exc.value) == f"/labels/{key}: key must be an integer"
+
+
+@pytest.mark.parametrize("edges", ["[[1, 2.0]]", "[[true, 2]]", "[1, 2]", "{}"])
+def test_parse_refuses_edges_that_are_no_id_pairs(edges):
+    with pytest.raises(SchemaError, match="^/directed_edges"):
+        parse_graph('{"vertices":[1,2],"directed_edges":%s,"multidirected_edges":[]}' % edges)
+
+
+def test_parse_refuses_nesting_too_deep_to_decode():
+    with pytest.raises(SchemaError, match="^/: invalid JSON: "):
+        parse_graph("[" * 100_000 + "]" * 100_000)
 
 
 def test_parse_rejects_malformed():

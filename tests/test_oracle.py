@@ -508,6 +508,41 @@ def test_certify_rejects_malformed_documents_with_a_reason(star, collider):
     )
 
 
+@pytest.mark.parametrize(
+    "graph, field, value, reason",
+    [
+        ("star", "paths", [[0.9, True], [False, 2.5], [0, 3]], "/treks/0/paths/0/0: must be an integer"),
+        ("star", "paths", [[0, True], [0, 2], [0, 3]], "/treks/0/paths/0/1: must be an integer"),
+        ("star", "top", {"vertex": 0.0}, "/treks/0/top/vertex: must be an integer"),
+        ("star", "top", {"vertex": False}, "/treks/0/top/vertex: must be an integer"),
+        ("latent", "top", {"hyperedge": [1, 2.0, 3], "sources": [1, 2, 3]},
+         "/treks/0/top/hyperedge/1: must be an integer"),
+        ("latent", "top", {"hyperedge": [True, 2, 3], "sources": [1, 2, 3]},
+         "/treks/0/top/hyperedge/0: must be an integer"),
+        ("star", "side_endpoints", [[1.0], [2], [3]], "/side_endpoints/0/0: must be an integer"),
+        ("star", "side_endpoints", [[1], [2], [3.0]], "/side_endpoints/2/0: must be an integer"),
+    ],
+)
+def test_certify_refuses_witness_ids_that_are_no_json_ints(star, latent_triple, graph, field, value, reason):
+    # Each value equals the stored id under int(), which once let the witness verify.
+    g = {"star": star, "latent": latent_triple}[graph]
+    doc = decide_vanishing(g, ((1,), (2,), (3,)), seed=1).to_doc()
+    system = doc["combinatorial_certificate"]["trek_system"]
+    if field == "side_endpoints":
+        system[field] = value
+    else:
+        system["treks"][0][field] = value
+    assert certify_decision(g, doc) == (False, f"malformed trek system: {reason}")
+
+
+@pytest.mark.parametrize("sign", [True, 1.0, "1"])
+def test_certify_refuses_a_sign_that_is_no_json_int(star, sign):
+    doc = decide_vanishing(star, ((1,), (2,), (3,)), seed=1).to_doc()
+    assert doc["combinatorial_certificate"]["trek_system"]["sign"] == 1
+    doc["combinatorial_certificate"]["trek_system"]["sign"] = sign
+    assert certify_decision(star, doc) == (False, "stored sign does not match the recomputed sign")
+
+
 def test_certify_rejects_vanishing_documents_without_a_certificate(star, collider):
     # Only a policy entry, a separator or an obstruction log certifies a
     # vanishing verdict; any other certificate is refused by its shape.

@@ -1,0 +1,100 @@
+"""The input readers in multitrek.ser: what they take and what they refuse."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from multitrek import SchemaError
+from multitrek.ser import (
+    frac_from_str,
+    frac_to_str,
+    read_edge,
+    read_int,
+    read_ints,
+    read_json,
+)
+
+# Spellings that int() accepts but that name no id canonically.
+NON_CANONICAL = ["1_0", " 3", "3 ", "+3", "03", "00", "-0", "-03", "٣", "3\n", ""]
+
+
+@pytest.mark.parametrize("value", [0, 3, -3, 10, 12345678901234567890])
+def test_read_int_takes_what_str_writes(value):
+    assert read_int(str(value)) == value
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL + ["x", "1.0", "1e3", "--3", "0x1", None, 3])
+def test_read_int_refuses_every_other_spelling(text):
+    with pytest.raises(SchemaError, match=r"^/where: no id$"):
+        read_int(text, "/where", "no id")
+
+
+@pytest.mark.parametrize("key, edge", [("1->2", (1, 2)), ("10->0", (10, 0)), ("-1->2", (-1, 2))])
+def test_read_edge(key, edge):
+    assert read_edge(key, "/lambda") == edge
+
+
+@pytest.mark.parametrize("key", ["1_0->2", "1-> 2", "+1->2", "1->02", "1->2->3", "1-2", "->2", "1->"])
+def test_read_edge_refuses_malformed_keys(key):
+    with pytest.raises(SchemaError, match=re.escape(f"/lambda/{key}: expected 'u->v' key") + "$"):
+        read_edge(key, f"/lambda/{key}")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3/4", Fraction(3, 4)), ("-3/4", Fraction(-3, 4)), ("6/8", Fraction(3, 4)), ("7", Fraction(7)),
+     ("0/1", Fraction(0)), ("-7", Fraction(-7))],
+)
+def test_frac_from_str(text, value):
+    assert frac_from_str(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0/3", "+7", "1/02", " 1/2", "1/ 2", "1/-2", "1/0", "-0/1", "1/2/3", "1/", "/2", "1.5"]
+)
+def test_frac_from_str_refuses_non_canonical_rationals(text):
+    with pytest.raises(SchemaError, match="^/x: not a rational: "):
+        frac_from_str(text, "/x")
+
+
+@pytest.mark.parametrize("value", [True, 3, 0.5, None, ["1/2"]])
+def test_frac_from_str_needs_a_string(value):
+    with pytest.raises(SchemaError, match="a rational must be an 'a/b' string"):
+        frac_from_str(value, "/x")
+
+
+def test_frac_round_trip():
+    for x in [Fraction(0), Fraction(-5, 3), Fraction(10**30, 7)]:
+        assert frac_from_str(frac_to_str(x)) == x
+
+
+@pytest.mark.parametrize("text", ["not json", "", "[1,", "[" * 100_000 + "]" * 100_000])
+def test_read_json_refuses_what_does_not_decode(text):
+    with pytest.raises(SchemaError, match="^/here: invalid JSON: "):
+        read_json(text, "/here")
+
+
+def test_read_json_default_pointer_is_the_root():
+    with pytest.raises(SchemaError, match="^/: invalid JSON: "):
+        read_json("{")
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 2.5, "1", None])
+def test_json_ints_refuse_bools_floats_and_strings(value):
+    with pytest.raises(SchemaError, match="^/v: must be an integer$"):
+        read_ints(value, "/v", 0)
+    with pytest.raises(SchemaError, match="^/v/1: must be an integer$"):
+        read_ints([1, value], "/v")
+    with pytest.raises(SchemaError, match="^/v/0/1: must be an integer$"):
+        read_ints([[1, value]], "/v", 2)
+
+
+def test_json_int_arrays():
+    assert read_ints(-4, "/v", 0) == -4
+    assert read_ints([1, 2], "/v") == [1, 2]
+    assert read_ints([[1], []], "/v", 2) == [[1], []]
+    with pytest.raises(SchemaError, match="^/v: must be an array$"):
+        read_ints({"0": 1}, "/v")
+    with pytest.raises(SchemaError, match="^/v/0: must be an array$"):
+        read_ints([1], "/v", 2)

@@ -250,6 +250,18 @@ def test_json_round_trip_rational_and_float():
     assert "\n" not in text and ": " not in text
 
 
+@pytest.mark.parametrize(
+    "order, dims, where",
+    [("true", "[1]", "/order"), ("1.0", "[1]", "/order"), ("1", "[1.9]", "/dims/0"),
+     ("1", "[true]", "/dims/0"), ("1", '"1"', "/dims")],
+)
+def test_json_order_and_dims_must_be_json_ints(order, dims, where):
+    text = '{"order":%s,"dims":%s,"scalar":"rational","entries":["1/1"]}' % (order, dims)
+    with pytest.raises(SchemaError) as exc:
+        tensor_from_json(text)
+    assert exc.value.path == where
+
+
 def test_json_rejects_malformed():
     with pytest.raises(SchemaError):
         tensor_from_json("[")

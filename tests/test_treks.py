@@ -364,6 +364,33 @@ def test_search_budget(two_root_dag):
     ).found
 
 
+# Two tops over two sinks: few paths per source, many treks and systems.
+K22 = MixedGraph((1, 2, 3, 4), ((1, 3), (1, 4), (2, 3), (2, 4)))
+K22_SIDES = ((3, 4), (3, 4))
+
+
+@pytest.mark.parametrize(
+    "call, tripped, enough, what",
+    [
+        (lambda b: enumerate_ktreks(K22, (3, 4), b), 1, 2, "k-treks into (3, 4)"),
+        (lambda b: det_by_trek_systems(K22, sample_generic_instance(K22, 2, 1), K22_SIDES, b),
+         3, 13, "trek-system candidates"),
+        (lambda b: det_by_split_trek_systems(K22, sample_generic_instance(K22, 2, 1), K22_SIDES, b),
+         9, 13, "trek-system candidates"),
+        (lambda b: exists_split_trek_system_no_sided_intersection(K22, K22_SIDES * 2, b),
+         1, 2, "split-system column candidates"),
+        (lambda b: check_ktrek_separation(K22, ((3,), (4,)), ((), ()), b),
+         0, 1, "separation top candidates"),
+    ],
+    ids=["ktreks", "trek-systems", "split-trek-systems", "split-columns", "separation"],
+)
+def test_every_enumeration_cap_raises_budget_exceeded(call, tripped, enough, what):
+    with pytest.raises(BudgetExceeded) as exc:
+        call(tripped)
+    assert (exc.value.what, exc.value.budget) == (what, tripped)
+    call(enough)
+
+
 def test_separation_basics(two_root_dag):
     g = two_root_dag
     sides = ((4, 6), (7, 8))
