@@ -380,7 +380,8 @@ class _EntryPlan:
         topo = validate_acyclic(g)
         self.graph = g
         partitions = _partitions(order) if moments else ((tuple(range(order)),),)
-        orders = {len(block) for partition in partitions for block in partition}
+        # the noise orders the entries read; a plan without keys reads only path sums
+        orders = {len(block) for partition in partitions for block in partition} if keys else set()
 
         layout = _parameter_layout(g, order)
         self._n_drawn = len(layout)

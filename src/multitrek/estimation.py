@@ -38,7 +38,7 @@ import numpy as np
 from .cumulants import ModelInstance, NoiseCumulants, path_matrix
 from .errors import InvalidBootstrapCount, OrderUnsupported
 from .graphs import MixedGraph, canonical_dag
-from .ser import canonical_int
+from .ser import canonical_int, read_float
 from .tensors import FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, symmetric_tensor
 from .treks import checked_sides
 
@@ -400,7 +400,8 @@ def write_sample_csv(
 
 
 def read_sample_csv(path: str | Path) -> SampleMatrix:
-    """A header of vertex ids names the columns; any other header numbers them 1..p."""
+    """A header of vertex ids names the columns; any other header numbers them 1..p.
+    Data cells are read by read_float at /rows/<row>/<column>, counted from 0."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -408,10 +409,10 @@ def read_sample_csv(path: str | Path) -> SampleMatrix:
         names = header.split(",")
         ids = tuple(map(canonical_int, names))  # a header of labels numbers the columns
         vertices = ids if None not in ids else tuple(range(1, len(names) + 1))
+        lines = (line.rstrip("\n") for line in fh if line != "\n")
         rows = [
-            [float(cell) for cell in line.strip().split(",")]
-            for line in fh
-            if line.strip()
+            [read_float(cell, f"/rows/{r}/{c}") for c, cell in enumerate(line.split(","))]
+            for r, line in enumerate(lines)
         ]
     data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
     return SampleMatrix(data=data, vertices=vertices)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import BudgetExceeded, InternalInconsistency, MissingOrder
+from .errors import InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
 from .ser import canonical_json, frac_from_str
@@ -49,6 +49,7 @@ from .treks import (
     DirectedPath,
     Trek,
     TrekSearchResult,
+    _Cap,
     _paths_into,
     _reaching,
     _verify_system,
@@ -213,17 +214,12 @@ def _split_treks(
 ) -> list[SplitTrek]:
     """The split-treks among the combinations of one path from each pool,
     pool i holding every path into sinks[i] in lexicographic order."""
-    out: list[SplitTrek] = []
-    count = 0
-    for combo in itertools.product(*pools):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(f"split-trek candidates into {tuple(sinks)}", budget)
-        counts = Counter(p.source for p in combo)
-        if any(c == 1 for c in counts.values()):
-            continue
-        out.append(split_trek_from_paths(combo))
-    return out
+    cap = _Cap(budget, f"split-trek candidates into {tuple(sinks)}")
+    return [
+        split_trek_from_paths(combo)
+        for combo in cap(itertools.product(*pools))
+        if 1 not in Counter(p.source for p in combo).values()
+    ]
 
 
 def exists_split_trek_system_no_sided_intersection(
@@ -252,16 +248,13 @@ def exists_split_trek_system_no_sided_intersection(
     flow = functools.cache(
         lambda i, columns: exists_disjoint_path_system(g, columns, side_lists[i])
     )
-    count = 0
+    cap = _Cap(budget, "split-system column candidates")
     column_choices = [
         list(itertools.combinations(sorted(_reaching(g, side)), n))
         for side in side_lists
     ]
     perms, _ = signed_permutations(n)
-    for cols in itertools.product(*column_choices):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded("split-system column candidates", budget)
+    for cols in cap(itertools.product(*column_choices)):
         per_side = []
         for i in range(k):
             got = flow(i, cols[i])
@@ -270,28 +263,21 @@ def exists_split_trek_system_no_sided_intersection(
             per_side.append(got)
         if len(per_side) < k:
             continue
-        chosen = None
-        for betas in itertools.product(perms, repeat=k - 1):
-            count += 1
-            if count > budget:
-                raise BudgetExceeded("split-system column candidates", budget)
-            ok = True
-            for x in range(n):
-                row = [cols[0][x]] + [cols[i + 1][betas[i][x]] for i in range(k - 1)]
-                if any(c == 1 for c in Counter(row).values()):
-                    ok = False
-                    break
-            if ok:
-                chosen = betas
-                break
+        # The first per-side bijections, side 1 fixed (perms[0] is the
+        # identity), under which every row's source multiset is singleton-free.
+        chosen = next((
+            bijections for bijections in cap(itertools.product(perms[:1], *[perms] * (k - 1)))
+            if all(
+                1 not in Counter(col[b[x]] for col, b in zip(cols, bijections)).values()
+                for x in range(n)
+            )
+        ), None)
         if chosen is None:
             continue
-        treks = []
-        for x in range(n):
-            paths = [per_side[0][x]] + [
-                per_side[i + 1][chosen[i][x]] for i in range(k - 1)
-            ]
-            treks.append(split_trek_from_paths(paths))
+        treks = [
+            split_trek_from_paths([paths[b[x]] for paths, b in zip(per_side, chosen)])
+            for x in range(n)
+        ]
         treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
         system = make_trek_system(treks, side_lists)
         _verify_system(g, system, open_first_side=False)

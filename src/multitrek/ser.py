@@ -3,8 +3,9 @@
 All JSON the package emits goes through canonical_json so that equal
 values serialize to identical bytes: keys sorted, separators compact,
 rationals rendered as "numerator/denominator" strings.  Input is read
-here in that form, integers in text as str() writes them and ids in
-JSON arrays as JSON integers; anything else is a SchemaError.
+here in that form, integers in text as str() writes them, floats in
+text in ASCII as repr() writes them and ids in JSON arrays as JSON
+integers; anything else is a SchemaError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,17 @@ def read_int(text: object, path: str = "/", message: str = "must be an integer")
     if value is None:
         raise SchemaError(path, message)
     return value
+
+
+def read_float(text: str, path: str = "/") -> float:
+    """The float ``text`` spells in ASCII without "_" or whitespace (every
+    repr(float) spelling reads back), else SchemaError at ``path``."""
+    try:
+        if text.isascii() and "_" not in text and text.strip() == text:
+            return float(text)
+    except ValueError:
+        pass
+    raise SchemaError(path, f"not a number: {text!r}")
 
 
 def read_edge(key: str, path: str) -> tuple[int, int]:

@@ -387,10 +387,14 @@ def tensor_from_json(text: str) -> Tensor:
     scalar = doc["scalar"]
     if scalar not in (RATIONAL, FLOAT):
         raise SchemaError("/scalar", f"unknown kind {scalar!r}")
-    entries = [  # Tensor converts every other entry to its scalar kind
-        frac_from_str(e, f"/entries/{i}") if scalar == RATIONAL and isinstance(e, str) else e
-        for i, e in enumerate(doc["entries"])
-    ]
+    entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise SchemaError("/entries", "must be an array")
+    for i, e in enumerate(entries):  # rationals as "a/b" strings, floats as JSON numbers
+        if scalar == RATIONAL:
+            entries[i] = frac_from_str(e, f"/entries/{i}")
+        elif type(e) not in (int, float):
+            raise SchemaError(f"/entries/{i}", f"a float entry must be a JSON number, got {e!r}")
     return Tensor(
         order=read_ints(doc["order"], "/order", 0),
         dims=tuple(read_ints(doc["dims"], "/dims")),

@@ -30,11 +30,12 @@ lists from the whole side at once (``_reaching``), which may avoid a
 blocking set: a vertex counts when it has a directed path into the
 side that meets no blocked vertex, endpoints included.
 
-All enumerations are capped (default 10^6 items); exceeding a cap is
-an explicit BudgetExceeded, never silent truncation.  The order-2 flow
-enumerates nothing and takes no cap.  Orderings are lexicographic or
-fixed by insertion order throughout, so certificates reproduce across
-runs.
+All enumerations are capped (default 10^6 items) by drawing their
+candidates through a ``_Cap``, the one place that counts; exceeding a
+cap is an explicit BudgetExceeded, never silent truncation.  The order-2
+flow enumerates nothing and takes no cap.  Orderings are lexicographic
+or fixed by insertion order throughout, so certificates reproduce
+across runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .graphs import MixedGraph, canonical_dag
@@ -51,6 +52,22 @@ from .ser import read_ints
 from .tensors import perm_sign, signed_permutations
 
 DEFAULT_BUDGET = 10**6
+
+
+class _Cap:
+    """A count of drawn candidates: calling it on an iterable yields the
+    items and raises BudgetExceeded(what, budget) when item budget + 1 is
+    drawn.  Several streams may draw from one cap."""
+
+    def __init__(self, budget: int, what: str) -> None:
+        self.budget, self.what, self.drawn = budget, what, 0
+
+    def __call__(self, items: Iterable) -> Iterator:
+        for item in items:
+            self.drawn += 1
+            if self.drawn > self.budget:
+                raise BudgetExceeded(self.what, self.budget)
+            yield item
 
 
 @dataclass(frozen=True)
@@ -233,25 +250,20 @@ def _paths_into(
     on the paths from one source."""
     children = g.adjacency()
     into_v = _reaching(g, (v,))
-    out: list[DirectedPath] = []
 
-    def dfs(path: list[int], first: int) -> None:
+    def dfs(path: list[int]) -> Iterator[DirectedPath]:
         cur = path[-1]
         if cur == v:
-            if len(out) - first >= budget:
-                raise BudgetExceeded(f"paths {path[0]}->{v}", budget)
-            out.append(DirectedPath(tuple(path)))
+            yield DirectedPath(tuple(path))
             return
         for c in children[cur]:
             if c in into_v:
                 path.append(c)
-                dfs(path, first)
+                yield from dfs(path)
                 path.pop()
 
-    for u in sorted(into_v) if sources is None else sources:
-        if u in into_v:
-            dfs([u], len(out))
-    return out
+    starts = sorted(into_v) if sources is None else [u for u in sources if u in into_v]
+    return [path for u in starts for path in _Cap(budget, f"paths {u}->{v}")(dfs([u]))]
 
 
 # -- trek enumeration -----------------------------------------------------
@@ -276,16 +288,13 @@ def enumerate_ktreks(
     reaching = {s: _reaching(g, (s,)) for s in set(sinks)}
     into = [reaching[s] for s in sinks]
 
+    # A vertex t is the one-member top (t,), whose only source tuple is (t,) * k.
     source_tuples: set[tuple[int, ...]] = set()
-    for t in g.vertices:
-        if all(t in reaching for reaching in into):
-            source_tuples.add((t,) * k)
-    for h in g.multidirected_edges:
-        members = sorted(set(h))
-        pools = [[m for m in members if m in reaching] for reaching in into]
-        if all(pools):
-            for srcs in itertools.product(*pools):
-                source_tuples.add(srcs)
+    for top in itertools.chain(((t,) for t in g.vertices), g.multidirected_edges):
+        members = sorted(set(top))
+        source_tuples.update(itertools.product(
+            *([m for m in members if m in reaching] for reaching in into)
+        ))
 
     # One reverse search per distinct sink: its pool holds the paths from
     # each source some tuple sends into it, grouped by source.
@@ -298,6 +307,7 @@ def enumerate_ktreks(
         for path in _paths_into(g, b, budget, sorted(starts)):
             paths.setdefault((path.source, b), []).append(path)
 
+    cap = _Cap(budget, f"k-treks into {tuple(sinks)}")
     treks: list[KTrek] = []
     for srcs in sorted(source_tuples):
         top_vertex = srcs[0] if all(s == srcs[0] for s in srcs) else None
@@ -306,12 +316,10 @@ def enumerate_ktreks(
             top_hyperedge = min(
                 h for h in g.multidirected_edges if set(srcs) <= set(h)
             )
-        for combo in itertools.product(*(paths[pair] for pair in zip(srcs, sinks))):
-            if len(treks) >= budget:
-                raise BudgetExceeded(f"k-treks into {tuple(sinks)}", budget)
-            treks.append(
-                KTrek(paths=tuple(combo), top_vertex=top_vertex, top_hyperedge=top_hyperedge)
-            )
+        treks.extend(
+            KTrek(paths=tuple(combo), top_vertex=top_vertex, top_hyperedge=top_hyperedge)
+            for combo in cap(itertools.product(*(paths[pair] for pair in zip(srcs, sinks))))
+        )
     treks.sort(key=KTrek.sort_key)
     return treks
 
@@ -664,9 +672,7 @@ def first_linked_top(
         useful = [v for v in dag.vertices if all(v in reaching for reaching in into)]
         tops = itertools.combinations(useful, n)
     obstructions: list[TopObstruction] = []
-    for count, top in enumerate(tops, 1):
-        if count > budget:
-            raise BudgetExceeded("candidate top sets", budget)
+    for top in _Cap(budget, "candidate top sets")(tops):
         top = tuple(top)
         per_side: list[list[DirectedPath]] = []
         for i, side in enumerate(sides):
@@ -801,8 +807,8 @@ def signed_system_sum(
     k = len(sides)
     n = len(sides[0])
     pool = functools.cache(treks_into)
+    cap = _Cap(budget, "trek-system candidates")
     total = 0
-    count = 0
     perms, signs = signed_permutations(n)
     for combo in itertools.product(range(len(perms)), repeat=k - 1):
         sign = 1
@@ -814,10 +820,7 @@ def signed_system_sum(
         ]
         if any(not trek_pool for trek_pool in pools):
             continue
-        for system in itertools.product(*pools):
-            count += 1
-            if count > budget:
-                raise BudgetExceeded("trek-system candidates", budget)
+        for system in cap(itertools.product(*pools)):
             if sided_intersection_of_paths(
                 [[trek.paths[i] for trek in system] for i in range(1, k)]
             ) is not None:
@@ -858,19 +861,9 @@ def check_ktrek_separation(
             raise ValueError("sides and blockers must belong to the graph")
     # per side, the tops with a path into it that avoids its blocking set
     opens = [_reaching(g, side, a) for side, a in zip(sides, blockers)]
-
-    count = 0
-    for t in g.vertices:
-        count += 1
-        if count > budget:
-            raise BudgetExceeded("separation top candidates", budget)
-        if all(t in reaching for reaching in opens):
-            return False
-    for h in g.multidirected_edges:
-        count += 1
-        if count > budget:
-            raise BudgetExceeded("separation top candidates", budget)
-        if all(any(m in reaching for m in h) for reaching in opens):
+    tops = itertools.chain(((t,) for t in g.vertices), g.multidirected_edges)
+    for top in _Cap(budget, "separation top candidates")(tops):
+        if all(any(m in reaching for m in top) for reaching in opens):
             return False
     return True
 
@@ -891,17 +884,14 @@ def find_ktrek_separating_sets(
         raise ValueError("budget must be >= 0")
     k = len(sides)
     verts = list(g.vertices)
-    tried = 0
+    candidates = _Cap(cap, "separating-set candidates")
     for total in range(budget + 1):
         for sizes in itertools.product(range(total + 1), repeat=k):
             if sum(sizes) != total:
                 continue
-            for combo in itertools.product(
+            for combo in candidates(itertools.product(
                 *(itertools.combinations(verts, size) for size in sizes)
-            ):
-                tried += 1
-                if tried > cap:
-                    raise BudgetExceeded("separating-set candidates", cap)
+            )):
                 if check_ktrek_separation(g, sides, combo, budget=cap):
                     return tuple(tuple(a) for a in combo)
     return None

@@ -374,6 +374,13 @@ class TestEstimate:
         assert code == EXIT_ERROR
         assert json.loads(out) == {"error": "vertex labels [1, 1, 2] repeat a vertex"}
 
+    def test_non_canonical_data_cell_is_an_error(self, capsys, tmp_path):
+        odd = tmp_path / "odd.csv"
+        odd.write_text("1,2\n1_0,2.5\n 3 ,\u0663\n", encoding="utf-8")
+        code, out = run_cli(capsys, "estimate", "--data", str(odd), "--order", "2")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": "/rows/0/0: not a number: '1_0'"}
+
 
 class TestScanConjecture:
     def test_small_scan(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ from multitrek import (
     NoiseSpec,
     OrderUnsupported,
     SampleMatrix,
+    SchemaError,
     canonical_dag,
     model_cumulant,
     population_instance,
@@ -426,6 +427,35 @@ class TestDataIO:
         path = tmp_path / "own.csv"
         write_sample_csv(sm, path, labels={7: "7"})
         assert read_sample_csv(path).vertices == (7, 8)
+
+    @pytest.mark.parametrize(
+        "body, where, cell",
+        [("1_0,2.5\n", "/rows/0/0", "'1_0'"),
+         ("0.5,1.5\n 3 ,1.0\n", "/rows/1/0", "' 3 '"),
+         ("0.5,1.5\n3,\u0663\n", "/rows/1/1", "'\u0663'"),
+         ("0.5,1.5\t\n", "/rows/0/1", "'1.5\\t'"),
+         ("0.5,\n", "/rows/0/1", "''"),
+         ("0.5,x\n", "/rows/0/1", "'x'")],
+        ids=["underscore", "space", "non-ascii-digit", "tab", "empty", "word"],
+    )
+    def test_csv_refuses_cells_that_repr_does_not_write(self, tmp_path, body, where, cell):
+        path = tmp_path / "odd.csv"
+        path.write_text("1,2\n" + body, encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            read_sample_csv(path)
+        assert exc.value.path == where
+        assert str(exc.value) == f"{where}: not a number: {cell}"
+
+    def test_csv_reads_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"1,2\r\n0.5,1.5\r\n")
+        assert read_sample_csv(path).data.tolist() == [[0.5, 1.5]]
+
+    def test_csv_reads_every_finite_repr_spelling(self, tmp_path):
+        values = [0.0, -0.0, 1.5, -2.25, 1e-05, 1e16, -1.7976931348623157e308, 5e-324, 123456789.0]
+        path = tmp_path / "spellings.csv"
+        path.write_text("1\n" + "".join(repr(v) + "\n" for v in values))
+        assert read_sample_csv(path).data[:, 0].tolist() == values
 
     def test_csv_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

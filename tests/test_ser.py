@@ -10,6 +10,7 @@ from multitrek.ser import (
     frac_from_str,
     frac_to_str,
     read_edge,
+    read_float,
     read_int,
     read_ints,
     read_json,
@@ -98,3 +99,17 @@ def test_json_int_arrays():
         read_ints({"0": 1}, "/v")
     with pytest.raises(SchemaError, match="^/v/0: must be an array$"):
         read_ints([1], "/v", 2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, 1.5, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, float("inf"), -float("inf"), float("nan")],
+)
+def test_read_float_takes_what_repr_writes(value):
+    assert repr(read_float(repr(value))) == repr(value)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 3", "3 ", "3\t", "\u0663", "1.5\r", "", "x", "1,5"])
+def test_read_float_refuses_other_spellings(text):
+    with pytest.raises(SchemaError, match=re.escape(f"/cell: not a number: {text!r}") + "$"):
+        read_float(text, "/cell")

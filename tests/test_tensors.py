@@ -262,6 +262,26 @@ def test_json_order_and_dims_must_be_json_ints(order, dims, where):
     assert exc.value.path == where
 
 
+@pytest.mark.parametrize(
+    "scalar, entries, where",
+    [("rational", '[true,"1/2"]', "/entries/0"), ("rational", '["1/1",0.5]', "/entries/1"),
+     ("rational", '["1/1",2]', "/entries/1"), ("float", '[1.0,true]', "/entries/1"),
+     ("float", '["1.5",1.0]', "/entries/0"), ("float", '[1.0,"nan"]', "/entries/1"),
+     ("float", '[1.0,null]', "/entries/1"), ("rational", '"12"', "/entries")],
+)
+def test_json_entries_are_read_as_tensor_to_json_writes_them(scalar, entries, where):
+    text = '{"order":1,"dims":[2],"scalar":"%s","entries":%s}' % (scalar, entries)
+    with pytest.raises(SchemaError) as exc:
+        tensor_from_json(text)
+    assert exc.value.path == where
+
+
+def test_json_float_entries_may_be_any_json_number():
+    t = tensor_from_json('{"order":1,"dims":[3],"scalar":"float","entries":[1,-2.5,NaN]}')
+    assert t.entries[:2] == (1.0, -2.5) and type(t.entries[0]) is float
+    assert t.entries[2] != t.entries[2]
+
+
 def test_json_rejects_malformed():
     with pytest.raises(SchemaError):
         tensor_from_json("[")

@@ -19,6 +19,7 @@ from multitrek import (
     det_by_trek_systems,
     enumerate_ktreks,
     enumerate_paths,
+    enumerate_split_treks,
     exists_disjoint_path_system,
     exists_split_trek_system_no_sided_intersection,
     exists_trek_system_no_sided_intersection,
@@ -367,6 +368,12 @@ def test_search_budget(two_root_dag):
 # Two tops over two sinks: few paths per source, many treks and systems.
 K22 = MixedGraph((1, 2, 3, 4), ((1, 3), (1, 4), (2, 3), (2, 4)))
 K22_SIDES = ((3, 4), (3, 4))
+# Two paths 1 -> 4.
+DIAMOND = MixedGraph((1, 2, 3, 4), ((1, 2), (1, 3), (2, 4), (3, 4)))
+# The two_root_dag fixture; on these sides no top set is linked, so all
+# three candidates are tried.
+TWO_ROOTS = MixedGraph((1, 2, 4, 5, 6, 7, 8), ((1, 4), (1, 6), (1, 7), (2, 6), (2, 8), (4, 5)))
+UNLINKED_SIDES = ((4, 5), (4, 5), (5, 8))
 
 
 @pytest.mark.parametrize(
@@ -381,8 +388,15 @@ K22_SIDES = ((3, 4), (3, 4))
          1, 2, "split-system column candidates"),
         (lambda b: check_ktrek_separation(K22, ((3,), (4,)), ((), ()), b),
          0, 1, "separation top candidates"),
+        (lambda b: enumerate_paths(DIAMOND, 1, 4, b), 1, 2, "paths 1->4"),
+        (lambda b: exists_trek_system_no_sided_intersection(TWO_ROOTS, UNLINKED_SIDES, b),
+         2, 3, "candidate top sets"),
+        (lambda b: enumerate_split_treks(K22, (3, 4), b), 8, 9, "split-trek candidates into (3, 4)"),
+        (lambda b: find_ktrek_separating_sets(K22, ((3,), (4,)), budget=2, cap=b),
+         4, 5, "separating-set candidates"),
     ],
-    ids=["ktreks", "trek-systems", "split-trek-systems", "split-columns", "separation"],
+    ids=["ktreks", "trek-systems", "split-trek-systems", "split-columns", "separation",
+         "paths", "top-sets", "split-treks", "separating-sets"],
 )
 def test_every_enumeration_cap_raises_budget_exceeded(call, tripped, enough, what):
     with pytest.raises(BudgetExceeded) as exc:
