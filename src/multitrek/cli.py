@@ -35,7 +35,7 @@ from .estimation import (
 from .graphs import parse_graph
 from .moments import _ensemble_count, model_moment, scan_conjecture
 from .oracle import EXIT_VANISHES, certify_decision, decide_vanishing, detect_common_cause
-from .ser import canonical_int, canonical_json, frac_from_str, read_edge, read_int, read_json
+from .ser import canonical_int, canonical_json, frac_from_str, in_float_range, read_edge, read_int, read_json
 from .tensors import tensor_to_json
 from .treks import DEFAULT_BUDGET
 
@@ -183,10 +183,11 @@ def _cmd_parametrize(args) -> int:
 
 
 def _number(x, where: str):
-    """A finite JSON number as it is; anything else, booleans included, must be an "a/b" string."""
+    """A finite JSON number as it is, else (booleans included) an "a/b" string; either must fit a float."""
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"{where}: {x} is not a finite number")
-    return x if isinstance(x, (int, float)) and not isinstance(x, bool) else frac_from_str(x, where)
+    number = x if isinstance(x, (int, float)) and not isinstance(x, bool) else frac_from_str(x, where)
+    return in_float_range(number, where)
 
 
 def _noise_spec(doc: dict) -> NoiseSpec:

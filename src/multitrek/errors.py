@@ -60,9 +60,8 @@ class InternalInconsistency(MultitrekError):
 
     Raised when the search finds no system (under the oracle's rule:
     side 1 open at odd orders, each vertex carrying up to n paths there)
-    while a randomized draw of the determinant is nonzero, when a
-    returned witness fails its own check, or when the order-2 flow finds
-    treks but no top set links both sides.  The rule is exact at every
+    while a randomized draw of the determinant is nonzero, or when a
+    returned witness fails its own check.  The rule is exact at every
     order, so either way it is an implementation fault and should be
     reported with the offending inputs.
     """

@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cumulants import ModelInstance, NoiseCumulants, path_matrix
-from .errors import InvalidBootstrapCount, OrderUnsupported
+from .errors import InvalidBootstrapCount, OrderUnsupported, SchemaError
 from .graphs import MixedGraph, canonical_dag
 from .ser import canonical_int, read_float
 from .tensors import FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, symmetric_tensor
@@ -63,7 +63,7 @@ class NoiseSpec:
         clean: dict[int, tuple] = {}
         for v, spec in sorted(self.entries.items()):
             tag, *params = spec
-            if tag not in _TAGS:
+            if not isinstance(tag, str) or tag not in _TAGS:
                 raise ValueError(f"unknown noise tag {tag!r} at vertex {v}")
             if len(params) != _TAGS[tag]:
                 raise ValueError(f"{tag} noise takes {_TAGS[tag]} parameter(s), got {params}")
@@ -401,7 +401,8 @@ def write_sample_csv(
 
 def read_sample_csv(path: str | Path) -> SampleMatrix:
     """A header of vertex ids names the columns; any other header numbers them 1..p.
-    Data cells are read by read_float at /rows/<row>/<column>, counted from 0."""
+    Data row r needs one cell per column (else SchemaError at /rows/<r>), each
+    read by read_float at /rows/<r>/<column>; rows and columns count from 0."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -410,10 +411,12 @@ def read_sample_csv(path: str | Path) -> SampleMatrix:
         ids = tuple(map(canonical_int, names))  # a header of labels numbers the columns
         vertices = ids if None not in ids else tuple(range(1, len(names) + 1))
         lines = (line.rstrip("\n") for line in fh if line != "\n")
-        rows = [
-            [read_float(cell, f"/rows/{r}/{c}") for c, cell in enumerate(line.split(","))]
-            for r, line in enumerate(lines)
-        ]
+        rows = []
+        for r, line in enumerate(lines):
+            cells = line.split(",")
+            if len(cells) != len(names):
+                raise SchemaError(f"/rows/{r}", f"expected {len(names)} cells, found {len(cells)}")
+            rows.append([read_float(cell, f"/rows/{r}/{c}") for c, cell in enumerate(cells)])
     data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
     return SampleMatrix(data=data, vertices=vertices)
 

@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 from .errors import InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
-from .ser import canonical_json, frac_from_str
+from .ser import canonical_json, frac_from_str, in_float_range
 from .tensors import Tensor, signed_permutations, symmetric_tensor
 from .treks import (
     DEFAULT_BUDGET,
@@ -385,11 +385,12 @@ class ConjectureReport:
 
 
 def _ensemble_number(ensemble: Mapping, key: str, default: int | Fraction) -> Fraction:
-    """ensemble[key] (or the default) as a Fraction: a finite number or an "a/b" string."""
+    """ensemble[key] (or the default) as a Fraction: a finite number or an "a/b" string that fits a float."""
     value = ensemble.get(key, default)
     if isinstance(value, str):
-        return frac_from_str(value, f"/{key}")
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)) or not math.isfinite(value):
+        value = frac_from_str(value, f"/{key}")
+    numeric = isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+    if not numeric or not math.isfinite(in_float_range(value, f"/{key}")):
         raise ValueError(f"ensemble {key} must be a number, got {value!r}")
     return Fraction(value)
 

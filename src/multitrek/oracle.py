@@ -18,11 +18,9 @@ from one of two modes:
     polynomial in the model parameters.  On the canonical DAG the
     search's own enumeration of top sets is that test
     (treks.first_linked_top holds the proof): an empty search records
-    "0", and a found one names its first linked top set T.  At order 2
-    the flow's tops need not come first, so the enumeration runs once to
-    name T, and a flow beside an empty enumeration is a hard
-    InternalInconsistency.  Certain mode evaluates no polynomial and
-    builds no determinant plan.
+    "0", and a found one names the top set T of the witness it returned,
+    at order 2 the tops of the flow's treks.  Certain mode evaluates no
+    polynomial and builds no determinant plan.
 
 The search rule depends on the order k.  At k = 2 it is classical trek
 separation (Sullivant, Talaska and Draisma 2010): one max flow on a
@@ -123,34 +121,6 @@ def graph_hash(g: MixedGraph) -> str:
 _TOP_ENTRY = "nonzero-polynomial(top "
 
 
-def _symbolic_entry(top: tuple[int, ...] | None) -> dict:
-    """The algebraic-record entry of a symbolic zero test: "0" for the zero
-    polynomial, else the first top set T (see first_linked_top) whose term
-    kappa_T of the determinant is nonzero, in canonical-DAG ids."""
-    value = "0" if top is None else f"{_TOP_ENTRY}{list(top)})"
-    return {"seed": None, "determinant": value}
-
-
-def _linked_top(
-    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], search: TrekSearchResult
-) -> tuple[int, ...] | None:
-    """The top set the zero test names for a search under the oracle's rule, None if empty.
-
-    From order 3 on the search is the zero test and names it.  The order-2
-    flow's tops need not come first, so a found flow runs the enumeration,
-    which must then find a top set too: both decide trek separation.  That
-    enumeration runs under the default cap of 10^6 top sets, whatever the budget.
-    """
-    if search.found and search.top is None:
-        search = first_linked_top(dag, sides)
-        if not search.found:
-            raise InternalInconsistency(
-                "the order-2 flow found treks but no top set links both sides: "
-                f"graph={serialize_graph(dag)}, sides={sides}"
-            )
-    return search.top
-
-
 def _top_defect(
     dag: MixedGraph, sides: tuple[tuple[int, ...], ...], recorded: str
 ) -> str | None:
@@ -214,11 +184,10 @@ def decide_vanishing(
         g, side_lists, budget, open_first_side=k % 2 == 1
     )
 
-    dag = canonical_dag(g).dag
     record: list[dict] = []
+    nonzero = False
     if mode == "randomized":
-        plan = _DeterminantPlan(dag, side_lists)
-        nonzero = False
+        plan = _DeterminantPlan(canonical_dag(g).dag, side_lists)
         for t in range(trials):
             child = instance_seed(seed, t)
             det = Fraction(plan.at_seed(child))
@@ -229,13 +198,14 @@ def decide_vanishing(
                 f"order-{k} routes disagree: no trek system, nonzero determinant: "
                 f"graph={serialize_graph(g)}, sides={side_lists}"
             )
-        if search.found and not nonzero:
-            # A verified witness system certifies a generically nonzero
-            # determinant; every draw landed on a root of it.  Record the
-            # term that the zero test finds nonzero.
-            record.append(_symbolic_entry(_linked_top(dag, side_lists, search)))
-    else:
-        record.append(_symbolic_entry(_linked_top(dag, side_lists, search)))
+    if mode == "certain" or (search.found and not nonzero):
+        # The symbolic zero test: "0" for the zero polynomial, else the
+        # search's top set T, whose term kappa_T is nonzero (see
+        # first_linked_top), in canonical-DAG ids.  A randomized run needs
+        # it only when every draw landed on a root of a witnessed
+        # (generically nonzero) determinant.
+        value = "0" if search.top is None else f"{_TOP_ENTRY}{list(search.top)})"
+        record.append({"seed": None, "determinant": value})
 
     if search.found:
         certificate = {"trek_system": trek_system_to_doc(search.system)}

@@ -52,6 +52,15 @@ def read_float(text: str, path: str = "/") -> float:
     raise SchemaError(path, f"not a number: {text!r}")
 
 
+def in_float_range(x: int | float | Fraction, path: str = "/") -> int | float | Fraction:
+    """``x`` itself when float(x) does not overflow (inf and nan pass), else SchemaError at ``path``."""
+    try:
+        float(x)
+    except OverflowError:  # a JSON integer or an "a/b" rational beyond the float range
+        raise SchemaError(path, "too large for a float") from None
+    return x
+
+
 def read_edge(key: str, path: str) -> tuple[int, int]:
     u, _, v = key.partition("->")
     return read_int(u, path, "expected 'u->v' key"), read_int(v, path, "expected 'u->v' key")

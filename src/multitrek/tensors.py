@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, IndexOutOfRange, NotCubical, SchemaError
-from .ser import as_rational, canonical_json, frac_from_str, frac_to_str, read_ints, read_json
+from .ser import as_rational, canonical_json, frac_from_str, frac_to_str, in_float_range, read_ints, read_json
 
 Scalar = Fraction | float
 
@@ -395,6 +395,8 @@ def tensor_from_json(text: str) -> Tensor:
             entries[i] = frac_from_str(e, f"/entries/{i}")
         elif type(e) not in (int, float):
             raise SchemaError(f"/entries/{i}", f"a float entry must be a JSON number, got {e!r}")
+        else:
+            in_float_range(e, f"/entries/{i}")
     return Tensor(
         order=read_ints(doc["order"], "/order", 0),
         dims=tuple(read_ints(doc["dims"], "/dims")),

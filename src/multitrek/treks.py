@@ -183,9 +183,10 @@ class TrekSearchResult:
 
     At order 2 an empty result carries a minimum t-separator
     (C_A, C_B) in canonical-DAG ids; from order 3 on the k-trek search
-    carries the per-top obstructions of its enumeration, and a found
-    system the top set T it was built from (see first_linked_top), in
-    canonical-DAG ids.  The split-trek search carries none of these.
+    carries the per-top obstructions of its enumeration; a found k-trek
+    system carries, at every order, the sorted top set T its treks run
+    from, linked to every side, in canonical-DAG ids.  The split-trek
+    search carries none of these.
     """
 
     system: TrekSystem | None
@@ -709,7 +710,9 @@ def _trek_flow(dag: MixedGraph, sides: tuple[tuple[int, ...], ...]) -> TrekSearc
     intersection (tops are distinct because each is used once in copy
     1), and a smaller flow leaves a minimum cut made of vertex arcs
     only: its copy-1 and copy-2 vertices t-separate the sides with
-    total size below n (Sullivant, Talaska and Draisma 2010).
+    total size below n (Sullivant, Talaska and Draisma 2010).  A found
+    result names its treks' sorted tops, linked to both sides by the
+    vertex-disjoint paths of each copy.
     """
     side_a, side_b = sides
     n = len(side_a)
@@ -748,7 +751,7 @@ def _trek_flow(dag: MixedGraph, sides: tuple[tuple[int, ...], ...]) -> TrekSearc
         treks.append(KTrek(paths=(DirectedPath(up), DirectedPath(down)), top_vertex=up[0]))
     system = make_trek_system(treks, sides)
     _verify_system(dag, system, open_first_side=False)
-    return TrekSearchResult(system=system)
+    return TrekSearchResult(system=system, top=tuple(sorted(t.top_vertex for t in treks)))
 
 
 def system_defect(

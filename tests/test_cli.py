@@ -274,8 +274,12 @@ class TestSimulate:
         [
             ({"1": 5, "2": ["uniform", 1]}, "[distribution, params...]"),
             ({"1": ["uniform", float("inf")], "2": ["uniform", 1]}, "not a finite number"),
+            ({"1": ["uniform", 10**400], "2": ["uniform", 1]}, "/noise/1: too large for a float"),
+            ({"1": ["uniform", f"{10**400}/3"], "2": ["uniform", 1]}, "/noise/1: too large for a float"),
+            ({"1": [["uniform"], 1], "2": ["uniform", 1]}, "unknown noise tag ['uniform'] at vertex 1"),
         ],
-        ids=["not-a-list", "infinite-parameter"],
+        ids=["not-a-list", "infinite-parameter", "huge-parameter", "huge-rational-parameter",
+             "list-tag"],
     )
     def test_malformed_noise_spec_is_a_json_error(self, capsys, tmp_path, chain2, noise, message):
         gpath = write_graph(tmp_path, chain2)
@@ -286,6 +290,17 @@ class TestSimulate:
         )
         assert code == EXIT_ERROR
         assert message in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("weight", [10**400, f"-{10**400}/7"], ids=["integer", "rational"])
+    def test_weight_too_large_for_a_float_is_refused(self, capsys, tmp_path, chain2, weight):
+        gpath = write_graph(tmp_path, chain2)
+        mpath = write_model(tmp_path, {"1->2": weight}, {"1": ["uniform", 1], "2": ["uniform", 1]})
+        code, out = run_cli(
+            capsys, "simulate", "--graph", gpath, "--model", mpath,
+            "--n", "5", "--seed", "0", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": "/lambda/1->2: too large for a float"}
 
     @pytest.mark.parametrize(
         "lam, noise, where",
@@ -374,6 +389,13 @@ class TestEstimate:
         assert code == EXIT_ERROR
         assert json.loads(out) == {"error": "vertex labels [1, 1, 2] repeat a vertex"}
 
+    def test_ragged_csv_row_is_an_error(self, capsys, tmp_path):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1,2\n0.5,1.5\n0.5\n")
+        code, out = run_cli(capsys, "estimate", "--data", str(ragged), "--order", "2")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": "/rows/1: expected 2 cells, found 1"}
+
     def test_non_canonical_data_cell_is_an_error(self, capsys, tmp_path):
         odd = tmp_path / "odd.csv"
         odd.write_text("1,2\n1_0,2.5\n 3 ,\u0663\n", encoding="utf-8")
@@ -420,8 +442,12 @@ class TestScanConjecture:
             ({"cases": [1], "k": 4}, "ensemble cases must be a number, got [1]"),
             ([4], "the ensemble file must hold a JSON object"),
             ({"k": 4, "edge_prob": None}, "ensemble edge_prob must be a number, got None"),
+            ({"k": 4, "edge_prob": 10**400}, "/edge_prob: too large for a float"),
+            ({"k": 4, "edge_prob": f"{10**400}/1"}, "/edge_prob: too large for a float"),
+            ({"k": 4, "max_vertices": 10**400}, "/max_vertices: too large for a float"),
         ],
-        ids=["list-cases", "top-level-list", "null-edge-prob"],
+        ids=["list-cases", "top-level-list", "null-edge-prob", "huge-edge-prob",
+             "huge-rational-edge-prob", "huge-max-vertices"],
     )
     def test_malformed_ensemble_is_one_json_error(self, capsys, tmp_path, ensemble, message):
         epath = tmp_path / "ens.json"

@@ -39,6 +39,11 @@ class TestNoiseSpec:
         assert spec.cumulant(1, 3) == 2
         assert spec.cumulant(1, 4) == 6
 
+    @pytest.mark.parametrize("tag", [["uniform"], None, 3], ids=["list", "null", "int"])
+    def test_tag_that_is_no_string_is_unknown(self, tag):
+        with pytest.raises(ValueError, match=re.escape(f"unknown noise tag {tag!r} at vertex 1")):
+            NoiseSpec({1: (tag, 1)})
+
     def test_exponential_rate_scaling(self):
         spec = NoiseSpec({1: ("exponential", 2)})
         assert spec.cumulant(1, 2) == F(1, 4)
@@ -445,6 +450,19 @@ class TestDataIO:
             read_sample_csv(path)
         assert exc.value.path == where
         assert str(exc.value) == f"{where}: not a number: {cell}"
+
+    @pytest.mark.parametrize(
+        "body, where, found",
+        [("0.5,1.5\n0.5\n", "/rows/1", 1), ("0.5,1.5,2.5\n", "/rows/0", 3)],
+        ids=["short", "long"],
+    )
+    def test_csv_refuses_ragged_rows(self, tmp_path, body, where, found):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2\n" + body)
+        with pytest.raises(SchemaError) as exc:
+            read_sample_csv(path)
+        assert exc.value.path == where
+        assert str(exc.value) == f"{where}: expected 2 cells, found {found}"
 
     def test_csv_reads_crlf_line_ends(self, tmp_path):
         path = tmp_path / "crlf.csv"

@@ -283,19 +283,24 @@ def test_order2_disagreement_raises(monkeypatch):
 
 
 def test_witness_with_zero_determinant_raises(monkeypatch, star):
-    # At order 2 the flow finds the witness and the top-set enumeration
-    # names the nonzero term; an enumeration that finds none contradicts
-    # the flow.  From order 3 on the search itself names the term, so the
-    # oracle does not consult the enumeration again.
+    # The search names the nonzero term at every order: the order-2 flow
+    # by the tops of its own treks, the k-trek search by its first linked
+    # top set.  The oracle consults no second enumeration, so one that
+    # would find nothing or fail changes nothing.
     import multitrek.oracle as oracle_module
 
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the oracle ran a second top-set enumeration")
+
     monkeypatch.setattr(oracle_module._DeterminantPlan, "at_seed", lambda plan, seed: 0)
+    monkeypatch.setattr(oracle_module, "first_linked_top", no_enumeration)
+    for mode, seed in (("randomized", 2), ("certain", None)):
+        d = decide_vanishing(star, ((1,), (2,)), mode=mode, seed=seed)
+        assert d.algebraic_record[-1] == {"seed": None, "determinant": "nonzero-polynomial(top [0])"}
     monkeypatch.setattr(
         oracle_module, "first_linked_top", lambda *args, **kwargs: TrekSearchResult(system=None)
     )
     for mode, seed in (("randomized", 2), ("certain", None)):
-        with pytest.raises(InternalInconsistency, match="order-2 flow found treks"):
-            decide_vanishing(star, ((1,), (2,)), mode=mode, seed=seed)
         d = decide_vanishing(star, ((1,), (2,), (3,)), mode=mode, seed=seed)
         assert d.algebraic_record[-1] == {"seed": None, "determinant": "nonzero-polynomial(top [0])"}
 
@@ -433,6 +438,19 @@ def test_order_two_decisions_certify_and_take_no_budget():
                 expected = (True, "certificate verified")
             assert certify_decision(g, json.loads(d.to_json()), budget=0) == expected
     assert verdicts.count("Vanishes") >= 10 and verdicts.count("NotVanishes") >= 10
+
+
+def test_order_two_record_names_the_flow_tops():
+    # On 0 -> 2 with sides (2), (2) both {0} and {2} are linked top sets.
+    # The flow's trek is the one-vertex trek at 2, so the record names [2];
+    # documents naming the first linked set [0] still certify.
+    g = MixedGraph((0, 2), ((0, 2),))
+    d = decide_vanishing(g, ((2,), (2,)), mode="certain", budget=0)
+    assert d.algebraic_record == ({"seed": None, "determinant": "nonzero-polynomial(top [2])"},)
+    doc = json.loads(d.to_json())
+    assert certify_decision(g, doc, budget=0) == (True, "certificate verified")
+    doc["algebraic_record"] = [{"seed": None, "determinant": "nonzero-polynomial(top [0])"}]
+    assert certify_decision(g, doc, budget=0) == (True, "certificate verified")
 
 
 def test_legacy_order_two_obstruction_logs_still_certify():
@@ -724,8 +742,10 @@ def test_zero_test_matches_the_full_expansion_on_random_graphs():
 def test_flow_zero_test_matches_the_path_polynomial_reference():
     # On 1,500 random mixed graphs (k = 2..5, n <= 3, side-1 repeats at odd
     # k), the flow test agrees with the path-polynomial reference on every
-    # n-set T of canonical-DAG vertices, and certain mode records the
-    # reference's first T, or "0".
+    # n-set T of canonical-DAG vertices.  From order 3 on certain mode
+    # records the reference's first T, or "0"; at order 2 it records "0"
+    # exactly when the reference finds no T, and else a T (the flow's
+    # tops) whose term the reference finds nonzero.
     rng = random.Random(65)
     mismatches = []
     linked = 0
@@ -745,8 +765,13 @@ def test_flow_zero_test_matches_the_path_polynomial_reference():
                 mismatches.append((g, sides, top))
         first = nonzero_top_by_path_polynomials(dag, sides)
         record = decide_vanishing(g, sides, mode="certain").algebraic_record
-        if record != ({"seed": None, "determinant": "0" if first is None
-                       else f"nonzero-polynomial(top {list(first)})"},):
+        if k == 2 and first is not None:
+            (entry,) = record
+            named = json.loads(entry["determinant"].removeprefix("nonzero-polynomial(top ")[:-1])
+            if nonzero_top_by_path_polynomials(dag, sides, [tuple(named)]) is None:
+                mismatches.append((g, sides, named))
+        elif record != ({"seed": None, "determinant": "0" if first is None
+                         else f"nonzero-polynomial(top {list(first)})"},):
             mismatches.append((g, sides, first))
     assert mismatches == []
     assert linked >= 1000

@@ -9,6 +9,7 @@ from multitrek import SchemaError
 from multitrek.ser import (
     frac_from_str,
     frac_to_str,
+    in_float_range,
     read_edge,
     read_float,
     read_int,
@@ -113,3 +114,17 @@ def test_read_float_takes_what_repr_writes(value):
 def test_read_float_refuses_other_spellings(text):
     with pytest.raises(SchemaError, match=re.escape(f"/cell: not a number: {text!r}") + "$"):
         read_float(text, "/cell")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, 2**1023, 1.5, float("inf"), Fraction(1, 10**400), Fraction(-(2**1023), 3)],
+)
+def test_in_float_range_passes_what_float_takes(value):
+    assert in_float_range(value, "/x") is value
+
+
+@pytest.mark.parametrize("value", [10**400, -(2**1024), Fraction(10**400, 3), Fraction(-(10**400), 7)])
+def test_in_float_range_refuses_what_overflows(value):
+    with pytest.raises(SchemaError, match="^/x: too large for a float$"):
+        in_float_range(value, "/x")

@@ -267,13 +267,20 @@ def test_json_order_and_dims_must_be_json_ints(order, dims, where):
     [("rational", '[true,"1/2"]', "/entries/0"), ("rational", '["1/1",0.5]', "/entries/1"),
      ("rational", '["1/1",2]', "/entries/1"), ("float", '[1.0,true]', "/entries/1"),
      ("float", '["1.5",1.0]', "/entries/0"), ("float", '[1.0,"nan"]', "/entries/1"),
-     ("float", '[1.0,null]', "/entries/1"), ("rational", '"12"', "/entries")],
+     ("float", '[1.0,null]', "/entries/1"), ("rational", '"12"', "/entries"),
+     ("float", '[1.0,1%s]' % ("0" * 400), "/entries/1"), ("float", '[-1%s,1.0]' % ("0" * 400), "/entries/0")],
 )
 def test_json_entries_are_read_as_tensor_to_json_writes_them(scalar, entries, where):
     text = '{"order":1,"dims":[2],"scalar":"%s","entries":%s}' % (scalar, entries)
     with pytest.raises(SchemaError) as exc:
         tensor_from_json(text)
     assert exc.value.path == where
+
+
+def test_json_rational_entries_need_not_fit_in_a_float():
+    huge = "1" + "0" * 400
+    t = tensor_from_json('{"order":1,"dims":[1],"scalar":"rational","entries":["%s/3"]}' % huge)
+    assert t.entries == (Fraction(int(huge), 3),)
 
 
 def test_json_float_entries_may_be_any_json_number():
