@@ -64,7 +64,7 @@ def _parse_sets(text: str) -> list[tuple[int, ...]]:
 
 def _parse_vars(text: str) -> list[int]:
     bad = f"--vars expects integers like '1,2,3', got {text!r}"
-    return [read_int(v.strip(), "", bad) for v in text.split(",") if v.strip()]
+    return [read_int(v.strip(), "", bad) for v in text.split(",")]
 
 
 def _int_arg(text: str) -> int:

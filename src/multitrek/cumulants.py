@@ -162,8 +162,8 @@ def path_matrix(g: MixedGraph, lam: Mapping[tuple[int, int], object]) -> list[li
     for e in lam:
         if tuple(e) not in edges:
             raise ValueError(f"lambda entry {e} is not a directed edge of the graph")
-    plan = _EntryPlan(g, 2, g.vertices, ())
-    paths = plan._path_sums([lam.get(key, 0) for o, key in plan._params if o == _WEIGHT])
+    plan = _EntryPlan(g, 1, g.vertices, ())  # order 1 lays out the edge weights alone
+    paths = plan._path_sums([lam.get(key, 0) for _, key in plan._params])
     p = len(g.vertices)
     return [paths[r * p : (r + 1) * p] for r in range(p)]
 

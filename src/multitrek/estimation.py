@@ -158,7 +158,8 @@ def simulate_lsem(
 
     Multidirected edges are realized through the canonical DAG: the
     noise spec must then also cover the latent vertices (ids assigned
-    by canonical_dag), whose columns are dropped from the output.
+    by canonical_dag), whose columns are dropped from the output.  A draw
+    or a value past the float range is a ValueError naming its vertex.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -172,9 +173,17 @@ def simulate_lsem(
     m = path_matrix(dag, {(u, v): float(w) for (u, v), w in lam.items()})
     rng = np.random.default_rng(seed)
     eps = np.empty((n, len(dag.vertices)))
-    for i, v in enumerate(dag.vertices):
-        eps[:, i] = noise.sample(v, rng, n)
-    x = eps @ np.asarray(m, dtype=np.float64)
+    with np.errstate(all="ignore"):  # a value past the float range is refused below, by vertex
+        for i, v in enumerate(dag.vertices):
+            try:
+                eps[:, i] = noise.sample(v, rng, n)
+            except OverflowError:  # numpy's uniform refuses a range past the float range
+                eps[:, i] = np.inf
+        x = eps @ np.asarray(m, dtype=np.float64)
+    if not np.isfinite(x).all():  # a non-finite draw reaches x too: m has a unit diagonal
+        what, values = ("noise", eps) if not np.isfinite(eps).all() else ("value", x)
+        vertex = dag.vertices[int(np.argmin(np.isfinite(values).all(axis=0)))]
+        raise ValueError(f"the {what} at vertex {vertex} leaves the float range")
     keep = [dag.vertices.index(v) for v in canon.original_vertices]
     return SampleMatrix(data=x[:, keep], vertices=canon.original_vertices)
 

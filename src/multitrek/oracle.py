@@ -55,7 +55,7 @@ from typing import Sequence
 from .cumulants import VALUE_RANGE, _DeterminantPlan
 from .errors import InternalInconsistency, SchemaError
 from .graphs import MixedGraph, canonical_dag, serialize_graph
-from .ser import canonical_json, frac_to_str, read_ints, read_json
+from .ser import canonical_int, canonical_json, frac_to_str, read_ints, read_json
 from .treks import (
     DEFAULT_BUDGET,
     TrekSearchResult,
@@ -118,24 +118,44 @@ def graph_hash(g: MixedGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode("utf-8")).hexdigest()
 
 
-_TOP_ENTRY = "nonzero-polynomial(top "
+_NONZERO_ENTRY = "nonzero-polynomial("
+_TOP_ENTRY = _NONZERO_ENTRY + "top "
 
 
-def _top_defect(
-    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], recorded: str
+def _symbolic_defect(
+    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], verdict: str, recorded: object
 ) -> str | None:
-    """Why a recorded "nonzero-polynomial(top [...])" entry does not re-derive, else None."""
-    body = recorded[len(_TOP_ENTRY):-1] if recorded.endswith(")") else ""
-    try:
-        top = read_ints(read_json(body), "/")
-    except SchemaError:
-        top = None
+    """Why a null-seed record entry is no form written beside the verdict, or
+    does not re-derive, else None.
+
+    The forms: "0" beside Vanishes; beside NotVanishes
+    "nonzero-polynomial(top [...])", whose top set must be an n-set of
+    canonical-DAG vertices linked to every side, so that its factors of
+    the determinant are all nonzero (see first_linked_top), or, as
+    versions before the factored zero test wrote it,
+    "nonzero-polynomial(N terms)" with N a canonical integer >= 1.
+    """
     n = len(sides[0])
-    if top is None or len(top) != n or len(set(top)) != n or not set(top) <= set(dag.vertices):
-        return f"recorded top in {recorded!r} is no {n}-set of canonical-DAG vertices"
-    if not first_linked_top(dag, sides, [top], open_first_side=len(sides) % 2 == 1).found:
-        return f"recorded top {top} has a zero factor"
-    return None
+    text = recorded if isinstance(recorded, str) else ""
+    top = None
+    if text.startswith(_TOP_ENTRY):
+        try:
+            top = read_ints(read_json(text[len(_TOP_ENTRY):-1] if text.endswith(")") else ""), "/")
+        except SchemaError:
+            pass
+        if top is None or len(top) != n or len(set(top)) != n or not set(top) <= set(dag.vertices):
+            return f"recorded top in {recorded!r} is no {n}-set of canonical-DAG vertices"
+    elif text.startswith(_NONZERO_ENTRY) and text.endswith(" terms)"):
+        if (canonical_int(text[len(_NONZERO_ENTRY):-len(" terms)")]) or 0) < 1:
+            return f"recorded term count in {recorded!r} is no positive integer"
+    elif text != "0":
+        return f"recorded symbolic determinant {recorded!r} is no known form"
+    if (text == "0") != (verdict == VANISHES):
+        if verdict == VANISHES:
+            return "vanishing verdict carries a nonzero determinant"
+        return "non-vanishing verdict carries a zero polynomial"
+    linked = top is None or first_linked_top(dag, sides, [top], open_first_side=len(sides) % 2 == 1).found
+    return None if linked else f"recorded top {top} has a zero factor"
 
 
 def instance_seed(seed: int, trial: int) -> int:
@@ -296,11 +316,11 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     canonical DAG; for any other vanishing verdict, that the search
     still comes up empty, which from order 3 on is also the symbolic
     zero test).  A non-vanishing record must carry a nonzero
-    determinant; a symbolic entry naming a top set T must name an n-set
-    of canonical-DAG vertices linked to every side, so that its factors
-    of the determinant are all nonzero (see first_linked_top).  A policy
-    certificate must cite a repeat that forces zero (see repeated_side);
-    an obstruction log is checked by shape.
+    determinant.  A record entry has the keys seed and determinant: a
+    seeded one must replay, a null-seed one must be a written symbolic
+    form that fits the verdict and re-derives (see _symbolic_defect).  A
+    policy certificate must cite a repeat that forces zero (see
+    repeated_side) beside an empty record; an obstruction log is checked by shape.
     Earlier versions wrote order-2 vanishing decisions with an
     obstruction log instead of a separator, and NotVanishes decisions
     with a "gap" marker (paper criterion empty, determinant nonzero);
@@ -330,6 +350,8 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         return False, "the algebraic record must be a list of JSON objects"
 
     if "policy" in certificate:
+        if record:  # the short-circuit evaluates nothing, so it never wrote an entry
+            return False, "a policy certificate carries no algebraic record"
         if verdict == VANISHES and repeated_side(sides, open_first_side=k % 2 == 1) is not None:
             return True, "policy short-circuit verified"
         return False, "policy certificate does not apply to these sides"
@@ -347,18 +369,16 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     replayed_nonzero = False
     claimed_nonzero = False
     for entry in record:
-        child = entry.get("seed")
-        recorded = entry.get("determinant")
+        if set(entry) != {"seed", "determinant"}:
+            return False, "each algebraic record entry needs exactly the keys seed and determinant"
+        child = entry["seed"]
+        recorded = entry["determinant"]
         if child is None:
-            if str(recorded).startswith("nonzero-polynomial"):
-                if verdict == VANISHES:
-                    return False, "vanishing verdict carries a nonzero determinant"
-                if isinstance(recorded, str) and recorded.startswith(_TOP_ENTRY):
-                    defect = _top_defect(dag, sides, recorded)
-                    if defect is not None:
-                        return False, defect
-                claimed_nonzero = True
-            continue  # other symbolic entries are re-derived below where needed
+            defect = _symbolic_defect(dag, sides, verdict, recorded)
+            if defect is not None:
+                return False, defect
+            claimed_nonzero = claimed_nonzero or recorded != "0"
+            continue
         if type(child) is not int:
             return False, f"recorded seed {child!r} is not an integer"
         if plan is None:

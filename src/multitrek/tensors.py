@@ -17,6 +17,10 @@ Fraction) it is an ordinary matrix determinant, taken by Bareiss
 elimination in O(n^3); every other case (k >= 3, polynomial or float
 entries) runs the Leibniz sum above over permutations and signs cached
 per n, with terms in a fixed order so float results repeat to the last bit.
+
+The Tucker product (tucker_apply), the reference that the trek rule and
+the entry plan are tested against, computes its definition: contract_mode
+on every mode in turn, each entry a sum over one index read by Tensor.at.
 """
 
 from __future__ import annotations
@@ -139,76 +143,39 @@ def symmetric_tensor(p: int, order: int, value_of: Callable, scalar: str = RATIO
 
 
 def tucker_apply(t: Tensor, m: Sequence[Sequence[Scalar]]) -> Tensor:
-    """Tucker product of t with the matrix m applied along every mode.
+    """Tucker product of t with the square matrix m applied along every mode.
 
     Result entry (i_1..i_k) = sum over (j_1..j_k) of
-    t[j_1..j_k] * m[j_1][i_1] * ... * m[j_k][i_k].  Computed mode by
-    mode; exact when inputs are exact.
+    t[j_1..j_k] * m[j_1][i_1] * ... * m[j_k][i_k], which is contract_mode
+    on mode 1, then mode 2, and so on; exact when inputs are exact.
     """
     rows = [list(r) for r in m]
     d = len(rows)
     if any(dim != d for dim in t.dims) or any(len(r) != d for r in rows):
         raise DimMismatch(f"tensor dims {t.dims} need a square {t.dims[0] if t.dims else 0}-matrix")
-    entries = list(t.entries)
-    dims = list(t.dims)
     for mode in range(t.order):
-        entries = _contract_mode(entries, dims, mode, rows)
-    scalar = t.scalar
-    if any(isinstance(x, float) for row in rows for x in row):
-        scalar = FLOAT
-    return Tensor.of(tuple(dims), entries, scalar)
+        t = contract_mode(t, mode, rows)
+    return t
 
 
 def contract_mode(t: Tensor, mode: int, m: Sequence[Sequence[Scalar]]) -> Tensor:
     """Contract one mode of t with m along m's first index.
 
     Result entry with i_mode = a equals sum_j t[..., j, ...] * m[j][a];
-    the mode's dimension becomes the number of columns of m.
+    the mode's dimension becomes the number of columns of m.  The result
+    holds floats when t or m does, else rationals.
     """
     rows = [list(r) for r in m]
     if len(rows) != t.dims[mode]:
         raise DimMismatch(f"mode {mode} has dim {t.dims[mode]}, matrix has {len(rows)} rows")
-    dims = list(t.dims)
-    entries = _contract_mode(list(t.entries), dims, mode, rows)
-    scalar = t.scalar
-    if any(isinstance(x, float) for row in rows for x in row):
-        scalar = FLOAT
-    return Tensor.of(tuple(dims), entries, scalar)
+    dims = t.dims[:mode] + (len(rows[0]) if rows else 0,) + t.dims[mode + 1:]
+    floats = t.scalar == FLOAT or any(isinstance(x, float) for row in rows for x in row)
 
+    def entry(idx: tuple[int, ...]) -> Scalar:
+        head, a, tail = idx[:mode], idx[mode], idx[mode + 1:]
+        return sum(t.at(head + (j,) + tail) * row[a] for j, row in enumerate(rows) if row[a])
 
-def _contract_mode(entries: list, dims: list[int], mode: int, rows: list[list]) -> list:
-    """In-place-style helper: returns new entries, updates dims[mode]."""
-    d_in = dims[mode]
-    d_out = len(rows[0]) if rows else 0
-    out_dims = dims[:mode] + [d_out] + dims[mode + 1:]
-    out = [0] * math.prod(out_dims)
-    if entries:
-        in_strides = _strides(dims)
-        out_strides = _strides(out_dims)
-        for off, val in enumerate(entries):
-            if not val:
-                continue
-            j = (off // in_strides[mode]) % d_in
-            base = off - j * in_strides[mode]
-            # same multi-index in the output coordinate system, mode cleared
-            out_base = 0
-            rem = base
-            for axis, s in enumerate(in_strides):
-                q, rem = divmod(rem, s)
-                out_base += q * out_strides[axis]
-            row = rows[j]
-            for a in range(d_out):
-                if row[a]:
-                    out[out_base + a * out_strides[mode]] += val * row[a]
-    dims[mode] = d_out
-    return out
-
-
-def _strides(dims: Sequence[int]) -> list[int]:
-    st = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        st[i] = st[i + 1] * dims[i + 1]
-    return st
+    return Tensor.build(dims, entry, FLOAT if floats else RATIONAL)
 
 
 def hyperdeterminant(t: Tensor) -> Scalar:

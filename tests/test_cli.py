@@ -322,6 +322,22 @@ class TestSimulate:
             "error": f"{where}: a rational must be an 'a/b' string, got True"
         }
 
+    @pytest.mark.parametrize(
+        "spec", [["uniform", 1e308], ["laplace", 1e308], ["exponential", 1e-320]],
+        ids=["uniform", "laplace", "exponential"],
+    )
+    def test_noise_past_the_float_range_is_one_json_error(self, tmp_path, chain2, spec):
+        # The real interpreter, so that a numpy warning would reach stderr.
+        gpath = write_graph(tmp_path, chain2)
+        mpath = write_model(tmp_path, {"1->2": "1/2"}, {"1": spec, "2": ["uniform", 1]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "multitrek.cli", "simulate", "--graph", gpath, "--model", mpath,
+             "--n", "200", "--seed", "0", "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_ERROR, "")
+        assert proc.stdout == '{"error":"the noise at vertex 1 leaves the float range"}\n'
+
 
 @pytest.fixture()
 def data_csv(capsys, tmp_path, chain2):
@@ -616,6 +632,18 @@ class TestInputReaders:
         code, out = run_cli(capsys, "common-cause", "--graph", gpath, "--vars", f"{bad},2", "--seed", "1")
         assert code == EXIT_ERROR
         assert json.loads(out)["error"].startswith("--vars expects integers")
+
+    @pytest.mark.parametrize("text", ["2,,3", "2,3,", ",2,3"])
+    def test_sets_and_vars_refuse_empty_tokens(self, capsys, tmp_path, text):
+        gpath = write_graph(tmp_path, self.GRAPH)
+        code, out = run_cli(capsys, "common-cause", "--graph", gpath, "--vars", text, "--seed", "1")
+        assert (code, json.loads(out)) == (
+            EXIT_ERROR, {"error": f"--vars expects integers like '1,2,3', got {text!r}"}
+        )
+        code, out = run_cli(capsys, "check", "--graph", gpath, "--sets", f"{text};1", "--seed", "1")
+        assert (code, json.loads(out)) == (
+            EXIT_ERROR, {"error": f"--sets expects integers like '4,6;5,8;7,8', got '{text};1'"}
+        )
 
     @pytest.mark.parametrize("option, value", [("--seed", "1_0"), ("--trials", "+5"), ("--budget", "010")])
     def test_integer_options_refuse_non_canonical_numbers(self, capsys, tmp_path, option, value):

@@ -165,6 +165,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match=">= 1"):
             simulate_lsem(chain2, {(1, 2): 1.0}, noise, 0, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec, weight, reason",
+        [
+            (("uniform", F(10**308)), 0.5, "the noise at vertex 1"),
+            (("laplace", F(10**308)), 0.5, "the noise at vertex 1"),
+            (("exponential", F(1, 10**320)), 0.5, "the noise at vertex 1"),
+            (("uniform", F(10**400)), 0.5, "the noise at vertex 1"),
+            (("uniform", F(10**300)), 1e300, "the value at vertex 2"),
+        ],
+        ids=["uniform", "laplace", "exponential", "no-float", "weighted-value"],
+    )
+    def test_values_past_the_float_range_name_their_vertex(self, chain2, spec, weight, reason):
+        noise = NoiseSpec({1: spec, 2: ("uniform", 1)})
+        with pytest.raises(ValueError, match=f"^{reason} leaves the float range$"):
+            simulate_lsem(chain2, {(1, 2): weight}, noise, 200, seed=0)
+
 
 class TestSampleMatrix:
     def test_validation(self):

@@ -832,3 +832,84 @@ def test_certify_named_top_must_be_an_n_set_of_dag_vertices():
         bad = copy.deepcopy(doc)
         bad["algebraic_record"][0]["determinant"] = f"nonzero-polynomial(top {top})"
         assert certify_decision(GAP_GRAPH, bad) == (False, f"recorded top {top} has a zero factor")
+
+
+# One document of each verdict and certificate shape: a NotVanishes witness,
+# an order-2 separator and an order-3 obstruction log.
+TAMPER_CASES = {
+    "not-vanishes": (MixedGraph((1, 2, 3, 4), ((1, 2), (1, 3), (2, 4), (3, 4))), ((2,), (3,))),
+    "separator": (MixedGraph((1, 2, 3), ((1, 3), (2, 3))), ((1,), (2,))),
+    "obstruction-log": (MixedGraph((1, 2, 3), ((1, 3), (2, 3))), ((1,), (2,), (3,))),
+}
+UNREADABLE = "is no known form"
+
+
+@pytest.mark.parametrize("mode", ["randomized", "certain"])
+@pytest.mark.parametrize("case", sorted(TAMPER_CASES))
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ({"seed": None, "determinant": "banana"}, f"recorded symbolic determinant 'banana' {UNREADABLE}"),
+        ({"seed": None, "determinant": 5}, f"recorded symbolic determinant 5 {UNREADABLE}"),
+        ({"seed": None, "determinant": None}, f"recorded symbolic determinant None {UNREADABLE}"),
+        ({"seed": None, "determinant": "nonzero-polynomial(garbage"},
+         f"recorded symbolic determinant 'nonzero-polynomial(garbage' {UNREADABLE}"),
+        ({"seed": None, "determinant": "nonzero-polynomial(garbage)"},
+         f"recorded symbolic determinant 'nonzero-polynomial(garbage)' {UNREADABLE}"),
+        ({"seed": None, "determinant": "0/1"}, f"recorded symbolic determinant '0/1' {UNREADABLE}"),
+        ({"seed": None, "determinant": "nonzero-polynomial(0 terms)"},
+         "recorded term count in 'nonzero-polynomial(0 terms)' is no positive integer"),
+        ({"seed": None, "determinant": "nonzero-polynomial(01 terms)"},
+         "recorded term count in 'nonzero-polynomial(01 terms)' is no positive integer"),
+        ({"seed": None, "determinant": "nonzero-polynomial( 1 terms)"},
+         "recorded term count in 'nonzero-polynomial( 1 terms)' is no positive integer"),
+        ({"foo": 1}, "each algebraic record entry needs exactly the keys seed and determinant"),
+        ({"seed": None}, "each algebraic record entry needs exactly the keys seed and determinant"),
+        ({"seed": None, "determinant": "0", "note": 1},
+         "each algebraic record entry needs exactly the keys seed and determinant"),
+    ],
+)
+def test_certify_refuses_an_unreadable_record_entry(mode, case, entry, reason):
+    g, sides = TAMPER_CASES[case]
+    doc = decide_vanishing(g, sides, mode=mode, seed=4).to_doc()
+    assert certify_decision(g, doc)[0]
+    doc["algebraic_record"].append(entry)
+    assert certify_decision(g, doc) == (False, reason)
+
+
+@pytest.mark.parametrize("mode", ["randomized", "certain"])
+@pytest.mark.parametrize("case", sorted(TAMPER_CASES))
+def test_certify_reads_every_symbolic_form_by_the_verdict(mode, case):
+    g, sides = TAMPER_CASES[case]
+    doc = decide_vanishing(g, sides, mode=mode, seed=4).to_doc()
+    vanishes = doc["verdict"] == "Vanishes"
+    assert vanishes == (case != "not-vanishes")
+    # "0" goes with Vanishes only; each nonzero form, the term count that
+    # versions before the factored zero test wrote among them, with NotVanishes only.
+    for determinant in ("0", "nonzero-polynomial(12 terms)", "nonzero-polynomial(top [1])"):
+        entry_doc = copy.deepcopy(doc)
+        entry_doc["algebraic_record"].append({"seed": None, "determinant": determinant})
+        ok, reason = certify_decision(g, entry_doc)
+        if vanishes == (determinant == "0"):
+            assert ok, reason
+        elif vanishes:
+            assert (ok, reason) == (False, "vanishing verdict carries a nonzero determinant")
+        else:
+            assert (ok, reason) == (False, "non-vanishing verdict carries a zero polynomial")
+    # A policy short-circuit evaluates nothing, so its record stays empty.
+    policy = decide_vanishing(g, ((1, 1), (2, 3)), mode=mode, seed=4).to_doc()
+    assert certify_decision(g, policy) == (True, "policy short-circuit verified")
+    policy["algebraic_record"] = [{"seed": None, "determinant": "0"}]
+    assert certify_decision(g, policy) == (False, "a policy certificate carries no algebraic record")
+
+
+def test_every_written_document_certifies():
+    rng = random.Random(62)
+    for trial in range(24):
+        g = random_mixed(rng, max_vertices=6, edge_prob=0.4, max_hyperedges=trial % 2)
+        k = 2 + trial % 3
+        sides = random_sides(rng, g, k, rng.randint(1, 2))
+        for mode in ("randomized", "certain"):
+            doc = json.loads(decide_vanishing(g, sides, mode=mode, seed=trial).to_json())
+            ok, reason = certify_decision(g, doc)
+            assert ok, (trial, mode, reason)

@@ -210,6 +210,80 @@ def test_contract_mode_rectangular():
         contract_mode(t, 0, [[1, 2]])
 
 
+def contract_by_sum(t, mode, m):
+    """contract_mode written out: every input entry times every column of m."""
+    cols = len(m[0])
+    dims = t.dims[:mode] + (cols,) + t.dims[mode + 1:]
+    out = {idx: 0 for idx in itertools.product(*(range(d) for d in dims))}
+    for idx in itertools.product(*(range(d) for d in t.dims)):
+        for a in range(cols):
+            out[idx[:mode] + (a,) + idx[mode + 1:]] += t.at(idx) * m[idx[mode]][a]
+    return dims, [out[idx] for idx in sorted(out)]
+
+
+def tucker_by_sum(t, m):
+    """tucker_apply written out: the sum over every (j_1..j_k) at every (i_1..i_k)."""
+    ranges = [range(d) for d in t.dims]
+    entries = []
+    for i in itertools.product(*ranges):
+        total = 0
+        for j in itertools.product(*ranges):
+            term = t.at(j)
+            for j_r, i_r in zip(j, i):
+                term *= m[j_r][i_r]
+            total += term
+        entries.append(total)
+    return entries
+
+
+def asymmetric_tensors(rng):
+    """Random rational cubical tensors of orders 1 to 3, none of them symmetric."""
+    for k in (1, 2, 3):
+        for n in (2, 3):
+            t = rand_tensor(rng, (n,) * k)
+            while k > 1 and all(
+                t.at(idx) == t.at(perm)
+                for idx in itertools.product(range(n), repeat=k)
+                for perm in itertools.permutations(idx)
+            ):
+                t = rand_tensor(rng, (n,) * k)
+            yield t
+
+
+def test_contract_mode_computes_its_defining_sum_on_every_mode():
+    rng = random.Random(20)
+    for t in asymmetric_tensors(rng):
+        n = t.dims[0]
+        for mode in range(t.order):
+            for cols in (1, n + 1):
+                m = rand_matrix(rng, n, cols)
+                dims, entries = contract_by_sum(t, mode, m)
+                out = contract_mode(t, mode, m)
+                assert (out.dims, out.entries, out.scalar) == (dims, tuple(entries), "rational")
+
+
+def test_tucker_apply_computes_its_defining_sum():
+    rng = random.Random(21)
+    for t in asymmetric_tensors(rng):
+        m = rand_matrix(rng, t.dims[0], t.dims[0])
+        out = tucker_apply(t, m)
+        assert (out.dims, out.entries, out.scalar) == (t.dims, tuple(tucker_by_sum(t, m)), "rational")
+
+
+def test_float_contraction_of_integer_values_is_exact():
+    rng = random.Random(22)
+    t = Tensor.of((2, 3, 2), [float(rng.randint(-5, 5)) for _ in range(12)])
+    m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
+    dims, entries = contract_by_sum(t, 1, m)
+    out = contract_mode(t, 1, m)
+    assert (out.dims, out.entries, out.scalar) == (dims, tuple(entries), "float")
+    # A float in the matrix makes a rational tensor's result float too.
+    r = rand_tensor(rng, (2, 2))
+    square = [[float(rng.randint(-5, 5)) for _ in range(2)] for _ in range(2)]
+    out = tucker_apply(r, square)
+    assert (out.scalar, out.entries) == ("float", tuple(tucker_by_sum(r, square)))
+
+
 def test_diagonal_spec_expand():
     spec = DiagonalSpec({1: Fraction(2), 3: Fraction(5)})
     t = spec.expand((1, 2, 3), 3)
