@@ -158,11 +158,17 @@ def simulate_lsem(
 
     Multidirected edges are realized through the canonical DAG: the
     noise spec must then also cover the latent vertices (ids assigned
-    by canonical_dag), whose columns are dropped from the output.  A draw
-    or a value past the float range is a ValueError naming its vertex.
+    by canonical_dag), whose columns are dropped from the output.  A weight,
+    draw or value past the float range is a ValueError naming its edge or vertex.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    weights = {}
+    for (u, v), w in lam.items():
+        try:
+            weights[(u, v)] = float(w)
+        except OverflowError:
+            raise ValueError(f"the weight on edge {u}->{v} is too large for a float") from None
     canon = canonical_dag(g)
     dag = canon.dag
     missing = [v for v in dag.vertices if v not in noise.entries]
@@ -170,7 +176,7 @@ def simulate_lsem(
         raise ValueError(
             f"noise spec misses vertices {missing} (latent ids come from canonical_dag)"
         )
-    m = path_matrix(dag, {(u, v): float(w) for (u, v), w in lam.items()})
+    m = path_matrix(dag, weights)
     rng = np.random.default_rng(seed)
     eps = np.empty((n, len(dag.vertices)))
     with np.errstate(all="ignore"):  # a value past the float range is refused below, by vertex

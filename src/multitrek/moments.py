@@ -52,9 +52,9 @@ from .treks import (
     _Cap,
     _paths_into,
     _reaching,
+    _side_paths,
     _verify_system,
     checked_sides,
-    exists_disjoint_path_system,
     make_trek_system,
     repeated_side,
     signed_system_sum,
@@ -242,12 +242,8 @@ def exists_split_trek_system_no_sided_intersection(
     repeat = repeated_side(side_lists, open_first_side=False)
     if repeat is not None:
         raise ValueError(f"side {repeat} repeats a vertex")
-    n = len(side_lists[0])
-    k = len(side_lists)
-
-    flow = functools.cache(
-        lambda i, columns: exists_disjoint_path_system(g, columns, side_lists[i])
-    )
+    n, k = len(side_lists[0]), len(side_lists)
+    flow = functools.cache(lambda i, columns: _side_paths(g, columns, side_lists[i], 1))
     cap = _Cap(budget, "split-system column candidates")
     column_choices = [
         list(itertools.combinations(sorted(_reaching(g, side)), n))
@@ -255,12 +251,8 @@ def exists_split_trek_system_no_sided_intersection(
     ]
     perms, _ = signed_permutations(n)
     for cols in cap(itertools.product(*column_choices)):
-        per_side = []
-        for i in range(k):
-            got = flow(i, cols[i])
-            if got is None:
-                break
-            per_side.append(got)
+        # each side's path system from its column, up to the first side with none
+        per_side = list(itertools.takewhile(bool, (flow(i, c) for i, c in enumerate(cols))))
         if len(per_side) < k:
             continue
         # The first per-side bijections, side 1 fixed (perms[0] is the

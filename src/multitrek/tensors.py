@@ -168,6 +168,8 @@ def contract_mode(t: Tensor, mode: int, m: Sequence[Sequence[Scalar]]) -> Tensor
     rows = [list(r) for r in m]
     if len(rows) != t.dims[mode]:
         raise DimMismatch(f"mode {mode} has dim {t.dims[mode]}, matrix has {len(rows)} rows")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimMismatch(f"matrix rows have lengths {[len(row) for row in rows]}")
     dims = t.dims[:mode] + (len(rows[0]) if rows else 0,) + t.dims[mode + 1:]
     floats = t.scalar == FLOAT or any(isinstance(x, float) for row in rows for x in row)
 

@@ -399,15 +399,15 @@ def exists_disjoint_path_system(
 
     Unit vertex capacities via vertex splitting; integral max flow, so
     polynomial.  The returned list is aligned with R's order (path i
-    starts at r[i]); endpoints cover S exactly.
+    starts at r[i]); endpoints cover S exactly.  The entry for outside
+    input: the package's searches call _side_paths, unchecked.
     """
     rr, ss = list(r), list(s)
     if len(rr) != len(ss):
         raise ValueError("R and S must have equal size")
     if len(set(rr)) != len(rr) or len(set(ss)) != len(ss):
         raise ValueError("R and S must consist of distinct vertices")
-    vset = set(g.vertices)
-    if any(v not in vset for v in rr + ss):
+    if not set(rr + ss) <= set(g.vertices):
         raise ValueError("R and S must belong to the graph")
     return _side_paths(g, rr, ss, 1)
 
@@ -602,23 +602,19 @@ def exists_trek_system_no_sided_intersection(
         result = _trek_flow(canon.dag, side_lists)
     else:
         result = first_linked_top(canon.dag, side_lists, open_first_side=open_first_side, budget=budget)
-    if g.is_dag or result.system is None:
+    if result.system is None:
         return result
-    treks = []
-    for trek in result.system.treks:
-        top = trek.top_vertex
-        if top in canon.latent_of:
-            treks.append(
-                KTrek(
-                    paths=tuple(DirectedPath(p.vertices[1:]) for p in trek.paths),
-                    top_hyperedge=canon.latent_of[top],
-                )
-            )
-        else:
-            treks.append(trek)
-    system = make_trek_system(treks, side_lists)
-    _verify_system(g, system, open_first_side)
-    return TrekSearchResult(system=system, obstructions=result.obstructions, top=result.top)
+    if not g.is_dag:  # a trek topped at a latent is supported by its hyperedge
+        treks = [
+            KTrek(
+                tuple(DirectedPath(p.vertices[1:]) for p in t.paths),
+                top_hyperedge=canon.latent_of[t.top_vertex],
+            ) if t.top_vertex in canon.latent_of else t
+            for t in result.system.treks
+        ]
+        result = TrekSearchResult(make_trek_system(treks, side_lists), result.obstructions, top=result.top)
+    _verify_system(g, result.system, open_first_side)
+    return result
 
 
 def first_linked_top(
@@ -633,12 +629,12 @@ def first_linked_top(
     T runs over the n-sets, in itertools.combinations order, of the
     vertices with a path into every side, or over ``tops``.  T is linked
     to a side when one path runs from each vertex of T onto its own
-    position of the side: vertex-disjoint paths on a closed side
-    (exists_disjoint_path_system), paths that may meet on side 1 when it
-    is open (_side_paths with capacity n).  The found system's treks run
+    position of the side, one flow per side (_side_paths): capacity 1 on
+    a closed side, so its paths are vertex-disjoint, capacity n on side
+    1 when it is open, so they may meet.  The found system's treks run
     from T, and the result names T in the DAG's vertex ids; each T tried
-    before logs its first blocked side.  Raises BudgetExceeded past
-    ``budget`` top sets.
+    before logs its first blocked side.  The public search checks the
+    witness.  Raises BudgetExceeded past ``budget`` top sets.
 
     With side 1 open exactly at odd k (the oracle's rule) this is also
     the exact zero test of the cumulant determinant on a DAG.  The noise
@@ -666,8 +662,18 @@ def first_linked_top(
     it reaches, which is what the open flow decides.  So the first
     linked T is the first nonzero term of the determinant, and none
     exists iff it vanishes identically.
+
+    So the enumeration of C(u, n) top sets cannot be avoided in the worst
+    case: 3-dimensional matching (3DM; Karp 1972) reduces to it.  Each
+    triple is a top vertex with one edge to each of its x, y and z; the
+    sides are X, Y and Z, plus Z again as side 4 at k = 4.  Every path
+    has one edge, so T is linked to a side, open or closed, iff it
+    matches onto it, and a linked T is a perfect matching.  With the
+    trek system as certificate, NotVanishes is NP-complete from k = 3
+    on, while at k = 2 one max flow decides (_trek_flow).
     """
     n, k = len(sides[0]), len(sides)
+    through = [n if open_first_side else 1] + [1] * (k - 1)  # path capacity per side
     if tops is None:
         into = [_reaching(dag, side) for side in sides]
         useful = [v for v in dag.vertices if all(v in reaching for reaching in into)]
@@ -675,17 +681,11 @@ def first_linked_top(
     obstructions: list[TopObstruction] = []
     for top in _Cap(budget, "candidate top sets")(tops):
         top = tuple(top)
-        per_side: list[list[DirectedPath]] = []
-        for i, side in enumerate(sides):
-            if open_first_side and i == 0:
-                found = _side_paths(dag, top, side, n)
-            else:
-                found = exists_disjoint_path_system(dag, top, side)
-            if found is None:
-                obstructions.append(TopObstruction(top=top, blocked_side=i + 1))
-                break
-            per_side.append(found)
+        # each side's path system in turn (None where T is not linked), up to the first None
+        flows = (_side_paths(dag, top, side, c) for side, c in zip(sides, through))
+        per_side = list(itertools.takewhile(bool, flows))
         if len(per_side) < k:
+            obstructions.append(TopObstruction(top=top, blocked_side=len(per_side) + 1))
             continue
         # Place the treks in side 1's order; a repeated vertex takes its
         # treks in top order, one per position.
@@ -694,7 +694,6 @@ def first_linked_top(
             trek = KTrek(paths=tuple(paths[j] for paths in per_side), top_vertex=v)
             by_sink.setdefault(trek.paths[0].sink, []).append(trek)
         system = make_trek_system([by_sink[v].pop(0) for v in sides[0]], sides)
-        _verify_system(dag, system, open_first_side)
         return TrekSearchResult(system=system, obstructions=tuple(obstructions), top=top)
     return TrekSearchResult(system=None, obstructions=tuple(obstructions))
 
@@ -712,7 +711,7 @@ def _trek_flow(dag: MixedGraph, sides: tuple[tuple[int, ...], ...]) -> TrekSearc
     only: its copy-1 and copy-2 vertices t-separate the sides with
     total size below n (Sullivant, Talaska and Draisma 2010).  A found
     result names its treks' sorted tops, linked to both sides by the
-    vertex-disjoint paths of each copy.
+    vertex-disjoint paths of each copy.  The public search checks the witness.
     """
     side_a, side_b = sides
     n = len(side_a)
@@ -750,7 +749,6 @@ def _trek_flow(dag: MixedGraph, sides: tuple[tuple[int, ...], ...]) -> TrekSearc
         down = [dag.vertices[x // 4] for x in nodes if x % 4 == 3]
         treks.append(KTrek(paths=(DirectedPath(up), DirectedPath(down)), top_vertex=up[0]))
     system = make_trek_system(treks, sides)
-    _verify_system(dag, system, open_first_side=False)
     return TrekSearchResult(system=system, top=tuple(sorted(t.top_vertex for t in treks)))
 
 

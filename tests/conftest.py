@@ -123,6 +123,39 @@ def random_sides(
     return tuple(tuple(sorted(rng.sample(g.vertices, n))) for _ in range(k))
 
 
+def three_dm_instance(
+    rng: random.Random, q: int, planted: bool
+) -> tuple[MixedGraph, tuple[tuple[int, ...], ...], list[tuple[int, int, int]]]:
+    """A seeded 3-dimensional-matching instance as a DAG: (graph, sides, triples).
+
+    There are 2q triples over X = Y = Z = range(q); with ``planted`` the
+    first q of them, before shuffling, form a perfect matching.  Triple
+    t is vertex t with one edge to each of its x, y and z; element e of
+    X, Y and Z is vertex 2q + e, 3q + e and 4q + e, and the sides are X,
+    Y and Z in that order; a decision at k = 4 repeats Z as side 4.
+    """
+    triples = []
+    if planted:
+        ys, zs = rng.sample(range(q), q), rng.sample(range(q), q)
+        triples = list(zip(range(q), ys, zs))
+    while len(triples) < 2 * q:
+        triples.append(tuple(rng.randrange(q) for _ in range(3)))
+    rng.shuffle(triples)
+    edges = tuple(
+        (t, (c + 2) * q + e) for t, triple in enumerate(triples) for c, e in enumerate(triple)
+    )
+    sides = tuple(tuple(range((c + 2) * q, (c + 3) * q)) for c in range(3))
+    return MixedGraph(vertices=tuple(range(5 * q)), directed_edges=edges), sides, triples
+
+
+def has_perfect_3d_matching(triples: Sequence[tuple[int, int, int]], q: int) -> bool:
+    """Brute force: do some q of the triples cover every element of each coordinate?"""
+    return any(
+        all(len({triple[c] for triple in chosen}) == q for c in range(3))
+        for chosen in itertools.combinations(triples, q)
+    )
+
+
 def non_integral_twin(inst: ModelInstance, rng: random.Random) -> ModelInstance:
     """The instance with every value a small Fraction: mostly non-integral, some zero."""
 

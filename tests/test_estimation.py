@@ -182,6 +182,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^{reason} leaves the float range$"):
             simulate_lsem(chain2, {(1, 2): weight}, noise, 200, seed=0)
 
+    @pytest.mark.parametrize("weight", [F(10**400), 10**400], ids=["fraction", "int"])
+    def test_a_weight_too_large_for_a_float_names_its_edge(self, chain2, weight, monkeypatch):
+        noise = NoiseSpec({1: ("uniform", 1), 2: ("uniform", 1)})
+
+        def no_draw(*args):
+            raise AssertionError("drew noise")
+
+        monkeypatch.setattr(NoiseSpec, "sample", no_draw)
+        with pytest.raises(ValueError, match="^the weight on edge 1->2 is too large for a float$"):
+            simulate_lsem(chain2, {(1, 2): weight}, noise, 5, seed=0)
+
 
 class TestSampleMatrix:
     def test_validation(self):

@@ -24,7 +24,13 @@ from multitrek import (
 from multitrek.cumulants import _DeterminantPlan
 from multitrek.oracle import EXIT_NOT_VANISHES, EXIT_VANISHES, instance_seed
 from multitrek.treks import first_linked_top
-from conftest import nonzero_top_by_path_polynomials, random_mixed, random_sides
+from conftest import (
+    has_perfect_3d_matching,
+    nonzero_top_by_path_polynomials,
+    random_mixed,
+    random_sides,
+    three_dm_instance,
+)
 
 
 def test_star_not_vanishes_both_modes(star):
@@ -913,3 +919,22 @@ def test_every_written_document_certifies():
             doc = json.loads(decide_vanishing(g, sides, mode=mode, seed=trial).to_json())
             ok, reason = certify_decision(g, doc)
             assert ok, (trial, mode, reason)
+
+
+def test_three_dimensional_matching_decides_like_brute_force():
+    # The reduction at first_linked_top: a linked top set is a perfect 3D
+    # matching, at k = 3 (side 1 open) and at k = 4 (Z repeated as side 4).
+    rng = random.Random(61)
+    verdicts = []
+    for q in (2, 3, 4):
+        for i in range(10):
+            g, sides, triples = three_dm_instance(rng, q, planted=i % 2 == 0)
+            expected = "NotVanishes" if has_perfect_3d_matching(triples, q) else "Vanishes"
+            for k in (3, 4):
+                for mode in ("certain", "randomized"):
+                    seed = None if mode == "certain" else 1000 * q + i
+                    d = decide_vanishing(g, (sides + sides[2:])[:k], mode=mode, seed=seed, trials=1)
+                    assert d.verdict == expected, (q, triples, k, mode)
+                    assert certify_decision(g, d.to_doc())[0], (q, triples, k, mode)
+                    verdicts.append(d.verdict)
+    assert verdicts.count("Vanishes") >= 30 and verdicts.count("NotVanishes") >= 60  # 40 and 80

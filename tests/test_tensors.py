@@ -210,6 +210,14 @@ def test_contract_mode_rectangular():
         contract_mode(t, 0, [[1, 2]])
 
 
+@pytest.mark.parametrize(
+    "m", [[[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1], [3, 4]]], ids=["short", "long", "first-short"]
+)
+def test_contract_mode_refuses_a_ragged_matrix(m):
+    with pytest.raises(DimMismatch, match="matrix rows have lengths"):
+        contract_mode(Tensor.of((2, 2), [1, 2, 3, 4]), 0, m)
+
+
 def contract_by_sum(t, mode, m):
     """contract_mode written out: every input entry times every column of m."""
     cols = len(m[0])

@@ -31,6 +31,8 @@ from multitrek import (
     trek_system_from_doc,
     trek_system_to_doc,
 )
+import multitrek.treks as treks_module
+from multitrek.errors import InternalInconsistency
 from multitrek.estimation import test_determinant_zero as determinant_flag
 from multitrek.treks import _reaching, system_defect
 from conftest import all_paths, random_dag, random_mixed, random_sides
@@ -321,6 +323,37 @@ def test_open_side_paths_share_an_inner_vertex():
             (top, 3, sink) for top, sink in zip((1, 2), side_one)
         ]
         assert system_defect(g, res.system, open_first_side=True) is None
+
+
+@pytest.mark.parametrize(
+    "graph, sides, search",
+    [
+        ("star", ((1,), (2,)), exists_trek_system_no_sided_intersection),
+        ("star", ((1,), (2,), (3,)), exists_trek_system_no_sided_intersection),
+        ("latent_triple", ((1,), (2,), (3,)), exists_trek_system_no_sided_intersection),
+        ("star", ((1,), (2,), (1,), (2,)), exists_split_trek_system_no_sided_intersection),
+    ],
+    ids=["k2-dag", "k3-dag", "k3-mixed", "split-k4"],
+)
+def test_every_public_search_checks_its_witness_once(graph, sides, search, request, monkeypatch):
+    # The searches find a system on these cases; a check that finds a defect
+    # must surface it, and each search checks the witness it returns once,
+    # in the graph it was given (re-expressed over hyperedges when mixed).
+    g = request.getfixturevalue(graph)
+    assert search(g, sides).found
+    checked = []
+
+    def defective(checked_graph, system, open_first_side=False):
+        checked.append((checked_graph, system))
+        return "planted defect"
+
+    monkeypatch.setattr(treks_module, "system_defect", defective)
+    with pytest.raises(InternalInconsistency, match="^returned witness planted defect$"):
+        search(g, sides)
+    assert len(checked) == 1 and checked[0][0] is g
+    assert all(
+        (t.top_hyperedge is not None) == (not g.is_dag) for t in checked[0][1].treks
+    )
 
 
 def test_order_two_flow_matches_brute_force_with_minimum_separators():
