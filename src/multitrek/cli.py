@@ -147,28 +147,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _decide(args, decide, g, sides_or_vars) -> int:
+    """Run ``decide`` with the common options, emit its document, return its exit code."""
+    decision = decide(
+        g, sides_or_vars, mode=args.mode, seed=args.seed, trials=args.trials, budget=args.budget
+    )
+    log.info("verdict: %s", decision.verdict)
+    _emit(decision.to_json(), args.out)
+    return decision.exit_code
+
+
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     sides = _parse_sets(args.sets)
     if args.order is not None and args.order != len(sides):
         raise ValueError(f"--order {args.order} does not match {len(sides)} sides")
-    decision = decide_vanishing(
-        g, sides, mode=args.mode, seed=args.seed, trials=args.trials, budget=args.budget
-    )
-    log.info("verdict: %s", decision.verdict)
-    _emit(decision.to_json(), args.out)
-    return decision.exit_code
+    return _decide(args, decide_vanishing, g, sides)
 
 
 def _cmd_common_cause(args) -> int:
     g = _load_graph(args.graph)
-    variables = _parse_vars(args.vars)
-    decision = detect_common_cause(
-        g, variables, mode=args.mode, seed=args.seed, trials=args.trials, budget=args.budget
-    )
-    log.info("verdict: %s", decision.verdict)
-    _emit(decision.to_json(), args.out)
-    return decision.exit_code
+    return _decide(args, detect_common_cause, g, _parse_vars(args.vars))
 
 
 def _cmd_parametrize(args) -> int:

@@ -64,6 +64,7 @@ from .ser import (
     read_int,
     read_ints,
     read_json,
+    strict_int,
 )
 from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, symmetric_tensor
 from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
@@ -93,7 +94,7 @@ class HyperedgeSpec:
     def __post_init__(self) -> None:
         clean = {}
         for key, val in self.entries.items():
-            tup = tuple(sorted(int(i) for i in key))
+            tup = tuple(sorted(strict_int(i) for i in key))
             if len(set(tup)) < 2:
                 raise ValueError(f"all-equal multiset {tup} belongs in the diagonal spec")
             clean[tup] = _coerce_scalar(val)
@@ -117,11 +118,12 @@ class ModelInstance:
 
     def __post_init__(self) -> None:
         lam = {
-            (int(u), int(v)): _coerce_scalar(x)
+            (strict_int(u), strict_int(v)): _coerce_scalar(x)
             for (u, v), x in sorted(self.lam.items())
         }
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "noise", {int(k): v for k, v in sorted(self.noise.items())})
+        noise = {strict_int(k, "noise order"): v for k, v in sorted(self.noise.items())}
+        object.__setattr__(self, "noise", noise)
 
     def noise_at(self, order: int) -> NoiseCumulants:
         if order not in self.noise:

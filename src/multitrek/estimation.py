@@ -38,7 +38,7 @@ import numpy as np
 from .cumulants import ModelInstance, NoiseCumulants, path_matrix
 from .errors import InvalidBootstrapCount, OrderUnsupported, SchemaError
 from .graphs import MixedGraph, canonical_dag
-from .ser import canonical_int, read_float
+from .ser import canonical_int, read_float, strict_int
 from .tensors import FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, symmetric_tensor
 from .treks import checked_sides
 
@@ -74,7 +74,7 @@ class NoiseSpec:
                 raise ValueError("exponential rate must be positive")
             if tag == "gamma" and params[0] == 0:
                 raise ValueError("gamma shape must be positive")
-            clean[int(v)] = (tag,) + params
+            clean[strict_int(v)] = (tag,) + params
         object.__setattr__(self, "entries", clean)
 
     def cumulant(self, v: int, order: int) -> Fraction:
@@ -129,7 +129,7 @@ class SampleMatrix:
             raise ValueError("one column per vertex required")
         if not np.all(np.isfinite(arr)):
             raise ValueError("sample data must be finite")
-        vertices = tuple(int(v) for v in self.vertices)
+        vertices = tuple(strict_int(v) for v in self.vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError(f"vertex labels {list(vertices)} repeat a vertex")
         arr.setflags(write=False)

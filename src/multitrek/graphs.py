@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import CycleError, SchemaError
-from .ser import canonical_json, read_int, read_ints, read_json
+from .ser import canonical_json, read_int, read_ints, read_json, strict_int
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class MixedGraph:
     def __post_init__(self) -> None:
         ids = (self.vertices, *self.directed_edges, *self.multidirected_edges, self.labels or ())
         for x in itertools.chain(*ids):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"vertex id {x!r} is not an integer")
+            strict_int(x)
         verts = tuple(sorted(set(self.vertices)))
         if any(v < 0 for v in verts):
             raise ValueError("vertex ids must be non-negative integers")

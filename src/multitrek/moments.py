@@ -435,7 +435,12 @@ def scan_conjecture(
     recorded as an "only-if" disagreement just when the determinant
     really is the zero polynomial (this direction is open, so such
     cases are reported, never raised).  Cases with all-zero
-    determinants also get the lower-order factorization checks.
+    determinants also get the lower-order factorization checks: for h in
+    2..k // 2, every split of the sides into groups of h and k - h (side
+    1 in the first group when the two are equal).  A case's provenance
+    (case, graph, sides, instance_seeds) is built once and shared by its
+    disagreement record and its violation records; agreements counts the
+    cases without a disagreement record.
     """
     if k < 4:
         raise ValueError("the scan targets k >= 4; k = 3 is settled exactly")
@@ -443,7 +448,6 @@ def scan_conjecture(
         raise ValueError(f"trials must be >= 1, got {trials}")
     max_vertices, prob, cases, set_size = _ensemble_params(ensemble, k)
     rng = random.Random(seed)
-    agreements = 0
     disagreements: list[dict] = []
     lower_checked = 0
     lower_violations: list[dict] = []
@@ -464,34 +468,24 @@ def scan_conjecture(
         plan = _DeterminantPlan(g, sides, moments=True)
         dets = [plan.at_seed(s) for s in seeds]
         all_zero = all(not d for d in dets)
-
-        record = {
+        provenance = {
             "case": case,
             "graph": serialize_graph(g),
             "sides": [list(s) for s in sides],
-            "combinatorial_absent": absent,
-            "algebraic_zero": all_zero,
             "instance_seeds": seeds,
         }
-        if absent == all_zero:
-            agreements += 1
-        elif absent:
-            record["direction"] = "if"
-            disagreements.append(record)
-        else:
+        record = {**provenance, "combinatorial_absent": absent, "algebraic_zero": all_zero}
+        if absent and not all_zero:
+            disagreements.append({**record, "direction": "if"})
+        elif all_zero and not absent:
             sym = plan.at(symbolic_instance(g, k))
-            really_zero = not (isinstance(sym, Poly) and sym)
-            if really_zero:
-                record["direction"] = "only-if"
-                record["certain_recheck_zero"] = True
-                disagreements.append(record)
-            else:
-                agreements += 1  # randomized fluke, resolved by the symbolic recheck
+            if not (isinstance(sym, Poly) and sym):  # else a randomized fluke the recheck resolves
+                disagreements.append(
+                    {**record, "direction": "only-if", "certain_recheck_zero": True}
+                )
 
         if all_zero:
-            for h in range(2, k - 1):
-                if k - h < h:
-                    break
+            for h in range(2, k // 2 + 1):
                 for group in itertools.combinations(range(k), h):
                     if k - h == h and 0 not in group:
                         continue
@@ -504,18 +498,11 @@ def scan_conjecture(
                     rest_zero = all(not rest_plan.at_seed(s) for s in seeds)
                     if not h_zero and not rest_zero:
                         lower_violations.append(
-                            {
-                                "case": case,
-                                "graph": serialize_graph(g),
-                                "sides": [list(s) for s in sides],
-                                "group_1": list(group),
-                                "group_2": list(rest),
-                                "instance_seeds": seeds,
-                            }
+                            {**provenance, "group_1": list(group), "group_2": list(rest)}
                         )
     return ConjectureReport(
         cases_scanned=cases,
-        agreements=agreements,
+        agreements=cases - len(disagreements),
         disagreements=tuple(disagreements),
         lower_order_checked=lower_checked,
         lower_order_violations=tuple(lower_violations),

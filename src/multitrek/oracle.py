@@ -55,10 +55,9 @@ from typing import Sequence
 from .cumulants import VALUE_RANGE, _DeterminantPlan
 from .errors import InternalInconsistency, SchemaError
 from .graphs import MixedGraph, canonical_dag, serialize_graph
-from .ser import canonical_int, canonical_json, frac_to_str, read_ints, read_json
+from .ser import canonical_int, canonical_json, frac_to_str, read_ints, read_json, strict_int
 from .treks import (
     DEFAULT_BUDGET,
-    TrekSearchResult,
     check_ktrek_separation,
     checked_sides,
     exists_trek_system_no_sided_intersection,
@@ -123,7 +122,8 @@ _TOP_ENTRY = _NONZERO_ENTRY + "top "
 
 
 def _symbolic_defect(
-    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], verdict: str, recorded: object
+    dag: MixedGraph, sides: tuple[tuple[int, ...], ...], open_first: bool, verdict: str,
+    recorded: object,
 ) -> str | None:
     """Why a null-seed record entry is no form written beside the verdict, or
     does not re-derive, else None.
@@ -154,7 +154,7 @@ def _symbolic_defect(
         if verdict == VANISHES:
             return "vanishing verdict carries a nonzero determinant"
         return "non-vanishing verdict carries a zero polynomial"
-    linked = top is None or first_linked_top(dag, sides, [top], open_first_side=len(sides) % 2 == 1).found
+    linked = top is None or first_linked_top(dag, sides, [top], open_first_side=open_first).found
     return None if linked else f"recorded top {top} has a zero factor"
 
 
@@ -171,82 +171,81 @@ def decide_vanishing(
     trials: int = 5,
     budget: int = DEFAULT_BUDGET,
 ) -> Decision:
-    """Decide identical vanishing of det C^(k) over the sides (k = number of sides)."""
+    """Decide identical vanishing of det C^(k) over the sides (k = number of sides).
+
+    ``seed`` (None or an int) and ``trials`` (an int) refuse any other
+    type, bools included; randomized mode needs a seed and trials >= 1.
+    A side that repeats a vertex along a signed mode forces a zero
+    determinant: the certificate is the policy, the record is empty and
+    trials and value_range are null.  Otherwise the search gives the
+    certificate, and the record holds the seeded draws instance_seed(seed,
+    t) for t < trials (randomized mode) and the symbolic zero test's entry
+    (certain mode, or a witness beside draws that are all 0).
+    """
     side_lists = checked_sides(g.vertices, sides)
     k = len(side_lists)
+    open_first = k % 2 == 1
     if mode not in ("randomized", "certain"):
         raise ValueError(f"unknown mode {mode!r}")
+    if seed is not None:
+        strict_int(seed, "seed")
+    strict_int(trials, "trials")
     if mode == "randomized" and seed is None:
         raise ValueError("randomized mode needs a seed")
     if mode == "randomized" and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    digest = graph_hash(g)
-
-    if repeated_side(side_lists, open_first_side=k % 2 == 1) is not None:
-        # Policy short-circuit: equal slices along a signed mode force a
-        # zero determinant, so the record stays empty by design.  A repeat
-        # on side 1 alone at odd k forces nothing and is decided below.
-        return Decision(
-            verdict=VANISHES,
-            combinatorial_certificate={"policy": "repeated vertex within a side"},
-            algebraic_record=(),
-            mode=mode,
-            graph_hash=digest,
-            sides=side_lists,
-            order=k,
-            seed=seed,
-            trials=None,
-            value_range=None,
-        )
-
-    search = exists_trek_system_no_sided_intersection(
-        g, side_lists, budget, open_first_side=k % 2 == 1
-    )
-
     record: list[dict] = []
-    nonzero = False
-    if mode == "randomized":
-        plan = _DeterminantPlan(canonical_dag(g).dag, side_lists)
-        for t in range(trials):
-            child = instance_seed(seed, t)
-            det = Fraction(plan.at_seed(child))
-            record.append({"seed": child, "determinant": frac_to_str(det)})
-            nonzero = nonzero or bool(det)
-        if nonzero and not search.found:
-            raise InternalInconsistency(
-                f"order-{k} routes disagree: no trek system, nonzero determinant: "
-                f"graph={serialize_graph(g)}, sides={side_lists}"
-            )
-    if mode == "certain" or (search.found and not nonzero):
-        # The symbolic zero test: "0" for the zero polynomial, else the
-        # search's top set T, whose term kappa_T is nonzero (see
-        # first_linked_top), in canonical-DAG ids.  A randomized run needs
-        # it only when every draw landed on a root of a witnessed
-        # (generically nonzero) determinant.
-        value = "0" if search.top is None else f"{_TOP_ENTRY}{list(search.top)})"
-        record.append({"seed": None, "determinant": value})
-
-    if search.found:
-        certificate = {"trek_system": trek_system_to_doc(search.system)}
-        verdict = NOT_VANISHES
-    elif search.separator is not None:
-        certificate = {"separator": [list(part) for part in search.separator]}
-        verdict = VANISHES
+    policy = repeated_side(side_lists, open_first_side=open_first) is not None
+    drawn = mode == "randomized" and not policy
+    if policy:
+        # Equal slices along a signed mode force a zero determinant, so the
+        # record stays empty by design.  A repeat on side 1 alone at odd k
+        # forces nothing and is decided by the search.
+        verdict, certificate = VANISHES, {"policy": "repeated vertex within a side"}
     else:
-        certificate = {"obstructions": obstructions_to_doc(search.obstructions)}
-        verdict = VANISHES
+        search = exists_trek_system_no_sided_intersection(
+            g, side_lists, budget, open_first_side=open_first
+        )
+        nonzero = False
+        if drawn:
+            plan = _DeterminantPlan(canonical_dag(g).dag, side_lists)
+            for t in range(trials):
+                child = instance_seed(seed, t)
+                det = Fraction(plan.at_seed(child))
+                record.append({"seed": child, "determinant": frac_to_str(det)})
+                nonzero = nonzero or bool(det)
+            if nonzero and not search.found:
+                raise InternalInconsistency(
+                    f"order-{k} routes disagree: no trek system, nonzero determinant: "
+                    f"graph={serialize_graph(g)}, sides={side_lists}"
+                )
+        if not drawn or (search.found and not nonzero):
+            # The symbolic zero test: "0" for the zero polynomial, else the
+            # search's top set T, whose term kappa_T is nonzero (see
+            # first_linked_top), in canonical-DAG ids.  A randomized run needs
+            # it only when every draw landed on a root of a witnessed
+            # (generically nonzero) determinant.
+            value = "0" if search.top is None else f"{_TOP_ENTRY}{list(search.top)})"
+            record.append({"seed": None, "determinant": value})
+        verdict = NOT_VANISHES if search.found else VANISHES
+        if search.found:
+            certificate = {"trek_system": trek_system_to_doc(search.system)}
+        elif search.separator is not None:
+            certificate = {"separator": [list(part) for part in search.separator]}
+        else:
+            certificate = {"obstructions": obstructions_to_doc(search.obstructions)}
     return Decision(
         verdict=verdict,
         combinatorial_certificate=certificate,
         algebraic_record=tuple(record),
         mode=mode,
-        graph_hash=digest,
+        graph_hash=graph_hash(g),
         sides=side_lists,
         order=k,
         seed=seed,
-        trials=trials if mode == "randomized" else None,
-        value_range=VALUE_RANGE if mode == "randomized" else None,
+        trials=trials if drawn else None,
+        value_range=VALUE_RANGE if drawn else None,
     )
 
 
@@ -304,6 +303,36 @@ def _is_obstruction_log(log: object) -> bool:
     )
 
 
+def _provenance_defect(doc: dict) -> str | None:
+    """Why the document's account of how it was made is not the one
+    decide_vanishing writes, else None; for a document that passed every
+    other check of certify_decision."""
+    k = len(doc["sides"])
+    fields = ("order", "mode", "seed", "trials", "value_range")
+    order, mode, seed, trials, value_range = map(doc.get, fields)
+    seeds = [entry["seed"] for entry in doc["algebraic_record"] if entry["seed"] is not None]
+    if type(order) is not int or order != k:
+        return f"recorded order {order!r} is not the number of sides, {k}"
+    if mode not in ("randomized", "certain"):
+        return f"unknown mode {mode!r}"
+    if mode == "certain" or "policy" in doc["combinatorial_certificate"]:
+        for field, value in ("trials", trials), ("value_range", value_range), ("seeds", seeds or None):
+            if value is not None:
+                return f"a {mode}-mode document without draws records {field} {value!r}"
+        return None
+    if type(seed) is not int:
+        return f"a randomized document needs an integer seed, not {seed!r}"
+    if type(trials) is not int or trials < 1:
+        return f"recorded trials {trials!r} is no positive integer"
+    if type(value_range) is not int or value_range != VALUE_RANGE:
+        return f"recorded value_range {value_range!r} is not {VALUE_RANGE}"
+    if len(seeds) != trials:
+        return f"the record's seeded entries number {len(seeds)}, not the {trials} recorded trials"
+    if seeds != [instance_seed(seed, t) for t in range(trials)]:
+        return f"the seeded entries are not the trial seeds of seed {seed}, in order"
+    return None
+
+
 def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> tuple[bool, str]:
     """Re-verify a stored Decision document against the graph.
 
@@ -326,8 +355,23 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     with a "gap" marker (paper criterion empty, determinant nonzero);
     such documents are still accepted, the former once the search comes
     up empty, the latter once both halves of the gap are re-confirmed.
+
+    Once all of that holds, the document's own account of how it was
+    made is checked (see _provenance_defect): ``order`` is the number of
+    sides and ``mode`` is randomized or certain; a randomized document
+    other than a policy one has an int seed, an int ``trials`` >= 1, a
+    ``value_range`` of VALUE_RANGE and seeded entries that are exactly
+    instance_seed(seed, t) for t < trials, in order; every other document
+    has null ``trials`` and ``value_range`` and no seeded entry.
     A malformed document is rejected with a reason, never an exception.
     """
+    valid, reason = _certify_claims(g, doc, budget)
+    defect = _provenance_defect(doc) if valid else None
+    return (False, defect) if defect else (valid, reason)
+
+
+def _certify_claims(g: MixedGraph, doc: dict, budget: int) -> tuple[bool, str]:
+    """certify_decision's checks of the verdict, its certificate and its record."""
     if not isinstance(doc, dict):
         return False, "a decision document must be a JSON object"
     digest = graph_hash(g)
@@ -341,6 +385,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     if verdict not in (VANISHES, NOT_VANISHES):
         return False, f"unknown verdict {verdict!r}"
     k = len(sides)
+    open_first = k % 2 == 1
 
     certificate = doc.get("combinatorial_certificate", {})
     if not isinstance(certificate, dict):
@@ -352,7 +397,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     if "policy" in certificate:
         if record:  # the short-circuit evaluates nothing, so it never wrote an entry
             return False, "a policy certificate carries no algebraic record"
-        if verdict == VANISHES and repeated_side(sides, open_first_side=k % 2 == 1) is not None:
+        if verdict == VANISHES and repeated_side(sides, open_first_side=open_first) is not None:
             return True, "policy short-circuit verified"
         return False, "policy certificate does not apply to these sides"
 
@@ -361,7 +406,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     gap = verdict == NOT_VANISHES and "gap" in certificate
     # Every search below needs sides without repeats (side 1 may repeat at
     # odd orders, except on the gap route, which searches with it closed).
-    if repeated_side(sides, open_first_side=k % 2 == 1 and not gap) is not None:
+    if repeated_side(sides, open_first_side=open_first and not gap) is not None:
         return False, "the sides repeat a vertex, which only a policy certificate covers"
 
     dag = canonical_dag(g).dag
@@ -374,7 +419,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
         child = entry["seed"]
         recorded = entry["determinant"]
         if child is None:
-            defect = _symbolic_defect(dag, sides, verdict, recorded)
+            defect = _symbolic_defect(dag, sides, open_first, verdict, recorded)
             if defect is not None:
                 return False, defect
             claimed_nonzero = claimed_nonzero or recorded != "0"
@@ -402,7 +447,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
             return False, "a trek system without sided intersection exists after all"
         if not (
             replayed_nonzero
-            or first_linked_top(dag, sides, open_first_side=k % 2 == 1, budget=budget).found
+            or first_linked_top(dag, sides, open_first_side=open_first, budget=budget).found
         ):
             return False, "gap certificate carries no nonzero evidence"
         return True, "gap verified: no witness system, determinant nonzero"
@@ -418,7 +463,7 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
             return False, f"malformed trek system: {exc}"
         if tuple(system.side_endpoints) != tuple(sides):
             return False, "trek system endpoints do not match the decision sides"
-        defect = system_defect(g, system, open_first_side=k % 2 == 1)
+        defect = system_defect(g, system, open_first_side=open_first)
         if defect is not None:
             return False, f"certificate {defect}"
         sign = certificate["trek_system"].get("sign")
@@ -434,9 +479,6 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     if not _is_obstruction_log(certificate.get("obstructions")):
         return False, "vanishing certificate needs a separator or an obstruction log"
 
-    search: TrekSearchResult = exists_trek_system_no_sided_intersection(
-        g, sides, budget, open_first_side=k % 2 == 1
-    )
-    if search.found:
+    if exists_trek_system_no_sided_intersection(g, sides, budget, open_first_side=open_first).found:
         return False, "a trek system without sided intersection exists after all"
     return True, "vanishing re-verified"

@@ -33,6 +33,14 @@ def canonical_int(text: object) -> int | None:
     return value if str(value) == text else None
 
 
+def strict_int(x: object, what: str = "vertex id") -> int:
+    """``x`` itself when it is an int and no bool, else ValueError naming ``what``:
+    2.0 and True equal ints but are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def read_int(text: object, path: str = "/", message: str = "must be an integer") -> int:
     """canonical_int(text), else SchemaError(path, message)."""
     value = canonical_int(text)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, IndexOutOfRange, NotCubical, SchemaError
-from .ser import as_rational, canonical_json, frac_from_str, frac_to_str, in_float_range, read_ints, read_json
+from .ser import as_rational, canonical_json, frac_from_str, frac_to_str, in_float_range, read_ints, read_json, strict_int
 
 Scalar = Fraction | float
 
@@ -115,7 +115,7 @@ class DiagonalSpec:
             self,
             "values",
             {
-                int(v): as_rational(x) if isinstance(x, (int, Fraction)) else x
+                strict_int(v): as_rational(x) if isinstance(x, (int, Fraction)) else x
                 for v, x in sorted(self.values.items())
             },
         )

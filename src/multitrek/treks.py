@@ -48,7 +48,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .graphs import MixedGraph, canonical_dag
-from .ser import read_ints
+from .ser import read_ints, strict_int
 from .tensors import perm_sign, signed_permutations
 
 DEFAULT_BUDGET = 10**6
@@ -79,7 +79,7 @@ class DirectedPath:
     def __post_init__(self) -> None:
         if not self.vertices:
             raise ValueError("a path needs at least one vertex")
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", tuple(strict_int(v) for v in self.vertices))
 
     @property
     def source(self) -> int:

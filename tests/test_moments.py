@@ -488,6 +488,26 @@ class TestScanConjecture:
             '"lower_order_checked":0,"lower_order_violations":[]}'
         )
 
+    def test_lower_order_violation_record_is_pinned(self, monkeypatch):
+        # Order-4 plans read zero and order-2 plans nonzero, so every
+        # two-block split of the all-zero case is a violation; each record
+        # carries the case's provenance beside its groups.
+        monkeypatch.setattr(_DeterminantPlan, "at_seed", lambda plan, seed: 0 if plan.order == 4 else 1)
+        ensemble = {"cases": 1, "edge_prob": 0, "max_vertices": 4, "set_size": 1}
+        provenance = (
+            '"case":0,"graph":"{\\"directed_edges\\":[],\\"multidirected_edges\\":[],'
+            '\\"vertices\\":[1,2,3]}",'
+        )
+        tail = '"instance_seeds":[4156669319,4156669320],"sides":[[3],[2],[2],[2]]}'
+        violations = ",".join(
+            "{" + provenance + f'"group_1":{g1},"group_2":{g2},' + tail
+            for g1, g2 in (("[0,1]", "[2,3]"), ("[0,2]", "[1,3]"), ("[0,3]", "[1,2]"))
+        )
+        assert scan_conjecture(4, ensemble, seed=0, trials=2).to_json() == (
+            '{"agreements":1,"cases_scanned":1,"disagreements":[],"lower_order_checked":3,'
+            f'"lower_order_violations":[{violations}]}}'
+        )
+
     def test_randomized_fluke_is_resolved_by_the_symbolic_recheck(self, monkeypatch):
         # On a complete DAG vertex 1 tops a split-trek into any sinks, so a
         # system exists and the determinant is a nonzero polynomial.

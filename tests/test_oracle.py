@@ -938,3 +938,80 @@ def test_three_dimensional_matching_decides_like_brute_force():
                     assert certify_decision(g, d.to_doc())[0], (q, triples, k, mode)
                     verdicts.append(d.verdict)
     assert verdicts.count("Vanishes") >= 30 and verdicts.count("NotVanishes") >= 60  # 40 and 80
+
+
+@pytest.mark.parametrize("name, value", [("seed", 1.5), ("seed", True), ("trials", 2.5), ("trials", True)])
+@pytest.mark.parametrize("mode", ["randomized", "certain"])
+def test_seed_and_trials_must_be_ints(star, mode, name, value):
+    # seed=1.5 once wrote a document its own certify refused, True a JSON
+    # true, and trials=2.5 let a TypeError out.
+    options = {"mode": mode, "seed": 7, "trials": 2, name: value}
+    for decide, where in ((decide_vanishing, ((1,), (2,))), (detect_common_cause, (1, 2))):
+        with pytest.raises(ValueError) as info:
+            decide(star, where, **options)
+        assert str(info.value) == f"{name} {value!r} is not an integer"
+
+
+# Policy documents on chain2 = 1 -> 2, sides (1, 1), (1, 2), at seed 7.
+POLICY_DOCUMENT = (
+    '{"algebraic_record":[],"combinatorial_certificate":{"policy":"repeated vertex within a side"},'
+    '"graph_hash":"c4b2db4c752bbbe7091daa35f133f2cbfaa661f831a86b9d775593c28be339b1",'
+    '"mode":"MODE","order":2,"seed":7,"sides":[[1,1],[1,2]],"trials":null,"value_range":null,'
+    '"verdict":"Vanishes"}'
+)
+
+
+@pytest.mark.parametrize("mode", ["randomized", "certain"])
+def test_policy_document_is_pinned(chain2, mode):
+    # The policy picks the certificate: an empty record, null trials and
+    # null value_range, whatever the mode.
+    d = decide_vanishing(chain2, ((1, 1), (1, 2)), mode=mode, seed=7, trials=3)
+    assert d.to_json() == POLICY_DOCUMENT.replace("MODE", mode)
+    assert d.exit_code == EXIT_VANISHES
+    doc = d.to_doc()
+    assert certify_decision(chain2, doc) == (True, "policy short-circuit verified")
+    for field, value in (("trials", 3), ("value_range", 997)):
+        assert certify_decision(chain2, {**doc, field: value}) == (
+            False, f"a {mode}-mode document without draws records {field} {value!r}"
+        )
+
+
+def test_certify_checks_how_the_document_says_it_was_made(star):
+    sides = ((1,), (2,), (3,))
+    doc = decide_vanishing(star, sides, seed=7).to_doc()
+    assert certify_decision(star, doc) == (True, "certificate verified")
+    seeds = [entry["seed"] for entry in doc["algebraic_record"]]
+    assert seeds == [instance_seed(7, t) for t in range(5)]
+    record = doc["algebraic_record"]
+    for changes, reason in (
+        ({"order": 7}, "recorded order 7 is not the number of sides, 3"),
+        ({"order": 3.0}, "recorded order 3.0 is not the number of sides, 3"),
+        ({"mode": "banana"}, "unknown mode 'banana'"),
+        ({"trials": 99}, "the record's seeded entries number 5, not the 99 recorded trials"),
+        ({"trials": True}, "recorded trials True is no positive integer"),
+        ({"value_range": 5}, "recorded value_range 5 is not 997"),
+        ({"value_range": 997.0}, "recorded value_range 997.0 is not 997"),
+        ({"seed": 12345}, "the seeded entries are not the trial seeds of seed 12345, in order"),
+        ({"seed": None}, "a randomized document needs an integer seed, not None"),
+        ({"algebraic_record": record[:1]}, "the record's seeded entries number 1, not the 5 recorded trials"),
+        ({"algebraic_record": record[::-1]}, "the seeded entries are not the trial seeds of seed 7, in order"),
+        ({"mode": "certain"}, "a certain-mode document without draws records trials 5"),
+    ):
+        assert certify_decision(star, {**copy.deepcopy(doc), **changes}) == (False, reason), changes
+
+    # Certain mode records no draw, so no trials, value_range or seeded entry.
+    certain = decide_vanishing(star, sides, mode="certain").to_doc()
+    assert certify_decision(star, certain) == (True, "certificate verified")
+    for changes, reason in (
+        ({"mode": "randomized"}, "a randomized document needs an integer seed, not None"),
+        ({"mode": "randomized", "seed": 7}, "recorded trials None is no positive integer"),
+        ({"trials": 5}, "a certain-mode document without draws records trials 5"),
+        ({"value_range": 997}, "a certain-mode document without draws records value_range 997"),
+        ({"algebraic_record": certain["algebraic_record"] + record[:1]},
+         "a certain-mode document without draws records seeds [7000022]"),
+    ):
+        assert certify_decision(star, {**copy.deepcopy(certain), **changes}) == (False, reason), changes
+
+    # The claims are checked first: a document that fails one keeps its reason.
+    bad = {**copy.deepcopy(doc), "order": 7, "verdict": "Maybe"}
+    assert certify_decision(star, bad) == (False, "unknown verdict 'Maybe'")

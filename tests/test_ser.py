@@ -3,9 +3,19 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from multitrek import SchemaError
+from multitrek import (
+    DiagonalSpec,
+    DirectedPath,
+    HyperedgeSpec,
+    ModelInstance,
+    NoiseCumulants,
+    NoiseSpec,
+    SampleMatrix,
+    SchemaError,
+)
 from multitrek.ser import (
     frac_from_str,
     frac_to_str,
@@ -128,3 +138,27 @@ def test_in_float_range_passes_what_float_takes(value):
 def test_in_float_range_refuses_what_overflows(value):
     with pytest.raises(SchemaError, match="^/x: too large for a float$"):
         in_float_range(value, "/x")
+
+
+_NOISE = {2: NoiseCumulants(DiagonalSpec({1: 1, 2: 1}))}
+# Each value type at one id, under MixedGraph's rule (see test_graphs): 1.7,
+# 2.0 and True once passed through int() as 1, 2 and 1.
+_ID_TAKERS = {
+    "DirectedPath": lambda x: DirectedPath((x, 2)),
+    "ModelInstance edge": lambda x: ModelInstance(lam={(x, 2): 3}, noise=_NOISE),
+    "ModelInstance noise order": lambda x: ModelInstance(lam={(1, 2): 3}, noise={x: _NOISE[2]}),
+    "DiagonalSpec": lambda x: DiagonalSpec({x: 1}),
+    "HyperedgeSpec": lambda x: HyperedgeSpec({(x, 3): 1}),
+    "NoiseSpec": lambda x: NoiseSpec({x: ("uniform", 1)}),
+    "SampleMatrix": lambda x: SampleMatrix(data=np.zeros((1, 2)), vertices=(3, x)),
+}
+
+
+@pytest.mark.parametrize("value", [1.7, 2.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize("taker", sorted(_ID_TAKERS))
+def test_every_value_type_refuses_an_id_that_is_no_int(taker, value):
+    what = "noise order" if taker.endswith("noise order") else "vertex id"
+    with pytest.raises(ValueError) as info:
+        _ID_TAKERS[taker](value)
+    assert str(info.value) == f"{what} {value!r} is not an integer"
+    _ID_TAKERS[taker](2)  # the int itself passes
