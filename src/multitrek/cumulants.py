@@ -118,12 +118,11 @@ class ModelInstance:
 
     def __post_init__(self) -> None:
         lam = {
-            (strict_int(u), strict_int(v)): _coerce_scalar(x)
-            for (u, v), x in sorted(self.lam.items())
+            (strict_int(u), strict_int(v)): _coerce_scalar(x) for (u, v), x in self.lam.items()
         }
-        object.__setattr__(self, "lam", lam)
-        noise = {strict_int(k, "noise order"): v for k, v in sorted(self.noise.items())}
-        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "lam", dict(sorted(lam.items())))
+        noise = {strict_int(k, "noise order"): v for k, v in self.noise.items()}
+        object.__setattr__(self, "noise", dict(sorted(noise.items())))
 
     def noise_at(self, order: int) -> NoiseCumulants:
         if order not in self.noise:

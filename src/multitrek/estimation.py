@@ -61,7 +61,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         clean: dict[int, tuple] = {}
-        for v, spec in sorted(self.entries.items()):
+        for v, spec in sorted((strict_int(v), spec) for v, spec in self.entries.items()):
             tag, *params = spec
             if not isinstance(tag, str) or tag not in _TAGS:
                 raise ValueError(f"unknown noise tag {tag!r} at vertex {v}")
@@ -74,7 +74,7 @@ class NoiseSpec:
                 raise ValueError("exponential rate must be positive")
             if tag == "gamma" and params[0] == 0:
                 raise ValueError("gamma shape must be positive")
-            clean[strict_int(v)] = (tag,) + params
+            clean[v] = (tag,) + params
         object.__setattr__(self, "entries", clean)
 
     def cumulant(self, v: int, order: int) -> Fraction:

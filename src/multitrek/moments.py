@@ -15,13 +15,17 @@ The trek notion that matches this support is the *split-trek*: k paths
 into the given sinks whose every source is shared by at least two of
 them (a single common source is the special case).  Split-treks fill
 the same TrekSystem, verifier, search result and signed expansion as
-k-treks.
+k-treks.  The intersection-free system search picks a column of
+sources per side, depth first, and prunes a prefix by the row states
+it can reach: a row with more unshared sources than sides remain can
+never be completed.
 
 At k = 3 moments equal cumulants: a found split-trek system certifies a
 nonzero determinant, and the converse fails only on the rare side-1
 configurations that check_moment_theorem_k3 reports.  At k >= 4 the
 analogous "only if" direction is open; scan_conjecture samples random DAGs and reports
-any disagreement instead of asserting it away.
+any disagreement instead of asserting it away.  A case's trials stop at
+its first nonzero determinant.
 
 DAGs only: graphs with multidirected edges should be lifted with
 canonical_dag first, since the hidden-variable moments are exactly the
@@ -37,12 +41,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
-from .ser import canonical_json, frac_from_str, in_float_range
+from .ser import canonical_json, frac_from_str, in_float_range, strict_int
 from .tensors import Tensor, signed_permutations, symmetric_tensor
 from .treks import (
     DEFAULT_BUDGET,
@@ -222,6 +226,26 @@ def _split_treks(
     ]
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _next_row_states(state: tuple, col: tuple[int, ...], left: int) -> frozenset:
+    """The row states that the bijections of col onto the rows of state
+    reach with at most ``left`` singleton sources in every row.
+
+    A row is a sorted source multiset that keeps each source at most
+    twice, since a third copy pairs off nothing; a state lists its rows
+    sorted.
+    """
+    reached = set()
+    for b in signed_permutations(len(col))[0]:
+        rows = sorted(
+            row if row.count(v) > 1 else tuple(sorted(row + (v,)))
+            for row, v in zip(state, (col[x] for x in b))
+        )
+        if all(sum(row.count(v) == 1 for v in row) <= left for row in rows):
+            reached.add(tuple(rows))
+    return frozenset(reached)
+
+
 def exists_split_trek_system_no_sided_intersection(
     g: MixedGraph, sides: Sequence[Sequence[int]], budget: int = DEFAULT_BUDGET
 ) -> TrekSearchResult:
@@ -231,11 +255,32 @@ def exists_split_trek_system_no_sided_intersection(
     and the side-i paths are vertex-disjoint, so candidates decompose
     per side: an n-subset of possible sources (a *column*) plus a
     disjoint path system onto S_i, found by max flow and memoized per
-    column.  What remains is pairing columns row-wise so every trek's
-    source multiset is singleton-free; rows are matched by brute force
-    over per-side bijections with side 1 fixed.  Any existing system
-    induces such columns and bijections, so the search is exhaustive.
-    The result carries no obstruction log.
+    side and column.  What remains is pairing columns row-wise so every
+    trek's source multiset is singleton-free.  Any existing system
+    induces such columns and per-side bijections, so the search is
+    exhaustive.
+
+    The columns are chosen depth first over the sides, each side's in
+    lexicographic order.  The search carries the reachable row states:
+    the rows' source multisets under some per-side bijection, side 1
+    fixed, each source kept at most twice (a third copy pairs off
+    nothing) and the rows sorted (every later side tries every
+    bijection, so row order is immaterial).  A state dies when one of
+    its rows has more singleton sources than sides remain, for each
+    later side adds one source per row and so pairs off at most one
+    singleton.  A column is dropped, before its flow runs, when it
+    leaves no live state, and then when its side has no disjoint path
+    system.  A blocked prefix rules out every completion, so the first
+    column tuple to survive is the first one, in the order of the
+    product of the sides' columns, with a path system on every side and
+    a singleton-free bijection; the first such bijection, side 1 fixed,
+    then gives the treks.
+
+    The budget counts each dropped column, the found tuple and each
+    bijection tried on it.  A dropped column stands for at least one
+    tuple of that product, so the search draws no more than the product
+    has tuples up to the one it finds.  A side with no column ends the
+    search at once.  The result carries no obstruction log.
     """
     _require_dag(g)
     side_lists = checked_sides(g.vertices, sides)
@@ -243,38 +288,52 @@ def exists_split_trek_system_no_sided_intersection(
     if repeat is not None:
         raise ValueError(f"side {repeat} repeats a vertex")
     n, k = len(side_lists[0]), len(side_lists)
-    flow = functools.cache(lambda i, columns: _side_paths(g, columns, side_lists[i], 1))
+    flow = functools.cache(lambda side, columns: _side_paths(g, columns, side, 1))
     cap = _Cap(budget, "split-system column candidates")
     column_choices = [
         list(itertools.combinations(sorted(_reaching(g, side)), n))
         for side in side_lists
     ]
+    if not all(column_choices):
+        return TrekSearchResult(system=None)
     perms, _ = signed_permutations(n)
-    for cols in cap(itertools.product(*column_choices)):
-        # each side's path system from its column, up to the first side with none
-        per_side = list(itertools.takewhile(bool, (flow(i, c) for i, c in enumerate(cols))))
-        if len(per_side) < k:
-            continue
-        # The first per-side bijections, side 1 fixed (perms[0] is the
-        # identity), under which every row's source multiset is singleton-free.
-        chosen = next((
-            bijections for bijections in cap(itertools.product(perms[:1], *[perms] * (k - 1)))
-            if all(
-                1 not in Counter(col[b[x]] for col, b in zip(cols, bijections)).values()
-                for x in range(n)
-            )
-        ), None)
-        if chosen is None:
-            continue
-        treks = [
-            split_trek_from_paths([paths[b[x]] for paths, b in zip(per_side, chosen)])
+
+    def walk(i: int, states: frozenset, prefix: tuple) -> Iterator[tuple | None]:
+        """None for each column dropped below the prefix, then the first
+        surviving column tuple, if any."""
+        left = k - 1 - i
+        for col in column_choices[i]:
+            live = frozenset().union(*(_next_row_states(state, col, left) for state in states))
+            if not live or not flow(side_lists[i], col):
+                yield None
+            elif left:
+                yield from walk(i + 1, live, prefix + (col,))
+            else:
+                yield prefix + (col,)
+
+    start = frozenset({((),) * n})
+    cols = next((cols for cols in cap(walk(0, start, ())) if cols is not None), None)
+    if cols is None:
+        return TrekSearchResult(system=None)
+    # The first per-side bijections, side 1 fixed (perms[0] is the
+    # identity), under which every row's source multiset is singleton-free.
+    chosen = next(
+        bijections for bijections in cap(itertools.product(perms[:1], *[perms] * (k - 1)))
+        if all(
+            1 not in Counter(col[b[x]] for col, b in zip(cols, bijections)).values()
             for x in range(n)
-        ]
-        treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
-        system = make_trek_system(treks, side_lists)
-        _verify_system(g, system, open_first_side=False)
-        return TrekSearchResult(system=system)
-    return TrekSearchResult(system=None)
+        )
+    )
+    treks = [
+        split_trek_from_paths(
+            [flow(side, col)[b[x]] for side, col, b in zip(side_lists, cols, chosen)]
+        )
+        for x in range(n)
+    ]
+    treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
+    system = make_trek_system(treks, side_lists)
+    _verify_system(g, system, open_first_side=False)
+    return TrekSearchResult(system=system)
 
 
 # -- split-trek expansion of the moment determinant --------------------------
@@ -425,7 +484,9 @@ def scan_conjecture(
     """Randomized agreement scan between det N^(k) and the split-trek criterion.
 
     Per case: sample a DAG and k sides, decide combinatorially, then
-    evaluate the determinant exactly at `trials` random instances.
+    evaluate the determinant exactly at up to `trials` random instances,
+    stopping at the first nonzero one, which settles that the
+    determinant is not all zero; the record still names every seed.
     Combinatorial absence with a nonzero determinant is recorded as an
     "if" disagreement: at even orders no such case has ever been
     observed (the side-1 cancellation argument covers them), while at
@@ -440,11 +501,13 @@ def scan_conjecture(
     1 in the first group when the two are equal).  A case's provenance
     (case, graph, sides, instance_seeds) is built once and shared by its
     disagreement record and its violation records; agreements counts the
-    cases without a disagreement record.
+    cases without a disagreement record.  A seed or trials that is no
+    int, bools included, is refused with a ValueError naming it.
     """
     if k < 4:
         raise ValueError("the scan targets k >= 4; k = 3 is settled exactly")
-    if trials < 1:
+    strict_int(seed, "seed")
+    if strict_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     max_vertices, prob, cases, set_size = _ensemble_params(ensemble, k)
     rng = random.Random(seed)
@@ -466,8 +529,7 @@ def scan_conjecture(
         absent = not exists_split_trek_system_no_sided_intersection(g, sides, budget).found
         seeds = [base + t for t in range(trials)]
         plan = _DeterminantPlan(g, sides, moments=True)
-        dets = [plan.at_seed(s) for s in seeds]
-        all_zero = all(not d for d in dets)
+        all_zero = all(not plan.at_seed(s) for s in seeds)
         provenance = {
             "case": case,
             "graph": serialize_graph(g),

@@ -115,8 +115,8 @@ class DiagonalSpec:
             self,
             "values",
             {
-                strict_int(v): as_rational(x) if isinstance(x, (int, Fraction)) else x
-                for v, x in sorted(self.values.items())
+                v: as_rational(x) if isinstance(x, (int, Fraction)) else x
+                for v, x in sorted((strict_int(v), x) for v, x in self.values.items())
             },
         )
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import pytest
 
 from multitrek import DiagonalSpec, HyperedgeSpec, MixedGraph, ModelInstance, NoiseCumulants
+from multitrek.moments import split_trek_from_paths
 from multitrek.polynomial import Poly
+from multitrek.treks import TrekSearchResult, _Cap, _reaching, _side_paths, make_trek_system
 
 # -- frozen graphs ---------------------------------------------------------
 
@@ -360,6 +363,49 @@ def nonzero_top_by_path_polynomials(
         else:
             return tuple(top)
     return None
+
+
+def split_system_by_column_product(
+    g: MixedGraph, sides: Sequence[Sequence[int]], budget: int
+) -> TrekSearchResult:
+    """The split-trek system search as a loop over the full product of columns.
+
+    Draws every tuple of per-side columns (n-subsets of the vertices that
+    reach the side) in itertools.product order, runs each side's disjoint
+    path flow up to the first side with none, and on a tuple with a
+    system on every side tries every per-side bijection, side 1 fixed,
+    until every row's source multiset is singleton-free.  The budget
+    counts tuples and bijections alike.  The reference for the pruned
+    search, multitrek.moments.exists_split_trek_system_no_sided_intersection.
+    """
+    side_lists = [tuple(side) for side in sides]
+    n, k = len(side_lists[0]), len(side_lists)
+    flow = functools.cache(lambda i, columns: _side_paths(g, columns, side_lists[i], 1))
+    cap = _Cap(budget, "split-system column candidates")
+    column_choices = [
+        list(itertools.combinations(sorted(_reaching(g, side)), n)) for side in side_lists
+    ]
+    perms = list(itertools.permutations(range(n)))
+    for cols in cap(itertools.product(*column_choices)):
+        per_side = list(itertools.takewhile(bool, (flow(i, c) for i, c in enumerate(cols))))
+        if len(per_side) < k:
+            continue
+        chosen = next((
+            bijections for bijections in cap(itertools.product(perms[:1], *[perms] * (k - 1)))
+            if all(
+                1 not in Counter(col[b[x]] for col, b in zip(cols, bijections)).values()
+                for x in range(n)
+            )
+        ), None)
+        if chosen is None:
+            continue
+        treks = [
+            split_trek_from_paths([paths[b[x]] for paths, b in zip(per_side, chosen)])
+            for x in range(n)
+        ]
+        treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
+        return TrekSearchResult(system=make_trek_system(treks, side_lists))
+    return TrekSearchResult(system=None)
 
 
 # -- acceptance reporting --------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for moment tensors, split-treks, and the conjecture scanner."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from conftest import (
     random_dag,
     random_mixed,
     random_sides,
+    split_system_by_column_product,
 )
 from multitrek import (
     BudgetExceeded,
@@ -40,6 +42,7 @@ from multitrek import (
 )
 from multitrek.cumulants import _DeterminantPlan, noise_entry
 from multitrek.moments import ConjectureReport
+from multitrek.treks import _reaching, _side_paths
 
 
 F = Fraction
@@ -340,6 +343,53 @@ class TestSplitTrekSearch:
             trek = exists_trek_system_no_sided_intersection(g, sides, budget=500_000)
             assert split.found == trek.found
 
+    def test_matches_the_column_product_reference_on_random_dags(self):
+        # The pruned search finds the reference's first system, byte for
+        # byte, and draws no more than the reference: at every budget where
+        # the reference finishes, the search finishes with the same answer.
+        rng = random.Random(23)
+        compared = 0
+        for _ in range(1500):
+            g = random_dag(rng, max_vertices=7, edge_prob=rng.choice((0.3, 0.5, 0.7)))
+            k, n = rng.randint(2, 5), rng.randint(1, min(3, len(g.vertices)))
+            sides = random_sides(rng, g, k, n)
+            found = exists_split_trek_system_no_sided_intersection(g, sides)
+            try:
+                ref = split_system_by_column_product(g, sides, 10_000)
+            except BudgetExceeded:
+                pass
+            else:
+                compared += 1
+                assert found.found == ref.found
+                assert found.system == ref.system
+            for budget in (0, 1, 2, 5, 50):
+                try:
+                    ref = split_system_by_column_product(g, sides, budget)
+                except BudgetExceeded:
+                    continue
+                assert exists_split_trek_system_no_sided_intersection(g, sides, budget).system == ref.system
+        assert compared >= 1400
+
+    def test_decides_a_case_the_column_product_cannot_finish(self):
+        g = MixedGraph(
+            vertices=(1, 2, 3, 4, 5, 6),
+            directed_edges=((1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (4, 5), (4, 6), (5, 6)),
+        )
+        sides = ((3, 4, 5), (2, 3, 5), (2, 4, 5), (4, 5, 6), (1, 3, 5))
+        # The pruned search finds no system in exactly 5,539 draws.
+        assert not exists_split_trek_system_no_sided_intersection(g, sides, budget=5_539).found
+        with pytest.raises(BudgetExceeded):
+            exists_split_trek_system_no_sided_intersection(g, sides, budget=5_538)
+        # With no system, the product loop draws every column tuple and, on
+        # each tuple with a path system on every side, every bijection with
+        # side 1 fixed: 8,204,800 draws.
+        columns = [list(itertools.combinations(sorted(_reaching(g, side)), 3)) for side in sides]
+        linked = [[c for c in cs if _side_paths(g, c, side, 1)] for cs, side in zip(columns, sides)]
+        draws = math.prod(map(len, columns)) + math.prod(map(len, linked)) * 6 ** 4
+        assert (math.prod(map(len, columns)), math.prod(map(len, linked)), draws) == (40_000, 6_300, 8_204_800)
+        with pytest.raises(BudgetExceeded):
+            split_system_by_column_product(g, sides, 10_000)
+
     def test_rejects_mismatched_and_repeated_sides(self, star):
         with pytest.raises(ValueError):
             exists_split_trek_system_no_sided_intersection(star, ((1, 2), (3,)))
@@ -479,7 +529,7 @@ class TestScanConjecture:
 
         monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
         report = scan_conjecture(4, ensemble, seed=0, trials=3)
-        assert seen == [3246154361, 3246154362, 3246154363]
+        assert seen == [3246154361, 3246154362]
         assert report.to_json() == (
             '{"agreements":0,"cases_scanned":1,"disagreements":[{"algebraic_zero":false,'
             '"case":0,"combinatorial_absent":true,"direction":"if","graph":'
@@ -487,6 +537,31 @@ class TestScanConjecture:
             '"instance_seeds":[3246154361,3246154362,3246154363],"sides":[[5],[2],[3],[2]]}],'
             '"lower_order_checked":0,"lower_order_violations":[]}'
         )
+
+    def test_a_case_nonzero_at_its_first_trial_evaluates_one_trial(self, monkeypatch):
+        # The first nonzero determinant settles the case: no further trial,
+        # no recheck and no lower-order check runs, and the record still
+        # names every seed the case would have drawn.
+        ensemble = {"cases": 1, "edge_prob": 0, "max_vertices": 6, "set_size": 1}
+        seen = []
+
+        def at_seed(plan, seed):
+            seen.append((plan.order, seed))
+            return 1
+
+        monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
+        report = scan_conjecture(4, ensemble, seed=0, trials=3)
+        assert seen == [(4, 3246154361)]
+        assert report.disagreements[0]["instance_seeds"] == [3246154361, 3246154362, 3246154363]
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "x"), ("trials", True), ("trials", 2.5),
+    ])
+    def test_seed_and_trials_must_be_ints(self, field, value):
+        kwargs = {"seed": 0, "trials": 2, field: value}
+        with pytest.raises(ValueError) as info:
+            scan_conjecture(4, {"cases": 1, "max_vertices": 4}, **kwargs)
+        assert str(info.value) == f"{field} {value!r} is not an integer"
 
     def test_lower_order_violation_record_is_pinned(self, monkeypatch):
         # Order-4 plans read zero and order-2 plans nonzero, so every
@@ -538,7 +613,7 @@ class TestScanConjecture:
 
         monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
         assert scan_conjecture(4, ensemble, seed=0, trials=3).to_doc() == clean
-        assert len(seen) == 3
+        assert len(seen) == 2
 
     def test_scan_is_deterministic(self):
         ens = {"cases": 6, "max_vertices": 4}

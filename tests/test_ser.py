@@ -162,3 +162,22 @@ def test_every_value_type_refuses_an_id_that_is_no_int(taker, value):
         _ID_TAKERS[taker](value)
     assert str(info.value) == f"{what} {value!r} is not an integer"
     _ID_TAKERS[taker](2)  # the int itself passes
+
+
+# Each value type given a str id beside an int one, which no sort can order:
+# the id rule must see every id before the entries are sorted.
+_MIXED_ID_TAKERS = {
+    "ModelInstance edge": lambda: ModelInstance(lam={("a", 2): 3, (1, 2): 3}, noise=_NOISE),
+    "ModelInstance noise order": lambda: ModelInstance(lam={}, noise={"a": _NOISE[2], 2: _NOISE[2]}),
+    "DiagonalSpec": lambda: DiagonalSpec({"a": 1, 1: 2}),
+    "HyperedgeSpec": lambda: HyperedgeSpec({("a", 3): 1, (1, 3): 1}),
+    "NoiseSpec": lambda: NoiseSpec({"a": ("uniform", 1), 1: ("uniform", 1)}),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(_MIXED_ID_TAKERS))
+def test_a_str_id_beside_an_int_one_is_refused_by_the_id_rule(taker):
+    what = "noise order" if taker.endswith("noise order") else "vertex id"
+    with pytest.raises(ValueError) as info:
+        _MIXED_ID_TAKERS[taker]()
+    assert str(info.value) == f"{what} 'a' is not an integer"
