@@ -66,7 +66,7 @@ from .ser import (
     read_json,
     strict_int,
 )
-from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, symmetric_tensor
+from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, orbit_table, symmetric_from_values
 from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
 
 
@@ -268,13 +268,22 @@ def _parameter_layout(g: MixedGraph, k_max: int) -> tuple[tuple[int, tuple[int, 
 
 def _draws(seed: int, count: int) -> list[int]:
     """The first ``count`` values of the seeded generic instance, in layout order:
-    nonzero ints +-1..+-VALUE_RANGE, each drawn as a magnitude and then a sign."""
+    nonzero ints +-1..+-VALUE_RANGE, each drawn as a magnitude and then a sign.
+
+    The magnitude is 1 + r for the first r = getrandbits(10) below
+    VALUE_RANGE, which is what randrange(1, VALUE_RANGE + 1) draws on
+    CPython 3.10-3.12; written out, the stream depends on this package
+    alone.  The sign is negative unless random() < 0.5.
+    """
     rng = random.Random(seed)
-    randrange, uniform = rng.randrange, rng.random
+    getrandbits, uniform = rng.getrandbits, rng.random
+    bits = VALUE_RANGE.bit_length()
     values = []
     for _ in range(count):
-        magnitude = randrange(1, VALUE_RANGE + 1)  # randint(1, VALUE_RANGE) is an alias
-        values.append(magnitude if uniform() < 0.5 else -magnitude)
+        r = getrandbits(bits)
+        while r >= VALUE_RANGE:
+            r = getrandbits(bits)
+        values.append(r + 1 if uniform() < 0.5 else -r - 1)
     return values
 
 
@@ -583,13 +592,13 @@ class _DeterminantPlan(_EntryPlan):
 
 def _model_tensor(g: MixedGraph, inst: ModelInstance, order: int, moments: bool) -> Tensor:
     """The order-k cumulant (with ``moments``, moment) tensor of the observed
-    vector: one entry plan over every sorted key, broadcast by symmetric_tensor."""
+    vector: one entry plan over the sorted keys of orbit_table, whose values
+    symmetric_from_values broadcasts."""
     if order < 2:
         raise ValueError("order must be >= 2")
     p = len(g.vertices)
-    keys = list(itertools.combinations_with_replacement(range(p), order))
-    values = _EntryPlan(g, order, g.vertices, keys, moments).at(inst)
-    return symmetric_tensor(p, order, dict(zip(keys, values)).__getitem__)
+    keys = orbit_table(p, order)[0]
+    return symmetric_from_values(p, order, _EntryPlan(g, order, g.vertices, keys, moments).at(inst))
 
 
 def model_cumulant(g: MixedGraph, inst: ModelInstance, order: int) -> Tensor:

@@ -554,11 +554,12 @@ def scan_conjecture(
                     rest = tuple(i for i in range(k) if i not in group)
                     lower_checked += 1
                     # An order-h plan's draws are a prefix of the order-k instance's.
+                    # A violation needs both parts nonzero, so a zero h part ends the check.
                     h_plan = _DeterminantPlan(g, [sides[i] for i in group], moments=True)
+                    if all(not h_plan.at_seed(s) for s in seeds):
+                        continue
                     rest_plan = _DeterminantPlan(g, [sides[i] for i in rest], moments=True)
-                    h_zero = all(not h_plan.at_seed(s) for s in seeds)
-                    rest_zero = all(not rest_plan.at_seed(s) for s in seeds)
-                    if not h_zero and not rest_zero:
+                    if any(rest_plan.at_seed(s) for s in seeds):
                         lower_violations.append(
                             {**provenance, "group_1": list(group), "group_2": list(rest)}
                         )

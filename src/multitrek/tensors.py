@@ -69,9 +69,10 @@ class Tensor:
         if kind is None:
             raise ValueError(f"unknown scalar kind {self.scalar!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(
-            self, "entries", tuple(e if type(e) is kind else kind(e) for e in self.entries)
-        )
+        if not set(map(type, self.entries)) <= {kind}:
+            object.__setattr__(
+                self, "entries", tuple(e if type(e) is kind else kind(e) for e in self.entries)
+            )
 
     @classmethod
     def of(cls, dims: Sequence[int], entries: Iterable[Scalar], scalar: str | None = None) -> "Tensor":
@@ -132,14 +133,30 @@ class DiagonalSpec:
         return Tensor.build([p] * order, fn, RATIONAL)
 
 
+@functools.cache
+def orbit_table(p: int, order: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The orbits of a symmetric order-k tensor over p indices: the sorted keys
+    in combinations_with_replacement order, and for each row-major position
+    the index of its key.  Built once per (p, order)."""
+    keys = tuple(itertools.combinations_with_replacement(range(p), order))
+    index = {key: i for i, key in enumerate(keys)}
+    return keys, tuple(index[tuple(sorted(idx))] for idx in itertools.product(range(p), repeat=order))
+
+
 def symmetric_tensor(p: int, order: int, value_of: Callable, scalar: str = RATIONAL) -> Tensor:
-    """Symmetric order-k tensor over p indices: value_of(key) once per sorted key,
-    in combinations_with_replacement order, broadcast to every permutation."""
+    """Symmetric order-k tensor over p indices: value_of(key) once per sorted key
+    of orbit_table, broadcast through its table to every permutation."""
+    return symmetric_from_values(p, order, [value_of(key) for key in orbit_table(p, order)[0]], scalar)
+
+
+def symmetric_from_values(p: int, order: int, values: Sequence, scalar: str = RATIONAL) -> Tensor:
+    """Symmetric order-k tensor over p indices whose i-th sorted key (in
+    orbit_table order) holds values[i].  Each value is converted to the
+    scalar kind once, and every position of its orbit holds that one
+    object, so the work beyond the broadcast is per distinct entry."""
     kind = _KINDS[scalar]
-    keys = itertools.combinations_with_replacement(range(p), order)
-    values = {key: kind(value_of(key)) for key in keys}
-    entries = [values[tuple(sorted(idx))] for idx in itertools.product(range(p), repeat=order)]
-    return Tensor.of([p] * order, entries, scalar)
+    distinct = [v if type(v) is kind else kind(v) for v in values]
+    return Tensor(order, (p,) * order, tuple(map(distinct.__getitem__, orbit_table(p, order)[1])), scalar)
 
 
 def tucker_apply(t: Tensor, m: Sequence[Sequence[Scalar]]) -> Tensor:
@@ -337,9 +354,21 @@ def cauchy_binet_check(a: Tensor, b: Sequence[Sequence[Scalar]]) -> bool:
 
 
 def tensor_to_json(t: Tensor) -> str:
+    """The tensor as one canonical JSON line; rationals as "a/b" strings.
+
+    Each distinct entry object is formatted once: positions that hold the
+    same object (every orbit of a symmetric tensor) share its text.  The
+    memo is keyed by id(), which t.entries keeps valid for the whole call.
+    """
     entries: list[object]
     if t.scalar == RATIONAL:
-        entries = [frac_to_str(e) for e in t.entries]
+        text: dict[int, str] = {}
+        entries = []
+        for e in t.entries:
+            s = text.get(id(e))
+            if s is None:
+                s = text[id(e)] = frac_to_str(e)
+            entries.append(s)
     else:
         entries = list(t.entries)
     doc = {"order": t.order, "dims": list(t.dims), "scalar": t.scalar, "entries": entries}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -406,6 +407,35 @@ def split_system_by_column_product(
         treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
         return TrekSearchResult(system=make_trek_system(treks, side_lists))
     return TrekSearchResult(system=None)
+
+
+# -- symmetric tensors, their JSON and seeded draws -------------------------
+
+
+def symmetric_by_sorting(p: int, order: int, value_of, kind) -> list:
+    """Row-major entries of the symmetric tensor: each position reads value_of
+    at its own sorted index, converted to ``kind``."""
+    return [kind(value_of(tuple(sorted(idx)))) for idx in itertools.product(range(p), repeat=order)]
+
+
+def tensor_json_by_entry(t) -> str:
+    """A tensor's JSON line with every entry formatted on its own."""
+    entries = list(t.entries)
+    if t.scalar == "rational":
+        entries = [f"{e.numerator}/{e.denominator}" for e in entries]
+    doc = {"order": t.order, "dims": list(t.dims), "scalar": t.scalar, "entries": entries}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def draws_by_randrange(seed: int, count: int, value_range: int) -> list[int]:
+    """The generic-instance draws as randrange gives them: a magnitude in
+    1..value_range, then a sign from random()."""
+    rng = random.Random(seed)
+    values = []
+    for _ in range(count):
+        magnitude = rng.randrange(1, value_range + 1)
+        values.append(magnitude if rng.random() < 0.5 else -magnitude)
+    return values
 
 
 # -- acceptance reporting --------------------------------------------------

@@ -37,6 +37,7 @@ from multitrek.cumulants import noise_entry
 from multitrek.polynomial import Poly
 from conftest import (
     all_paths,
+    draws_by_randrange,
     hyperdet_by_leibniz,
     minor_det_by_path_systems,
     non_integral_twin,
@@ -317,6 +318,16 @@ def test_seeded_instance_is_pinned():
     for order in (2, 3):
         drawn_keys = drawn.noise_at(order).hyper.entries.keys()
         assert drawn_keys == sym.noise_at(order).hyper.entries.keys()
+
+
+def test_draws_follow_the_randrange_stream():
+    """The written-out draw gives the values that randrange gave, so every
+    stored seed keeps its instance."""
+    for seed in range(2000):
+        reference = draws_by_randrange(seed, 120, cumulants.VALUE_RANGE)
+        count = seed % 121
+        assert cumulants._draws(seed, count) == reference[:count]
+        assert cumulants._draws(seed, 120) == reference
 
 
 def _all_fraction_twin(inst: ModelInstance) -> ModelInstance:

@@ -583,6 +583,33 @@ class TestScanConjecture:
             f'"lower_order_violations":[{violations}]}}'
         )
 
+    @pytest.mark.parametrize("h_value, built, evaluated", [
+        (0, [4, 2, 2, 2], [4, 4, 2, 2, 2, 2, 2, 2]),
+        (1, [4, 2, 2, 2, 2, 2, 2], [4, 4, 2, 2, 2, 2, 2, 2]),
+    ])
+    def test_a_zero_h_part_builds_no_rest_plan(self, monkeypatch, h_value, built, evaluated):
+        # A violation needs both parts nonzero: a split whose first group of
+        # h sides reads zero at every trial builds and evaluates no plan for
+        # the rest, while a nonzero one goes on to its rest plan.
+        ensemble = {"cases": 1, "edge_prob": 0, "max_vertices": 4, "set_size": 1}
+        orders, seen = [], []
+        init = _DeterminantPlan.__init__
+
+        def counting_init(plan, g, sides, moments=False):
+            orders.append(len(sides))
+            init(plan, g, sides, moments)
+
+        def at_seed(plan, seed):
+            seen.append(plan.order)
+            return 0 if plan.order == 4 else h_value
+
+        monkeypatch.setattr(_DeterminantPlan, "__init__", counting_init)
+        monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
+        report = scan_conjecture(4, ensemble, seed=0, trials=2)
+        assert report.lower_order_checked == 3
+        assert len(report.lower_order_violations) == 3 * h_value
+        assert (orders, seen) == (built, evaluated)
+
     def test_randomized_fluke_is_resolved_by_the_symbolic_recheck(self, monkeypatch):
         # On a complete DAG vertex 1 tops a split-trek into any sinks, so a
         # system exists and the determinant is a nonzero polynomial.

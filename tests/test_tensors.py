@@ -19,9 +19,20 @@ from multitrek import (
     tensor_to_json,
     tucker_apply,
 )
-from multitrek.tensors import contract_mode, hyperdet_from_getter
+from multitrek.tensors import (
+    contract_mode,
+    hyperdet_from_getter,
+    orbit_table,
+    symmetric_from_values,
+    symmetric_tensor,
+)
 from multitrek.polynomial import Poly
-from conftest import det_by_permutation_expansion, hyperdet_by_leibniz
+from conftest import (
+    det_by_permutation_expansion,
+    hyperdet_by_leibniz,
+    symmetric_by_sorting,
+    tensor_json_by_entry,
+)
 
 
 def rand_tensor(rng, dims):
@@ -330,6 +341,45 @@ def test_json_round_trip_rational_and_float():
     assert tensor_from_json(tensor_to_json(f)) == f
     text = tensor_to_json(t)
     assert "\n" not in text and ": " not in text
+
+
+@pytest.mark.parametrize("scalar, kind", [("rational", Fraction), ("float", float)])
+def test_symmetric_tensor_is_the_sorted_broadcast(scalar, kind):
+    def value_of(key):
+        return Fraction(sum((j + 1) * (i + 2) ** 2 for j, i in enumerate(key)) - 30, 3)
+
+    for p in range(6):
+        for order in range(1, 5):
+            keys, table = orbit_table(p, order)
+            assert keys == tuple(itertools.combinations_with_replacement(range(p), order))
+            t = symmetric_tensor(p, order, value_of, scalar)
+            assert (t.dims, t.scalar) == ((p,) * order, scalar)
+            assert t.entries == tuple(symmetric_by_sorting(p, order, value_of, kind))
+            assert all(type(e) is kind for e in t.entries)
+            # One converted object per orbit, shared by all of its positions.
+            first = {}
+            assert all(first.setdefault(i, e) is e for i, e in zip(table, t.entries))
+            assert len(first) == len(keys)
+
+
+def test_symmetric_from_values_reads_the_values_in_sorted_key_order():
+    assert symmetric_from_values(2, 2, [1, 2, 3]).entries == tuple(map(Fraction, (1, 2, 2, 3)))
+    floats = symmetric_from_values(2, 3, [1.0, 2, 3, 4], "float")
+    assert floats.entries == (1.0, 2.0, 2.0, 3.0, 2.0, 3.0, 3.0, 4.0)
+
+
+def test_tensor_to_json_matches_formatting_every_entry():
+    rng = random.Random(25)
+    sym = symmetric_tensor(4, 3, lambda key: Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+    parsed = tensor_from_json(tensor_to_json(sym))
+    # Read back, equal entries are distinct objects.
+    assert parsed == sym and len({id(e) for e in parsed.entries}) == len(parsed.entries)
+    # One object at positions of different orbits; -1 and -2 have equal hashes.
+    x, y, z = Fraction(1, 3), Fraction(-1), Fraction(-2)
+    shared = Tensor.of((2, 3), [x, y, z, z, y, x])
+    floats = symmetric_tensor(3, 2, lambda key: key[0] - key[1] / 4, "float")
+    for t in (sym, parsed, rand_tensor(rng, (2, 3, 2)), shared, floats, Tensor.of((0, 2), [])):
+        assert tensor_to_json(t) == tensor_json_by_entry(t)
 
 
 @pytest.mark.parametrize(
