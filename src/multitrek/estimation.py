@@ -5,6 +5,14 @@ structural system X = eps (I - Lambda)^{-1} with independent centered
 non-Gaussian noise, estimate cumulant tensors from the sample, and
 bootstrap a determinant statistic.
 
+Every sample moment comes from one depth-first walk over the prefixes
+of the sorted index keys that are asked for (_moments_of): the data
+are centered straight into F order, and each product is its prefix's
+product times one contiguous column, so a walk holds at most k product
+columns.  The bootstrap's monomial table reads the same F-ordered
+columns.  A value past the float range, in an estimate or in the
+bootstrap, is a ValueError, never a NaN or infinity in the output.
+
 The determinant flag is a labeled heuristic: |statistic| <= 2 sd under
 a nonparametric bootstrap, with no coverage guarantee of any kind.  It
 exists to demonstrate the estimation loop, not as a calibrated test.
@@ -27,11 +35,12 @@ replicate or one row.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +48,9 @@ from .cumulants import ModelInstance, NoiseCumulants, path_matrix
 from .errors import InvalidBootstrapCount, OrderUnsupported, SchemaError
 from .graphs import MixedGraph, canonical_dag
 from .ser import canonical_int, read_float, strict_int
-from .tensors import FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, symmetric_tensor
+from .tensors import (
+    FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, orbit_table, symmetric_from_values,
+)
 from .treks import checked_sides
 
 _TAGS = {"uniform": 1, "exponential": 1, "laplace": 1, "gamma": 2}
@@ -163,6 +174,8 @@ def simulate_lsem(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     weights = {}
     for (u, v), w in lam.items():
         try:
@@ -214,20 +227,35 @@ def population_instance(
 # -- sample cumulants --------------------------------------------------------
 
 
-def _moments_of(xc: np.ndarray) -> Callable[[tuple[int, ...]], float]:
-    """Memoized central product moments of the centered columns xc."""
-    memo: dict[tuple[int, ...], float] = {}
+def _moments_of(
+    xf: np.ndarray, keys: Iterable[tuple[int, ...]]
+) -> Callable[[tuple[int, ...]], float]:
+    """Central product moments of the centered, F-ordered columns xf that
+    _cumulant_value reads for the entry keys: each key's own moment and, at
+    k = 4, its pair moments.
 
-    def moment(idx: tuple[int, ...]) -> float:
-        key = tuple(sorted(idx))
-        if key not in memo:
-            prod = xc[:, key[0]].copy()
-            for i in key[1:]:
-                prod *= xc[:, i]
+    One depth-first walk visits the prefixes of those sorted keys in sorted
+    order.  Column d of the scratch holds the product of the current key's
+    first d + 1 columns: a key of one index copies its column, a longer key
+    multiplies its prefix's product, which the walk visited last at its
+    depth, by one contiguous column of xf.
+    """
+    needed = set()
+    for key in map(tuple, map(sorted, keys)):
+        needed.add(key)
+        if len(key) == 4:
+            needed.update(itertools.combinations(key, 2))
+    scratch = np.empty((xf.shape[0], max(map(len, needed), default=0)), order="F")
+    memo = {}
+    for key in sorted({key[:d] for key in needed for d in range(1, len(key) + 1)}):
+        prod = scratch[:, len(key) - 1]
+        if len(key) == 1:
+            prod[...] = xf[:, key[0]]
+        else:
+            np.multiply(scratch[:, len(key) - 2], xf[:, key[-1]], out=prod)
+        if key in needed:
             memo[key] = float(prod.mean())
-        return memo[key]
-
-    return moment
+    return lambda idx: memo[tuple(sorted(idx))]
 
 
 def _cumulant_value(moment: Callable, idx: tuple[int, ...]):
@@ -249,13 +277,30 @@ def sample_cumulant(data: SampleMatrix, k: int) -> Tensor:
     """Plug-in sample cumulant tensor (denominator n), exactly symmetric.
 
     Each entry is computed once per sorted multi-index and broadcast,
-    so the output is symmetric to the last bit.
+    so the output is symmetric to the last bit.  The moments come from
+    one prefix walk (_moments_of): every product is the same left fold
+    of contiguous columns in sorted key order that a per-key loop takes,
+    and its mean is numpy's pairwise sum of a contiguous column, so each
+    entry equals that loop's to the last bit.  The mean subtracted is
+    taken over axis 0 of the C-ordered data, where numpy sums each column
+    row by row; it sums an F-ordered column pairwise, which can differ in
+    the last bit, so only the subtraction writes F order.  An entry past
+    the float range is a ValueError naming its vertices.
     """
     if k not in (2, 3, 4):
         raise OrderUnsupported(f"sample cumulants implemented for orders 2..4, got {k}")
     x = data.data
-    moment = _moments_of(x - x.mean(axis=0))
-    return symmetric_tensor(x.shape[1], k, lambda key: _cumulant_value(moment, key), FLOAT)
+    keys = orbit_table(x.shape[1], k)[0]
+    with np.errstate(all="ignore"):  # a value past the float range is refused below
+        moment = _moments_of(np.subtract(x, x.mean(axis=0), order="F"), keys)
+        values = [_cumulant_value(moment, key) for key in keys]
+    if not np.isfinite(values).all():
+        key = keys[int(np.argmin(np.isfinite(values)))]
+        vertices = [data.vertices[i] for i in key]
+        raise ValueError(
+            f"the order-{k} sample cumulant at vertices {vertices} leaves the float range"
+        )
+    return symmetric_from_values(x.shape[1], k, values, FLOAT)
 
 
 # -- bootstrap determinant test ----------------------------------------------
@@ -324,6 +369,7 @@ def _recentred(raw: np.ndarray, col: dict[tuple[int, ...], int]) -> Callable:
     return moment
 
 
+@np.errstate(all="ignore")  # a value past the float range is refused by name below
 def test_determinant_zero(
     data: SampleMatrix,
     sides: Sequence[Sequence[int]],
@@ -339,6 +385,8 @@ def test_determinant_zero(
     size or power guarantee.  Deterministic per seed: each replicate
     resamples rows under its own stream spawned from the master seed,
     evaluated by count weights in blocks (see the module docstring).
+    A statistic, replicate or spread past the float range is a
+    ValueError.
     """
     side_lists = checked_sides(data.vertices, sides)
     if len(side_lists) != k:
@@ -348,6 +396,8 @@ def test_determinant_zero(
     n = len(side_lists[0])
     if n_boot < 1:
         raise InvalidBootstrapCount(f"n_boot must be >= 1, got {n_boot}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     # Only the columns the subtensor touches participate, which keeps
     # bootstrap replicates cheap on wide data.
@@ -356,13 +406,15 @@ def test_determinant_zero(
     pos = {v: i for i, v in enumerate(needed)}
     sub = data.data[:, cols]
     rows = sub.shape[0]
-    xc = sub - sub.mean(axis=0)
+    xf = np.subtract(sub, sub.mean(axis=0), order="F")
     positions = list(itertools.product(range(n), repeat=k))
     indices = [tuple(pos[side_lists[m][i]] for m, i in enumerate(p)) for p in positions]
 
-    point = _moments_of(xc)
+    point = _moments_of(xf, indices)
     entries = dict(zip(positions, (_cumulant_value(point, idx) for idx in indices)))
     stat = float(hyperdet_from_getter(n, k, entries.__getitem__))
+    if not math.isfinite(stat):
+        raise ValueError("the bootstrap statistic leaves the float range")
 
     # Every sub-multiset of an entry's index: the raw moments that the
     # entry's central moments (and, at k = 4, its pair moments) expand into.
@@ -382,7 +434,7 @@ def test_determinant_zero(
             draws = np.random.default_rng(child).integers(0, rows, rows)
             w[b] = np.bincount(draws, minlength=rows)
         raw = sum(
-            w[:, r : r + span] @ _monomial_table(xc[r : r + span], col)
+            w[:, r : r + span] @ _monomial_table(xf[r : r + span], col)
             for r in range(0, rows, span)
         )
         moment = _recentred(raw / rows, col)
@@ -390,7 +442,12 @@ def test_determinant_zero(
         for b, row in enumerate(values.tolist()):
             entries = dict(zip(positions, row))
             stats[start + b] = hyperdet_from_getter(n, k, entries.__getitem__)
+    if not np.isfinite(stats).all():
+        replicate = int(np.argmin(np.isfinite(stats)))
+        raise ValueError(f"bootstrap replicate {replicate} leaves the float range")
     sd = float(np.std(stats, ddof=1)) if n_boot > 1 else 0.0
+    if not math.isfinite(sd):
+        raise ValueError("the bootstrap standard deviation leaves the float range")
     return DeterminantTest(
         statistic=stat, bootstrap_sd=sd, flag=bool(abs(stat) <= 2.0 * sd)
     )
@@ -453,5 +510,5 @@ def read_sample_binary(path: str | Path) -> SampleMatrix:
     expected = 16 + rows * cols * 8
     if len(raw) != expected:
         raise ValueError(f"truncated MTRK file: expected {expected} bytes, got {len(raw)}")
-    data = np.frombuffer(raw[16:], dtype="<f8").reshape(rows, cols)
+    data = np.frombuffer(raw, dtype="<f8", offset=16).reshape(rows, cols)
     return SampleMatrix(data=data, vertices=tuple(range(1, cols + 1)))

@@ -438,6 +438,28 @@ def draws_by_randrange(seed: int, count: int, value_range: int) -> list[int]:
     return values
 
 
+# -- sample moments ----------------------------------------------------------
+
+
+def moments_by_key(xc):
+    """Memoized central product moments of the centered columns xc, each
+    built on its own: a copy of its first column (in sorted key order),
+    multiplied in place by the key's other columns, then averaged.  The
+    reference for the prefix walk, multitrek.estimation._moments_of."""
+    memo = {}
+
+    def moment(idx):
+        key = tuple(sorted(idx))
+        if key not in memo:
+            prod = xc[:, key[0]].copy()
+            for i in key[1:]:
+                prod *= xc[:, i]
+            memo[key] = float(prod.mean())
+        return memo[key]
+
+    return moment
+
+
 # -- acceptance reporting --------------------------------------------------
 
 ACCEPTANCE_LINES: list[str] = []

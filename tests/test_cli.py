@@ -245,6 +245,17 @@ class TestSimulate:
         sm = read_sample_csv(out_path)
         assert sm.data.shape == (40, 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_negative_seed_is_one_json_error(self, capfd, tmp_path, chain2):
+        gpath = write_graph(tmp_path, chain2)
+        mpath = write_model(tmp_path, {"1->2": "1/2"}, {"1": ["uniform", 1], "2": ["uniform", 1]})
+        code = run(["simulate", "--graph", gpath, "--model", mpath,
+                    "--n", "5", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        assert (code, *capfd.readouterr()) == (
+            EXIT_ERROR, '{"error":"seed must be >= 0, got -1"}\n', ""
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_binary_output_and_determinism(self, capsys, tmp_path, chain2):
         gpath = write_graph(tmp_path, chain2)
         mpath = write_model(tmp_path, {"1->2": 0.5}, {"1": ["laplace", 1], "2": ["gamma", 2, 1]})
@@ -373,6 +384,26 @@ class TestEstimate:
         assert set(doc) == {"statistic", "bootstrap_sd", "flag"}
         code2, out2 = run_cli(capsys, *args)
         assert out2 == out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "mode, error",
+        [
+            ((), "the order-4 sample cumulant at vertices [1, 1, 1, 1] leaves the float range"),
+            (("--sets", "1;1;2;2", "--boot", "4", "--seed", "3"),
+             "the bootstrap standard deviation leaves the float range"),
+            (("--sets", "1;1;1;1", "--boot", "4", "--seed", "3"),
+             "the bootstrap statistic leaves the float range"),
+            (("--sets", "1;2;1;2", "--boot", "4", "--seed", "-1"), "seed must be >= 0, got -1"),
+        ],
+        ids=["tensor", "bootstrap-sd", "bootstrap-statistic", "negative-seed"],
+    )
+    def test_refusals_are_one_json_error(self, capfd, tmp_path, mode, error):
+        big = tmp_path / "big.csv"
+        big.write_text("1,2\n1e+100,2.0\n-1e+100,1.0\n3.0,0.5\n")
+        code = run(["estimate", "--data", str(big), "--order", "4", *mode])
+        out, err = capfd.readouterr()
+        assert (code, json.loads(out), out.count("\n"), err) == (EXIT_ERROR, {"error": error}, 1, "")
 
     def test_unreadable_data_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.mtrk"

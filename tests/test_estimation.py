@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +28,14 @@ from multitrek import (
     write_sample_csv,
 )
 from multitrek import test_determinant_zero as determinant_flag
-from multitrek.tensors import hyperdet_from_getter
+from multitrek.tensors import hyperdet_from_getter, orbit_table
+
+from conftest import moments_by_key
 
 F = Fraction
+
+# Finite data whose fourth powers of column 1 leave the float range.
+BIG = [[1e100, 2.0], [-1e100, 1.0], [3.0, 0.5]]
 
 
 class TestNoiseSpec:
@@ -165,6 +171,11 @@ class TestSimulate:
         with pytest.raises(ValueError, match=">= 1"):
             simulate_lsem(chain2, {(1, 2): 1.0}, noise, 0, seed=0)
 
+    def test_rejects_a_negative_seed(self, chain2):
+        noise = NoiseSpec({1: ("uniform", 1), 2: ("uniform", 1)})
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            simulate_lsem(chain2, {(1, 2): 1.0}, noise, 5, seed=-1)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "spec, weight, reason",
@@ -263,6 +274,32 @@ class TestSampleCumulant:
             )
             assert err < 0.15
 
+    @pytest.mark.parametrize("rows", [1, 2, 5, 17, 64, 300])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_entries_equal_the_per_key_moments_bit_for_bit(self, tmp_path, p, k, rows):
+        rng = np.random.default_rng(1000 * p + 10 * k + rows)
+        x = rng.gamma(0.5, 2.0, size=(rows, p)) * rng.choice((-3.0, 0.25, 7.0), size=p)
+        sm = SampleMatrix(data=x, vertices=tuple(range(1, p + 1)))
+        moment = moments_by_key(x - x.mean(axis=0))
+        keys, table = orbit_table(p, k)
+        expected = [estimation._cumulant_value(moment, keys[i]) for i in table]
+        write_sample_binary(sm, tmp_path / "x.mtrk")
+        for data in (sm, read_sample_binary(tmp_path / "x.mtrk")):
+            assert list(sample_cumulant(data, k).entries) == expected
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_an_entry_past_the_float_range_names_its_vertices(self, k):
+        big = {2: 1e200, 3: 1e150, 4: 1e100}[k]  # its k-th power leaves the float range
+        sm = SampleMatrix(data=[[big, 2.0], [-big, 1.0], [3.0, 0.5]], vertices=(4, 9))
+        with pytest.raises(ValueError) as info:
+            sample_cumulant(sm, k)
+        vertices = [4] * k
+        assert str(info.value) == (
+            f"the order-{k} sample cumulant at vertices {vertices} leaves the float range"
+        )
+
     def test_order_out_of_range(self):
         sm = SampleMatrix(data=np.zeros((5, 1)), vertices=(1,))
         for k in (1, 5):
@@ -317,6 +354,28 @@ class TestDeterminantFlag:
         sm = SampleMatrix(data=np.random.default_rng(2).normal(size=(50, 2)), vertices=(1, 2))
         res = determinant_flag(sm, ((1,), (2,)), 2, n_boot=1, seed=0)
         assert res.bootstrap_sd == 0.0
+
+    def test_rejects_a_negative_seed(self):
+        sm = SampleMatrix(data=np.random.default_rng(2).normal(size=(50, 2)), vertices=(1, 2))
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            determinant_flag(sm, ((1,), (2,)), 2, n_boot=5, seed=-1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "data, sides, seed, message",
+        [
+            (BIG, ((1,), (1,), (1,), (1,)), 3, "the bootstrap statistic leaves the float range"),
+            ([[1.4e77, 1.0], [0.0, 2.0], [1.0, 0.5], [2.0, 1.0]], ((1,), (1,), (1,), (1,)), 1,
+             "bootstrap replicate 0 leaves the float range"),
+            (BIG, ((1,), (1,), (2,), (2,)), 3,
+             "the bootstrap standard deviation leaves the float range"),
+        ],
+        ids=["statistic", "replicate", "sd"],
+    )
+    def test_values_past_the_float_range_are_refused(self, data, sides, seed, message):
+        sm = SampleMatrix(data=data, vertices=(1, 2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            determinant_flag(sm, sides, 4, n_boot=4, seed=seed)
 
 
 def gathered_bootstrap(data, sides, k, n_boot, seed):
@@ -398,6 +457,21 @@ class TestBatchedBootstrap:
             assert res.bootstrap_sd == pytest.approx(sd, rel=1e-9, abs=0.0)
         if n_boot == 1:
             assert res.bootstrap_sd == 0.0
+
+    @pytest.mark.parametrize("sides,n_boot", BATCHED_CASES)
+    def test_matches_per_key_moments_bit_for_bit(self, skewed, sides, n_boot, monkeypatch):
+        k = len(sides)
+        res = determinant_flag(skewed, sides, k, n_boot=n_boot, seed=4)
+        # The reference reads C-ordered columns and builds each moment on its own.
+        table = estimation._monomial_table
+        monkeypatch.setattr(
+            estimation, "_moments_of", lambda xf, keys: moments_by_key(np.ascontiguousarray(xf))
+        )
+        monkeypatch.setattr(
+            estimation, "_monomial_table", lambda xf, col: table(np.ascontiguousarray(xf), col)
+        )
+        ref = determinant_flag(skewed, sides, k, n_boot=n_boot, seed=4)
+        assert (res.statistic, res.bootstrap_sd) == (ref.statistic, ref.bootstrap_sd)
 
     def test_blocks_of_replicates_give_the_same_result(self, skewed, monkeypatch):
         sides = ((1, 2), (2, 3), (3, 4), (1, 4))
@@ -520,6 +594,21 @@ class TestDataIO:
         back = read_sample_binary(path)
         assert back.vertices == (1, 2, 3, 4)
         assert np.array_equal(back.data, sm.data)
+        assert back.data.base is None and not back.data.flags.writeable
+
+    def test_binary_read_copies_the_payload_once(self, tmp_path):
+        sm = SampleMatrix(data=np.ones((20_000, 4)), vertices=(1, 2, 3, 4))
+        path = tmp_path / "x.mtrk"
+        write_sample_binary(sm, path)
+        read_sample_binary(path)
+        tracemalloc.start()
+        try:
+            read_sample_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file's bytes and the owned matrix, but no second copy of the payload.
+        assert peak < 2.5 * sm.data.nbytes
 
     def test_binary_rejects_bad_magic_and_truncation(self, tmp_path):
         good = tmp_path / "x.mtrk"
