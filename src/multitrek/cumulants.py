@@ -48,6 +48,7 @@ import functools
 import itertools
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -381,7 +382,8 @@ class _EntryPlan:
     key's partitions over distinct cumulant keys.  at(inst) gives the
     entries, in key order, at any instance; at_seed(seed) gives them at
     sample_generic_instance(g, k, seed) from the drawn values alone,
-    without building that instance.
+    without building that instance; cumulants_at_seed(seed) stops at the
+    distinct cumulant values, which the entries are partition sums of.
     """
 
     def __init__(
@@ -449,35 +451,37 @@ class _EntryPlan:
             for o in orders
         }
 
-        # Each entry's partitions, as tuples of distinct cumulant keys; with
-        # a single one-block partition every entry is its own cumulant key.
-        cumulant_keys: Sequence[tuple[int, ...]] = keys
+        # Each entry's partitions, as lists of indices into the distinct
+        # cumulant keys; with a single one-block partition every entry is its
+        # own cumulant key.
+        self._cumulant_index: dict[tuple[int, ...], int] = {}
         self._entries = None
         if len(partitions) > 1:
-            distinct: dict[tuple[int, ...], int] = {}
-            index = distinct.setdefault
-            blocks = [[operator.itemgetter(*b) for b in partition] for partition in partitions]
-            self._entries = [
-                [[index(get(key), len(distinct)) for get in getters] for getters in blocks]
-                for key in keys
-            ]
-            cumulant_keys = list(distinct)
+            distinct = defaultdict(itertools.count().__next__)  # ids in first-seen order
+            self._entries = _block_indices(keys, partitions, distinct.__getitem__)
+            self._cumulant_index = dict(distinct)
+        cumulant_keys = keys if self._entries is None else list(self._cumulant_index)
         self._cumulants = tuple((into[len(key)][key[0]], key[0], key[1:]) for key in cumulant_keys)
 
     def at(self, inst: ModelInstance) -> list:
         """The entries at ``inst``; int, Fraction or Poly values alike."""
         validate_instance(self.graph, inst)
-        return self._evaluate([
+        return self._finish(self._cumulant_values([
             inst.lam.get(key, 0) if order == _WEIGHT else noise_entry(inst, order, key)
             for order, key in self._params
-        ])
+        ]))
 
     def at_seed(self, seed: int) -> list:
         """The entries at sample_generic_instance(graph, k, seed) for any
         k >= order: the layout up to the plan's order is a prefix of the
         layout up to k, and the draws are sequential."""
+        return self._finish(self.cumulants_at_seed(seed))
+
+    def cumulants_at_seed(self, seed: int) -> list:
+        """The distinct cumulant values the entries read, at the seed of
+        at_seed, in the order of the plan's distinct cumulant keys."""
         drawn = _draws(seed, self._n_drawn)
-        return self._evaluate([drawn[i] for i in self._slots])
+        return self._cumulant_values([drawn[i] for i in self._slots])
 
     def _path_sums(self, params: Sequence) -> list:
         """The path sums into the columns at the plan's parameter values (only
@@ -496,14 +500,15 @@ class _EntryPlan:
                         paths[row + c] = paths[row + c] + w * x
         return paths
 
-    def _evaluate(self, params: Sequence) -> list:
-        """The entries at the values of the plan's parameters, in layout order."""
+    def _cumulant_values(self, params: Sequence) -> list:
+        """The distinct cumulant values at the values of the plan's parameters,
+        in layout order."""
         paths = self._path_sums(params)
-        values = [_entry_value(*key, params, paths) for key in self._cumulants]
-        if self._entries is not None:
-            cumulant = values.__getitem__
-            values = [_partition_value(partitions, cumulant) for partitions in self._entries]
-        return values
+        return [_entry_value(*key, params, paths) for key in self._cumulants]
+
+    def _finish(self, values: Sequence) -> list:
+        """The entries from the distinct cumulant values."""
+        return values if self._entries is None else _partition_sums(self._entries, values)
 
 
 def _entry_value(
@@ -562,13 +567,37 @@ def _partition_value(partitions: Iterable[Sequence], value_of: Callable) -> obje
     return total
 
 
+def _block_indices(
+    keys: Iterable[tuple[int, ...]], partitions: Sequence[Sequence], index: Callable
+) -> list:
+    """Per key, per partition, index(the sorted key of each block): a block
+    picks its positions from the sorted key, so its key is sorted too."""
+    getters = [[operator.itemgetter(*block) for block in partition] for partition in partitions]
+    return [[[index(get(key)) for get in blocks] for blocks in getters] for key in keys]
+
+
+def _partition_sums(entries: Iterable, values: Sequence) -> list:
+    """Per entry of _block_indices, its partition sum over the indexed values."""
+    return [_partition_value(partitions, values.__getitem__) for partitions in entries]
+
+
+def _key_table(side_columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list]:
+    """The sorted key of each subtensor position, in row-major order, as an
+    index into the distinct keys in first-seen order; (table, keys)."""
+    keys: dict[tuple[int, ...], int] = {}
+    positions = itertools.product(*side_columns)
+    table = tuple(keys.setdefault(tuple(sorted(cols)), len(keys)) for cols in positions)
+    return table, list(keys)
+
+
 class _DeterminantPlan(_EntryPlan):
     """det C^(k)[S_1..S_k], or with ``moments`` det N^(k)[S_1..S_k], on one
     graph and one list of sides: the entry plan over the distinct sorted
     entry keys of the subtensor, with the table from each subtensor
     position to its key, so that at(inst) and at_seed(seed) give the
-    determinant.  Singleton sides give a single entry: the determinant of
-    a 1 x ... x 1 tensor.
+    determinant; at_seed(seed) is determinant(cumulants_at_seed(seed)).
+    Singleton sides give a single entry: the determinant of a
+    1 x ... x 1 tensor.
     """
 
     def __init__(
@@ -578,16 +607,39 @@ class _DeterminantPlan(_EntryPlan):
         self.order, self.n = len(side_lists), len(side_lists[0])
         columns = sorted({v for side in side_lists for v in side})
         col = {v: c for c, v in enumerate(columns)}
-        keys: dict[tuple[int, ...], int] = {}
-        self._table = tuple(
-            keys.setdefault(tuple(sorted(cols)), len(keys))
-            for cols in itertools.product(*([col[v] for v in side] for side in side_lists))
-        )
-        super().__init__(g, self.order, columns, list(keys), moments)
+        self._side_columns = tuple(tuple(col[v] for v in side) for side in side_lists)
+        self._table, keys = _key_table(self._side_columns)
+        super().__init__(g, self.order, columns, keys, moments)
 
-    def _evaluate(self, params: Sequence) -> object:
-        values = super()._evaluate(params)
-        return hyperdet_from_table(self.n, self.order, [values[s] for s in self._table])
+    def determinant(self, values: Sequence) -> object:
+        """The determinant from the distinct cumulant values (cumulants_at_seed)."""
+        entries = super()._finish(values)
+        return hyperdet_from_table(self.n, self.order, [entries[s] for s in self._table])
+
+    _finish = determinant
+
+    def part_determinant(self, group: Sequence[int], values: Sequence) -> object:
+        """det N^(h) on the sides at the h positions ``group`` of a moment
+        plan, h <= k - 2, from the plan's distinct cumulant values at a seed
+        (cumulants_at_seed): what _DeterminantPlan(g, those sides,
+        moments=True).at_seed(seed) gives, with no plan built and no seed
+        drawn.  Each moment entry of the part is the partition sum
+        (_partition_value) over the values of its blocks, and the
+        determinant comes from hyperdet_from_table.
+
+        This is exact.  The order-h layout is a prefix of the order-k
+        layout, so at a seed the values are the ones an order-h plan
+        computes.  And every block a part reads is among the plan's
+        distinct cumulant keys.  A block B of a part key has at most
+        h <= k - 2 positions.  Give the other k - h sides any positions:
+        that makes a full key of the plan, and its k - |B| >= 2 positions
+        outside B form one block of their own.  So B is a block of some
+        partition of some full key.
+        """
+        table, keys = _key_table([self._side_columns[i] for i in group])
+        entries = _block_indices(keys, _partitions(len(group)), self._cumulant_index.__getitem__)
+        moments = _partition_sums(entries, values)
+        return hyperdet_from_table(self.n, len(group), [moments[s] for s in table])
 
 
 def _model_tensor(g: MixedGraph, inst: ModelInstance, order: int, moments: bool) -> Tensor:

@@ -47,7 +47,7 @@ import numpy as np
 from .cumulants import ModelInstance, NoiseCumulants, path_matrix
 from .errors import InvalidBootstrapCount, OrderUnsupported, SchemaError
 from .graphs import MixedGraph, canonical_dag
-from .ser import canonical_int, read_float, strict_int
+from .ser import canonical_int, checked_seed, read_float, strict_int
 from .tensors import (
     FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, orbit_table, symmetric_from_values,
 )
@@ -174,8 +174,7 @@ def simulate_lsem(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    checked_seed(seed)
     weights = {}
     for (u, v), w in lam.items():
         try:
@@ -396,8 +395,7 @@ def test_determinant_zero(
     n = len(side_lists[0])
     if n_boot < 1:
         raise InvalidBootstrapCount(f"n_boot must be >= 1, got {n_boot}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    checked_seed(seed)
 
     # Only the columns the subtensor touches participate, which keeps
     # bootstrap replicates cheap on wide data.

@@ -7,9 +7,10 @@ centered vector, a sum over the set partitions of the positions
 determinants take it inside the entry plan (_EntryPlan) over the
 cumulant values the plan reads; moments_from_cumulants takes it over
 given cumulant tensors, and a noise component's moments over its
-cumulants.  The scan builds one determinant plan per case and per
-lower-order side group and evaluates it at each seed without building
-an instance.  The noise moments of independent components are products of
+cumulants.  The scan builds one determinant plan per case and
+evaluates it at each seed without building an instance; the
+lower-order parts of a case read that plan's cumulant values.  The
+noise moments of independent components are products of
 per-vertex moments, nonzero only when no vertex appears exactly once.
 The trek notion that matches this support is the *split-trek*: k paths
 into the given sinks whose every source is shared by at least two of
@@ -46,7 +47,7 @@ from typing import Iterator, Mapping, Sequence
 from .errors import InternalInconsistency, MissingOrder
 from .graphs import MixedGraph, serialize_graph
 from .polynomial import Poly
-from .ser import canonical_json, frac_from_str, in_float_range, strict_int
+from .ser import canonical_json, checked_seed, frac_from_str, in_float_range, strict_int
 from .tensors import Tensor, signed_permutations, symmetric_tensor
 from .treks import (
     DEFAULT_BUDGET,
@@ -56,7 +57,7 @@ from .treks import (
     _Cap,
     _paths_into,
     _reaching,
-    _side_paths,
+    _SplitGraph,
     _verify_system,
     checked_sides,
     make_trek_system,
@@ -254,9 +255,10 @@ def exists_split_trek_system_no_sided_intersection(
     In an intersection-free system the n side-i sources are distinct
     and the side-i paths are vertex-disjoint, so candidates decompose
     per side: an n-subset of possible sources (a *column*) plus a
-    disjoint path system onto S_i, found by max flow and memoized per
-    side and column.  What remains is pairing columns row-wise so every
-    trek's source multiset is singleton-free.  Any existing system
+    disjoint path system onto S_i, found by max flow on one split graph
+    per search (treks._SplitGraph) and memoized per side and column.
+    What remains is pairing columns row-wise so every trek's source
+    multiset is singleton-free.  Any existing system
     induces such columns and per-side bijections, so the search is
     exhaustive.
 
@@ -288,14 +290,13 @@ def exists_split_trek_system_no_sided_intersection(
     if repeat is not None:
         raise ValueError(f"side {repeat} repeats a vertex")
     n, k = len(side_lists[0]), len(side_lists)
-    flow = functools.cache(lambda side, columns: _side_paths(g, columns, side, 1))
     cap = _Cap(budget, "split-system column candidates")
-    column_choices = [
-        list(itertools.combinations(sorted(_reaching(g, side)), n))
-        for side in side_lists
-    ]
+    reaching = [sorted(_reaching(g, side)) for side in side_lists]
+    column_choices = [list(itertools.combinations(sources, n)) for sources in reaching]
     if not all(column_choices):
         return TrekSearchResult(system=None)
+    split = _SplitGraph(g, itertools.chain(*reaching), itertools.chain(*side_lists))
+    flow = functools.cache(lambda side, columns: split.paths(columns, side, 1))
     perms, _ = signed_permutations(n)
 
     def walk(i: int, states: frozenset, prefix: tuple) -> Iterator[tuple | None]:
@@ -498,15 +499,20 @@ def scan_conjecture(
     cases are reported, never raised).  Cases with all-zero
     determinants also get the lower-order factorization checks: for h in
     2..k // 2, every split of the sides into groups of h and k - h (side
-    1 in the first group when the two are equal).  A case's provenance
-    (case, graph, sides, instance_seeds) is built once and shared by its
+    1 in the first group when the two are equal).  The case's plan is the
+    only one built: it keeps each seed's cumulant values while the case
+    stays all zero, and each part of a split takes its determinant from
+    them (_DeterminantPlan.part_determinant), with no plan of its own and
+    no seed drawn again.  A case's provenance (case, graph, sides,
+    instance_seeds) is built with its first record and shared by its
     disagreement record and its violation records; agreements counts the
     cases without a disagreement record.  A seed or trials that is no
-    int, bools included, is refused with a ValueError naming it.
+    int, bools included, is refused with a ValueError naming it, and so
+    is a negative seed (ser.checked_seed).
     """
     if k < 4:
         raise ValueError("the scan targets k >= 4; k = 3 is settled exactly")
-    strict_int(seed, "seed")
+    checked_seed(seed)
     if strict_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     max_vertices, prob, cases, set_size = _ensemble_params(ensemble, k)
@@ -529,22 +535,29 @@ def scan_conjecture(
         absent = not exists_split_trek_system_no_sided_intersection(g, sides, budget).found
         seeds = [base + t for t in range(trials)]
         plan = _DeterminantPlan(g, sides, moments=True)
-        all_zero = all(not plan.at_seed(s) for s in seeds)
-        provenance = {
+        kept = []  # each seed's cumulant values, while every determinant is zero
+        for s in seeds:
+            values = plan.cumulants_at_seed(s)
+            if plan.determinant(values):
+                break
+            kept.append(values)
+        all_zero = len(kept) == trials
+        provenance = functools.cache(lambda: {
             "case": case,
             "graph": serialize_graph(g),
             "sides": [list(s) for s in sides],
             "instance_seeds": seeds,
-        }
-        record = {**provenance, "combinatorial_absent": absent, "algebraic_zero": all_zero}
-        if absent and not all_zero:
-            disagreements.append({**record, "direction": "if"})
-        elif all_zero and not absent:
-            sym = plan.at(symbolic_instance(g, k))
-            if not (isinstance(sym, Poly) and sym):  # else a randomized fluke the recheck resolves
-                disagreements.append(
-                    {**record, "direction": "only-if", "certain_recheck_zero": True}
-                )
+        })
+        if absent != all_zero:
+            record = {**provenance(), "combinatorial_absent": absent, "algebraic_zero": all_zero}
+            if absent:
+                disagreements.append({**record, "direction": "if"})
+            else:
+                sym = plan.at(symbolic_instance(g, k))
+                if not (isinstance(sym, Poly) and sym):  # else a fluke the recheck resolves
+                    disagreements.append(
+                        {**record, "direction": "only-if", "certain_recheck_zero": True}
+                    )
 
         if all_zero:
             for h in range(2, k // 2 + 1):
@@ -553,15 +566,12 @@ def scan_conjecture(
                         continue
                     rest = tuple(i for i in range(k) if i not in group)
                     lower_checked += 1
-                    # An order-h plan's draws are a prefix of the order-k instance's.
                     # A violation needs both parts nonzero, so a zero h part ends the check.
-                    h_plan = _DeterminantPlan(g, [sides[i] for i in group], moments=True)
-                    if all(not h_plan.at_seed(s) for s in seeds):
+                    if all(not plan.part_determinant(group, values) for values in kept):
                         continue
-                    rest_plan = _DeterminantPlan(g, [sides[i] for i in rest], moments=True)
-                    if any(rest_plan.at_seed(s) for s in seeds):
+                    if any(plan.part_determinant(rest, values) for values in kept):
                         lower_violations.append(
-                            {**provenance, "group_1": list(group), "group_2": list(rest)}
+                            {**provenance(), "group_1": list(group), "group_2": list(rest)}
                         )
     return ConjectureReport(
         cases_scanned=cases,

@@ -55,7 +55,9 @@ from typing import Sequence
 from .cumulants import VALUE_RANGE, _DeterminantPlan
 from .errors import InternalInconsistency, SchemaError
 from .graphs import MixedGraph, canonical_dag, serialize_graph
-from .ser import canonical_int, canonical_json, frac_to_str, read_ints, read_json, strict_int
+from .ser import (
+    canonical_int, canonical_json, checked_seed, frac_to_str, read_ints, read_json, strict_int,
+)
 from .treks import (
     DEFAULT_BUDGET,
     check_ktrek_separation,
@@ -173,8 +175,9 @@ def decide_vanishing(
 ) -> Decision:
     """Decide identical vanishing of det C^(k) over the sides (k = number of sides).
 
-    ``seed`` (None or an int) and ``trials`` (an int) refuse any other
-    type, bools included; randomized mode needs a seed and trials >= 1.
+    ``seed`` (None or an int >= 0, ser.checked_seed) and ``trials`` (an
+    int) refuse anything else, bools included; randomized mode needs a
+    seed and trials >= 1.
     A side that repeats a vertex along a signed mode forces a zero
     determinant: the certificate is the policy, the record is empty and
     trials and value_range are null.  Otherwise the search gives the
@@ -188,7 +191,7 @@ def decide_vanishing(
     if mode not in ("randomized", "certain"):
         raise ValueError(f"unknown mode {mode!r}")
     if seed is not None:
-        strict_int(seed, "seed")
+        checked_seed(seed)
     strict_int(trials, "trials")
     if mode == "randomized" and seed is None:
         raise ValueError("randomized mode needs a seed")

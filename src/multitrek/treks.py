@@ -12,7 +12,9 @@ and a forward copy for side B either carries n treks or leaves a
 minimum cut, a t-separator (C_A, C_B) with |C_A| + |C_B| < n.  From
 order 3 on it reduces to finding n distinct candidate tops from which
 every side admits a vertex-disjoint path system, which is one max flow
-per side with capacity 1 on every vertex.  The exact rule at odd orders
+per side with capacity 1 on every vertex; a search asks all its flows
+of one split-vertex network (_SplitGraph) built once per call.  The
+exact rule at odd orders
 opens side 1 (``open_first_side``): the same flow lets each vertex
 carry up to n side-1 paths, and each side-1 position takes one.  The
 enumeration of top sets (first_linked_top) is also the exact test of
@@ -329,67 +331,130 @@ def enumerate_ktreks(
 
 
 class _FlowNetwork:
-    """Integral max flow by shortest augmenting paths.
+    """Integral max flow by shortest augmenting paths, on arc arrays.
 
-    Breadth-first search scans each node's arcs in insertion order and
+    Arc a runs to head[a], and arc a ^ 1 is its reverse, added with it at
+    capacity 0; adj[u] lists the ids of the arcs leaving u in insertion
+    order.  Breadth-first search scans each node's arcs in that order and
     no step iterates over a set, so the flow found (and every witness
-    read from it) depends only on the order the arcs were added.  Each
-    augmentation pushes one unit.
+    read from it) depends only on the order the arcs were added.  An arc
+    at capacity 0 without flow has no residual capacity either way, so no
+    search takes it.  Each augmentation pushes one unit.
     """
 
     def __init__(self, size: int) -> None:
         self.adj: list[list[int]] = [[] for _ in range(size)]
-        self.cap: dict[tuple[int, int], int] = {}
-        self.flow: dict[tuple[int, int], int] = {}
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.flow: list[int] = []
 
-    def add_arc(self, a: int, b: int, capacity: int = 1) -> None:
-        if (a, b) not in self.cap:
-            self.adj[a].append(b)
-            self.adj[b].append(a)
-            self.cap[(a, b)] = self.cap[(b, a)] = 0
-            self.flow[(a, b)] = self.flow[(b, a)] = 0
-        self.cap[(a, b)] += capacity
+    def add_arc(self, a: int, b: int, capacity: int = 1) -> int:
+        """Add the arc a -> b and its reverse; the arc's id."""
+        arc = len(self.head)
+        self.head += (b, a)
+        self.cap += (capacity, 0)
+        self.adj[a].append(arc)
+        self.adj[b].append(arc + 1)
+        return arc
 
     def push(self, src: int, snk: int, want: int) -> tuple[int, dict[int, int]]:
-        """Send up to ``want`` units; the value sent and the last search's tree.
+        """Send up to ``want`` units from zero flow; the value sent and the
+        last search's tree, each reached node keyed to the arc into it.
 
         When fewer than ``want`` units go through, the tree's nodes are
         the source side of a minimum cut.
         """
-        cap, flow = self.cap, self.flow
+        adj, head, cap = self.adj, self.head, self.cap
+        flow = self.flow = [0] * len(head)
         sent = 0
-        prev: dict[int, int] = {src: src}
+        via = {src: -1}
         while sent < want:
-            prev = {src: src}
+            via = {src: -1}
             queue = deque([src])
-            while queue and snk not in prev:
+            while queue and snk not in via:
                 u = queue.popleft()
-                for w in self.adj[u]:
-                    if w not in prev and cap[(u, w)] - flow[(u, w)] > 0:
-                        prev[w] = u
+                for arc in adj[u]:
+                    w = head[arc]
+                    if w not in via and cap[arc] > flow[arc]:
+                        via[w] = arc
                         queue.append(w)
-            if snk not in prev:
+            if snk not in via:
                 break
             node = snk
             while node != src:
-                pu = prev[node]
-                flow[(pu, node)] += 1
-                flow[(node, pu)] -= 1
-                node = pu
+                arc = via[node]
+                flow[arc] += 1
+                flow[arc ^ 1] -= 1
+                node = head[arc ^ 1]
             sent += 1
-        return sent, prev
+        return sent, via
 
     def walk(self, node: int, stop: int) -> list[int]:
         """The nodes of one unit of flow from node to stop.
 
         Each arc taken loses that unit, so the next walk follows another.
         """
+        adj, head, flow = self.adj, self.head, self.flow
         seq = [node]
-        while seq[-1] != stop:
-            nxt = next(w for w in self.adj[seq[-1]] if self.flow[(seq[-1], w)] > 0)
-            self.flow[(seq[-1], nxt)] -= 1
-            seq.append(nxt)
+        while node != stop:
+            arc = next(a for a in adj[node] if flow[a] > 0)
+            flow[arc] -= 1
+            node = head[arc]
+            seq.append(node)
         return seq
+
+
+class _SplitGraph:
+    """A DAG's vertex-split network, built once for many _side_paths queries.
+
+    Vertex i is the arc from its in-node 2i to its out-node 2i + 1, and
+    edge (a, b) the arc from a's out-node to b's in-node.  Then come a
+    source arc into the in-node of each candidate top and a sink arc out
+    of the out-node of each side vertex, each group in vertex order, all
+    at capacity 0.  A query gives the vertex and edge arcs its capacity
+    and raises the arcs of its tops and side positions by one each, so a
+    side that repeats a vertex raises that arc as often; it restores them
+    after its flow.  Arcs at capacity 0 are invisible to the flow, and
+    every node keeps the relative order of its other arcs, so a query
+    finds the flow and paths of a network built for it alone.
+    """
+
+    def __init__(self, dag: MixedGraph, tops: Iterable[int], side_vertices: Iterable[int]) -> None:
+        self.vertices = dag.vertices
+        self.idx = idx = {v: i for i, v in enumerate(dag.vertices)}
+        p = len(dag.vertices)
+        self.src, self.snk = 2 * p, 2 * p + 1
+        net = self.net = _FlowNetwork(2 * p + 2)  # vertex i: in-node 2i, out-node 2i + 1
+        for i in range(p):
+            net.add_arc(2 * i, 2 * i + 1, 0)
+        for a, b in dag.directed_edges:
+            net.add_arc(2 * idx[a] + 1, 2 * idx[b], 0)
+        self.inner = len(net.head)  # the vertex and edge arcs, each beside its reverse
+        self.source = {v: net.add_arc(self.src, 2 * idx[v], 0) for v in sorted(set(tops))}
+        self.sink = {
+            v: net.add_arc(2 * idx[v] + 1, self.snk, 0) for v in sorted(set(side_vertices))
+        }
+
+    def paths(
+        self, tops: Sequence[int], side: Sequence[int], through: int
+    ) -> list[DirectedPath] | None:
+        """_side_paths on this network: tops among its candidate tops, side
+        vertices among its side vertices."""
+        net, idx, n = self.net, self.idx, len(tops)
+        cap = net.cap
+        cap[0 : self.inner : 2] = [through] * (self.inner // 2)
+        raised = [self.source[v] for v in tops] + [self.sink[v] for v in side]
+        for arc in raised:
+            cap[arc] += 1
+        paths = None
+        if net.push(self.src, self.snk, n)[0] == n:
+            # A walk alternates out-nodes and in-nodes and ends at the sink, an
+            # odd position: its even positions are the out-nodes of the path.
+            walks = [net.walk(2 * idx[v] + 1, self.snk) for v in tops]
+            paths = [DirectedPath(tuple(self.vertices[x // 2] for x in w[::2])) for w in walks]
+        for arc in raised:
+            cap[arc] -= 1
+        return paths
 
 
 def exists_disjoint_path_system(
@@ -422,28 +487,10 @@ def _side_paths(
     so a side that repeats a vertex takes that many.  With ``through =
     1`` the paths are vertex-disjoint; with ``through = n`` they only
     need distinct positions (the open side 1).  Aligned with ``tops``.
+    The one-shot entry: a search that asks many queries holds one
+    _SplitGraph and asks it instead.
     """
-    n = len(tops)
-    idx = {v: i for i, v in enumerate(dag.vertices)}
-    p = len(dag.vertices)
-    src, snk = 2 * p, 2 * p + 1
-    net = _FlowNetwork(2 * p + 2)  # vertex i: in-node 2i, out-node 2i + 1
-    for i in range(p):
-        net.add_arc(2 * i, 2 * i + 1, through)
-    for a, b in dag.directed_edges:
-        net.add_arc(2 * idx[a] + 1, 2 * idx[b], through)
-    for v in sorted(tops):
-        net.add_arc(src, 2 * idx[v])
-    for v in sorted(side):
-        net.add_arc(2 * idx[v] + 1, snk)
-    if net.push(src, snk, n)[0] < n:
-        return None
-    # A walk alternates out-nodes and in-nodes and ends at the sink, an odd
-    # position: its even positions are the out-nodes of the path.
-    return [
-        DirectedPath(tuple(dag.vertices[x // 2] for x in net.walk(2 * idx[v] + 1, snk)[::2]))
-        for v in tops
-    ]
+    return _SplitGraph(dag, tops, side).paths(tops, side, through)
 
 
 # -- sides -----------------------------------------------------------------
@@ -629,9 +676,10 @@ def first_linked_top(
     T runs over the n-sets, in itertools.combinations order, of the
     vertices with a path into every side, or over ``tops``.  T is linked
     to a side when one path runs from each vertex of T onto its own
-    position of the side, one flow per side (_side_paths): capacity 1 on
-    a closed side, so its paths are vertex-disjoint, capacity n on side
-    1 when it is open, so they may meet.  The found system's treks run
+    position of the side, one flow per side (_side_paths) on one split
+    graph per search (_SplitGraph): capacity 1 on a closed side, so its
+    paths are vertex-disjoint, capacity n on side 1 when it is open, so
+    they may meet.  The found system's treks run
     from T, and the result names T in the DAG's vertex ids; each T tried
     before logs its first blocked side.  The public search checks the
     witness.  Raises BudgetExceeded past ``budget`` top sets.
@@ -678,11 +726,14 @@ def first_linked_top(
         into = [_reaching(dag, side) for side in sides]
         useful = [v for v in dag.vertices if all(v in reaching for reaching in into)]
         tops = itertools.combinations(useful, n)
+    else:
+        tops = [tuple(top) for top in tops]
+        useful = [v for top in tops for v in top]
+    split = _SplitGraph(dag, useful, itertools.chain(*sides))
     obstructions: list[TopObstruction] = []
     for top in _Cap(budget, "candidate top sets")(tops):
-        top = tuple(top)
         # each side's path system in turn (None where T is not linked), up to the first None
-        flows = (_side_paths(dag, top, side, c) for side, c in zip(sides, through))
+        flows = (split.paths(top, side, c) for side, c in zip(sides, through))
         per_side = list(itertools.takewhile(bool, flows))
         if len(per_side) < k:
             obstructions.append(TopObstruction(top=top, blocked_side=len(per_side) + 1))

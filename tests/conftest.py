@@ -12,7 +12,7 @@ import functools
 import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -21,7 +21,15 @@ import pytest
 from multitrek import DiagonalSpec, HyperedgeSpec, MixedGraph, ModelInstance, NoiseCumulants
 from multitrek.moments import split_trek_from_paths
 from multitrek.polynomial import Poly
-from multitrek.treks import TrekSearchResult, _Cap, _reaching, _side_paths, make_trek_system
+from multitrek.treks import (
+    DirectedPath,
+    KTrek,
+    TrekSearchResult,
+    _Cap,
+    _reaching,
+    _side_paths,
+    make_trek_system,
+)
 
 # -- frozen graphs ---------------------------------------------------------
 
@@ -407,6 +415,129 @@ def split_system_by_column_product(
         treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
         return TrekSearchResult(system=make_trek_system(treks, side_lists))
     return TrekSearchResult(system=None)
+
+
+# -- max flow on a network keyed by node pairs -------------------------------
+
+
+class FlowNetworkByPairs:
+    """Integral max flow by shortest augmenting paths, capacities and flows
+    keyed by (tail, head) pairs, one network per question.  A pair added
+    again adds its capacity to the first; the reverse pair shares the
+    adjacency entries.  The reference for the arc arrays of
+    multitrek.treks._FlowNetwork."""
+
+    def __init__(self, size: int) -> None:
+        self.adj: list[list[int]] = [[] for _ in range(size)]
+        self.cap: dict[tuple[int, int], int] = {}
+        self.flow: dict[tuple[int, int], int] = {}
+
+    def add_arc(self, a: int, b: int, capacity: int = 1) -> None:
+        if (a, b) not in self.cap:
+            self.adj[a].append(b)
+            self.adj[b].append(a)
+            self.cap[(a, b)] = self.cap[(b, a)] = 0
+            self.flow[(a, b)] = self.flow[(b, a)] = 0
+        self.cap[(a, b)] += capacity
+
+    def push(self, src: int, snk: int, want: int) -> tuple[int, dict[int, int]]:
+        cap, flow = self.cap, self.flow
+        sent = 0
+        prev: dict[int, int] = {src: src}
+        while sent < want:
+            prev = {src: src}
+            queue = deque([src])
+            while queue and snk not in prev:
+                u = queue.popleft()
+                for w in self.adj[u]:
+                    if w not in prev and cap[(u, w)] - flow[(u, w)] > 0:
+                        prev[w] = u
+                        queue.append(w)
+            if snk not in prev:
+                break
+            node = snk
+            while node != src:
+                pu = prev[node]
+                flow[(pu, node)] += 1
+                flow[(node, pu)] -= 1
+                node = pu
+            sent += 1
+        return sent, prev
+
+    def walk(self, node: int, stop: int) -> list[int]:
+        seq = [node]
+        while seq[-1] != stop:
+            nxt = next(w for w in self.adj[seq[-1]] if self.flow[(seq[-1], w)] > 0)
+            self.flow[(seq[-1], nxt)] -= 1
+            seq.append(nxt)
+        return seq
+
+
+def side_paths_by_pairs(
+    dag: MixedGraph, tops: Sequence[int], side: Sequence[int], through: int
+) -> list[DirectedPath] | None:
+    """One path from each top onto its own side position, on a vertex-split
+    network built for this question alone: vertex arcs, edge arcs, then a
+    source arc per top and a sink arc per side position, each group in
+    vertex order.  The reference for multitrek.treks._SplitGraph.paths."""
+    idx = {v: i for i, v in enumerate(dag.vertices)}
+    p = len(dag.vertices)
+    src, snk = 2 * p, 2 * p + 1
+    net = FlowNetworkByPairs(2 * p + 2)
+    for i in range(p):
+        net.add_arc(2 * i, 2 * i + 1, through)
+    for a, b in dag.directed_edges:
+        net.add_arc(2 * idx[a] + 1, 2 * idx[b], through)
+    for v in sorted(tops):
+        net.add_arc(src, 2 * idx[v])
+    for v in sorted(side):
+        net.add_arc(2 * idx[v] + 1, snk)
+    if net.push(src, snk, len(tops))[0] < len(tops):
+        return None
+    return [
+        DirectedPath(tuple(dag.vertices[x // 2] for x in net.walk(2 * idx[v] + 1, snk)[::2]))
+        for v in tops
+    ]
+
+
+def trek_flow_by_pairs(dag: MixedGraph, sides: Sequence[Sequence[int]]) -> TrekSearchResult:
+    """The order-2 search on the doubled graph, on a network keyed by node
+    pairs.  The reference for multitrek.treks._trek_flow."""
+    side_a, side_b = sides
+    n = len(side_a)
+    idx = {v: i for i, v in enumerate(dag.vertices)}
+    p = len(dag.vertices)
+    src, snk = 4 * p, 4 * p + 1
+    net = FlowNetworkByPairs(4 * p + 2)
+    for i in range(p):
+        net.add_arc(4 * i, 4 * i + 1)
+        net.add_arc(4 * i + 1, 4 * i + 2, n)
+        net.add_arc(4 * i + 2, 4 * i + 3)
+    for u, w in dag.directed_edges:
+        net.add_arc(4 * idx[w] + 1, 4 * idx[u], n)
+        net.add_arc(4 * idx[u] + 3, 4 * idx[w] + 2, n)
+    for v in side_a:
+        net.add_arc(src, 4 * idx[v], n)
+    for v in side_b:
+        net.add_arc(4 * idx[v] + 3, snk, n)
+    sent, reached = net.push(src, snk, n)
+    if sent < n:
+        separator = tuple(
+            tuple(
+                v for i, v in enumerate(dag.vertices)
+                if 4 * i + c in reached and 4 * i + c + 1 not in reached
+            )
+            for c in (0, 2)
+        )
+        return TrekSearchResult(system=None, separator=separator)
+    treks = []
+    for a in side_a:
+        nodes = net.walk(4 * idx[a], snk)[:-1]
+        up = [dag.vertices[x // 4] for x in reversed(nodes) if x % 4 == 1]
+        down = [dag.vertices[x // 4] for x in nodes if x % 4 == 3]
+        treks.append(KTrek(paths=(DirectedPath(up), DirectedPath(down)), top_vertex=up[0]))
+    system = make_trek_system(treks, sides)
+    return TrekSearchResult(system=system, top=tuple(sorted(t.top_vertex for t in treks)))
 
 
 # -- symmetric tensors, their JSON and seeded draws -------------------------

@@ -51,6 +51,23 @@ def collider_path(tmp_path, collider):
     return write_graph(tmp_path, collider, "collider.json")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ("check", "--graph", "GRAPH", "--sets", "1;2"),
+    ("common-cause", "--graph", "GRAPH", "--vars", "1,2"),
+    ("scan-conjecture", "--ensemble", "ENSEMBLE"),
+], ids=["check", "common-cause", "scan-conjecture"])
+def test_a_negative_seed_is_one_json_error(capfd, tmp_path, star, command):
+    # simulate and estimate refuse one too (TestSimulate, TestEstimate).
+    ensemble = tmp_path / "ens.json"
+    ensemble.write_text(json.dumps({"cases": 2, "max_vertices": 4, "k": 4}))
+    paths = {"GRAPH": write_graph(tmp_path, star), "ENSEMBLE": str(ensemble)}
+    code = run([paths.get(arg, arg) for arg in command] + ["--seed", "-1"])
+    assert (code, *capfd.readouterr()) == (
+        EXIT_ERROR, '{"error":"seed must be >= 0, got -1"}\n', ""
+    )
+
+
 class TestCheck:
     def test_star_does_not_vanish(self, capsys, star_path):
         code, out = run_cli(

@@ -40,7 +40,7 @@ from multitrek import (
     split_trek_from_paths,
     symbolic_instance,
 )
-from multitrek.cumulants import _DeterminantPlan, noise_entry
+from multitrek.cumulants import _DeterminantPlan, _partitions, noise_entry
 from multitrek.moments import ConjectureReport
 from multitrek.treks import _reaching, _side_paths
 
@@ -274,6 +274,48 @@ class TestMomentPlan:
                     assert plan.at_seed(seed) == plan.at(inst)
 
 
+    @staticmethod
+    def sharing_sides(rng, k):
+        """A DAG and k sides of one size drawn from few vertices, so they share some."""
+        g = random_dag(rng, max_vertices=5)
+        n = rng.randint(1, min(2, len(g.vertices)))
+        pool = rng.sample(g.vertices, min(len(g.vertices), n + 1))
+        return g, [tuple(sorted(rng.sample(pool, n))) for _ in range(k)]
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_parts_match_independent_plans(self, k):
+        # Every part of h <= k - 2 sides, from the case plan's values at a
+        # seed, against a plan built for the part alone at that seed.
+        rng = random.Random(2610 + k)
+        for _ in range(8 if k < 6 else 4):
+            g, sides = self.sharing_sides(rng, k)
+            plan = _DeterminantPlan(g, sides, moments=True)
+            for seed in (rng.getrandbits(32), rng.getrandbits(32)):
+                values = plan.cumulants_at_seed(seed)
+                assert plan.determinant(values) == plan.at_seed(seed)
+                for h in range(2, k - 1):
+                    for group in itertools.combinations(range(k), h):
+                        fresh = _DeterminantPlan(g, [sides[i] for i in group], moments=True)
+                        assert plan.part_determinant(group, values) == fresh.at_seed(seed)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_every_block_a_part_reads_is_a_case_key(self, k):
+        # A block of a part key has at most k - 2 positions, so the other
+        # positions of a full key form a block of their own.
+        rng = random.Random(2620 + k)
+        for _ in range(10):
+            g, sides = self.sharing_sides(rng, k)
+            plan = _DeterminantPlan(g, sides, moments=True)
+            col = {v: c for c, v in enumerate(sorted({v for side in sides for v in side}))}
+            for h in range(2, k - 1):
+                for group in itertools.combinations(range(k), h):
+                    for cols in itertools.product(*([col[v] for v in sides[i]] for i in group)):
+                        key = sorted(cols)
+                        for partition in _partitions(h):
+                            for block in partition:
+                                assert tuple(key[x] for x in block) in plan._cumulant_index
+
+
 class TestEnumerateSplitTreks:
     def test_k3_split_treks_are_exactly_common_source_triples(self):
         rng = random.Random(42)
@@ -433,8 +475,8 @@ class TestDeterminantRoutes:
         assert det_by_split_trek_systems(g, inst, sides) == dense
 
     def test_lower_order_plans_give_the_fresh_determinants(self):
-        # As in the scan's lower-order checks: plans of every order and side
-        # set, each evaluated at the seeds of one order-4 instance family.
+        # Plans of every order and side set, each evaluated at the seeds of
+        # one order-4 instance family: the reference for the scan's parts.
         rng = random.Random(315)
         for _ in range(8):
             g = random_dag(rng, max_vertices=6)
@@ -523,11 +565,12 @@ class TestScanConjecture:
         ensemble = {"cases": 1, "edge_prob": 0, "max_vertices": 6, "set_size": 1}
         seen = []
 
-        def at_seed(plan, seed):
+        def cumulants_at_seed(plan, seed):
             seen.append(seed)
-            return 0 if seed == seen[0] else 1
+            return [seed]
 
-        monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
+        monkeypatch.setattr(_DeterminantPlan, "cumulants_at_seed", cumulants_at_seed)
+        monkeypatch.setattr(_DeterminantPlan, "determinant", lambda plan, values: int(values != seen[:1]))
         report = scan_conjecture(4, ensemble, seed=0, trials=3)
         assert seen == [3246154361, 3246154362]
         assert report.to_json() == (
@@ -545,11 +588,12 @@ class TestScanConjecture:
         ensemble = {"cases": 1, "edge_prob": 0, "max_vertices": 6, "set_size": 1}
         seen = []
 
-        def at_seed(plan, seed):
+        def cumulants_at_seed(plan, seed):
             seen.append((plan.order, seed))
-            return 1
+            return [seed]
 
-        monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
+        monkeypatch.setattr(_DeterminantPlan, "cumulants_at_seed", cumulants_at_seed)
+        monkeypatch.setattr(_DeterminantPlan, "determinant", lambda plan, values: 1)
         report = scan_conjecture(4, ensemble, seed=0, trials=3)
         assert seen == [(4, 3246154361)]
         assert report.disagreements[0]["instance_seeds"] == [3246154361, 3246154362, 3246154363]
@@ -563,11 +607,17 @@ class TestScanConjecture:
             scan_conjecture(4, {"cases": 1, "max_vertices": 4}, **kwargs)
         assert str(info.value) == f"{field} {value!r} is not an integer"
 
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            scan_conjecture(4, {"cases": 1, "max_vertices": 4}, seed=-5)
+        assert str(info.value) == "seed must be >= 0, got -5"
+
     def test_lower_order_violation_record_is_pinned(self, monkeypatch):
-        # Order-4 plans read zero and order-2 plans nonzero, so every
-        # two-block split of the all-zero case is a violation; each record
-        # carries the case's provenance beside its groups.
-        monkeypatch.setattr(_DeterminantPlan, "at_seed", lambda plan, seed: 0 if plan.order == 4 else 1)
+        # The order-4 determinant reads zero and every order-2 part nonzero, so
+        # every two-block split of the all-zero case is a violation; each
+        # record carries the case's provenance beside its groups.
+        monkeypatch.setattr(_DeterminantPlan, "determinant", lambda plan, values: 0)
+        monkeypatch.setattr(_DeterminantPlan, "part_determinant", lambda plan, group, values: 1)
         ensemble = {"cases": 1, "edge_prob": 0, "max_vertices": 4, "set_size": 1}
         provenance = (
             '"case":0,"graph":"{\\"directed_edges\\":[],\\"multidirected_edges\\":[],'
@@ -584,31 +634,41 @@ class TestScanConjecture:
         )
 
     @pytest.mark.parametrize("h_value, built, evaluated", [
-        (0, [4, 2, 2, 2], [4, 4, 2, 2, 2, 2, 2, 2]),
-        (1, [4, 2, 2, 2, 2, 2, 2], [4, 4, 2, 2, 2, 2, 2, 2]),
+        (0, [4], [4, 4, 2, 2, 2, 2, 2, 2]),
+        (1, [4], [4, 4, 2, 2, 2, 2, 2, 2]),
     ])
     def test_a_zero_h_part_builds_no_rest_plan(self, monkeypatch, h_value, built, evaluated):
-        # A violation needs both parts nonzero: a split whose first group of
-        # h sides reads zero at every trial builds and evaluates no plan for
-        # the rest, while a nonzero one goes on to its rest plan.
+        # The case's plan is the only one built: each part of a split takes
+        # its determinant from the case's values.  A violation needs both
+        # parts nonzero, so a split whose first group of h sides reads zero
+        # at every trial evaluates no rest part, while a nonzero one goes on
+        # to its rest part.
         ensemble = {"cases": 1, "edge_prob": 0, "max_vertices": 4, "set_size": 1}
-        orders, seen = [], []
+        orders, seen, parts = [], [], []
         init = _DeterminantPlan.__init__
 
         def counting_init(plan, g, sides, moments=False):
             orders.append(len(sides))
             init(plan, g, sides, moments)
 
-        def at_seed(plan, seed):
+        def determinant(plan, values):
             seen.append(plan.order)
-            return 0 if plan.order == 4 else h_value
+            return 0
+
+        def part_determinant(plan, group, values):
+            seen.append(len(group))
+            parts.append(group)
+            return h_value
 
         monkeypatch.setattr(_DeterminantPlan, "__init__", counting_init)
-        monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
+        monkeypatch.setattr(_DeterminantPlan, "determinant", determinant)
+        monkeypatch.setattr(_DeterminantPlan, "part_determinant", part_determinant)
         report = scan_conjecture(4, ensemble, seed=0, trials=2)
         assert report.lower_order_checked == 3
         assert len(report.lower_order_violations) == 3 * h_value
         assert (orders, seen) == (built, evaluated)
+        rests = [group for group in parts if 0 not in group]
+        assert rests == ([(2, 3), (1, 3), (1, 2)] if h_value else [])
 
     def test_randomized_fluke_is_resolved_by_the_symbolic_recheck(self, monkeypatch):
         # On a complete DAG vertex 1 tops a split-trek into any sinks, so a
@@ -620,7 +680,8 @@ class TestScanConjecture:
         # Zero at every trial: the recheck finds the nonzero polynomial, so the
         # case is an agreement, and its all-zero trials run the three
         # lower-order checks.
-        monkeypatch.setattr(_DeterminantPlan, "at_seed", lambda plan, seed: 0)
+        monkeypatch.setattr(_DeterminantPlan, "determinant", lambda plan, values: 0)
+        monkeypatch.setattr(_DeterminantPlan, "part_determinant", lambda plan, group, values: 0)
         report = scan_conjecture(4, ensemble, seed=0, trials=3)
         assert report.to_doc() == {
             "agreements": 1,
@@ -634,11 +695,12 @@ class TestScanConjecture:
         # lower-order checks.
         seen = []
 
-        def at_seed(plan, seed):
+        def cumulants_at_seed(plan, seed):
             seen.append(seed)
-            return 0 if seed == seen[0] else 1
+            return [seed]
 
-        monkeypatch.setattr(_DeterminantPlan, "at_seed", at_seed)
+        monkeypatch.setattr(_DeterminantPlan, "cumulants_at_seed", cumulants_at_seed)
+        monkeypatch.setattr(_DeterminantPlan, "determinant", lambda plan, values: int(values != seen[:1]))
         assert scan_conjecture(4, ensemble, seed=0, trials=3).to_doc() == clean
         assert len(seen) == 2
 

@@ -952,6 +952,36 @@ def test_seed_and_trials_must_be_ints(star, mode, name, value):
         assert str(info.value) == f"{name} {value!r} is not an integer"
 
 
+@pytest.mark.parametrize("mode", ["randomized", "certain"])
+def test_a_negative_seed_is_refused(star, mode):
+    # random.Random seeds by absolute value, so seed -1 drew the instances of
+    # positive trial seeds: _draws(-1000002, 6) equals _draws(1000002, 6).
+    for decide, where in ((decide_vanishing, ((1,), (2,))), (detect_common_cause, (1, 2))):
+        with pytest.raises(ValueError) as info:
+            decide(star, where, mode=mode, seed=-1, trials=2)
+        assert str(info.value) == "seed must be >= 0, got -1"
+
+
+# A randomized decision written with seed -1, before seeds had to be >= 0:
+# 1 -> 2, 1 -> 3 on sides (2), (3), two trials.
+NEGATIVE_SEED_DOCUMENT = (
+    '{"algebraic_record":[{"determinant":"21766656/1","seed":-1000002},'
+    '{"determinant":"2975476/1","seed":-1000001}],'
+    '"combinatorial_certificate":{"trek_system":{"permutations":[[0]],"side_endpoints":[[2],'
+    '[3]],"sign":1,"treks":[{"paths":[[1,2],[1,3]],"top":{"vertex":1}}]}},'
+    '"graph_hash":"c4e3132c088ee68b9cb86a0711805dc13974f5c6e8086caa6fef12bb64561032",'
+    '"mode":"randomized","order":2,"seed":-1,"sides":[[2],[3]],"trials":2,"value_range":997,'
+    '"verdict":"NotVanishes"}'
+)
+
+
+def test_a_document_written_with_a_negative_seed_still_certifies():
+    g = MixedGraph((1, 2, 3), ((1, 2), (1, 3)))
+    doc = json.loads(NEGATIVE_SEED_DOCUMENT)
+    assert [entry["seed"] for entry in doc["algebraic_record"]] == [-1000002, -1000001]
+    assert certify_decision(g, doc) == (True, "certificate verified")
+
+
 # Policy documents on chain2 = 1 -> 2, sides (1, 1), (1, 2), at seed 7.
 POLICY_DOCUMENT = (
     '{"algebraic_record":[],"combinatorial_certificate":{"policy":"repeated vertex within a side"},'

@@ -17,6 +17,7 @@ from multitrek import (
     SchemaError,
 )
 from multitrek.ser import (
+    checked_seed,
     frac_from_str,
     frac_to_str,
     in_float_range,
@@ -181,3 +182,16 @@ def test_a_str_id_beside_an_int_one_is_refused_by_the_id_rule(taker):
     with pytest.raises(ValueError) as info:
         _MIXED_ID_TAKERS[taker]()
     assert str(info.value) == f"{what} 'a' is not an integer"
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, "seed must be >= 0, got -1"),
+    (True, "seed True is not an integer"),
+    (1.0, "seed 1.0 is not an integer"),
+    ("3", "seed '3' is not an integer"),
+])
+def test_the_seed_rule_refuses_negative_and_non_int_seeds(seed, error):
+    with pytest.raises(ValueError) as info:
+        checked_seed(seed)
+    assert str(info.value) == error
+    assert checked_seed(0) == 0 and checked_seed(2**40) == 2**40

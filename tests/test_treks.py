@@ -31,11 +31,19 @@ from multitrek import (
     trek_system_from_doc,
     trek_system_to_doc,
 )
+import multitrek.moments as moments_module
 import multitrek.treks as treks_module
 from multitrek.errors import InternalInconsistency
 from multitrek.estimation import test_determinant_zero as determinant_flag
-from multitrek.treks import _reaching, system_defect
-from conftest import all_paths, random_dag, random_mixed, random_sides
+from multitrek.treks import _reaching, _SplitGraph, first_linked_top, system_defect
+from conftest import (
+    all_paths,
+    random_dag,
+    random_mixed,
+    random_sides,
+    side_paths_by_pairs,
+    trek_flow_by_pairs,
+)
 
 
 def test_reachable_from(two_root_dag):
@@ -323,6 +331,89 @@ def test_open_side_paths_share_an_inner_vertex():
             (top, 3, sink) for top, sink in zip((1, 2), side_one)
         ]
         assert system_defect(g, res.system, open_first_side=True) is None
+
+
+def test_split_graph_queries_match_one_network_per_query():
+    # One split graph answers many queries in random order: each top set and
+    # side, closed (through 1) or open (through n, where side 1 may repeat a
+    # vertex), gives the paths, or the None, of a network built for that
+    # query alone.  Half the graphs are canonical DAGs of hyperedge graphs.
+    rng = random.Random(2602)
+    outcomes = []
+    for case in range(80):
+        if case % 2:
+            g = random_dag(rng, max_vertices=8, edge_prob=0.4)
+        else:
+            g = canonical_dag(random_mixed(rng, max_vertices=6, max_hyperedges=2)).dag
+        n = rng.randint(1, min(3, len(g.vertices)))
+        candidates = rng.sample(g.vertices, rng.randint(n, len(g.vertices)))
+        sides = [tuple(rng.sample(g.vertices, n)) for _ in range(3)]
+        if n > 1:
+            first = rng.sample(g.vertices, n - 1)
+            sides.append(tuple(first + [rng.choice(first)]))
+        split = _SplitGraph(g, candidates, itertools.chain(*sides))
+        queries = [
+            (tuple(rng.sample(candidates, n)), side, through)
+            for _ in range(8)
+            for side in sides
+            for through in (1, n)
+        ]
+        rng.shuffle(queries)
+        for tops, side, through in queries:
+            got = split.paths(tops, side, through)
+            assert got == side_paths_by_pairs(g, tops, side, through)
+            outcomes.append(got is None)
+    assert 1000 <= outcomes.count(True) and 1000 <= outcomes.count(False)  # 3140 None, 1660 found
+
+
+def test_order_two_flow_matches_the_network_keyed_by_node_pairs():
+    # Every system and every minimum separator of the doubled-graph flow.
+    rng = random.Random(2603)
+    separators = 0
+    for _ in range(200):
+        dag = canonical_dag(random_mixed(rng, max_vertices=6, edge_prob=0.35, max_hyperedges=1)).dag
+        sides = random_sides(rng, dag, 2, rng.randint(1, min(4, len(dag.vertices))))
+        result = treks_module._trek_flow(dag, sides)
+        assert result == trek_flow_by_pairs(dag, sides)
+        separators += result.separator is not None
+    assert 30 <= separators <= 170  # 50 separators, 150 systems
+
+
+class _SplitGraphByPairs:
+    """A stand-in for _SplitGraph that builds a network per query."""
+
+    def __init__(self, dag, tops, side_vertices):
+        self.dag = dag
+
+    def paths(self, tops, side, through):
+        return side_paths_by_pairs(self.dag, tops, side, through)
+
+
+def test_searches_on_one_split_graph_match_one_network_per_flow(monkeypatch):
+    # Both searches return the results, obstruction logs included, that a
+    # network built per flow gives.
+    rng = random.Random(2604)
+    cases = []
+    for _ in range(60):
+        g = random_dag(rng, max_vertices=7, edge_prob=0.4)
+        k = rng.choice((3, 4))
+        cases.append((g, random_sides(rng, g, k, rng.randint(1, min(2, len(g.vertices))))))
+
+    def run():
+        return [
+            (
+                first_linked_top(g, sides, open_first_side=len(sides) % 2 == 1),
+                exists_split_trek_system_no_sided_intersection(g, sides),
+            )
+            for g, sides in cases
+        ]
+
+    got = run()
+    monkeypatch.setattr(treks_module, "_SplitGraph", _SplitGraphByPairs)
+    monkeypatch.setattr(moments_module, "_SplitGraph", _SplitGraphByPairs)
+    assert run() == got
+    assert 10 <= sum(linked.found for linked, _ in got) <= 50  # 25 linked
+    assert 10 <= sum(split.found for _, split in got) <= 50  # 32 split-trek systems
 
 
 @pytest.mark.parametrize(
