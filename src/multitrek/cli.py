@@ -35,7 +35,9 @@ from .estimation import (
 from .graphs import parse_graph
 from .moments import _ensemble_count, model_moment, scan_conjecture
 from .oracle import EXIT_VANISHES, certify_decision, decide_vanishing, detect_common_cause
-from .ser import canonical_int, canonical_json, frac_from_str, in_float_range, read_edge, read_int, read_json
+from .ser import (
+    canonical_int, canonical_json, frac_from_str, in_float_range, read_edge, read_int, read_json, write_output,
+)
 from .tensors import tensor_to_json
 from .treks import DEFAULT_BUDGET
 
@@ -81,9 +83,12 @@ def _load_graph(path: str):
 
 
 def _emit(text: str, out: str | None) -> None:
-    sys.stdout.write(text + "\n")
+    """Write ``text`` to the file ``out`` first, then to stdout: a failed
+    write prints only its error line."""
+    line = text + "\n"
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        write_output(out, line.encode("utf-8"))
+    sys.stdout.write(line)
 
 
 def _build_parser() -> _Parser:

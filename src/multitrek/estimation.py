@@ -47,7 +47,7 @@ import numpy as np
 from .cumulants import ModelInstance, NoiseCumulants, path_matrix
 from .errors import InvalidBootstrapCount, OrderUnsupported, SchemaError
 from .graphs import MixedGraph, canonical_dag
-from .ser import canonical_int, checked_seed, read_float, strict_int
+from .ser import canonical_int, checked_seed, read_float, strict_int, write_output
 from .tensors import (
     FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, orbit_table, symmetric_from_values,
 )
@@ -463,10 +463,9 @@ def write_sample_csv(
     for v, label in labels.items():
         if any(c in label for c in ",\r\n") or canonical_int(label) not in (None, v):
             raise ValueError(f"label {label!r} of vertex {v} would not read back as its column")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(labels.get(v, str(v)) for v in sm.vertices) + "\n")
-        for row in sm.data:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    lines = [",".join(labels.get(v, str(v)) for v in sm.vertices)]
+    lines.extend(",".join(map(repr, row)) for row in sm.data.tolist())
+    write_output(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_sample_csv(path: str | Path) -> SampleMatrix:
@@ -495,9 +494,8 @@ def write_sample_binary(sm: SampleMatrix, path: str | Path) -> None:
     """16-byte header (magic "MTRK", u32 rows, u32 cols, 4 reserved bytes),
     then row-major little-endian float64."""
     rows, cols = sm.data.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<II", rows, cols) + b"\x00" * 4)
-        fh.write(np.ascontiguousarray(sm.data, dtype="<f8").tobytes())
+    header = MAGIC + struct.pack("<II", rows, cols) + b"\x00" * 4
+    write_output(path, header, np.ascontiguousarray(sm.data, dtype="<f8"))
 
 
 def read_sample_binary(path: str | Path) -> SampleMatrix:

@@ -1,16 +1,19 @@
-"""Canonical serialization, and the one reader of input text.
+"""Canonical serialization, the one reader of input text and the one writer of files.
 
 All JSON the package emits goes through canonical_json so that equal
 values serialize to identical bytes: keys sorted, separators compact,
 rationals rendered as "numerator/denominator" strings.  Input is read
 here in that form, integers in text as str() writes them, floats in
 text in ASCII as repr() writes them and ids in JSON arrays as JSON
-integers; anything else is a SchemaError.
+integers; anything else is a SchemaError.  Every file the package
+writes goes through write_output.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -129,3 +132,33 @@ def as_rational(x: int | Fraction) -> int | Fraction:
 def canonical_json(obj: object) -> str:
     """Serialize to a single deterministic line (sorted keys, no spaces)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_output(path: str | os.PathLike, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path``, in order, over what it held.
+
+    The file is opened without O_TRUNC (mode 0o666 before the umask, as
+    open() creates it), overwritten in place and, when it is a regular
+    file, cut to the written length; a device such as /dev/null is only
+    written.  ext4 flushes a file truncated at open when it is closed
+    (auto_da_alloc), which costs far more than these writes.  The inode
+    stays the same, so hard links and symlinks see the new bytes, and a
+    failure raises the OSError open() would.  Like a truncating open(), it
+    is not crash-atomic: there is no fsync and no rename.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        for chunk in chunks:
+            view = memoryview(chunk)
+            if not view.nbytes:  # cast() refuses a view with a zero in its shape
+                continue
+            view = view.cast("B")
+            while view:  # os.write may write less than it is given
+                n = os.write(fd, view)
+                written += n
+                view = view[n:]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)

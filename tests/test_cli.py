@@ -12,6 +12,7 @@ import pytest
 
 from multitrek import (
     MixedGraph,
+    SampleMatrix,
     decide_vanishing,
     find_sided_intersection,
     instance_to_json,
@@ -24,6 +25,7 @@ from multitrek import (
     serialize_graph,
     tensor_to_json,
     trek_system_from_doc,
+    write_sample_csv,
 )
 from multitrek.cli import EXIT_ERROR, EXIT_OK, EXIT_VANISHES, run
 
@@ -655,6 +657,59 @@ class TestOutFlag:
         )
         assert code == EXIT_OK
         assert copy.read_text() == out
+
+    def test_out_overwrites_a_longer_file_in_place(self, capsys, tmp_path, star_path):
+        copy, link = tmp_path / "copy.json", tmp_path / "link.json"
+        copy.write_text("{" + "x" * 20_000 + "}\n")
+        os.link(copy, link)
+        code, out = run_cli(
+            capsys, "check", "--graph", star_path, "--sets", "1;2;3",
+            "--seed", "2", "--out", str(copy),
+        )
+        assert code == EXIT_OK
+        assert copy.read_bytes() == link.read_bytes() == out.encode()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    @pytest.mark.parametrize("graph, expected", [("star", EXIT_OK), ("collider", EXIT_VANISHES)])
+    def test_out_to_the_null_device_keeps_exit_and_stdout(
+        self, capsys, tmp_path, request, graph, expected
+    ):
+        gpath = write_graph(tmp_path, request.getfixturevalue(graph))
+        args = ("check", "--graph", gpath, "--sets", "1;2;3", "--seed", "0")
+        code, out = run_cli(capsys, *args, "--out", os.devnull)
+        assert (code, out) == (expected, run_cli(capsys, *args)[1])
+        assert json.loads(out)["verdict"] in ("NotVanishes", "Vanishes")
+
+    @pytest.mark.parametrize("command", [
+        ("check", "--graph", "GRAPH", "--sets", "1;2;3", "--seed", "1"),
+        ("parametrize", "--graph", "GRAPH", "--instance", "INSTANCE", "--order", "3"),
+        ("estimate", "--data", "DATA", "--order", "2"),
+        ("scan-conjecture", "--ensemble", "ENSEMBLE", "--seed", "5", "--trials", "2"),
+        ("certify", "--decision", "DECISION", "--graph", "GRAPH"),
+    ], ids=lambda command: command[0])
+    def test_a_failed_write_prints_only_the_error(self, capsys, tmp_path, star, command):
+        sm = SampleMatrix(data=np.arange(12.0).reshape(6, 2) ** 2, vertices=(1, 2))
+        paths = {
+            "GRAPH": write_graph(tmp_path, star),
+            "INSTANCE": tmp_path / "inst.json",
+            "DATA": tmp_path / "data.csv",
+            "ENSEMBLE": tmp_path / "ens.json",
+            "DECISION": tmp_path / "decision.json",
+        }
+        paths["INSTANCE"].write_text(instance_to_json(sample_generic_instance(star, 3, 4)))
+        write_sample_csv(sm, paths["DATA"])
+        paths["ENSEMBLE"].write_text(json.dumps({"cases": 2, "max_vertices": 4, "k": 4}))
+        paths["DECISION"].write_text(decide_vanishing(star, ((1,), (2,), (3,)), seed=4).to_json())
+        before = sorted(os.listdir(tmp_path))
+        out_path = str(tmp_path / "missing" / "out.json")
+        argv = [str(paths.get(arg, arg)) for arg in command]
+        code, out = run_cli(capsys, *argv, "--out", out_path)
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"error": f"[Errno 2] No such file or directory: {out_path!r}"}
+        assert sorted(os.listdir(tmp_path)) == before
+        code, out = run_cli(capsys, *argv, "--out", str(tmp_path))  # a directory
+        assert (code, list(json.loads(out))) == (EXIT_ERROR, ["error"])
+        assert "Is a directory" in out
 
 
 class TestInputReaders:

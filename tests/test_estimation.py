@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import re
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -490,6 +491,23 @@ class TestBatchedBootstrap:
 
 
 class TestDataIO:
+    @pytest.mark.parametrize("old_size", [100_000, 3, 0], ids=["longer", "shorter", "empty"])
+    def test_writers_overwrite_a_file_with_exactly_the_new_bytes(self, tmp_path, old_size):
+        sm = SampleMatrix(data=[[0.5, -1.25], [1e-300, 3.0], [2.0, -0.0]], vertices=(2, 5))
+        expected = {
+            "csv": b"2,5\n0.5,-1.25\n1e-300,3.0\n2.0,-0.0\n",
+            "mtrk": b"MTRK" + struct.pack("<II", 3, 2) + bytes(4) + sm.data.astype("<f8").tobytes(),
+        }
+        for fmt, write, read in (("csv", write_sample_csv, read_sample_csv),
+                                 ("mtrk", write_sample_binary, read_sample_binary)):
+            path = tmp_path / f"x.{fmt}"
+            path.write_bytes(b"9" * old_size)
+            write(sm, path)
+            assert path.read_bytes() == expected[fmt]
+            back = read(path)
+            assert back.vertices == ((2, 5) if fmt == "csv" else (1, 2))
+            assert np.array_equal(back.data, sm.data)
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         sm = SampleMatrix(data=rng.normal(size=(20, 3)), vertices=(2, 5, 9))

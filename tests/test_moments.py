@@ -41,7 +41,7 @@ from multitrek import (
     symbolic_instance,
 )
 from multitrek.cumulants import _DeterminantPlan, _partitions, noise_entry
-from multitrek.moments import ConjectureReport
+from multitrek.moments import ConjectureReport, _edge_threshold
 from multitrek.treks import _reaching, _side_paths
 
 
@@ -531,6 +531,16 @@ class TestMomentTheoremK3:
 
 
 class TestScanConjecture:
+    @pytest.mark.parametrize("prob", ["0", "1", "1/2", "1/3", "2/5", "999/1000"])
+    def test_edge_threshold_splits_the_draws_as_the_probability_does(self, prob):
+        # random() returns m / 2**53; the draws below the threshold are those below prob.
+        prob = Fraction(prob)
+        threshold = _edge_threshold(prob)
+        t = math.ceil(prob * 2**53)
+        assert threshold * 2**53 == t
+        for m in range(t - 2, t + 2):
+            assert (m / 2**53 < threshold) == (m / 2**53 < prob) == (m < t)
+
     def test_small_scan_reports_clean_agreement(self):
         report = scan_conjecture(4, {"cases": 12, "max_vertices": 5}, seed=3, trials=3)
         assert isinstance(report, ConjectureReport)

@@ -1,6 +1,9 @@
-"""The input readers in multitrek.ser: what they take and what they refuse."""
+"""The input readers in multitrek.ser: what they take and what they refuse;
+and write_output, the one writer of the files the package makes."""
 
+import os
 import re
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +29,7 @@ from multitrek.ser import (
     read_int,
     read_ints,
     read_json,
+    write_output,
 )
 
 # Spellings that int() accepts but that name no id canonically.
@@ -195,3 +199,77 @@ def test_the_seed_rule_refuses_negative_and_non_int_seeds(seed, error):
         checked_seed(seed)
     assert str(info.value) == error
     assert checked_seed(0) == 0 and checked_seed(2**40) == 2**40
+
+
+# -- write_output -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("old", [b"x" * 5000, b"", b"ab"], ids=["longer", "empty", "shorter"])
+def test_write_output_leaves_exactly_the_new_bytes(tmp_path, old):
+    path = tmp_path / "out.bin"
+    path.write_bytes(old)
+    write_output(path, b"MTRK", np.arange(6, dtype="<f8").reshape(3, 2), b"", b"end\n")
+    assert path.read_bytes() == b"MTRK" + np.arange(6, dtype="<f8").tobytes() + b"end\n"
+
+
+def test_write_output_skips_empty_chunks_of_any_shape(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old bytes")
+    write_output(path, np.empty((4, 0)), b"", np.empty((0, 3)))
+    assert path.read_bytes() == b""
+
+
+def test_write_output_finishes_short_writes(tmp_path, monkeypatch):
+    real_write, sizes = os.write, []
+
+    def short_write(fd, data):  # at most three bytes per call
+        sizes.append(real_write(fd, bytes(data[:3])))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"z" * 100)
+    write_output(path, b"0123456789", b"abcd")
+    assert path.read_bytes() == b"0123456789abcd"
+    assert sizes == [3, 3, 3, 1, 3, 1]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_output_creates_a_file_with_the_mode_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "by-open", "w"):
+            pass
+        write_output(tmp_path / "by-writer", b"x")
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "by-open").stat().st_mode)
+    assert stat.S_IMODE((tmp_path / "by-writer").stat().st_mode) == mode == 0o666 & ~umask
+
+
+def test_write_output_keeps_the_inode_for_links(tmp_path):
+    path, hard, soft = tmp_path / "out.json", tmp_path / "hard.json", tmp_path / "soft.json"
+    path.write_bytes(b"a much longer old document\n")
+    os.link(path, hard)
+    soft.symlink_to(path)
+    inode = path.stat().st_ino
+    write_output(soft, b"new\n")
+    assert path.read_bytes() == hard.read_bytes() == soft.read_bytes() == b"new\n"
+    assert path.stat().st_ino == inode and soft.is_symlink()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_write_output_only_writes_a_device(tmp_path):
+    write_output(os.devnull, b"x" * 10_000)  # no ftruncate, which a device refuses
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "a-dir"])
+def test_write_output_fails_as_open_does(tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError) as by_open:
+        open(target, "wb")
+    with pytest.raises(OSError) as by_writer:
+        write_output(target, b"x")
+    assert type(by_writer.value) is type(by_open.value)
+    assert str(by_writer.value) == str(by_open.value)
+    assert os.listdir(tmp_path) == []
