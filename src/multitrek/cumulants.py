@@ -609,6 +609,7 @@ class _DeterminantPlan(_EntryPlan):
         col = {v: c for c, v in enumerate(columns)}
         self._side_columns = tuple(tuple(col[v] for v in side) for side in side_lists)
         self._table, keys = _key_table(self._side_columns)
+        self._parts: dict[tuple[int, ...], tuple] = {}  # part_determinant's tables per group
         super().__init__(g, self.order, columns, keys, moments)
 
     def determinant(self, values: Sequence) -> object:
@@ -635,9 +636,16 @@ class _DeterminantPlan(_EntryPlan):
         that makes a full key of the plan, and its k - |B| >= 2 positions
         outside B form one block of their own.  So B is a block of some
         partition of some full key.
+
+        The key table and block indices depend on the group only, so each
+        group's are built once per plan.
         """
-        table, keys = _key_table([self._side_columns[i] for i in group])
-        entries = _block_indices(keys, _partitions(len(group)), self._cumulant_index.__getitem__)
+        group = tuple(group)
+        if group not in self._parts:
+            table, keys = _key_table([self._side_columns[i] for i in group])
+            index = self._cumulant_index.__getitem__
+            self._parts[group] = table, _block_indices(keys, _partitions(len(group)), index)
+        table, entries = self._parts[group]
         moments = _partition_sums(entries, values)
         return hyperdet_from_table(self.n, len(group), [moments[s] for s in table])
 

@@ -9,9 +9,16 @@ Every sample moment comes from one depth-first walk over the prefixes
 of the sorted index keys that are asked for (_moments_of): the data
 are centered straight into F order, and each product is its prefix's
 product times one contiguous column, so a walk holds at most k product
-columns.  The bootstrap's monomial table reads the same F-ordered
+columns.  Each mean is one np.add.reduce of its product column divided
+by the row count, the arithmetic of ndarray.mean without its Python
+frame.  The bootstrap's monomial table reads the same F-ordered
 columns.  A value past the float range, in an estimate or in the
 bootstrap, is a ValueError, never a NaN or infinity in the output.
+
+Each sample is one array: a matrix the module builds itself (an MTRK
+payload read straight into it, the parsed CSV rows, the simulated
+columns) becomes its SampleMatrix without a further copy
+(SampleMatrix._adopt); the public constructor copies.
 
 The determinant flag is a labeled heuristic: |statistic| <= 2 sd under
 a nonparametric bootstrap, with no coverage guarantee of any kind.  It
@@ -36,6 +43,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,13 +134,28 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """n x p float data with n >= 1; column i belongs to vertices[i], no label twice."""
+    """n x p float data with n >= 1; column i belongs to vertices[i], no label twice.
+
+    The constructor keeps a read-only copy of ``data``.
+    """
 
     data: np.ndarray
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64, order="C")  # owned copy
+        self._settle(np.array(self.data, dtype=np.float64, order="C"))  # owned copy
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, vertices: tuple[int, ...]) -> SampleMatrix:
+        """A SampleMatrix over an array this module made and hands over:
+        the same checks as the constructor, but a C-ordered float64 array
+        is kept as it is (made read-only in place) instead of copied."""
+        sm = object.__new__(cls)
+        object.__setattr__(sm, "vertices", vertices)
+        sm._settle(np.asarray(data, dtype=np.float64, order="C"))
+        return sm
+
+    def _settle(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ValueError("sample data must be a 2-D matrix")
         if arr.shape[0] == 0:
@@ -202,8 +226,10 @@ def simulate_lsem(
         what, values = ("noise", eps) if not np.isfinite(eps).all() else ("value", x)
         vertex = dag.vertices[int(np.argmin(np.isfinite(values).all(axis=0)))]
         raise ValueError(f"the {what} at vertex {vertex} leaves the float range")
-    keep = [dag.vertices.index(v) for v in canon.original_vertices]
-    return SampleMatrix(data=x[:, keep], vertices=canon.original_vertices)
+    # canonical_dag lists the latent vertices after the observed ones.
+    observed = len(canon.original_vertices)
+    data = x if observed == x.shape[1] else x[:, :observed].copy()
+    return SampleMatrix._adopt(data, canon.original_vertices)
 
 
 def population_instance(
@@ -231,30 +257,38 @@ def _moments_of(
 ) -> Callable[[tuple[int, ...]], float]:
     """Central product moments of the centered, F-ordered columns xf that
     _cumulant_value reads for the entry keys: each key's own moment and, at
-    k = 4, its pair moments.
+    k = 4, its pair moments.  The lookup takes sorted keys only; every pair
+    of a sorted key, taken in its order, is sorted too.
 
     One depth-first walk visits the prefixes of those sorted keys in sorted
-    order.  Column d of the scratch holds the product of the current key's
-    first d + 1 columns: a key of one index copies its column, a longer key
-    multiplies its prefix's product, which the walk visited last at its
-    depth, by one contiguous column of xf.
+    order.  prods[d] is the product of the current key's first d + 1
+    columns: a key of one index reads its column of xf in place, a longer
+    key multiplies its prefix's product, which the walk visited last at its
+    depth, by one contiguous column of xf into column d - 1 of the scratch.
+    A mean is np.add.reduce of the product over the row count: the sum and
+    the division ndarray.mean makes, so the same bits.
     """
     needed = set()
     for key in map(tuple, map(sorted, keys)):
         needed.add(key)
         if len(key) == 4:
             needed.update(itertools.combinations(key, 2))
-    scratch = np.empty((xf.shape[0], max(map(len, needed), default=0)), order="F")
+    rows = xf.shape[0]
+    columns = [xf[:, c] for c in range(xf.shape[1])]
+    depth = max(map(len, needed), default=1)
+    scratch = np.empty((rows, depth - 1), order="F")
+    outs = [scratch[:, d] for d in range(depth - 1)]
+    prods: list = [None] * depth
     memo = {}
     for key in sorted({key[:d] for key in needed for d in range(1, len(key) + 1)}):
-        prod = scratch[:, len(key) - 1]
-        if len(key) == 1:
-            prod[...] = xf[:, key[0]]
+        d = len(key) - 1
+        if d:
+            prods[d] = np.multiply(prods[d - 1], columns[key[-1]], out=outs[d - 1])
         else:
-            np.multiply(scratch[:, len(key) - 2], xf[:, key[-1]], out=prod)
+            prods[0] = columns[key[0]]
         if key in needed:
-            memo[key] = float(prod.mean())
-    return lambda idx: memo[tuple(sorted(idx))]
+            memo[key] = float(np.add.reduce(prods[d]) / rows)
+    return memo.__getitem__
 
 
 def _cumulant_value(moment: Callable, idx: tuple[int, ...]):
@@ -279,12 +313,15 @@ def sample_cumulant(data: SampleMatrix, k: int) -> Tensor:
     so the output is symmetric to the last bit.  The moments come from
     one prefix walk (_moments_of): every product is the same left fold
     of contiguous columns in sorted key order that a per-key loop takes,
-    and its mean is numpy's pairwise sum of a contiguous column, so each
-    entry equals that loop's to the last bit.  The mean subtracted is
-    taken over axis 0 of the C-ordered data, where numpy sums each column
-    row by row; it sums an F-ordered column pairwise, which can differ in
-    the last bit, so only the subtraction writes F order.  An entry past
-    the float range is a ValueError naming its vertices.
+    and its mean is numpy's pairwise sum of a contiguous column (one
+    np.add.reduce) over the row count, as ndarray.mean takes it, so each
+    entry equals that loop's to the last bit.  The keys of orbit_table
+    are sorted, so their moments are read with no sort.  The mean
+    subtracted is taken over axis 0 of the C-ordered data, where numpy
+    sums each column row by row; it sums an F-ordered column pairwise,
+    which can differ in the last bit, so only the subtraction writes F
+    order.  An entry past the float range is a ValueError naming its
+    vertices.
     """
     if k not in (2, 3, 4):
         raise OrderUnsupported(f"sample cumulants implemented for orders 2..4, got {k}")
@@ -408,7 +445,11 @@ def test_determinant_zero(
     positions = list(itertools.product(range(n), repeat=k))
     indices = [tuple(pos[side_lists[m][i]] for m, i in enumerate(p)) for p in positions]
 
-    point = _moments_of(xf, indices)
+    memo = _moments_of(xf, indices)
+
+    def point(idx: tuple[int, ...]) -> float:  # an entry index is unsorted
+        return memo(tuple(sorted(idx)))
+
     entries = dict(zip(positions, (_cumulant_value(point, idx) for idx in indices)))
     stat = float(hyperdet_from_getter(n, k, entries.__getitem__))
     if not math.isfinite(stat):
@@ -487,7 +528,7 @@ def read_sample_csv(path: str | Path) -> SampleMatrix:
                 raise SchemaError(f"/rows/{r}", f"expected {len(names)} cells, found {len(cells)}")
             rows.append([read_float(cell, f"/rows/{r}/{c}") for c, cell in enumerate(cells)])
     data = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
-    return SampleMatrix(data=data, vertices=vertices)
+    return SampleMatrix._adopt(data, vertices)
 
 
 def write_sample_binary(sm: SampleMatrix, path: str | Path) -> None:
@@ -499,12 +540,28 @@ def write_sample_binary(sm: SampleMatrix, path: str | Path) -> None:
 
 
 def read_sample_binary(path: str | Path) -> SampleMatrix:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != MAGIC:
-        raise ValueError("not a MTRK data file")
-    rows, cols = struct.unpack("<II", raw[4:12])
-    expected = 16 + rows * cols * 8
-    if len(raw) != expected:
-        raise ValueError(f"truncated MTRK file: expected {expected} bytes, got {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f8", offset=16).reshape(rows, cols)
-    return SampleMatrix(data=data, vertices=tuple(range(1, cols + 1)))
+    """The MTRK file write_sample_binary writes, columns numbered 1..cols.
+
+    The payload is read straight into the matrix's one array.  A regular
+    file's size is checked against its header before that array is
+    allocated, so a header that claims more rows than the file holds is
+    refused first; a pipe, which has no size, is read whole first.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16 or header[:4] != MAGIC:
+            raise ValueError("not a MTRK data file")
+        rows, cols = struct.unpack("<II", header[4:12])
+        expected = 16 + rows * cols * 8
+        info = os.fstat(fh.fileno())
+        payload = None if stat.S_ISREG(info.st_mode) else fh.read()
+        size = info.st_size if payload is None else 16 + len(payload)
+        if size == expected:
+            data = np.empty((rows, cols), dtype="<f8")
+            if payload is None:
+                size = 16 + fh.readinto(data)  # short if the file shrank since fstat
+            else:
+                data[...] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+    if size != expected:
+        raise ValueError(f"truncated MTRK file: expected {expected} bytes, got {size}")
+    return SampleMatrix._adopt(data, tuple(range(1, cols + 1)))

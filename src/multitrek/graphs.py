@@ -164,8 +164,9 @@ def canonical_dag(g: MixedGraph) -> CanonicalDagResult:
     """Replace every hyperedge with a fresh latent source vertex.
 
     The latent for the r-th hyperedge (1-based, in sorted hyperedge
-    order) gets id ``max(original ids) + r``, so certificates citing
-    latents are reproducible across runs.  A graph with no hyperedges
+    order) gets id ``max(original ids) + r`` and is listed after the
+    original vertices, so certificates citing latents are reproducible
+    across runs.  A graph with no hyperedges
     comes back unchanged with an empty latent map.
     """
     if not g.multidirected_edges:

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import os
 import re
 import struct
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -37,6 +39,12 @@ F = Fraction
 
 # Finite data whose fourth powers of column 1 leave the float range.
 BIG = [[1e100, 2.0], [-1e100, 1.0], [3.0, 0.5]]
+
+
+def assert_owned_read_only(sm):
+    """The matrix holds one C-ordered array of its own, which nothing may write."""
+    assert sm.data.base is None and sm.data.flags.c_contiguous
+    assert not sm.data.flags.writeable
 
 
 class TestNoiseSpec:
@@ -137,6 +145,7 @@ class TestSimulate:
         fan_out = {(latent, v): 1.0 for v in latent_triple.vertices}
         sm = simulate_lsem(latent_triple, fan_out, full, 2000, seed=3)
         assert sm.vertices == latent_triple.vertices
+        assert_owned_read_only(sm)
         # The shared latent noise correlates all three columns.
         corr = np.corrcoef(sm.data.T)
         assert np.all(corr[np.triu_indices(3, 1)] > 0.2)
@@ -163,6 +172,7 @@ class TestSimulate:
         })
         sm = simulate_lsem(g, lam, noise, 64, seed=11)
         assert sm.data.shape == (64, 5)
+        assert_owned_read_only(sm)
         assert hashlib.sha256(sm.data.tobytes()).hexdigest() == (
             "5b6ae9d5ea64bcf355257ade6b26e6a3c450f702c5492697737ffc419612d772"
         )
@@ -275,7 +285,9 @@ class TestSampleCumulant:
             )
             assert err < 0.15
 
-    @pytest.mark.parametrize("rows", [1, 2, 5, 17, 64, 300])
+    # Row counts on both sides of numpy's pairwise-sum edges: the 8-wide
+    # unrolled loop and the 128-element blocks that are split in halves.
+    @pytest.mark.parametrize("rows", [1, 2, 5, 17, 64, 129, 300, 1025, 8193])
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_entries_equal_the_per_key_moments_bit_for_bit(self, tmp_path, p, k, rows):
@@ -516,6 +528,7 @@ class TestDataIO:
         back = read_sample_csv(path)
         assert back.vertices == (2, 5, 9)
         assert np.array_equal(back.data, sm.data)  # repr() round-trips floats
+        assert_owned_read_only(back)
 
     def test_csv_with_text_labels_renumbers(self, tmp_path):
         sm = SampleMatrix(data=np.ones((2, 2)), vertices=(7, 8))
@@ -612,7 +625,30 @@ class TestDataIO:
         back = read_sample_binary(path)
         assert back.vertices == (1, 2, 3, 4)
         assert np.array_equal(back.data, sm.data)
-        assert back.data.base is None and not back.data.flags.writeable
+        assert_owned_read_only(back)
+
+    def test_binary_reads_a_pipe(self, tmp_path):
+        # A pipe has no size to check first: it is read whole, then checked.
+        sm = SampleMatrix(data=np.arange(12.0).reshape(4, 3) / 7, vertices=(1, 2, 3))
+        path = tmp_path / "x.mtrk"
+        write_sample_binary(sm, path)
+        fifo = tmp_path / "fifo.mtrk"
+        for payload, error in ((path.read_bytes(), None), (path.read_bytes()[:-8], "truncated")):
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+            writer.start()
+            try:
+                if error is None:
+                    back = read_sample_binary(fifo)
+                    assert np.array_equal(back.data, sm.data)
+                    assert_owned_read_only(back)
+                else:
+                    with pytest.raises(ValueError, match=error):
+                        read_sample_binary(fifo)
+            finally:
+                writer.join(timeout=10)
+                fifo.unlink()
+            assert not writer.is_alive()
 
     def test_binary_read_copies_the_payload_once(self, tmp_path):
         sm = SampleMatrix(data=np.ones((20_000, 4)), vertices=(1, 2, 3, 4))
@@ -625,8 +661,21 @@ class TestDataIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The file's bytes and the owned matrix, but no second copy of the payload.
-        assert peak < 2.5 * sm.data.nbytes
+        # The payload is read straight into the owned matrix: no second copy.
+        assert peak < 1.5 * sm.data.nbytes
+
+    def test_binary_header_claiming_more_rows_allocates_nothing(self, tmp_path):
+        # The file's size is checked before the matrix (128 MB here) is allocated.
+        path = tmp_path / "liar.mtrk"
+        path.write_bytes(b"MTRK" + struct.pack("<II", 1 << 22, 4) + bytes(4 + 64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^truncated MTRK file: expected 134217744 bytes, got 80$"):
+                read_sample_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_binary_rejects_bad_magic_and_truncation(self, tmp_path):
         good = tmp_path / "x.mtrk"
@@ -638,5 +687,9 @@ class TestDataIO:
             read_sample_binary(bad_magic)
         truncated = tmp_path / "trunc.mtrk"
         truncated.write_bytes(good.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="^truncated MTRK file: expected 64 bytes, got 56$"):
             read_sample_binary(truncated)
+        overlong = tmp_path / "long.mtrk"
+        overlong.write_bytes(good.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="^truncated MTRK file: expected 64 bytes, got 72$"):
+            read_sample_binary(overlong)

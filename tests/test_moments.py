@@ -40,6 +40,7 @@ from multitrek import (
     split_trek_from_paths,
     symbolic_instance,
 )
+import multitrek.cumulants as cumulants
 from multitrek.cumulants import _DeterminantPlan, _partitions, noise_entry
 from multitrek.moments import ConjectureReport, _edge_threshold
 from multitrek.treks import _reaching, _side_paths
@@ -297,6 +298,28 @@ class TestMomentPlan:
                     for group in itertools.combinations(range(k), h):
                         fresh = _DeterminantPlan(g, [sides[i] for i in group], moments=True)
                         assert plan.part_determinant(group, values) == fresh.at_seed(seed)
+
+    def test_each_group_builds_its_tables_once(self, monkeypatch):
+        # The key table and block indices of a part depend on its group only,
+        # so seeds after the first (and a list spelling the group) reuse them.
+        rng = random.Random(2630)
+        g, sides = self.sharing_sides(rng, 5)
+        plan = _DeterminantPlan(g, sides, moments=True)
+        groups = ((0, 2), [0, 2], (1, 3, 4))
+        seeds = (11, 12, 13)
+        expected = [
+            _DeterminantPlan(g, [sides[i] for i in group], moments=True).at_seed(seed)
+            for seed in seeds for group in groups
+        ]
+        built = []
+        key_table = cumulants._key_table
+        monkeypatch.setattr(cumulants, "_key_table", lambda cols: built.append(cols) or key_table(cols))
+        got = [
+            plan.part_determinant(group, values)
+            for values in map(plan.cumulants_at_seed, seeds) for group in groups
+        ]
+        assert got == expected
+        assert len(built) == 2
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_every_block_a_part_reads_is_a_case_key(self, k):
