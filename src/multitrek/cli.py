@@ -91,7 +91,8 @@ def _emit(text: str, out: str | None) -> None:
     sys.stdout.write(line)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top parser, and each command's own parser by name."""
     parser = _Parser(prog="multitrek", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -149,7 +150,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=_int_arg, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
 
-    return parser
+    return parser, sub.choices
 
 
 def _decide(args, decide, g, sides_or_vars) -> int:
@@ -289,7 +290,17 @@ _COMMANDS = {
 
 
 # Built once: parse_args keeps no state between calls, and _Parser.error raises.
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The top parser's namespace for argv.  A known command's arguments go
+    straight to that command's parser, which is what the top parser hands
+    them to; an empty argv, an unknown command or a leading option goes
+    through the top parser, so every usage message stays its own."""
+    if argv and argv[0] in _SUBPARSERS:
+        return _SUBPARSERS[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _PARSER.parse_args(argv)
 
 
 def _configure_logging() -> None:
@@ -303,7 +314,7 @@ def run(argv: list[str]) -> int:
     """Parse argv, run one command, return the exit code; stdout is one JSON line."""
     _configure_logging()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
         return _COMMANDS[args.command](args)
     except _Usage as exc:
         sys.stdout.write(canonical_json({"error": str(exc)}) + "\n")

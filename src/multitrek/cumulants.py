@@ -403,7 +403,7 @@ class _EntryPlan:
 
         col = {v: c for c, v in enumerate(columns)}
         q = len(columns)
-        children = g.adjacency()
+        children = g.child_lists
         reach: dict[int, int] = {}  # bitmask of the columns v has a directed path into
         for v in reversed(topo):
             mask = 1 << col[v] if v in col else 0
@@ -581,13 +581,17 @@ def _partition_sums(entries: Iterable, values: Sequence) -> list:
     return [_partition_value(partitions, values.__getitem__) for partitions in entries]
 
 
-def _key_table(side_columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list]:
+@functools.lru_cache(maxsize=1 << 12)
+def _key_table(
+    side_columns: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The sorted key of each subtensor position, in row-major order, as an
-    index into the distinct keys in first-seen order; (table, keys)."""
+    index into the distinct keys in first-seen order; (table, keys).  Kept
+    per side-column pattern, so each value is a tuple."""
     keys: dict[tuple[int, ...], int] = {}
     positions = itertools.product(*side_columns)
     table = tuple(keys.setdefault(tuple(sorted(cols)), len(keys)) for cols in positions)
-    return table, list(keys)
+    return table, tuple(keys)
 
 
 class _DeterminantPlan(_EntryPlan):
@@ -642,7 +646,7 @@ class _DeterminantPlan(_EntryPlan):
         """
         group = tuple(group)
         if group not in self._parts:
-            table, keys = _key_table([self._side_columns[i] for i in group])
+            table, keys = _key_table(tuple(self._side_columns[i] for i in group))
             index = self._cumulant_index.__getitem__
             self._parts[group] = table, _block_indices(keys, _partitions(len(group)), index)
         table, entries = self._parts[group]

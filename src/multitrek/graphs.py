@@ -10,10 +10,12 @@ source vertex pointing at its endpoints.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import CycleError, SchemaError
 from .ser import canonical_json, read_int, read_ints, read_json, strict_int
@@ -29,6 +31,11 @@ class MixedGraph:
     multisets of size >= 2.  Construction refuses ids that are not ints
     (booleans included), normalizes (sorts, dedups) and validates
     endpoints; acyclicity is checked separately by validate_acyclic.
+
+    The graph keeps what it derives from its edges once it has computed
+    it: its topological order, child and parent lists and canonical DAG.
+    These are read-only values outside the fields, so equality, hashing,
+    repr, pickles and serialize_graph see the fields alone.
     """
 
     vertices: tuple[int, ...]
@@ -66,6 +73,9 @@ class MixedGraph:
         object.__setattr__(self, "directed_edges", edges)
         object.__setattr__(self, "multidirected_edges", hyper)
 
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -73,22 +83,48 @@ class MixedGraph:
         """True when there are no multidirected edges."""
         return not self.multidirected_edges
 
+    @functools.cached_property
+    def topological_order(self) -> tuple[int, ...]:
+        """What validate_acyclic returns; CycleError on a cyclic graph."""
+        return _topological_order(self)
+
+    @functools.cached_property
+    def child_lists(self) -> Mapping[int, tuple[int, ...]]:
+        """Sorted child lists keyed by vertex (every vertex present), read-only."""
+        return _lists(self.vertices, self.directed_edges)
+
+    @functools.cached_property
+    def parent_lists(self) -> Mapping[int, tuple[int, ...]]:
+        """Sorted parent lists keyed by vertex (every vertex present), read-only."""
+        return _lists(self.vertices, sorted((b, a) for a, b in self.directed_edges))
+
+    @functools.cached_property
+    def _canonical(self) -> CanonicalDagResult:
+        return _reduce(self)
+
     def children(self, v: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.directed_edges if a == v)
+        return self.child_lists.get(v, ())
 
     def parents(self, v: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.directed_edges if b == v)
+        return self.parent_lists.get(v, ())
 
     def index_of(self, v: int) -> int:
         """Dense position of vertex v in the sorted vertex tuple."""
         return self.vertices.index(v)
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Sorted child lists keyed by vertex (every vertex present)."""
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.directed_edges:
-            out[u].append(v)
-        return {v: tuple(sorted(cs)) for v, cs in out.items()}
+    def adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        """The child lists (child_lists)."""
+        return self.child_lists
+
+
+def _lists(
+    vertices: tuple[int, ...], pairs: Iterable[tuple[int, int]]
+) -> Mapping[int, tuple[int, ...]]:
+    """The second members of the sorted pairs grouped by first member, per vertex."""
+    out: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in pairs:
+        out[u].append(v)
+    return MappingProxyType({v: tuple(vs) for v, vs in out.items()})
 
 
 @dataclass(frozen=True)
@@ -107,8 +143,9 @@ class CanonicalDagResult:
     latent_of: Mapping[int, tuple[int, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "latent_map", MappingProxyType(dict(self.latent_map)))
         object.__setattr__(
-            self, "latent_of", {v: h for h, v in self.latent_map.items()}
+            self, "latent_of", MappingProxyType({v: h for h, v in self.latent_map.items()})
         )
 
 
@@ -117,9 +154,15 @@ def validate_acyclic(g: MixedGraph) -> tuple[int, ...]:
 
     Returns a vertex ordering in which every directed edge goes forward.
     Raises CycleError carrying one offending cycle (as a closed vertex
-    sequence) when the directed part is cyclic.
+    sequence) when the directed part is cyclic.  The order is computed
+    once per graph and kept (MixedGraph.topological_order); parse_graph
+    fills it in.
     """
-    children = g.adjacency()
+    return g.topological_order
+
+
+def _topological_order(g: MixedGraph) -> tuple[int, ...]:
+    children = g.child_lists
     indeg = {v: 0 for v in g.vertices}
     for _, v in g.directed_edges:
         indeg[v] += 1
@@ -167,8 +210,14 @@ def canonical_dag(g: MixedGraph) -> CanonicalDagResult:
     order) gets id ``max(original ids) + r`` and is listed after the
     original vertices, so certificates citing latents are reproducible
     across runs.  A graph with no hyperedges
-    comes back unchanged with an empty latent map.
+    comes back unchanged with an empty latent map.  The result is
+    computed once per graph and kept, so canonical_dag(g) is
+    canonical_dag(g).
     """
+    return g._canonical
+
+
+def _reduce(g: MixedGraph) -> CanonicalDagResult:
     if not g.multidirected_edges:
         return CanonicalDagResult(dag=g, latent_map={}, original_vertices=g.vertices)
     base = max(g.vertices)

@@ -256,7 +256,8 @@ def exists_split_trek_system_no_sided_intersection(
     and the side-i paths are vertex-disjoint, so candidates decompose
     per side: an n-subset of possible sources (a *column*) plus a
     disjoint path system onto S_i, found by max flow on one split graph
-    per search (treks._SplitGraph) and memoized per side and column.
+    per search (treks._SplitGraph) and memoized per side and column;
+    only the flows of the chosen columns are walked into paths.
     What remains is pairing columns row-wise so every trek's source
     multiset is singleton-free.  Any existing system
     induces such columns and per-side bijections, so the search is
@@ -296,7 +297,7 @@ def exists_split_trek_system_no_sided_intersection(
     if not all(column_choices):
         return TrekSearchResult(system=None)
     split = _SplitGraph(g, itertools.chain(*reaching), itertools.chain(*side_lists))
-    flow = functools.cache(lambda side, columns: split.paths(columns, side, 1))
+    flow = functools.cache(lambda side, columns: split.linked(columns, side, 1))
     perms, _ = signed_permutations(n)
 
     def walk(i: int, states: frozenset, prefix: tuple) -> Iterator[tuple | None]:
@@ -325,12 +326,8 @@ def exists_split_trek_system_no_sided_intersection(
             for x in range(n)
         )
     )
-    treks = [
-        split_trek_from_paths(
-            [flow(side, col)[b[x]] for side, col, b in zip(side_lists, cols, chosen)]
-        )
-        for x in range(n)
-    ]
+    paths = [split.walk(col, flow(side, col)) for side, col in zip(side_lists, cols)]
+    treks = [split_trek_from_paths([p[b[x]] for p, b in zip(paths, chosen)]) for x in range(n)]
     treks.sort(key=lambda trek: side_lists[0].index(trek.paths[0].sink))
     system = make_trek_system(treks, side_lists)
     _verify_system(g, system, open_first_side=False)

@@ -230,12 +230,30 @@ def hyperdet_from_table(n: int, order: int, table: Sequence):
     (order-1)-tuples of permutations, in itertools order, each term
     multiplied row by row starting at its first entry and skipped at its
     first zero factor; that fixed order makes float results repeat to the
-    last bit.
+    last bit.  A shape of at most TERM_LIST_MAX terms reads its terms'
+    signs and table offsets from a list built once per (n, order)
+    (_leibniz_terms); a larger one computes them term by term, in the
+    same order and with the same products.
     """
     if n == 0:
         return 1
     if order == 2 and all(isinstance(x, (int, Fraction)) for x in table):
         return det_matrix([table[i * n : (i + 1) * n] for i in range(n)])
+    terms = _leibniz_terms(n, order)
+    if terms is not None:
+        total = 0
+        for sign, first, rest in terms:
+            term = table[first]
+            if not term:
+                continue
+            for off in rest:
+                val = table[off]
+                if not val:
+                    break
+                term = term * val
+            else:
+                total = total + (term if sign > 0 else -term)
+        return total
     perms, signs = signed_permutations(n)
     total = 0
     for combo in itertools.product(range(len(perms)), repeat=order - 1):
@@ -255,12 +273,37 @@ def hyperdet_from_table(n: int, order: int, table: Sequence):
     return total
 
 
+# The largest Leibniz sum, in terms, whose term list _leibniz_terms keeps.
+TERM_LIST_MAX = 4096
+
+
+@functools.cache
+def _leibniz_terms(n: int, order: int) -> tuple[tuple[int, int, tuple[int, ...]], ...] | None:
+    """The terms of the order-k Leibniz sum on an n-cube, in hyperdet_from_table's
+    order, as (sign, offset of row 0, offsets of rows 1..n-1) into the
+    row-major table; None past TERM_LIST_MAX terms, which stream instead."""
+    perms, signs = signed_permutations(n)
+    if len(perms) ** (order - 1) > TERM_LIST_MAX:
+        return None
+    terms = []
+    for combo in itertools.product(range(len(perms)), repeat=order - 1):
+        offsets = []
+        for i in range(n):
+            off = i
+            for c in combo:
+                off = off * n + perms[c][i]
+            offsets.append(off)
+        terms.append((math.prod(signs[c] for c in combo), offsets[0], tuple(offsets[1:])))
+    return tuple(terms)
+
+
 @functools.cache
 def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The permutations of range(n) in itertools order, and their signs.
 
-    Cached per n only: a per-(n, k) list of Leibniz terms would hold
-    (n!)**(k-1) tuples, 1.7 M at n = 5, k = 4.
+    Cached per n: the Leibniz term lists built from them are kept per
+    (n, k) only up to TERM_LIST_MAX terms (_leibniz_terms), since a full
+    list would hold (n!)**(k-1) terms, 1.7 M at n = 5, k = 4.
     """
     perms = tuple(itertools.permutations(range(n)))
     return perms, tuple(perm_sign(p) for p in perms)

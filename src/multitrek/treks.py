@@ -206,15 +206,12 @@ class TrekSearchResult:
 
 def reachable_from(g: MixedGraph, u: int) -> frozenset[int]:
     """Vertices reachable from u by directed edges, u included."""
-    return _reach(g.adjacency(), (u,))
+    return _reach(g.child_lists, (u,))
 
 
 def _reaching(g: MixedGraph, targets: Iterable[int], avoid: Iterable[int] = ()) -> frozenset[int]:
     """Vertices with a directed path into targets meeting no vertex of avoid (endpoints count)."""
-    parents: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for a, b in g.directed_edges:
-        parents[b].append(a)
-    return _reach(parents, targets, frozenset(avoid))
+    return _reach(g.parent_lists, targets, frozenset(avoid))
 
 
 def _reach(
@@ -251,7 +248,7 @@ def _paths_into(
     vertex with a path into v, ascending), lexicographic by vertex sequence
     per source, by one reverse search.  Raises BudgetExceeded past the cap
     on the paths from one source."""
-    children = g.adjacency()
+    children = g.child_lists
     into_v = _reaching(g, (v,))
 
     def dfs(path: list[int]) -> Iterator[DirectedPath]:
@@ -405,7 +402,7 @@ class _FlowNetwork:
 
 
 class _SplitGraph:
-    """A DAG's vertex-split network, built once for many _side_paths queries.
+    """A DAG's vertex-split network, built once for many linkage queries.
 
     Vertex i is the arc from its in-node 2i to its out-node 2i + 1, and
     edge (a, b) the arc from a's out-node to b's in-node.  Then come a
@@ -417,6 +414,11 @@ class _SplitGraph:
     after its flow.  Arcs at capacity 0 are invisible to the flow, and
     every node keeps the relative order of its other arcs, so a query
     finds the flow and paths of a network built for it alone.
+
+    A linkage query (linked) returns the flow it pushed without walking
+    it; walk turns a returned flow into its paths.  A search walks only
+    the flows of the witness it returns, and each flow once pushed is
+    kept, never pushed again.
     """
 
     def __init__(self, dag: MixedGraph, tops: Iterable[int], side_vertices: Iterable[int]) -> None:
@@ -435,26 +437,36 @@ class _SplitGraph:
             v: net.add_arc(2 * idx[v] + 1, self.snk, 0) for v in sorted(set(side_vertices))
         }
 
-    def paths(
-        self, tops: Sequence[int], side: Sequence[int], through: int
-    ) -> list[DirectedPath] | None:
-        """_side_paths on this network: tops among its candidate tops, side
-        vertices among its side vertices."""
-        net, idx, n = self.net, self.idx, len(tops)
+    def linked(self, tops: Sequence[int], side: Sequence[int], through: int) -> list[int] | None:
+        """The flow of _side_paths on this network, unwalked, else None: tops
+        among its candidate tops, side vertices among its side vertices."""
+        net, n = self.net, len(tops)
         cap = net.cap
         cap[0 : self.inner : 2] = [through] * (self.inner // 2)
         raised = [self.source[v] for v in tops] + [self.sink[v] for v in side]
         for arc in raised:
             cap[arc] += 1
-        paths = None
-        if net.push(self.src, self.snk, n)[0] == n:
-            # A walk alternates out-nodes and in-nodes and ends at the sink, an
-            # odd position: its even positions are the out-nodes of the path.
-            walks = [net.walk(2 * idx[v] + 1, self.snk) for v in tops]
-            paths = [DirectedPath(tuple(self.vertices[x // 2] for x in w[::2])) for w in walks]
+        sent = net.push(self.src, self.snk, n)[0]
         for arc in raised:
             cap[arc] -= 1
-        return paths
+        return net.flow if sent == n else None
+
+    def walk(self, tops: Sequence[int], flow: list[int]) -> list[DirectedPath]:
+        """The paths of a flow that linked returned for these tops, aligned
+        with them; the flow itself is left as it is."""
+        net, idx = self.net, self.idx
+        net.flow = list(flow)
+        # A walk alternates out-nodes and in-nodes and ends at the sink, an
+        # odd position: its even positions are the out-nodes of the path.
+        walks = [net.walk(2 * idx[v] + 1, self.snk) for v in tops]
+        return [DirectedPath(tuple(self.vertices[x // 2] for x in w[::2])) for w in walks]
+
+    def paths(
+        self, tops: Sequence[int], side: Sequence[int], through: int
+    ) -> list[DirectedPath] | None:
+        """_side_paths on this network: linked, then walk."""
+        flow = self.linked(tops, side, through)
+        return None if flow is None else self.walk(tops, flow)
 
 
 def exists_disjoint_path_system(
@@ -679,10 +691,12 @@ def first_linked_top(
     position of the side, one flow per side (_side_paths) on one split
     graph per search (_SplitGraph): capacity 1 on a closed side, so its
     paths are vertex-disjoint, capacity n on side 1 when it is open, so
-    they may meet.  The found system's treks run
-    from T, and the result names T in the DAG's vertex ids; each T tried
-    before logs its first blocked side.  The public search checks the
-    witness.  Raises BudgetExceeded past ``budget`` top sets.
+    they may meet.  Only the k flows of the returned T are walked into
+    paths; a blocked T's linked sides are never walked.  The found
+    system's treks run from T, and the result names T in the DAG's
+    vertex ids; each T tried before logs its first blocked side.  The
+    public search checks the witness.  Raises BudgetExceeded past
+    ``budget`` top sets.
 
     With side 1 open exactly at odd k (the oracle's rule) this is also
     the exact zero test of the cumulant determinant on a DAG.  The noise
@@ -732,12 +746,13 @@ def first_linked_top(
     split = _SplitGraph(dag, useful, itertools.chain(*sides))
     obstructions: list[TopObstruction] = []
     for top in _Cap(budget, "candidate top sets")(tops):
-        # each side's path system in turn (None where T is not linked), up to the first None
-        flows = (split.paths(top, side, c) for side, c in zip(sides, through))
-        per_side = list(itertools.takewhile(bool, flows))
-        if len(per_side) < k:
-            obstructions.append(TopObstruction(top=top, blocked_side=len(per_side) + 1))
+        # each side's flow in turn (None where T is not linked), up to the first None
+        flows = (split.linked(top, side, c) for side, c in zip(sides, through))
+        linked = list(itertools.takewhile(bool, flows))
+        if len(linked) < k:
+            obstructions.append(TopObstruction(top=top, blocked_side=len(linked) + 1))
             continue
+        per_side = [split.walk(top, flow) for flow in linked]
         # Place the treks in side 1's order; a repeated vertex takes its
         # treks in top order, one per position.
         by_sink: dict[int, list[KTrek]] = {}

@@ -27,6 +27,7 @@ from multitrek import (
     trek_system_from_doc,
     write_sample_csv,
 )
+import multitrek.cli as cli_module
 from multitrek.cli import EXIT_ERROR, EXIT_OK, EXIT_VANISHES, run
 
 
@@ -68,6 +69,48 @@ def test_a_negative_seed_is_one_json_error(capfd, tmp_path, star, command):
     assert (code, *capfd.readouterr()) == (
         EXIT_ERROR, '{"error":"seed must be >= 0, got -1"}\n', ""
     )
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("bogus",),
+    ("--seed", "1"),
+    ("-h",),
+    ("check",),
+    ("check", "--graph", "GRAPH"),
+    ("check", "--graph", "GRAPH", "--se", "1"),
+    ("check", "--graph", "GRAPH", "--sets", "1;2", "--seed", "x"),
+    ("check", "--graph", "GRAPH", "--sets", "1;2", "--seed", "1", "extra"),
+    ("check", "--graph", "GRAPH", "--sets", "1;2", "--mode", "sure"),
+    ("check", "--graph", "GRAPH", "--sets", "1;2", "--seed", "1"),
+    ("check", "--help"),
+    ("certify", "--h"),
+    ("estimate", "--data", "x.csv", "--order", "4", "--", "more"),
+    ("check", "check"),
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_a_command_parses_as_the_top_parser_would(capfd, monkeypatch, tmp_path, star, argv):
+    # run hands a known command's argv straight to the command's parser; the
+    # top parser, which every argv passes through without that, gives the
+    # same stdout, stderr and exit code.
+    argv = [write_graph(tmp_path, star) if arg == "GRAPH" else arg for arg in argv]
+
+    def outcome():
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:  # --help prints its usage and exits 0
+            code = f"exit {exc.code}"
+        return code, *capfd.readouterr()
+
+    direct = outcome()
+    monkeypatch.setattr(cli_module, "_SUBPARSERS", {})
+    assert outcome() == direct
+    code, out, err = direct
+    if code == "exit 0":
+        command = "" if argv[0] == "-h" else f"{argv[0]} "
+        assert out.startswith(f"usage: multitrek {command}[-h]") and err == ""
+    else:
+        assert err == "" and out.count("\n") == 1
+        assert ("error" in json.loads(out)) == (code == EXIT_ERROR)
 
 
 class TestCheck:

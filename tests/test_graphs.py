@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -12,6 +15,7 @@ from multitrek import (
     serialize_graph,
     validate_acyclic,
 )
+import multitrek.graphs as graphs_module
 from conftest import random_mixed
 
 
@@ -122,6 +126,94 @@ def test_canonical_dag_noop_on_dag(two_root_dag):
     assert res.dag == two_root_dag
     assert res.latent_map == {}
     assert res.original_vertices == two_root_dag.vertices
+
+
+# What a graph keeps once computed: its topological order, child and parent
+# lists and canonical DAG.
+KEPT = ("topological_order", "child_lists", "parent_lists", "_canonical")
+
+
+def derived(g):
+    """Every kept value of g, in comparable form."""
+    canon = canonical_dag(g)
+    return (
+        validate_acyclic(g),
+        dict(g.child_lists),
+        dict(g.parent_lists),
+        (canon.dag, dict(canon.latent_map), dict(canon.latent_of), canon.original_vertices),
+    )
+
+
+def shuffled_ids(rng, g):
+    """g with its vertex ids permuted, so that id order is no topological order."""
+    ids = dict(zip(g.vertices, rng.sample(g.vertices, len(g.vertices))))
+    return MixedGraph(
+        vertices=g.vertices,
+        directed_edges=tuple((ids[a], ids[b]) for a, b in g.directed_edges),
+        multidirected_edges=tuple(tuple(ids[x] for x in h) for h in g.multidirected_edges),
+    )
+
+
+def test_each_kept_value_is_computed_once_and_read_only(monkeypatch):
+    g = MixedGraph(
+        vertices=(1, 2, 3, 5), directed_edges=((5, 1), (3, 1), (5, 2)), multidirected_edges=((1, 2, 3),)
+    )
+    calls = []
+    for name in ("_topological_order", "_lists", "_reduce"):
+        compute = getattr(graphs_module, name)
+        monkeypatch.setattr(
+            graphs_module, name, lambda *a, _f=compute, _n=name: calls.append(_n) or _f(*a)
+        )
+    first = derived(g)
+    assert sorted(calls) == ["_lists", "_lists", "_reduce", "_topological_order"]
+    assert derived(g) == first and len(calls) == 4
+    assert validate_acyclic(g) is g.topological_order and canonical_dag(g) is canonical_dag(g)
+    assert g.child_lists is g.child_lists and g.parent_lists is g.parent_lists
+    for mapping in (g.child_lists, g.parent_lists, canonical_dag(g).latent_map, canonical_dag(g).latent_of):
+        with pytest.raises(TypeError):
+            mapping[1] = ()
+    for name in KEPT:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(g, name)
+    # a cyclic graph keeps no order: every call raises
+    cyclic = MixedGraph(vertices=(1, 2), directed_edges=((1, 2), (2, 1)))
+    for _ in range(2):
+        with pytest.raises(CycleError):
+            validate_acyclic(cyclic)
+
+
+def test_kept_values_equal_a_fresh_graphs_and_their_definitions():
+    rng = random.Random(2606)
+    for _ in range(60):
+        g = shuffled_ids(rng, random_mixed(rng, max_vertices=8))
+        used = derived(g)
+        fresh = MixedGraph(g.vertices, g.directed_edges, g.multidirected_edges)
+        assert derived(g) == used == derived(fresh)
+        for v in g.vertices:
+            assert g.children(v) == tuple(b for a, b in g.directed_edges if a == v)
+            assert g.parents(v) == tuple(a for a, b in g.directed_edges if b == v)
+        assert g.adjacency() == {v: g.children(v) for v in g.vertices}
+        order = validate_acyclic(g)
+        pos = {v: i for i, v in enumerate(order)}
+        assert sorted(order) == list(g.vertices)
+        assert all(pos[a] < pos[b] for a, b in g.directed_edges)
+
+
+def test_warm_caches_leave_equality_hashing_and_serialization_alone():
+    rng = random.Random(2607)
+    for _ in range(30):
+        g = shuffled_ids(rng, random_mixed(rng, max_vertices=7))
+        twin = MixedGraph(g.vertices, g.directed_edges, g.multidirected_edges)
+        cold = (hash(g), repr(g), serialize_graph(g))
+        derived(g)
+        assert all(name in vars(g) for name in KEPT)
+        assert g == twin and twin == g and hash(g) == hash(twin)
+        assert (hash(g), repr(g), serialize_graph(g)) == cold
+        for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+            assert copied == g and not any(name in vars(copied) for name in KEPT)
+            assert derived(copied) == derived(g)
 
 
 def test_json_round_trip():

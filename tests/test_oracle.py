@@ -18,6 +18,8 @@ from multitrek import (
     exists_trek_system_no_sided_intersection,
     find_sided_intersection,
     graph_hash,
+    parse_graph,
+    serialize_graph,
     symbolic_instance,
     trek_system_from_doc,
 )
@@ -1045,3 +1047,29 @@ def test_certify_checks_how_the_document_says_it_was_made(star):
     # The claims are checked first: a document that fails one keeps its reason.
     bad = {**copy.deepcopy(doc), "order": 7, "verdict": "Maybe"}
     assert certify_decision(star, bad) == (False, "unknown verdict 'Maybe'")
+
+
+@pytest.mark.parametrize("mode", ["randomized", "certain"])
+def test_kept_graph_values_leave_decisions_and_certificates_alone(mode):
+    # A graph keeps its order, lists and canonical DAG once computed; a
+    # graph with hyperedges decides and certifies to the same bytes whether
+    # it is cold, already used, or parsed afresh.
+    rng = random.Random(2608)
+    verdicts = set()
+    for _ in range(25):
+        g = random_mixed(rng, max_vertices=6, max_hyperedges=2)
+        g = MixedGraph(
+            g.vertices, g.directed_edges, g.multidirected_edges + (tuple(rng.sample(g.vertices, 2)),)
+        )
+        k = rng.choice((2, 3, 4))
+        sides = random_sides(rng, g, k, rng.randint(1, min(3, len(g.vertices))))
+        cold = MixedGraph(g.vertices, g.directed_edges, g.multidirected_edges)
+        runs = []
+        for graph in (cold, cold, parse_graph(serialize_graph(g))):
+            text = decide_vanishing(graph, sides, mode=mode, seed=5).to_json()
+            runs.append((text, certify_decision(graph, json.loads(text))))
+        fresh = MixedGraph(g.vertices, g.directed_edges, g.multidirected_edges)
+        runs.append((text, certify_decision(fresh, json.loads(text))))  # certified cold
+        assert len(set(runs)) == 1 and runs[0][1][0]
+        verdicts.add(json.loads(text)["verdict"])
+    assert verdicts == {"Vanishes", "NotVanishes"}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,8 +21,11 @@ from multitrek import (
     tucker_apply,
 )
 from multitrek.tensors import (
+    TERM_LIST_MAX,
+    _leibniz_terms,
     contract_mode,
     hyperdet_from_getter,
+    hyperdet_from_table,
     orbit_table,
     symmetric_from_values,
     symmetric_tensor,
@@ -434,3 +438,33 @@ def test_json_rejects_malformed():
         tensor_from_json(
             '{"order":1,"dims":[2],"scalar":"rational","entries":["1/0"]}'
         )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_term_lists_match_leibniz_on_tables_with_zeros(n, k):
+    # Shapes of at most TERM_LIST_MAX terms read a kept term list, larger ones
+    # stream; both give the reference's value, float bits included.
+    terms = math.factorial(n) ** (k - 1)
+    assert (_leibniz_terms(n, k) is None) == (terms > TERM_LIST_MAX)
+    rng = random.Random(1000 * k + n)
+    size = n**k
+
+    def table(draw):
+        return [draw() if rng.random() >= 1 / 3 else draw() * 0 for _ in range(size)]
+
+    x, y = Poly.var("x"), Poly.var("y")
+    tables = [(table(lambda: rng.uniform(-2.0, 2.0)), 1.0)]
+    if terms <= 20_000:  # the reference multiplies every term out; n = 4, k = 5 has 331,776
+        tables += [
+            (table(lambda: rng.randint(1, 9) * rng.choice((-1, 1))), 1),
+            (table(lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((-1, 1))), Fraction(1)),
+            (table(lambda: x * rng.randint(1, 3) - y * rng.randint(0, 3) + 1), Poly.const(1)),
+        ]
+    for entries, one in tables:
+        got = hyperdet_from_table(n, k, entries)
+        want = hyperdet_by_leibniz(n, k, table_getter(entries, n, k), one)
+        if isinstance(one, float):
+            assert float(got).hex() == float(want).hex()
+        else:
+            assert got == want

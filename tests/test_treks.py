@@ -35,7 +35,7 @@ import multitrek.moments as moments_module
 import multitrek.treks as treks_module
 from multitrek.errors import InternalInconsistency
 from multitrek.estimation import test_determinant_zero as determinant_flag
-from multitrek.treks import _reaching, _SplitGraph, first_linked_top, system_defect
+from multitrek.treks import _FlowNetwork, _reaching, _SplitGraph, first_linked_top, system_defect
 from conftest import (
     all_paths,
     random_dag,
@@ -385,8 +385,12 @@ class _SplitGraphByPairs:
     def __init__(self, dag, tops, side_vertices):
         self.dag = dag
 
-    def paths(self, tops, side, through):
+    def linked(self, tops, side, through):
+        # the paths stand in for the flow that walk turns into them
         return side_paths_by_pairs(self.dag, tops, side, through)
+
+    def walk(self, tops, paths):
+        return paths
 
 
 def test_searches_on_one_split_graph_match_one_network_per_flow(monkeypatch):
@@ -414,6 +418,44 @@ def test_searches_on_one_split_graph_match_one_network_per_flow(monkeypatch):
     assert run() == got
     assert 10 <= sum(linked.found for linked, _ in got) <= 50  # 25 linked
     assert 10 <= sum(split.found for _, split in got) <= 50  # 32 split-trek systems
+
+
+def test_searches_walk_only_the_flows_of_their_witness(monkeypatch):
+    # The k-trek search pushes one flow per (top set, side) it tries, and the
+    # split-trek search never pushes the same (column, side) flow twice.
+    # Neither walks a flow it does not return, so a k >= 3 Vanishes search
+    # walks nothing, and a found one walks n units per side of its witness.
+    pushes, walks, queries = [], [], []
+    push, walk, linked = _FlowNetwork.push, _FlowNetwork.walk, _SplitGraph.linked
+    monkeypatch.setattr(_FlowNetwork, "push", lambda net, *a: pushes.append(a) or push(net, *a))
+    monkeypatch.setattr(_FlowNetwork, "walk", lambda net, *a: walks.append(a) or walk(net, *a))
+    monkeypatch.setattr(
+        _SplitGraph, "linked", lambda split, *a: queries.append(a) or linked(split, *a)
+    )
+
+    def run(search, *args, **kwargs):
+        del pushes[:], walks[:], queries[:]
+        res = search(*args, **kwargs)
+        assert len(pushes) == len(queries)
+        assert len(walks) == n * k * res.found
+        return res
+
+    rng = random.Random(2605)
+    partly_linked = {True: 0, False: 0}  # k-trek searches that tried a top set linked to side 1 only
+    split_found = 0
+    for _ in range(400):
+        g = random_dag(rng, max_vertices=10, edge_prob=0.4)
+        k = rng.choice((3, 4))
+        n = rng.randint(2, min(3, len(g.vertices)))
+        sides = random_sides(rng, g, k, n)
+        res = run(exists_trek_system_no_sided_intersection, g, sides, open_first_side=k % 2 == 1)
+        assert len(pushes) == sum(o.blocked_side for o in res.obstructions) + k * res.found
+        partly_linked[res.found] += any(o.blocked_side > 1 for o in res.obstructions)
+        if len(g.vertices) <= 7:  # the split-trek search tries many more columns
+            split_found += run(exists_split_trek_system_no_sided_intersection, g, sides).found
+            assert len(set(queries)) == len(queries)
+    assert partly_linked[True] >= 8 and partly_linked[False] >= 25  # 16 and 49
+    assert split_found >= 80  # 163
 
 
 @pytest.mark.parametrize(
