@@ -68,7 +68,7 @@ class InternalInconsistency(MultitrekError):
 
 
 class OrderUnsupported(MultitrekError):
-    """Sample cumulants are implemented for orders 2..4 only."""
+    """A cumulant order below the first defined: 2 for samples, 1 for noise."""
 
 
 class InvalidBootstrapCount(MultitrekError):

@@ -3,7 +3,12 @@
 Closes the loop from population statements to data: simulate the
 structural system X = eps (I - Lambda)^{-1} with independent centered
 non-Gaussian noise, estimate cumulant tensors from the sample, and
-bootstrap a determinant statistic.
+bootstrap a determinant statistic.  A cumulant of central moments, of a
+sample, of bootstrap replicates or of uniform noise, is one fold over
+the model side's set partitions at every order (_cumulant_of).  The
+work that grows with the order is counted before any is built: more
+than DEFAULT_BUDGET cumulant terms (partitions times entries) or, for
+the bootstrap statistic, Leibniz terms is a BudgetExceeded.
 
 Every sample moment comes from one depth-first walk over the prefixes
 of the sorted index keys that are asked for (_moments_of): the data
@@ -41,8 +46,10 @@ replicate or one row.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 import stat
 import struct
@@ -53,14 +60,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cumulants import ModelInstance, NoiseCumulants, path_matrix
-from .errors import InvalidBootstrapCount, OrderUnsupported, SchemaError
+from .cumulants import ModelInstance, NoiseCumulants, _partitions, path_matrix
+from .errors import BudgetExceeded, InvalidBootstrapCount, OrderUnsupported, SchemaError
 from .graphs import MixedGraph, canonical_dag
 from .ser import canonical_int, checked_seed, read_float, strict_int, write_output
 from .tensors import (
     FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, orbit_table, symmetric_from_values,
 )
-from .treks import checked_sides
+from .treks import DEFAULT_BUDGET, checked_sides
 
 _TAGS = {"uniform": 1, "exponential": 1, "laplace": 1, "gamma": 2}
 
@@ -98,25 +105,20 @@ class NoiseSpec:
         object.__setattr__(self, "entries", clean)
 
     def cumulant(self, v: int, order: int) -> Fraction:
-        """Exact population cumulant of the (centered) noise at one vertex."""
+        """Exact cumulant of the (centered) noise at one vertex, any order r >= 1:
+        Laplace 2 (r-1)! b^r at even r, gamma s (r-1)! theta^r from r = 2 on
+        (exponential: s = 1, theta = 1/rate), uniform _cumulant_of its moments
+        a^r / (r+1) at even r; 0 otherwise."""
+        if order < 1:
+            raise OrderUnsupported(f"noise cumulants start at order 1, got {order}")
         tag, *params = self.entries[v]
-        if order == 1:
-            return Fraction(0)
-        if order not in (2, 3, 4):
-            raise OrderUnsupported(f"noise cumulants implemented for orders 2..4, got {order}")
         if tag == "uniform":
-            a = params[0]
-            return {2: a * a / 3, 3: Fraction(0), 4: Fraction(-2) * a**4 / 15}[order]
+            moments = [0 if r % 2 else params[0] ** r / (r + 1) for r in range(order + 1)]
+            return Fraction(_cumulant_of(lambda block: moments[len(block)], (v,) * order))
         if tag == "laplace":
-            b = params[0]
-            return {2: 2 * b * b, 3: Fraction(0), 4: 12 * b**4}[order]
-        if tag == "exponential":
-            rate = params[0]
-            shape, scale = Fraction(1), 1 / rate
-        else:
-            shape, scale = params
-        factorial = {2: 1, 3: 2, 4: 6}[order]
-        return shape * factorial * scale**order
+            return 2 * math.factorial(order - 1) * params[0] ** order if order % 2 == 0 else Fraction(0)
+        shape, scale = (Fraction(1), 1 / params[0]) if tag == "exponential" else params
+        return shape * math.factorial(order - 1) * scale**order if order > 1 else Fraction(0)
 
     def sample(self, v: int, rng: np.random.Generator, n: int) -> np.ndarray:
         tag, *params = self.entries[v]
@@ -256,9 +258,9 @@ def _moments_of(
     xf: np.ndarray, keys: Iterable[tuple[int, ...]]
 ) -> Callable[[tuple[int, ...]], float]:
     """Central product moments of the centered, F-ordered columns xf that
-    _cumulant_value reads for the entry keys: each key's own moment and, at
-    k = 4, its pair moments.  The lookup takes sorted keys only; every pair
-    of a sorted key, taken in its order, is sorted too.
+    _cumulant_of reads for the entry keys: each key's own moment and the
+    moment of every block of its partitions.  The lookup takes sorted keys
+    only; every block of a sorted key, taken in its order, is sorted too.
 
     One depth-first walk visits the prefixes of those sorted keys in sorted
     order.  prods[d] is the product of the current key's first d + 1
@@ -270,9 +272,7 @@ def _moments_of(
     """
     needed = set()
     for key in map(tuple, map(sorted, keys)):
-        needed.add(key)
-        if len(key) == 4:
-            needed.update(itertools.combinations(key, 2))
+        needed.update((key,), (get(key) for _, blocks in _fold(len(key)) for get in blocks))
     rows = xf.shape[0]
     columns = [xf[:, c] for c in range(xf.shape[1])]
     depth = max(map(len, needed), default=1)
@@ -291,23 +291,51 @@ def _moments_of(
     return memo.__getitem__
 
 
-def _cumulant_value(moment: Callable, idx: tuple[int, ...]):
-    """Denominator-n sample cumulant of the columns idx (k <= 4) from their
-    central moments; works on floats and on arrays of replicates alike."""
-    k = len(idx)
-    if k in (2, 3):
-        return moment(idx)
-    i, j, l, r = idx
-    return (
-        moment(idx)
-        - moment((i, j)) * moment((l, r))
-        - moment((i, l)) * moment((j, r))
-        - moment((i, r)) * moment((j, l))
+def _charge(what: str, count: int) -> None:
+    """Refuse work of more than DEFAULT_BUDGET items before any is built."""
+    if count > DEFAULT_BUDGET:
+        raise BudgetExceeded(what, DEFAULT_BUDGET)
+
+
+@functools.cache
+def _fold_size(k: int) -> int:
+    """len(_partitions(k)), the terms of one order-k cumulant, counted
+    without listing them: the block of position 0 takes i >= 1 of the
+    other m - 1 positions, and the rest are partitioned alike.  A count
+    past the budget (from k = 13 on) is a BudgetExceeded at once."""
+    counts = [1]
+    for m in range(1, k + 1):
+        counts.append(sum(math.comb(m - 1, i) * counts[m - 1 - i] for i in range(1, m)))
+        _charge(f"order-{k} cumulant terms", counts[m])
+    return counts[k]
+
+
+@functools.cache
+def _fold(k: int) -> tuple[tuple[int, tuple[Callable, ...]], ...]:
+    """Per partition of _partitions(k) into b >= 2 blocks, in table order,
+    (-1)^(b-1) (b-1)! and one getter per block (blocks have size >= 2)."""
+    _fold_size(k)
+    return tuple(
+        ((-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1),
+         tuple(operator.itemgetter(*block) for block in blocks))
+        for blocks in _partitions(k) if len(blocks) > 1
     )
 
 
+def _cumulant_of(moment: Callable, idx: tuple[int, ...]):
+    """The cumulant at idx from central moments, on floats, arrays of
+    replicates and Fractions alike: the whole-block moment, then each
+    term of _fold added in turn (the moment-to-cumulant formula)."""
+    total = moment(idx)
+    for term, blocks in _fold(len(idx)):
+        for get in blocks:
+            term = term * moment(get(idx))
+        total = total + term
+    return total
+
+
 def sample_cumulant(data: SampleMatrix, k: int) -> Tensor:
-    """Plug-in sample cumulant tensor (denominator n), exactly symmetric.
+    """Plug-in sample cumulant tensor (denominator n), exactly symmetric, at any k >= 2.
 
     Each entry is computed once per sorted multi-index and broadcast,
     so the output is symmetric to the last bit.  The moments come from
@@ -323,13 +351,14 @@ def sample_cumulant(data: SampleMatrix, k: int) -> Tensor:
     order.  An entry past the float range is a ValueError naming its
     vertices.
     """
-    if k not in (2, 3, 4):
-        raise OrderUnsupported(f"sample cumulants implemented for orders 2..4, got {k}")
+    if k < 2:
+        raise OrderUnsupported(f"sample cumulants start at order 2, got {k}")
     x = data.data
+    _charge(f"order-{k} cumulant terms", _fold_size(k) * math.comb(x.shape[1] + k - 1, k))
     keys = orbit_table(x.shape[1], k)[0]
     with np.errstate(all="ignore"):  # a value past the float range is refused below
         moment = _moments_of(np.subtract(x, x.mean(axis=0), order="F"), keys)
-        values = [_cumulant_value(moment, key) for key in keys]
+        values = [_cumulant_of(moment, key) for key in keys]
     if not np.isfinite(values).all():
         key = keys[int(np.argmin(np.isfinite(values)))]
         vertices = [data.vertices[i] for i in key]
@@ -427,9 +456,9 @@ def test_determinant_zero(
     side_lists = checked_sides(data.vertices, sides)
     if len(side_lists) != k:
         raise ValueError(f"got {len(side_lists)} sides but k={k}")
-    if k not in (2, 3, 4):
-        raise OrderUnsupported(f"sample cumulants implemented for orders 2..4, got {k}")
     n = len(side_lists[0])
+    _charge(f"order-{k} cumulant terms", _fold_size(k) * n**k)
+    _charge(f"order-{k} determinant terms", math.factorial(n) ** (k - 1))
     if n_boot < 1:
         raise InvalidBootstrapCount(f"n_boot must be >= 1, got {n_boot}")
     checked_seed(seed)
@@ -450,13 +479,13 @@ def test_determinant_zero(
     def point(idx: tuple[int, ...]) -> float:  # an entry index is unsorted
         return memo(tuple(sorted(idx)))
 
-    entries = dict(zip(positions, (_cumulant_value(point, idx) for idx in indices)))
+    entries = dict(zip(positions, (_cumulant_of(point, idx) for idx in indices)))
     stat = float(hyperdet_from_getter(n, k, entries.__getitem__))
     if not math.isfinite(stat):
         raise ValueError("the bootstrap statistic leaves the float range")
 
     # Every sub-multiset of an entry's index: the raw moments that the
-    # entry's central moments (and, at k = 4, its pair moments) expand into.
+    # central moments of the entry and of its blocks expand into.
     parts = {
         part for idx in indices for d in range(1, k + 1)
         for part in itertools.combinations(sorted(idx), d)
@@ -477,7 +506,7 @@ def test_determinant_zero(
             for r in range(0, rows, span)
         )
         moment = _recentred(raw / rows, col)
-        values = np.column_stack([_cumulant_value(moment, idx) for idx in indices])
+        values = np.column_stack([_cumulant_of(moment, idx) for idx in indices])
         for b, row in enumerate(values.tolist()):
             entries = dict(zip(positions, row))
             stats[start + b] = hyperdet_from_getter(n, k, entries.__getitem__)

@@ -591,6 +591,35 @@ def moments_by_key(xc):
     return moment
 
 
+def cumulant_by_pairs(moment, idx):
+    """Denominator-n sample cumulant of the columns idx (k <= 4) from their
+    central moments: the order-4 formula written out, pair by pair.  The
+    reference for multitrek.estimation._cumulant_of at k <= 4."""
+    k = len(idx)
+    if k in (2, 3):
+        return moment(idx)
+    i, j, l, r = idx
+    return (
+        moment(idx)
+        - moment((i, j)) * moment((l, r))
+        - moment((i, l)) * moment((j, r))
+        - moment((i, r)) * moment((j, l))
+    )
+
+
+def set_partitions(positions):
+    """Every set partition of the positions, singleton blocks included, by
+    placing each position in turn into an earlier block or a new one."""
+    if not positions:
+        yield []
+        return
+    first, rest = positions[0], positions[1:]
+    for partition in set_partitions(rest):
+        for b in range(len(partition)):
+            yield partition[:b] + [[first] + partition[b]] + partition[b + 1:]
+        yield [[first]] + partition
+
+
 # -- acceptance reporting --------------------------------------------------
 
 ACCEPTANCE_LINES: list[str] = []

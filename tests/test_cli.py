@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -466,6 +467,15 @@ class TestEstimate:
         code = run(["estimate", "--data", str(big), "--order", "4", *mode])
         out, err = capfd.readouterr()
         assert (code, json.loads(out), out.count("\n"), err) == (EXIT_ERROR, {"error": error}, 1, "")
+
+    @pytest.mark.parametrize("mode", [(), ("--sets", ";".join(["1"] * 40), "--seed", "1")])
+    def test_a_large_order_is_one_prompt_json_error(self, capsys, data_csv, mode):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "estimate", "--data", data_csv, "--order", "40", *mode)
+        assert time.perf_counter() - start < 2.0  # refused before any partition is listed
+        assert (code, json.loads(out)) == (
+            EXIT_ERROR, {"error": "order-40 cumulant terms exceeds budget of 1000000"}
+        )
 
     def test_unreadable_data_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.mtrk"

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import os
 import re
 import struct
@@ -14,6 +15,7 @@ import pytest
 
 import multitrek.estimation as estimation
 from multitrek import (
+    BudgetExceeded,
     InvalidBootstrapCount,
     MixedGraph,
     NoiseSpec,
@@ -31,9 +33,10 @@ from multitrek import (
     write_sample_csv,
 )
 from multitrek import test_determinant_zero as determinant_flag
+from multitrek.cumulants import _partition_value, _partitions
 from multitrek.tensors import hyperdet_from_getter, orbit_table
 
-from conftest import moments_by_key
+from conftest import cumulant_by_pairs, moments_by_key, set_partitions
 
 F = Fraction
 
@@ -87,10 +90,28 @@ class TestNoiseSpec:
         spec = NoiseSpec({1: ("gamma", 2, 7)})
         assert spec.cumulant(1, 1) == 0
 
-    def test_order_five_unsupported(self):
+    def test_order_five_and_up_and_order_zero_refused(self):
         spec = NoiseSpec({1: ("uniform", 1)})
+        assert spec.cumulant(1, 5) == 0
+        assert spec.cumulant(1, 6) == F(2**6, 42 * 6)  # (2a)^r B_r / r with B_6 = 1/42
         with pytest.raises(OrderUnsupported):
-            spec.cumulant(1, 5)
+            spec.cumulant(1, 0)
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_closed_forms_give_the_known_central_moments(self, r):
+        # The cumulant-to-moment partition sum of the closed forms, in exact
+        # rationals: uniform a^r / (r+1) and Laplace r! b^r at even r (0 at
+        # odd r); exponential at rate 1 the subfactorial !r.
+        a, b = F(3, 2), F(2, 3)
+        spec = NoiseSpec({1: ("uniform", a), 2: ("laplace", b), 3: ("exponential", 1)})
+        subfactorial = round(math.factorial(r) / math.e)
+        expected = {
+            1: 0 if r % 2 else a**r / (r + 1),
+            2: 0 if r % 2 else math.factorial(r) * b**r,
+            3: subfactorial,
+        }
+        for v, moment in expected.items():
+            assert _partition_value(_partitions(r), lambda block: spec.cumulant(v, len(block))) == moment
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError, match="unknown noise tag"):
@@ -296,7 +317,7 @@ class TestSampleCumulant:
         sm = SampleMatrix(data=x, vertices=tuple(range(1, p + 1)))
         moment = moments_by_key(x - x.mean(axis=0))
         keys, table = orbit_table(p, k)
-        expected = [estimation._cumulant_value(moment, keys[i]) for i in table]
+        expected = [cumulant_by_pairs(moment, keys[i]) for i in table]
         write_sample_binary(sm, tmp_path / "x.mtrk")
         for data in (sm, read_sample_binary(tmp_path / "x.mtrk")):
             assert list(sample_cumulant(data, k).entries) == expected
@@ -313,11 +334,56 @@ class TestSampleCumulant:
             f"the order-{k} sample cumulant at vertices {vertices} leaves the float range"
         )
 
-    def test_order_out_of_range(self):
-        sm = SampleMatrix(data=np.zeros((5, 1)), vertices=(1,))
-        for k in (1, 5):
-            with pytest.raises(OrderUnsupported):
-                sample_cumulant(sm, k)
+    def test_order_one_refused_and_orders_five_and_six_exact(self):
+        # Centered, the column is (-1, -1, -1, -1, 4): m2 = 4, m3 = 12,
+        # m4 = 52, m5 = 204, m6 = 820, each exact in floats, so
+        # kappa5 = m5 - 10 m2 m3 and kappa6 = m6 - 15 m4 m2 - 10 m3^2 + 30 m2^3.
+        sm = SampleMatrix(data=[[0.0], [0.0], [0.0], [0.0], [5.0]], vertices=(1,))
+        with pytest.raises(OrderUnsupported):
+            sample_cumulant(sm, 1)
+        assert sample_cumulant(sm, 5).entries == (204.0 - 10 * 4 * 12,)
+        assert sample_cumulant(sm, 6).entries == (820.0 - 15 * 52 * 4 - 10 * 144 + 30 * 64,)
+
+    def test_fold_size_counts_the_partitions_unlisted(self):
+        assert [estimation._fold_size(k) for k in range(11)] == [len(_partitions(k)) for k in range(11)]
+
+    @pytest.mark.parametrize("k, width", [(13, 1), (40, 3), (10**9, 3), (8, 10), (4, 60)])
+    def test_an_order_past_the_budget_is_refused_before_any_work(self, monkeypatch, k, width):
+        # 580,317 partitions at k = 12 fit the budget, 3,633,280 at k = 13 do
+        # not; at k = 8 over 10 columns (24,310 keys of 715 terms) and at
+        # k = 4 over 60 (595,665 keys of 4 terms) the keys tip it.
+        def unreachable(*args):
+            raise AssertionError("work was built before the budget was charged")
+
+        monkeypatch.setattr(estimation, "_partitions", unreachable)
+        monkeypatch.setattr(estimation, "orbit_table", unreachable)
+        sm = SampleMatrix(data=np.arange(3.0 * width).reshape(3, width), vertices=tuple(range(width)))
+        with pytest.raises(BudgetExceeded) as info:
+            sample_cumulant(sm, k)
+        assert str(info.value) == f"order-{k} cumulant terms exceeds budget of 1000000"
+
+    def test_uniform_noise_past_the_budget_is_refused(self):
+        spec = NoiseSpec({1: ("uniform", 1), 2: ("gamma", 2, 3)})
+        assert spec.cumulant(2, 40) == 2 * math.factorial(39) * 3**40  # a closed form needs no fold
+        with pytest.raises(BudgetExceeded, match="order-40 cumulant terms"):
+            spec.cumulant(1, 40)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_orders_five_and_six_match_a_direct_moebius_sum(self, k):
+        # Every set partition of the k positions, singletons included, with
+        # coefficient (-1)^(b-1) (b-1)! over b blocks, on the centered data.
+        rng = np.random.default_rng(50 + k)
+        x = rng.gamma(0.5, 2.0, size=(40, 3)) * (-3.0, 0.25, 7.0)
+        moment = moments_by_key(x - x.mean(axis=0))
+        keys, table = orbit_table(3, k)
+        got = sample_cumulant(SampleMatrix(data=x, vertices=(1, 2, 3)), k).entries
+        for entry, i in zip(got, table):
+            terms = [
+                (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1)
+                * math.prod(moment(tuple(keys[i][pos] for pos in block)) for block in blocks)
+                for blocks in set_partitions(list(range(k)))
+            ]
+            assert entry == pytest.approx(sum(terms), rel=0, abs=1e-12 * sum(map(abs, terms)))
 
     def test_population_instance_requires_full_cover(self, chain2):
         with pytest.raises(ValueError, match="cover"):
@@ -358,10 +424,26 @@ class TestDeterminantFlag:
             determinant_flag(sm, ((1,), (2,)), 2, n_boot=0, seed=0)
         with pytest.raises(ValueError, match="sides but k"):
             determinant_flag(sm, ((1,), (2,)), 3, n_boot=5, seed=0)
-        with pytest.raises(OrderUnsupported):
-            determinant_flag(sm, tuple(((v,) for v in (1, 2, 3, 1, 2))), 5, n_boot=5, seed=0)
+        res = determinant_flag(sm, tuple(((v,) for v in (1, 2, 3, 1, 2))), 5, n_boot=5, seed=0)
+        assert res.statistic == pytest.approx(sample_cumulant(sm, 5).at((0, 1, 2, 0, 1)), rel=1e-12)
+        assert res.bootstrap_sd > 0
         with pytest.raises(ValueError, match="nonempty"):
             determinant_flag(sm, ((), ()), 2, n_boot=5, seed=0)
+
+    @pytest.mark.parametrize(
+        "sides, error",
+        [
+            ([(1,)] * 40, "order-40 cumulant terms"),  # 1 entry of about 10^34 partitions
+            ([(1, 2)] * 9, "order-9 cumulant terms"),  # 512 entries of 3,425 terms
+            ([tuple(range(1, 11))] * 2, "order-2 determinant terms"),  # 10! = 3,628,800
+            ([(1, 2, 3, 4, 5)] * 4, "order-4 determinant terms"),  # 120^3 = 1,728,000
+        ],
+    )
+    def test_a_statistic_past_the_budget_is_refused_before_any_work(self, monkeypatch, sides, error):
+        monkeypatch.setattr(estimation, "_moments_of", None)  # nothing is estimated
+        sm = SampleMatrix(data=np.random.default_rng(3).normal(size=(20, 10)), vertices=tuple(range(1, 11)))
+        with pytest.raises(BudgetExceeded, match=f"^{error} exceeds budget of 1000000$"):
+            determinant_flag(sm, sides, len(sides), n_boot=5, seed=0)
 
     def test_single_replicate_has_zero_sd(self):
         sm = SampleMatrix(data=np.random.default_rng(2).normal(size=(50, 2)), vertices=(1, 2))
