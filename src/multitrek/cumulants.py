@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from collections import defaultdict
@@ -68,7 +69,7 @@ from .ser import (
     strict_int,
 )
 from .tensors import DiagonalSpec, Tensor, hyperdet_from_table, orbit_table, symmetric_from_values
-from .treks import DEFAULT_BUDGET, KTrek, checked_sides, enumerate_ktreks, signed_system_sum
+from .treks import DEFAULT_BUDGET, KTrek, _Cap, checked_sides, enumerate_ktreks, signed_system_sum
 
 
 def _coerce_scalar(x):
@@ -344,9 +345,24 @@ def symbolic_instance(g: MixedGraph, k_max: int) -> ModelInstance:
 
 
 @functools.cache
+def _fold_size(k: int) -> int:
+    """len(_partitions(k)), counted without listing them: the block of
+    position 0 takes i >= 1 of the other m - 1 positions, and the rest are
+    partitioned alike.  The counts grow with m from m = 2 on, so a count
+    past DEFAULT_BUDGET (from k = 13 on) is a BudgetExceeded at once."""
+    counts = [1]
+    for m in range(1, k + 1):
+        counts.append(sum(math.comb(m - 1, i) * counts[m - 1 - i] for i in range(1, m)))
+        _Cap(DEFAULT_BUDGET, f"order-{k} cumulant terms").charge(counts[m])
+    return counts[k]
+
+
+@functools.cache
 def _partitions(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Set partitions of range(k) with every block of size >= 2: the block holding
-    position 0 ranges over combinations in lexicographic order, then the rest recursively."""
+    position 0 ranges over combinations in lexicographic order, then the rest recursively.
+    Their count (_fold_size) is charged to DEFAULT_BUDGET before any is listed."""
+    _fold_size(k)
 
     def split(positions: tuple[int, ...]):
         if not positions:
@@ -657,10 +673,12 @@ class _DeterminantPlan(_EntryPlan):
 def _model_tensor(g: MixedGraph, inst: ModelInstance, order: int, moments: bool) -> Tensor:
     """The order-k cumulant (with ``moments``, moment) tensor of the observed
     vector: one entry plan over the sorted keys of orbit_table, whose values
-    symmetric_from_values broadcasts."""
+    symmetric_from_values broadcasts.  Its p**k positions are charged to
+    DEFAULT_BUDGET before orbit_table lays them out."""
     if order < 2:
         raise ValueError("order must be >= 2")
     p = len(g.vertices)
+    _Cap(DEFAULT_BUDGET, f"order-{order} tensor entries").charge(p**order)
     keys = orbit_table(p, order)[0]
     return symmetric_from_values(p, order, _EntryPlan(g, order, g.vertices, keys, moments).at(inst))
 

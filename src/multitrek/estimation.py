@@ -6,9 +6,11 @@ non-Gaussian noise, estimate cumulant tensors from the sample, and
 bootstrap a determinant statistic.  A cumulant of central moments, of a
 sample, of bootstrap replicates or of uniform noise, is one fold over
 the model side's set partitions at every order (_cumulant_of).  The
-work that grows with the order is counted before any is built: more
-than DEFAULT_BUDGET cumulant terms (partitions times entries) or, for
-the bootstrap statistic, Leibniz terms is a BudgetExceeded.
+work that grows with the order is counted before any is built and
+charged to the package's one cap (treks._Cap): more than
+DEFAULT_BUDGET cumulant terms (partitions times entries) or, for the
+bootstrap statistic, Leibniz terms is a BudgetExceeded.  Sides pass
+the one vertex-id rule (treks.checked_sides).
 
 Every sample moment comes from one depth-first walk over the prefixes
 of the sorted index keys that are asked for (_moments_of): the data
@@ -60,14 +62,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cumulants import ModelInstance, NoiseCumulants, _partitions, path_matrix
-from .errors import BudgetExceeded, InvalidBootstrapCount, OrderUnsupported, SchemaError
+from .cumulants import ModelInstance, NoiseCumulants, _fold_size, _partitions, path_matrix
+from .errors import InvalidBootstrapCount, OrderUnsupported, SchemaError
 from .graphs import MixedGraph, canonical_dag
 from .ser import canonical_int, checked_seed, read_float, strict_int, write_output
 from .tensors import (
     FLOAT, DiagonalSpec, Tensor, hyperdet_from_getter, orbit_table, symmetric_from_values,
 )
-from .treks import DEFAULT_BUDGET, checked_sides
+from .treks import DEFAULT_BUDGET, _Cap, checked_sides
 
 _TAGS = {"uniform": 1, "exponential": 1, "laplace": 1, "gamma": 2}
 
@@ -291,30 +293,10 @@ def _moments_of(
     return memo.__getitem__
 
 
-def _charge(what: str, count: int) -> None:
-    """Refuse work of more than DEFAULT_BUDGET items before any is built."""
-    if count > DEFAULT_BUDGET:
-        raise BudgetExceeded(what, DEFAULT_BUDGET)
-
-
-@functools.cache
-def _fold_size(k: int) -> int:
-    """len(_partitions(k)), the terms of one order-k cumulant, counted
-    without listing them: the block of position 0 takes i >= 1 of the
-    other m - 1 positions, and the rest are partitioned alike.  A count
-    past the budget (from k = 13 on) is a BudgetExceeded at once."""
-    counts = [1]
-    for m in range(1, k + 1):
-        counts.append(sum(math.comb(m - 1, i) * counts[m - 1 - i] for i in range(1, m)))
-        _charge(f"order-{k} cumulant terms", counts[m])
-    return counts[k]
-
-
 @functools.cache
 def _fold(k: int) -> tuple[tuple[int, tuple[Callable, ...]], ...]:
     """Per partition of _partitions(k) into b >= 2 blocks, in table order,
     (-1)^(b-1) (b-1)! and one getter per block (blocks have size >= 2)."""
-    _fold_size(k)
     return tuple(
         ((-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1),
          tuple(operator.itemgetter(*block) for block in blocks))
@@ -354,7 +336,8 @@ def sample_cumulant(data: SampleMatrix, k: int) -> Tensor:
     if k < 2:
         raise OrderUnsupported(f"sample cumulants start at order 2, got {k}")
     x = data.data
-    _charge(f"order-{k} cumulant terms", _fold_size(k) * math.comb(x.shape[1] + k - 1, k))
+    terms = _fold_size(k) * math.comb(x.shape[1] + k - 1, k)
+    _Cap(DEFAULT_BUDGET, f"order-{k} cumulant terms").charge(terms)
     keys = orbit_table(x.shape[1], k)[0]
     with np.errstate(all="ignore"):  # a value past the float range is refused below
         moment = _moments_of(np.subtract(x, x.mean(axis=0), order="F"), keys)
@@ -457,8 +440,8 @@ def test_determinant_zero(
     if len(side_lists) != k:
         raise ValueError(f"got {len(side_lists)} sides but k={k}")
     n = len(side_lists[0])
-    _charge(f"order-{k} cumulant terms", _fold_size(k) * n**k)
-    _charge(f"order-{k} determinant terms", math.factorial(n) ** (k - 1))
+    _Cap(DEFAULT_BUDGET, f"order-{k} cumulant terms").charge(_fold_size(k) * n**k)
+    _Cap(DEFAULT_BUDGET, f"order-{k} determinant terms").charge(math.factorial(n) ** (k - 1))
     if n_boot < 1:
         raise InvalidBootstrapCount(f"n_boot must be >= 1, got {n_boot}")
     checked_seed(seed)

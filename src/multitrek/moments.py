@@ -55,6 +55,7 @@ from .treks import (
     Trek,
     TrekSearchResult,
     _Cap,
+    _checked_ids,
     _paths_into,
     _reaching,
     _SplitGraph,
@@ -205,12 +206,9 @@ def enumerate_split_treks(
     candidate combinations, valid or not.
     """
     _require_dag(g)
-    k = len(sinks)
-    if k < 2:
+    if len(sinks) < 2:
         raise ValueError("a split-trek needs k >= 2 sinks")
-    vset = set(g.vertices)
-    if any(s not in vset for s in sinks):
-        raise ValueError(f"sinks {tuple(sinks)} must belong to the graph")
+    _checked_ids(set(g.vertices), tuple(sinks), "sink tuple")
     return _split_treks(sinks, [_paths_into(g, s, budget) for s in sinks], budget)
 
 
@@ -519,13 +517,14 @@ def scan_conjecture(
     no seed drawn again.  A case's provenance (case, graph, sides,
     instance_seeds) is built with its first record and shared by its
     disagreement record and its violation records; agreements counts the
-    cases without a disagreement record.  A seed or trials that is no
-    int, bools included, is refused with a ValueError naming it, and so
-    is a negative seed (ser.checked_seed).
+    cases without a disagreement record.  A seed, budget or trials that
+    is no int, bools included, is refused with a ValueError naming it,
+    and so is a negative seed or budget (ser.checked_seed).
     """
     if k < 4:
         raise ValueError("the scan targets k >= 4; k = 3 is settled exactly")
     checked_seed(seed)
+    checked_seed(budget, "budget")
     if strict_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     max_vertices, prob, cases, set_size = _ensemble_params(ensemble, k)

@@ -175,9 +175,9 @@ def decide_vanishing(
 ) -> Decision:
     """Decide identical vanishing of det C^(k) over the sides (k = number of sides).
 
-    ``seed`` (None or an int >= 0, ser.checked_seed) and ``trials`` (an
-    int) refuse anything else, bools included; randomized mode needs a
-    seed and trials >= 1.
+    ``seed`` (None or an int >= 0, ser.checked_seed), ``budget`` (an int
+    >= 0, by the same rule) and ``trials`` (an int) refuse anything else,
+    bools included; randomized mode needs a seed and trials >= 1.
     A side that repeats a vertex along a signed mode forces a zero
     determinant: the certificate is the policy, the record is empty and
     trials and value_range are null.  Otherwise the search gives the
@@ -192,6 +192,7 @@ def decide_vanishing(
         raise ValueError(f"unknown mode {mode!r}")
     if seed is not None:
         checked_seed(seed)
+    checked_seed(budget, "budget")
     strict_int(trials, "trials")
     if mode == "randomized" and seed is None:
         raise ValueError("randomized mode needs a seed")
@@ -366,8 +367,10 @@ def certify_decision(g: MixedGraph, doc: dict, budget: int = DEFAULT_BUDGET) -> 
     ``value_range`` of VALUE_RANGE and seeded entries that are exactly
     instance_seed(seed, t) for t < trials, in order; every other document
     has null ``trials`` and ``value_range`` and no seeded entry.
-    A malformed document is rejected with a reason, never an exception.
+    A malformed document is rejected with a reason, never an exception;
+    a negative budget is a ValueError (ser.checked_seed).
     """
+    checked_seed(budget, "budget")
     valid, reason = _certify_claims(g, doc, budget)
     defect = _provenance_defect(doc) if valid else None
     return (False, defect) if defect else (valid, reason)

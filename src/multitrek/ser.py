@@ -44,13 +44,14 @@ def strict_int(x: object, what: str = "vertex id") -> int:
     return x
 
 
-def checked_seed(seed: object) -> int:
-    """``seed`` itself when it is an int >= 0 and no bool, else ValueError:
-    the one seed rule of every seeded entry point.  random.Random seeds by
-    absolute value, so a negative seed would replay a positive one's draws."""
-    if strict_int(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+def checked_seed(value: object, what: str = "seed") -> int:
+    """``value`` itself when it is an int >= 0 and no bool, else ValueError
+    naming ``what``: the one rule of every seed and every work budget.
+    random.Random seeds by absolute value, so a negative seed would replay
+    a positive one's draws; a negative budget would refuse all work."""
+    if strict_int(value, what) < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    return value
 
 
 def read_int(text: object, path: str = "/", message: str = "must be an integer") -> int:

@@ -32,12 +32,14 @@ lists from the whole side at once (``_reaching``), which may avoid a
 blocking set: a vertex counts when it has a directed path into the
 side that meets no blocked vertex, endpoints included.
 
-All enumerations are capped (default 10^6 items) by drawing their
-candidates through a ``_Cap``, the one place that counts; exceeding a
-cap is an explicit BudgetExceeded, never silent truncation.  The order-2
-flow enumerates nothing and takes no cap.  Orderings are lexicographic
-or fixed by insertion order throughout, so certificates reproduce
-across runs.
+All enumerations are capped (default 10^6 items): each draws its
+candidates through a ``_Cap``, and work counted before it is built
+(partitions, tensor positions, Leibniz terms) is charged to one, so
+exceeding a cap is one explicit BudgetExceeded, never silent
+truncation.  The order-2 flow enumerates nothing and takes no cap.
+Every vertex id from outside passes one rule (_checked_ids).
+Orderings are lexicographic or fixed by insertion order throughout, so
+certificates reproduce across runs.
 """
 
 from __future__ import annotations
@@ -59,16 +61,21 @@ DEFAULT_BUDGET = 10**6
 class _Cap:
     """A count of drawn candidates: calling it on an iterable yields the
     items and raises BudgetExceeded(what, budget) when item budget + 1 is
-    drawn.  Several streams may draw from one cap."""
+    drawn, and charge draws a known count at once.  Several streams may
+    draw from one cap."""
 
     def __init__(self, budget: int, what: str) -> None:
         self.budget, self.what, self.drawn = budget, what, 0
 
+    def charge(self, count: int) -> None:
+        """Draw count items at once: work counted before any of it is built."""
+        self.drawn += count
+        if self.drawn > self.budget:
+            raise BudgetExceeded(self.what, self.budget)
+
     def __call__(self, items: Iterable) -> Iterator:
         for item in items:
-            self.drawn += 1
-            if self.drawn > self.budget:
-                raise BudgetExceeded(self.what, self.budget)
+            self.charge(1)
             yield item
 
 
@@ -235,9 +242,7 @@ def enumerate_paths(
     The trivial path [u] is returned when u == v; the list is empty
     when v is unreachable.  Raises BudgetExceeded past the cap.
     """
-    vset = set(g.vertices)
-    if u not in vset or v not in vset:
-        raise ValueError(f"vertices {u},{v} must belong to the graph")
+    _checked_ids(set(g.vertices), (u, v), "endpoint pair")
     return _paths_into(g, v, budget, (u,))
 
 
@@ -279,12 +284,9 @@ def enumerate_ktreks(
     trek whose sources coincide is reported with its vertex top even
     when a hyperedge also supports it.
     """
-    k = len(sinks)
-    if k < 2:
+    if len(sinks) < 2:
         raise ValueError("a k-trek needs k >= 2 sinks")
-    vset = set(g.vertices)
-    if any(s not in vset for s in sinks):
-        raise ValueError(f"sinks {tuple(sinks)} must belong to the graph")
+    _checked_ids(set(g.vertices), tuple(sinks), "sink tuple")
     reaching = {s: _reaching(g, (s,)) for s in set(sinks)}
     into = [reaching[s] for s in sinks]
 
@@ -479,13 +481,14 @@ def exists_disjoint_path_system(
     starts at r[i]); endpoints cover S exactly.  The entry for outside
     input: the package's searches call _side_paths, unchecked.
     """
-    rr, ss = list(r), list(s)
+    rr, ss = tuple(r), tuple(s)
     if len(rr) != len(ss):
         raise ValueError("R and S must have equal size")
+    vset = set(g.vertices)
+    _checked_ids(vset, rr, "R")
+    _checked_ids(vset, ss, "S")
     if len(set(rr)) != len(rr) or len(set(ss)) != len(ss):
         raise ValueError("R and S must consist of distinct vertices")
-    if not set(rr + ss) <= set(g.vertices):
-        raise ValueError("R and S must belong to the graph")
     return _side_paths(g, rr, ss, 1)
 
 
@@ -508,12 +511,21 @@ def _side_paths(
 # -- sides -----------------------------------------------------------------
 
 
+def _checked_ids(vset: Container[int], ids: tuple, noun: str) -> None:
+    """The one vertex-id rule: each id is an int, not a bool or a float that
+    equals one, and lies in vset; else a ValueError naming the noun and ids."""
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in ids):
+        raise ValueError(f"{noun} {ids} holds a vertex id that is not an int")
+    if any(v not in vset for v in ids):
+        raise ValueError(f"{noun} {ids} leaves the vertex set")
+
+
 def checked_sides(
     vertices: Iterable[int], sides: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """The sides as tuples: at least two, of equal nonzero size, over known vertices.
 
-    A vertex id must be an int, not a bool or a float that equals one.
+    Each side passes the package's one vertex-id rule (_checked_ids).
     Repeated vertices pass; where a repeat matters, repeated_side says so.
     """
     side_lists = tuple(tuple(side) for side in sides)
@@ -524,10 +536,7 @@ def checked_sides(
         raise ValueError("sides must be nonempty and of equal size")
     vset = set(vertices)
     for side in side_lists:
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in side):
-            raise ValueError(f"side {side} holds a vertex id that is not an int")
-        if any(v not in vset for v in side):
-            raise ValueError(f"side {side} leaves the vertex set")
+        _checked_ids(vset, side, "side")
     return side_lists
 
 
@@ -923,9 +932,9 @@ def check_ktrek_separation(
     if len(blockers) != len(sides):
         raise ValueError("need one blocking set per side")
     vset = set(g.vertices)
-    for group in [*sides, *blockers]:
-        if any(v not in vset for v in group):
-            raise ValueError("sides and blockers must belong to the graph")
+    for side, a in zip(sides, blockers):
+        _checked_ids(vset, tuple(side), "side")
+        _checked_ids(vset, tuple(a), "blocking set")
     # per side, the tops with a path into it that avoids its blocking set
     opens = [_reaching(g, side, a) for side, a in zip(sides, blockers)]
     tops = itertools.chain(((t,) for t in g.vertices), g.multidirected_edges)

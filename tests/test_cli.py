@@ -72,6 +72,28 @@ def test_a_negative_seed_is_one_json_error(capfd, tmp_path, star, command):
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ("check", "--graph", "GRAPH", "--sets", "1;2", "--seed", "1"),
+    ("check", "--graph", "GRAPH", "--sets", "1;2", "--mode", "certain"),
+    ("check", "--graph", "GRAPH", "--sets", "1;2;2", "--seed", "1"),
+    ("common-cause", "--graph", "GRAPH", "--vars", "1,2", "--seed", "1"),
+    ("scan-conjecture", "--ensemble", "ENSEMBLE", "--seed", "1"),
+    ("certify", "--decision", "DECISION", "--graph", "GRAPH"),
+], ids=["check", "check-certain", "check-order-3", "common-cause", "scan-conjecture", "certify"])
+def test_a_negative_budget_is_one_json_error(capfd, tmp_path, star, command):
+    # The order-2 flow takes no budget, so there a negative one went unnoticed.
+    ensemble = tmp_path / "ens.json"
+    ensemble.write_text(json.dumps({"cases": 2, "max_vertices": 4, "k": 4}))
+    decision = tmp_path / "decision.json"
+    decision.write_text(decide_vanishing(star, ((1,), (2,)), seed=1).to_json())
+    paths = {"GRAPH": write_graph(tmp_path, star), "ENSEMBLE": str(ensemble), "DECISION": str(decision)}
+    code = run([paths.get(arg, arg) for arg in command] + ["--budget", "-1"])
+    assert (code, *capfd.readouterr()) == (
+        EXIT_ERROR, '{"error":"budget must be >= 0, got -1"}\n', ""
+    )
+
+
 @pytest.mark.parametrize("argv", [
     (),
     ("bogus",),
@@ -232,6 +254,27 @@ class TestParametrize:
         )
         assert code == EXIT_ERROR
         assert "order" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("order, kind, error", [
+        ("40", "cumulant", "order-40 tensor entries exceeds budget of 1000000"),
+        ("40", "moment", "order-40 tensor entries exceeds budget of 1000000"),
+        ("5", "cumulant", "no noise cumulants at order 5"),
+        ("6", "cumulant", "no noise cumulants at order 6"),
+        ("5", "moment", "no noise cumulants at order 2"),
+        ("6", "moment", "no noise cumulants at order 2"),
+    ])
+    def test_a_large_order_is_one_prompt_json_error(self, capsys, tmp_path, chain2, order, kind, error):
+        # 2**40 positions would be laid out before the instance is read.
+        gpath = write_graph(tmp_path, chain2)
+        ipath = tmp_path / "inst.json"
+        ipath.write_text('{"lambda":{"1->2":"2"},"noise":{"3":{"diag":{"1":"1","2":"-1/2"}}}}')
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys, "parametrize", "--graph", gpath, "--instance", str(ipath),
+            "--order", order, "--kind", kind,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (code, json.loads(out)) == (EXIT_ERROR, {"error": error})
 
     @pytest.mark.parametrize("order", ["0", "1"])
     @pytest.mark.parametrize("kind", ["cumulant", "moment"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from multitrek import (
+    BudgetExceeded,
     DiagonalSpec,
     HyperedgeSpec,
     MissingOrder,
@@ -24,6 +25,7 @@ from multitrek import (
     instance_from_json,
     instance_to_json,
     model_cumulant,
+    model_moment,
     path_matrix,
     sample_generic_instance,
     subtensor,
@@ -566,6 +568,31 @@ def test_model_cumulant_rejects_orders_below_two(chain2, order):
     inst = sample_generic_instance(chain2, 2, rng_seed=3)
     with pytest.raises(ValueError, match="^order must be >= 2$"):
         model_cumulant(chain2, inst, order)
+
+
+def test_partitions_past_the_budget_are_refused_before_any_is_listed(monkeypatch):
+    # 580,317 partitions at k = 12 fit the default budget, 3,633,280 at k = 13 do not.
+    class Unlisted:
+        def __getattr__(self, name):
+            raise AssertionError("a partition was listed before the budget was charged")
+
+    monkeypatch.setattr(cumulants, "itertools", Unlisted())
+    with pytest.raises(BudgetExceeded) as info:
+        cumulants._partitions(13)
+    assert str(info.value) == "order-13 cumulant terms exceeds budget of 1000000"
+
+
+@pytest.mark.parametrize("kind", [model_cumulant, model_moment])
+def test_a_tensor_past_the_budget_is_refused_before_its_layout(monkeypatch, chain2, kind):
+    # 2**20 = 1,048,576 positions exceed the default budget of 10**6; 2**19 fit.
+    def unreachable(*args):
+        raise AssertionError("the tensor was laid out before the budget was charged")
+
+    monkeypatch.setattr(cumulants, "orbit_table", unreachable)
+    inst = sample_generic_instance(chain2, 3, rng_seed=3)
+    with pytest.raises(BudgetExceeded) as info:
+        kind(chain2, inst, 20)
+    assert str(info.value) == "order-20 tensor entries exceeds budget of 1000000"
 
 
 def test_instance_json_round_trip(latent_triple):

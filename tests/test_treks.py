@@ -26,8 +26,10 @@ from multitrek import (
     find_ktrek_separating_sets,
     find_sided_intersection,
     make_trek_system,
+    moment_subtensor_determinant,
     reachable_from,
     sample_generic_instance,
+    subtensor_determinant,
     trek_system_from_doc,
     trek_system_to_doc,
 )
@@ -710,6 +712,8 @@ SIDES_ENTRY_POINTS = {
     "split_expansion": lambda s: det_by_split_trek_systems(_SIDE_GRAPH, _SIDE_INSTANCE, s),
     "decide": lambda s: decide_vanishing(_SIDE_GRAPH, s, seed=0),
     "bootstrap": lambda s: determinant_flag(_SIDE_DATA, s, len(s), n_boot=2, seed=0),
+    "determinant": lambda s: subtensor_determinant(_SIDE_GRAPH, _SIDE_INSTANCE, s),
+    "moment_determinant": lambda s: moment_subtensor_determinant(_SIDE_GRAPH, _SIDE_INSTANCE, s),
 }
 
 
@@ -728,6 +732,38 @@ def test_entry_points_reject_malformed_sides_alike(entry, case):
     with pytest.raises(ValueError) as info:
         SIDES_ENTRY_POINTS[entry](sides)
     assert str(info.value) == message
+
+
+# The entry points that take vertex ids other than sides apply the same
+# id rule to them, each under its own noun.
+ID_ENTRY_POINTS = {
+    "paths": (lambda v: enumerate_paths(_SIDE_GRAPH, v, 3), lambda v: f"endpoint pair {(v, 3)}"),
+    "ktreks": (lambda v: enumerate_ktreks(_SIDE_GRAPH, (v, 3)), lambda v: f"sink tuple {(v, 3)}"),
+    "split_treks": (
+        lambda v: enumerate_split_treks(_SIDE_GRAPH, (v, 3)), lambda v: f"sink tuple {(v, 3)}"
+    ),
+    "disjoint_paths": (
+        lambda v: exists_disjoint_path_system(_SIDE_GRAPH, (v,), (3,)), lambda v: f"R {(v,)}"
+    ),
+    "separation": (
+        lambda v: check_ktrek_separation(_SIDE_GRAPH, ((v,), (3,)), ((), ())),
+        lambda v: f"side {(v,)}",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ID_ENTRY_POINTS))
+@pytest.mark.parametrize("vertex, rule", [
+    (True, "holds a vertex id that is not an int"),
+    (2.0, "holds a vertex id that is not an int"),
+    (9, "leaves the vertex set"),
+], ids=["bool", "float", "unknown"])
+def test_entry_points_reject_bad_vertex_ids_alike(entry, vertex, rule):
+    # True == 1 and 2.0 == 2 are vertex ids by equality, but not ints.
+    call, noun = ID_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as info:
+        call(vertex)
+    assert str(info.value) == f"{noun(vertex)} {rule}"
 
 
 def test_open_search_matches_repeated_side_one_vertex_by_position():
