@@ -393,8 +393,8 @@ def check_moment_theorem_k3(
     side_lists = [tuple(s) for s in sides]
     if len(side_lists) != 3:
         raise ValueError("this check is specific to three sides")
-    det = moment_subtensor_determinant(g, inst, side_lists)
     absent = not exists_split_trek_system_no_sided_intersection(g, side_lists, budget).found
+    det = moment_subtensor_determinant(g, inst, side_lists)
     return bool(not det) == absent
 
 

@@ -15,8 +15,9 @@ A determinant is evaluated from one row-major table of the subtensor's
 entries and routed by its shape: at k = 2 with exact entries (int or
 Fraction) it is an ordinary matrix determinant, taken by Bareiss
 elimination in O(n^3); every other case (k >= 3, polynomial or float
-entries) runs the Leibniz sum above over permutations and signs cached
-per n, with terms in a fixed order so float results repeat to the last bit.
+entries) runs one row recursion, Laplace expansion by minors, whose
+steps are built once per (n, k).  Its sums run in a fixed order, so
+float results repeat to the last bit.
 
 The Tucker product (tucker_apply), the reference that the trek rule and
 the entry plan are tested against, computes its definition: contract_mode
@@ -212,11 +213,11 @@ def hyperdet_from_getter(n: int, order: int, entry: Callable[[tuple[int, ...]], 
     """Determinant of the cubical tensor whose entries ``entry`` supplies.
 
     ``entry`` maps a 0-based multi-index to a scalar; any value type
-    supporting +, * and truthiness-as-nonzero works (rationals, floats,
-    polynomials).  It is called exactly once per position, n**order
-    times in row-major order, and the table is handed to
+    supporting +, -, * and truthiness-as-nonzero works (rationals,
+    floats, polynomials).  It is called exactly once per position,
+    n**order times in row-major order, and the table is handed to
     hyperdet_from_table, which picks the route by shape.  Returns the
-    int 1 for n = 0 (empty Leibniz product).
+    int 1 for n = 0 (the empty product).
     """
     table = [entry(idx) for idx in itertools.product(range(n), repeat=order)]
     return hyperdet_from_table(n, order, table)
@@ -226,85 +227,76 @@ def hyperdet_from_table(n: int, order: int, table: Sequence):
     """Determinant of the cubical tensor with row-major entries ``table``.
 
     At order 2 with int or Fraction entries this is det_matrix, exact
-    Bareiss elimination.  Otherwise it is the Leibniz sum over
-    (order-1)-tuples of permutations, in itertools order, each term
-    multiplied row by row starting at its first entry and skipped at its
-    first zero factor; that fixed order makes float results repeat to the
-    last bit.  A shape of at most TERM_LIST_MAX terms reads its terms'
-    signs and table offsets from a list built once per (n, order)
-    (_leibniz_terms); a larger one computes them term by term, in the
-    same order and with the same products.
+    Bareiss elimination.  Every other table takes the row recursion of
+    _laplace_steps, Laplace expansion by minors, which needs only a ring:
+    the sum over rows 0..i-1 is kept per state, row i extends each
+    nonzero one by each nonzero entry it may pick, and sums that reach
+    one state add up.  A zero entry in row 0 reads as the int 0, the
+    empty sum.  Every sum runs in a fixed order, so float results repeat
+    to the last bit; at n <= 2 no two prefixes reach one state, and they
+    are the Leibniz sum's, bit for bit.
     """
     if n == 0:
         return 1
     if order == 2 and all(isinstance(x, (int, Fraction)) for x in table):
         return det_matrix([table[i * n : (i + 1) * n] for i in range(n)])
-    terms = _leibniz_terms(n, order)
-    if terms is not None:
-        total = 0
-        for sign, first, rest in terms:
-            term = table[first]
-            if not term:
-                continue
-            for off in rest:
-                val = table[off]
-                if not val:
-                    break
-                term = term * val
-            else:
-                total = total + (term if sign > 0 else -term)
-        return total
-    perms, signs = signed_permutations(n)
-    total = 0
-    for combo in itertools.product(range(len(perms)), repeat=order - 1):
-        sign = 1
-        for c in combo:
-            sign *= signs[c]
-        for i in range(n):
-            off = i
-            for c in combo:
-                off = off * n + perms[c][i]
-            val = table[off]
-            if not val:
-                break
-            term = term * val if i else val
-        else:
-            total = total + (term if sign > 0 else -term)
-    return total
+    first, rows = _laplace_steps(n, order)
+    sums = [table[off] or 0 for off in first]
+    for width, steps in rows:
+        reached = [0] * width
+        for partial, moves in zip(sums, steps):
+            if partial:
+                for to, off, flip in moves:
+                    val = table[off]
+                    if val:
+                        val = partial * val
+                        reached[to] = reached[to] - val if flip else reached[to] + val
+        sums = reached
+    return sums[0]
 
 
-# The largest Leibniz sum, in terms, whose term list _leibniz_terms keeps.
-TERM_LIST_MAX = 4096
+def _laplace_step_count(n: int, order: int) -> int:
+    """The steps of the row recursion on an n-cube of order k: row i starts
+    from C(n, i)**(k-1) states, each with (n - i)**(k-1) column choices."""
+    return sum((math.comb(n, i) * (n - i)) ** (order - 1) for i in range(n))
 
 
 @functools.cache
-def _leibniz_terms(n: int, order: int) -> tuple[tuple[int, int, tuple[int, ...]], ...] | None:
-    """The terms of the order-k Leibniz sum on an n-cube, in hyperdet_from_table's
-    order, as (sign, offset of row 0, offsets of rows 1..n-1) into the
-    row-major table; None past TERM_LIST_MAX terms, which stream instead."""
-    perms, signs = signed_permutations(n)
-    if len(perms) ** (order - 1) > TERM_LIST_MAX:
-        return None
-    terms = []
-    for combo in itertools.product(range(len(perms)), repeat=order - 1):
-        offsets = []
-        for i in range(n):
-            off = i
-            for c in combo:
-                off = off * n + perms[c][i]
-            offsets.append(off)
-        terms.append((math.prod(signs[c] for c in combo), offsets[0], tuple(offsets[1:])))
-    return tuple(terms)
+def _laplace_steps(n: int, order: int) -> tuple[tuple[int, ...], tuple[tuple[int, tuple], ...]]:
+    """The row recursion of hyperdet_from_table on an n-cube of order k,
+    built once per (n, k) after _laplace_step_count is charged to
+    DEFAULT_BUDGET.  A state is the tuple of used-column bitmasks of
+    modes 2..k.  A row picks one unused column per mode, flips the sign
+    once per used column above each pick and numbers the states it
+    reaches in first-reached order.  Returns row 0's table offsets, one
+    per state it reaches, and for each later row the number of states
+    it reaches and, per state it leaves, its (state, offset, flip) steps.
+    """
+    from .treks import DEFAULT_BUDGET, _Cap  # treks imports this module
+
+    _Cap(DEFAULT_BUDGET, f"order-{order} determinant steps").charge(_laplace_step_count(n, order))
+    states: dict[tuple[int, ...], int] = {(0,) * (order - 1): 0}
+    rows = []
+    for i in range(n):
+        reached: dict[tuple[int, ...], int] = {}
+        steps = []
+        for used in states:
+            moves = []
+            for cols in itertools.product(*([c for c in range(n) if not mask >> c & 1] for mask in used)):
+                state = tuple(mask | 1 << c for mask, c in zip(used, cols))
+                off = functools.reduce(lambda off, c: off * n + c, cols, i)
+                flips = sum((mask >> (c + 1)).bit_count() for mask, c in zip(used, cols))
+                moves.append((reached.setdefault(state, len(reached)), off, flips % 2 == 1))
+            steps.append(tuple(moves))
+        rows.append((len(reached), tuple(steps)))
+        states = reached
+    return tuple(off for _, off, _ in rows[0][1][0]), tuple(rows[1:])
 
 
 @functools.cache
 def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The permutations of range(n) in itertools order, and their signs.
-
-    Cached per n: the Leibniz term lists built from them are kept per
-    (n, k) only up to TERM_LIST_MAX terms (_leibniz_terms), since a full
-    list would hold (n!)**(k-1) terms, 1.7 M at n = 5, k = 4.
-    """
+    """The permutations of range(n) in itertools order and their signs,
+    cached per n for the trek-system expansion and the split-trek search."""
     perms = tuple(itertools.permutations(range(n)))
     return perms, tuple(perm_sign(p) for p in perms)
 

@@ -34,9 +34,11 @@ side that meets no blocked vertex, endpoints included.
 
 All enumerations are capped (default 10^6 items): each draws its
 candidates through a ``_Cap``, and work counted before it is built
-(partitions, tensor positions, Leibniz terms) is charged to one, so
-exceeding a cap is one explicit BudgetExceeded, never silent
-truncation.  The order-2 flow enumerates nothing and takes no cap.
+(partitions, tensor positions, determinant steps, Leibniz terms) is
+charged to one, so exceeding a cap is one explicit BudgetExceeded,
+never silent truncation.  Every entry point refuses a budget that is
+no int >= 0 (ser.checked_seed) before any work, the capless order-2
+flow included.
 Every vertex id from outside passes one rule (_checked_ids).
 Orderings are lexicographic or fixed by insertion order throughout, so
 certificates reproduce across runs.
@@ -52,7 +54,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .graphs import MixedGraph, canonical_dag
-from .ser import read_ints, strict_int
+from .ser import checked_seed, read_ints, strict_int
 from .tensors import perm_sign, signed_permutations
 
 DEFAULT_BUDGET = 10**6
@@ -65,7 +67,7 @@ class _Cap:
     draw from one cap."""
 
     def __init__(self, budget: int, what: str) -> None:
-        self.budget, self.what, self.drawn = budget, what, 0
+        self.budget, self.what, self.drawn = checked_seed(budget, "budget"), what, 0
 
     def charge(self, count: int) -> None:
         """Draw count items at once: work counted before any of it is built."""
@@ -253,6 +255,7 @@ def _paths_into(
     vertex with a path into v, ascending), lexicographic by vertex sequence
     per source, by one reverse search.  Raises BudgetExceeded past the cap
     on the paths from one source."""
+    checked_seed(budget, "budget")
     children = g.child_lists
     into_v = _reaching(g, (v,))
 
@@ -287,6 +290,7 @@ def enumerate_ktreks(
     if len(sinks) < 2:
         raise ValueError("a k-trek needs k >= 2 sinks")
     _checked_ids(set(g.vertices), tuple(sinks), "sink tuple")
+    cap = _Cap(budget, f"k-treks into {tuple(sinks)}")
     reaching = {s: _reaching(g, (s,)) for s in set(sinks)}
     into = [reaching[s] for s in sinks]
 
@@ -309,7 +313,6 @@ def enumerate_ktreks(
         for path in _paths_into(g, b, budget, sorted(starts)):
             paths.setdefault((path.source, b), []).append(path)
 
-    cap = _Cap(budget, f"k-treks into {tuple(sinks)}")
     treks: list[KTrek] = []
     for srcs in sorted(source_tuples):
         top_vertex = srcs[0] if all(s == srcs[0] for s in srcs) else None
@@ -641,7 +644,7 @@ def exists_trek_system_no_sided_intersection(
     equal signs and need not cancel.
 
     At order 2 one max flow on the doubled graph decides the search (see
-    _trek_flow); ``budget`` is unused there, and an empty result carries
+    _trek_flow); ``budget`` is only checked there, and an empty result carries
     a minimum t-separator instead of obstructions.  Side 1 cannot be
     open at order 2.
 
@@ -660,6 +663,7 @@ def exists_trek_system_no_sided_intersection(
     can appear there.
     """
     side_lists = checked_sides(g.vertices, sides)
+    checked_seed(budget, "budget")
     if open_first_side and len(side_lists) == 2:
         raise ValueError("the order-2 search has no open side")
     repeat = repeated_side(side_lists, open_first_side)
@@ -744,6 +748,7 @@ def first_linked_top(
     on, while at k = 2 one max flow decides (_trek_flow).
     """
     n, k = len(sides[0]), len(sides)
+    cap = _Cap(budget, "candidate top sets")
     through = [n if open_first_side else 1] + [1] * (k - 1)  # path capacity per side
     if tops is None:
         into = [_reaching(dag, side) for side in sides]
@@ -754,7 +759,7 @@ def first_linked_top(
         useful = [v for top in tops for v in top]
     split = _SplitGraph(dag, useful, itertools.chain(*sides))
     obstructions: list[TopObstruction] = []
-    for top in _Cap(budget, "candidate top sets")(tops):
+    for top in cap(tops):
         # each side's flow in turn (None where T is not linked), up to the first None
         flows = (split.linked(top, side, c) for side, c in zip(sides, through))
         linked = list(itertools.takewhile(bool, flows))
@@ -935,10 +940,11 @@ def check_ktrek_separation(
     for side, a in zip(sides, blockers):
         _checked_ids(vset, tuple(side), "side")
         _checked_ids(vset, tuple(a), "blocking set")
+    cap = _Cap(budget, "separation top candidates")
     # per side, the tops with a path into it that avoids its blocking set
     opens = [_reaching(g, side, a) for side, a in zip(sides, blockers)]
     tops = itertools.chain(((t,) for t in g.vertices), g.multidirected_edges)
-    for top in _Cap(budget, "separation top candidates")(tops):
+    for top in cap(tops):
         if all(any(m in reaching for m in top) for reaching in opens):
             return False
     return True
@@ -956,8 +962,7 @@ def find_ktrek_separating_sets(
     when no tuple within the budget separates.  ``cap`` bounds the
     number of tuples tried.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    checked_seed(budget, "budget")
     k = len(sides)
     verts = list(g.vertices)
     candidates = _Cap(cap, "separating-set candidates")

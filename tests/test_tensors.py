@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from multitrek import (
+    BudgetExceeded,
     DiagonalSpec,
     DimMismatch,
     IndexOutOfRange,
@@ -21,8 +23,8 @@ from multitrek import (
     tucker_apply,
 )
 from multitrek.tensors import (
-    TERM_LIST_MAX,
-    _leibniz_terms,
+    _laplace_step_count,
+    _laplace_steps,
     contract_mode,
     hyperdet_from_getter,
     hyperdet_from_table,
@@ -166,12 +168,30 @@ def test_hyperdet_from_getter_matches_leibniz(n, k):
     for table, one in ((ints, 1), (fracs, Fraction(1)), (polys, Poly.const(1))):
         entry = table_getter(table, n, k)
         assert hyperdet_from_getter(n, k, entry) == hyperdet_by_leibniz(n, k, entry, one)
-    # Floats stay on the Leibniz route, in its term order: bit-identical.
     floats = [rng.uniform(-2.0, 2.0) for _ in range(size)]
     entry = table_getter(floats, n, k)
     got = hyperdet_from_getter(n, k, entry)
     # n = 0 is the empty product, the int 1.
-    assert type(got) is (float if n else int) and got == hyperdet_by_leibniz(n, k, entry, 1.0)
+    assert type(got) is (float if n else int)
+    assert_float_matches_leibniz(got, hyperdet_from_getter(n, k, entry), n, k, entry)
+
+
+def assert_float_matches_leibniz(got, again, n, k, entry):
+    # The recursion's float sums run in a fixed order, so a second call
+    # repeats every bit.  At n <= 2 no two prefixes share a state and the
+    # sums are the Leibniz sum's, bit for bit; from n = 3 on partial sums
+    # merge, which changes the rounding by design but not beyond 1e-12 of
+    # the summed magnitude of the Leibniz terms.
+    want = hyperdet_by_leibniz(n, k, entry, 1.0)
+    assert float(again).hex() == float(got).hex()
+    if n <= 2:
+        assert float(got).hex() == float(want).hex()
+    elif got != want:
+        magnitude = sum(
+            math.prod(abs(entry((i,) + tuple(perm[i] for perm in perms))) for i in range(n))
+            for perms in itertools.product(itertools.permutations(range(n)), repeat=k - 1)
+        )
+        assert abs(got - want) <= 1e-12 * magnitude
 
 
 def table_getter(table, n, k):
@@ -440,13 +460,12 @@ def test_json_rejects_malformed():
         )
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_term_lists_match_leibniz_on_tables_with_zeros(n, k):
-    # Shapes of at most TERM_LIST_MAX terms read a kept term list, larger ones
-    # stream; both give the reference's value, float bits included.
+@pytest.mark.parametrize("n, k", [*itertools.product(range(1, 5), range(2, 6)), (5, 3)])
+def test_row_recursion_matches_leibniz_on_tables_with_zeros(n, k):
+    # Every table but an exact order-2 one takes the row recursion, also
+    # shapes of many Leibniz terms (n = 4, k = 4 has 13,824, n = 5, k = 3
+    # has 14,400).
     terms = math.factorial(n) ** (k - 1)
-    assert (_leibniz_terms(n, k) is None) == (terms > TERM_LIST_MAX)
     rng = random.Random(1000 * k + n)
     size = n**k
 
@@ -463,8 +482,36 @@ def test_term_lists_match_leibniz_on_tables_with_zeros(n, k):
         ]
     for entries, one in tables:
         got = hyperdet_from_table(n, k, entries)
-        want = hyperdet_by_leibniz(n, k, table_getter(entries, n, k), one)
         if isinstance(one, float):
-            assert float(got).hex() == float(want).hex()
+            again = hyperdet_from_table(n, k, entries)
+            assert_float_matches_leibniz(got, again, n, k, table_getter(entries, n, k))
         else:
-            assert got == want
+            assert got == hyperdet_by_leibniz(n, k, table_getter(entries, n, k), one)
+
+
+@pytest.mark.parametrize("n, k, count", [
+    (1, 2, 1), (2, 4, 16), (3, 3, 54), (4, 5, 41_984), (5, 4, 43_250), (6, 3, 9_072),
+])
+def test_row_recursion_step_count_has_a_closed_form(n, k, count):
+    # Row i starts from C(n, i)^(k-1) column sets, each with (n - i)^(k-1)
+    # choices; that count is what the budget is charged.  At n = 5, k = 4
+    # the Leibniz sum has 1,728,000 terms.
+    first, rows = _laplace_steps(n, k)
+    built = len(first) + sum(len(moves) for _, steps in rows for moves in steps)
+    assert built == _laplace_step_count(n, k) == count
+
+
+def test_row_recursion_past_the_budget_is_refused_before_any_step_is_built():
+    # n = 5, k = 5 takes 1,131,250 steps, past the default budget.  The
+    # count is charged before the table is built, so the refusal allocates
+    # next to nothing.
+    assert _laplace_step_count(5, 5) == 1_131_250
+    table = [1] * 5**5
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"^order-5 determinant steps exceeds budget of 1000000$"):
+            hyperdet_from_table(5, 5, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -13,10 +13,13 @@ from multitrek import (
     canonical_dag,
     certify_decision,
     check_ktrek_separation,
+    check_moment_theorem_k3,
     checked_sides,
+    cumulant_entry_by_trek_rule,
     decide_vanishing,
     det_by_split_trek_systems,
     det_by_trek_systems,
+    detect_common_cause,
     enumerate_ktreks,
     enumerate_paths,
     enumerate_split_treks,
@@ -29,6 +32,7 @@ from multitrek import (
     moment_subtensor_determinant,
     reachable_from,
     sample_generic_instance,
+    scan_conjecture,
     subtensor_determinant,
     trek_system_from_doc,
     trek_system_to_doc,
@@ -607,6 +611,39 @@ def test_find_separating_sets(two_root_dag):
     assert found == find_ktrek_separating_sets(g, sides, budget=2)
     with pytest.raises(BudgetExceeded):
         find_ktrek_separating_sets(g, sides, budget=2, cap=3)
+
+
+
+_EDGE = MixedGraph(vertices=(1, 2, 3), directed_edges=((1, 2),))
+_EDGE_INSTANCE = sample_generic_instance(_EDGE, 3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: enumerate_paths(_EDGE, 2, 1, budget=b),  # no path, so no cap
+    lambda b: enumerate_paths(_EDGE, 1, 2, budget=b),
+    lambda b: enumerate_ktreks(_EDGE, (1, 2), budget=b),
+    lambda b: exists_trek_system_no_sided_intersection(_EDGE, ((1,), (2,)), budget=b),  # the flow
+    lambda b: exists_trek_system_no_sided_intersection(_EDGE, ((1,), (2,), (2,)), budget=b),
+    lambda b: first_linked_top(_EDGE, ((1,), (2,), (2,)), budget=b),
+    lambda b: treks_module.signed_system_sum(((1,), (2,)), lambda sinks: [], lambda trek: 1, budget=b),
+    lambda b: check_ktrek_separation(_EDGE, ((1,), (2,)), ((), ()), budget=b),
+    lambda b: find_ktrek_separating_sets(_EDGE, ((1,), (2,)), b),
+    lambda b: find_ktrek_separating_sets(_EDGE, ((1,), (2,)), 1, cap=b),
+    lambda b: cumulant_entry_by_trek_rule(_EDGE, _EDGE_INSTANCE, (1, 2, 2), budget=b),
+    lambda b: det_by_trek_systems(_EDGE, _EDGE_INSTANCE, ((1,), (2,), (2,)), budget=b),
+    lambda b: enumerate_split_treks(_EDGE, (3, 3), budget=b),
+    lambda b: exists_split_trek_system_no_sided_intersection(_EDGE, ((1,), (2,), (3,)), budget=b),
+    lambda b: det_by_split_trek_systems(_EDGE, _EDGE_INSTANCE, ((1,), (2,), (2,)), budget=b),
+    lambda b: check_moment_theorem_k3(_EDGE, _EDGE_INSTANCE, ((1,), (2,), (2,)), budget=b),
+    lambda b: decide_vanishing(_EDGE, ((1,), (2,)), seed=1, budget=b),
+    lambda b: detect_common_cause(_EDGE, (1, 2), seed=1, budget=b),
+    lambda b: certify_decision(_EDGE, {}, budget=b),
+    lambda b: scan_conjecture(4, {"cases": 1, "k": 4, "max_vertices": 4, "set_size": 1}, 1, budget=b),
+])
+def test_every_budget_refuses_a_negative_one_by_one_rule(call):
+    # The order-2 flow and a sink with no path build no cap; they refuse too.
+    with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+        call(-1)
 
 
 def test_system_doc_round_trip(two_root_dag, latent_triple):
